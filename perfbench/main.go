@@ -86,7 +86,7 @@ func main() {
 		log.Print(err)
 		os.Exit(2)
 	}
-	d := &driver{w: w, name: *name, seed: *seed, budget: time.Duration(*seconds * float64(time.Second))}
+	d := &driver{w: w, name: *name, seed: *seed, budget: time.Duration(*seconds * float64(time.Second)), k: newKernel()}
 	var res result
 	if *trace == 1 {
 		res, err = d.traced(filepath.Join(*spans, fmt.Sprintf("%s-seed%d.jsonl", *name, *seed)))
@@ -172,6 +172,8 @@ type driver struct {
 	attempted, failed int64
 	// counts is the first unit's exact counts; every later unit must match.
 	counts string
+	// k is the host-speed reference kernel the untraced units sample with.
+	k *kernel
 }
 
 func (d *driver) check(o outcome, what string) {
@@ -196,26 +198,31 @@ func (d *driver) result(m map[string]metric) result {
 }
 
 const (
-	setupSamples = 9
+	setupSamples = 15
 	// setupSampleMin is the least time one set-up sample spans: a sample
 	// repeats the set-up until then, so a set-up far shorter than the
 	// clock's jitter is timed over many repetitions.
-	setupSampleMin = 20 * time.Millisecond
+	setupSampleMin = 30 * time.Millisecond
 )
 
 // setupSeconds sets the workload up setupSamples times over and returns the
-// median seconds one set-up takes. It leaves the workload set up.
+// median seconds one set-up takes, scaled to the reference host's speed by
+// a slice of the reference kernel before and after each sample. It leaves
+// the workload set up.
 func (d *driver) setupSeconds() (float64, error) {
 	var samples []float64
 	for i := 0; i < setupSamples; i++ {
 		runtime.GC()
+		hp := newHostProbe(d.k)
+		hp.slice(0)
 		start := time.Now()
 		for n := 1; ; n++ {
 			if err := d.w.setup(d.seed); err != nil {
 				return 0, fmt.Errorf("%s set-up: %w", d.name, err)
 			}
 			if el := time.Since(start); el >= setupSampleMin {
-				samples = append(samples, el.Seconds()/float64(n))
+				hp.slice(0)
+				samples = append(samples, el.Seconds()/float64(n)*hp.factor())
 				break
 			}
 		}
@@ -225,18 +232,22 @@ func (d *driver) setupSeconds() (float64, error) {
 
 // series is one measured run of units.
 type series struct {
-	walls, cpus []float64 // seconds per unit
+	walls, cpus []float64 // seconds per unit, scaled to the reference host
+	rawWalls    []float64 // seconds per unit as the clock read them
+	factors     []float64 // host-speed factor per unit
 	rssMB       []float64 // peak resident set per unit, this process or a child
-	ops         []float64 // per-operation ms over all units
 	rt          runtimeCounters
 	runs        int64 // explore runs over all units
 	outcomes    []outcome
+	// layers are the traced units' layer totals, one per unit.
+	layers []layerTotals
 }
 
 // measure runs units of f until the next would end past budget, at least
-// one. With dropWarmup the first unit warms caches and is left out of the
-// timings when at least two more ran.
-func (d *driver) measure(f func(*tracer) outcome, tr *tracer, budget time.Duration, dropWarmup bool, what string) (series, error) {
+// one. With probe, the units sample the host's speed and report scaled
+// times; without, raw times. With dropWarmup the first unit warms caches
+// and is left out of the timings when at least two more ran.
+func (d *driver) measure(f func(*tracer, *hostProbe) outcome, tr *tracer, probe bool, budget time.Duration, dropWarmup bool, what string) (series, error) {
 	var s series
 	var rts []runtimeCounters
 	start := time.Now()
@@ -244,17 +255,41 @@ func (d *driver) measure(f func(*tracer) outcome, tr *tracer, budget time.Durati
 		if err := resetPeakRSS(); err != nil {
 			return s, err
 		}
+		var hp *hostProbe
+		if probe {
+			// One slice before the clock starts, so that every unit has one
+			// before and one after its work.
+			hp = newHostProbe(d.k)
+			hp.slice(0)
+			hp.spentWall, hp.spentCPU = 0, 0
+		}
+		spans := 0
+		if tr != nil {
+			spans = len(tr.spans)
+		}
 		rt0, cpu0, t0 := readRuntime(), cpuTime(), time.Now()
-		o := f(tr)
+		o := f(tr, hp)
 		wall := time.Since(t0)
 		cpu1, rt1 := cpuTime(), readRuntime()
 		peak, err := peakRSSKB()
 		if err != nil {
 			return s, err
 		}
+		var spentWall, spentCPU time.Duration
+		if hp != nil {
+			spentWall, spentCPU = hp.spentWall, hp.spentCPU
+			hp.slice(len(o.ops))
+		}
+		k := hp.factor()
+		hp.scaleOps(o.ops)
 		d.check(o, what)
-		s.walls = append(s.walls, wall.Seconds())
-		s.cpus = append(s.cpus, (cpu1 - cpu0).Seconds())
+		if tr != nil {
+			s.layers = append(s.layers, unitLayers(tr.spans[spans:]))
+		}
+		s.walls = append(s.walls, (wall-spentWall).Seconds()*k)
+		s.cpus = append(s.cpus, (cpu1-cpu0-spentCPU).Seconds()*k)
+		s.rawWalls = append(s.rawWalls, wall.Seconds())
+		s.factors = append(s.factors, k)
 		s.rssMB = append(s.rssMB, float64(max(peak, o.workerRSSKB))/1024)
 		rts = append(rts, rt1.sub(rt0))
 		s.outcomes = append(s.outcomes, o)
@@ -263,10 +298,10 @@ func (d *driver) measure(f func(*tracer) outcome, tr *tracer, budget time.Durati
 		}
 	}
 	if dropWarmup && len(s.walls) >= 3 {
-		s.walls, s.cpus, s.rssMB, rts, s.outcomes = s.walls[1:], s.cpus[1:], s.rssMB[1:], rts[1:], s.outcomes[1:]
+		s.walls, s.cpus, s.rawWalls, s.factors = s.walls[1:], s.cpus[1:], s.rawWalls[1:], s.factors[1:]
+		s.rssMB, rts, s.outcomes = s.rssMB[1:], rts[1:], s.outcomes[1:]
 	}
 	for i, o := range s.outcomes {
-		s.ops = append(s.ops, o.ops...)
 		s.runs += o.runs
 		s.rt.allocs += rts[i].allocs
 		s.rt.bytes += rts[i].bytes
@@ -276,23 +311,37 @@ func (d *driver) measure(f func(*tracer) outcome, tr *tracer, budget time.Durati
 	return s, nil
 }
 
+// opQuantile is the median over units of each unit's q-quantile of
+// operation latency, in ms: like the unit times, one unit whose work met a
+// slow patch of the host moves it less than it would a quantile of the
+// pooled latencies.
+func (s series) opQuantile(q float64) float64 {
+	var xs []float64
+	for _, o := range s.outcomes {
+		xs = append(xs, quantile(o.ops, q))
+	}
+	return median(xs)
+}
+
 // endToEnd measures the end-to-end metrics, untraced.
 func (d *driver) endToEnd() (result, error) {
 	setup, err := d.setupSeconds()
 	if err != nil {
 		return result{}, err
 	}
-	s, err := d.measure(d.w.unit, nil, d.budget, true, d.name)
+	s, err := d.measure(d.w.unit, nil, true, d.budget, true, d.name)
 	if err != nil {
 		return result{}, err
 	}
+	log.Printf("%s: %d units, raw wall %.4g s, host-speed factor %.3f (medians over units)",
+		d.name, len(s.walls), median(s.rawWalls), median(s.factors))
 	return d.result(map[string]metric{
 		"wall_s":      {median(s.walls), "s"},
 		"cpu_s":       {median(s.cpus), "s"},
 		"peak_rss_mb": {median(s.rssMB), "MB"},
 		"setup_s":     {setup, "s"},
-		"op_ms_p50":   {quantile(s.ops, 0.5), "ms"},
-		"op_ms_p90":   {quantile(s.ops, 0.90), "ms"},
+		"op_ms_p50":   {s.opQuantile(0.5), "ms"},
+		"op_ms_p90":   {s.opQuantile(0.9), "ms"},
 	}), nil
 }
 
@@ -309,20 +358,21 @@ func (d *driver) traced(spansPath string) (result, error) {
 	var own series
 	if f, ok := d.w.(*fleetSweep); ok {
 		var err error
-		if own, err = d.measure(d.w.unit, nil, half, false, d.name); err != nil {
+		if own, err = d.measure(d.w.unit, nil, false, half, false, d.name); err != nil {
 			return result{}, err
 		}
 		subject = f.inProcessUnit
 	}
-	base, err := d.measure(subject, nil, half, true, d.name+" untraced")
+	base, err := d.measure(subject, nil, false, half, true, d.name+" untraced")
 	if err != nil {
 		return result{}, err
 	}
 	tr := newTracer()
-	traced, err := d.measure(subject, tr, half, false, d.name+" traced")
+	traced, err := d.measure(subject, tr, false, half, false, d.name+" traced")
 	if err != nil {
 		return result{}, err
 	}
+	d.checkLayers(traced)
 	ladder, err := runLadder(d.seed)
 	if err != nil {
 		d.problems = append(d.problems, err.Error())
@@ -331,6 +381,47 @@ func (d *driver) traced(spansPath string) (result, error) {
 		return result{}, err
 	}
 	return d.result(d.layerMetrics(base, traced, own, tr, ladder)), nil
+}
+
+// layerPin is the exact layer work of one traced unit.
+type layerPin struct{ instantiates, steps, checks int64 }
+
+// layerPins are the layer counts of one traced unit of each workload that
+// explores, whatever the seed. The lab's steps depend on the seed; its
+// units must agree with each other through outcome.counts.
+var layerPins = map[string]layerPin{
+	"suite-sb1":     {463666, 15480756, 399246},
+	"fig1-n4-fleet": {161784, 2589403, 269304},
+	"zoo-kills":     {69040, 5124440, 157160},
+}
+
+// checkLayers records a problem when a traced unit's layer counts differ
+// from the workload's pin, or when a clean sweep instantiated other than
+// once per run.
+func (d *driver) checkLayers(traced series) {
+	pin, pinned := layerPins[d.name]
+	for i, l := range traced.layers {
+		got := layerPin{l.Instantiates, l.Steps, l.Checks}
+		if pinned && got != pin {
+			d.problems = append(d.problems, fmt.Sprintf("%s traced unit %d: instantiate calls/steps/checks %d/%d/%d, want %d/%d/%d",
+				d.name, i, got.instantiates, got.steps, got.checks, pin.instantiates, pin.steps, pin.checks))
+		}
+		if _, zoo := d.w.(*zoo); pinned && !zoo && l.Instantiates != traced.outcomes[i].runs {
+			d.problems = append(d.problems, fmt.Sprintf("%s traced unit %d: %d instantiate calls for %d runs",
+				d.name, i, l.Instantiates, traced.outcomes[i].runs))
+		}
+	}
+}
+
+// unitLayers sums the layer totals of a unit's configuration spans.
+func unitLayers(spans []span) layerTotals {
+	var t layerTotals
+	for _, s := range spans {
+		if s.Kind == kindConfig {
+			t.add(s.Layers)
+		}
+	}
+	return t
 }
 
 // layerMetrics turns the traced spans, the untraced baseline and the

@@ -24,7 +24,8 @@ type workload interface {
 	// setup builds the workload's inputs from the seed; the driver times it.
 	setup(seed int64) error
 	// unit runs one unit of work, timed by tr's wrappers when tr is non-nil.
-	unit(tr *tracer) outcome
+	// It lets hp sample the host's speed between its operations.
+	unit(tr *tracer, hp *hostProbe) outcome
 }
 
 func newWorkload(name string) (workload, error) {
@@ -122,17 +123,18 @@ func resultCounts(r *explore.Result) string {
 }
 
 // exploreSweep explores jobs under cfg on one lab worker. Untraced, it
-// times each configuration from OnConfig; traced, the tracer closes a span
-// per configuration under a sweep span named parent.
-func exploreSweep(cfg explore.Config, jobs []explore.Job, tr *tracer, parent string, o *outcome) *explore.Result {
+// times each configuration from OnConfig and samples the host's speed
+// between configurations; traced, the tracer closes a span per
+// configuration under a sweep span named parent.
+func exploreSweep(cfg explore.Config, jobs []explore.Job, tr *tracer, hp *hostProbe, parent string, o *outcome) *explore.Result {
 	cfg.Workers = 1
 	start := time.Now()
 	if tr == nil {
 		last := start
 		cfg.OnConfig = func(string, int64) {
-			now := time.Now()
-			o.ops = append(o.ops, ms(now.Sub(last)))
-			last = now
+			o.ops = append(o.ops, ms(time.Since(last)))
+			hp.tick(len(o.ops))
+			last = time.Now()
 		}
 	} else {
 		cfg.System = tr.system(cfg.System)
@@ -181,12 +183,12 @@ func (s *suite) setup(seed int64) error {
 	return nil
 }
 
-func (s *suite) unit(tr *tracer) outcome {
+func (s *suite) unit(tr *tracer, hp *hostProbe) outcome {
 	var o outcome
 	var counts []string
 	for i, cfg := range s.cfgs {
 		label := fmt.Sprintf("%s/n=%d/f=%d", cfg.System.Name(), cfg.System.N(), cfg.System.MaxFaults())
-		res := exploreSweep(cfg, s.jobs[i], tr, label, &o)
+		res := exploreSweep(cfg, s.jobs[i], tr, hp, label, &o)
 		o.attempted++
 		if !checkSweep(&o, label, res, suitePins[label]) {
 			o.failed++
@@ -227,35 +229,31 @@ func (f *fleetSweep) setup(int64) error {
 	return nil
 }
 
-func (f *fleetSweep) unit(*tracer) outcome {
+func (f *fleetSweep) unit(_ *tracer, hp *hostProbe) outcome {
 	var o outcome
 	o.attempted = 1
+	hp.bracket(0)
 	start := time.Now()
 	first := time.Duration(-1)
-	last := make(map[int]time.Time, fleetProcs)
 	stopSampling := sampleChildPeaks(50 * time.Millisecond)
 	sum, err := fleet.Run(fleet.Options{
 		Spec:      f.spec,
 		Procs:     fleetProcs,
 		WorkerCmd: f.cmd,
-		// Called from fleet.Run's own event loop, on this goroutine. A
-		// "worker N: <job> (R runs)" line marks a finished job; the time
-		// since that worker's previous one is the job's latency.
+		// Called from fleet.Run's own event loop, on this goroutine. Every
+		// job is submitted when the run starts, and a "worker N: <job> (R
+		// runs)" line marks one finished: the time since the start is the
+		// job's latency. A worker's time between two of its own jobs would
+		// be mostly pipe and wake-up delay, since most jobs take well under
+		// a millisecond.
 		OnProgress: func(line string) {
 			now := time.Now()
 			if first < 0 {
 				first = now.Sub(start)
 			}
-			var w int
-			if _, err := fmt.Sscanf(line, "worker %d:", &w); err != nil {
-				return
+			if strings.HasPrefix(line, "worker ") {
+				o.ops = append(o.ops, ms(now.Sub(start)))
 			}
-			prev, ok := last[w]
-			if !ok {
-				prev = start
-			}
-			o.ops = append(o.ops, ms(now.Sub(prev)))
-			last[w] = now
 		},
 	})
 	wall := time.Since(start)
@@ -263,6 +261,7 @@ func (f *fleetSweep) unit(*tracer) outcome {
 	if werr := waitChildren(30 * time.Second); werr != nil {
 		o.fail("fleet: %v", werr)
 	}
+	hp.bracket(len(o.ops))
 	if err != nil {
 		o.failed = 1
 		o.fail("fleet: %v", err)
@@ -285,9 +284,9 @@ func (f *fleetSweep) unit(*tracer) outcome {
 
 // inProcessUnit explores the fleet's jobs in this process on one lab
 // worker: the pass the traced run measures the explorer layers on.
-func (f *fleetSweep) inProcessUnit(tr *tracer) outcome {
+func (f *fleetSweep) inProcessUnit(tr *tracer, hp *hostProbe) outcome {
 	var o outcome
-	res := exploreSweep(f.cfg, f.jobs, tr, "fig1/n=4", &o)
+	res := exploreSweep(f.cfg, f.jobs, tr, hp, "fig1/n=4", &o)
 	o.attempted = 1
 	if !checkSweep(&o, "fig1/n=4 in-process", res, fleetPin) {
 		o.failed = 1
@@ -301,6 +300,32 @@ func (f *fleetSweep) inProcessUnit(tr *tracer) outcome {
 // mutant killed by Mutant.Kill, in a seeded order per pass.
 
 const zooPasses = 40
+
+// killPin is the exact kill a mutant must reproduce: the runs explored up
+// to the first violation, the violating run's steps and its shrunk steps.
+type killPin struct {
+	runs   int64
+	steps  int64
+	shrunk int
+}
+
+// zooPins are the kills of every explore.MutantZoo entry, whatever the pass
+// order; shrink.step_ratio is their shrunk over their raw steps.
+var zooPins = map[string]killPin{
+	"fig1-broken-adopt":       {21, 23, 17},
+	"fig1-skip-on-change":     {855, 33, 0},
+	"fig1-garbled-decide":     {1, 37, 0},
+	"fig1-garbled-echo":       {1, 37, 0},
+	"fig2-broken-adopt":       {205, 35, 17},
+	"fig2-skip-on-change":     {3, 35, 0},
+	"fig2-starved-wait":       {4, 512, 0},
+	"extract-full-output":     {1, 768, 0},
+	"extract-empty-output":    {1, 768, 0},
+	"extract-stale-leader":    {8, 768, 0},
+	"composed-broken-adopt":   {139, 61, 39},
+	"composed-garbled-echo":   {1, 142, 0},
+	"composed-garbled-decide": {1, 142, 0},
+}
 
 type zoo struct {
 	mutants []explore.Mutant
@@ -344,7 +369,7 @@ func tracedKill(m explore.Mutant, tr *tracer) (*explore.Violation, *explore.Resu
 	return nil, res, nil
 }
 
-func (z *zoo) unit(tr *tracer) outcome {
+func (z *zoo) unit(tr *tracer, hp *hostProbe) outcome {
 	var o outcome
 	kills := make(map[string]string, len(z.mutants))
 	for _, order := range z.orders {
@@ -362,6 +387,7 @@ func (z *zoo) unit(tr *tracer) outcome {
 			}
 			end := time.Now()
 			o.ops = append(o.ops, ms(end.Sub(start)))
+			hp.tick(len(o.ops))
 			o.attempted++
 			if err != nil {
 				o.failed++
@@ -376,11 +402,13 @@ func (z *zoo) unit(tr *tracer) outcome {
 			}
 			o.shrink.steps += v.Steps
 			o.shrink.shrunkSteps += int64(v.ShrunkSteps)
-			k := fmt.Sprintf("%s runs=%d steps=%d shrunk=%d", m.System, res.Runs, v.Steps, v.ShrunkSteps)
-			if prev, ok := kills[m.System]; ok && prev != k {
-				o.fail("kill drifted between passes: %s, then %s", prev, k)
+			got := killPin{res.Runs, v.Steps, v.ShrunkSteps}
+			if pin, ok := zooPins[m.System]; !ok || got != pin {
+				o.failed++
+				o.fail("%s: killed after runs/steps/shrunk steps %d/%d/%d, want %d/%d/%d", m.System,
+					got.runs, got.steps, got.shrunk, pin.runs, pin.steps, pin.shrunk)
 			}
-			kills[m.System] = k
+			kills[m.System] = fmt.Sprintf("%s runs=%d steps=%d shrunk=%d", m.System, res.Runs, v.Steps, v.ShrunkSteps)
 			if tr != nil {
 				tr.end(kindKill, start, end)
 				o.shrink.replays += tr.replays
@@ -427,7 +455,7 @@ func (l *labMatrix) setup(seed int64) error {
 	return nil
 }
 
-func (l *labMatrix) unit(tr *tracer) outcome {
+func (l *labMatrix) unit(tr *tracer, hp *hostProbe) outcome {
 	var o outcome
 	var steps int64
 	scs := make([]lab.Scenario, len(l.scenarios))
@@ -438,6 +466,7 @@ func (l *labMatrix) unit(tr *tracer) outcome {
 			m, err := inner(seed ^ l.mix)
 			end := time.Now()
 			o.ops = append(o.ops, ms(end.Sub(start)))
+			hp.tick(len(o.ops))
 			n := int64(m["steps"])
 			steps += n
 			if tr != nil {
