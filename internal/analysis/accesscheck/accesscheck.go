@@ -28,15 +28,14 @@ import (
 	"go/types"
 	"strings"
 
+	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/simtypes"
 	"weakestfd/internal/analysis/suppress"
-	"weakestfd/internal/xtools/go/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "accesscheck",
 	Doc:  "machine code must access shared memory through AccessLog-instrumented Direct* accessors",
-	URL:  "weakestfd/internal/analysis",
 	Run:  run,
 }
 
@@ -46,13 +45,12 @@ var metadataMethods = map[string]bool{
 	"N": true, "At": true, "Limit": true, "Name": true, "String": true, "StateFP": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if simtypes.PathHasSuffix(pass.Pkg.Path(), "internal/memory") ||
-		strings.Contains(pass.Pkg.Path(), "internal/xtools") {
-		return nil, nil
+func run(pass *analysis.Pass) {
+	if simtypes.PathHasSuffix(pass.Pkg.Path(), "internal/memory") {
+		return
 	}
 	if simtypes.PkgWithSuffix(pass.Pkg, "internal/memory") == nil {
-		return nil, nil // package never touches shared objects
+		return // package never touches shared objects
 	}
 	sup := suppress.New(pass)
 	scope := simtypes.NewScope(pass)
@@ -90,7 +88,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // isValueType reports whether t is one of memory's plain value types (Opt),

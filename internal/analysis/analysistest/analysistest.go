@@ -6,13 +6,12 @@
 // real path *suffixes* so the analyzers' suffix-based type resolution finds
 // them.
 //
-// It exists because the x/tools subset vendored in internal/xtools omits
-// go/packages (it would drag in half the module ecosystem); instead, this
-// loader resolves imports by hand: a path with a directory under
-// testdata/src is parsed and type-checked from that directory, and anything
-// else (the stdlib) is type-checked from $GOROOT source via the standard
-// library's "source" importer. Analyzers under test must be self-contained
-// (no Requires, no facts) — true of all four fdlint analyzers.
+// The loader resolves imports by hand, with no go/packages: a path with a
+// directory under testdata/src is parsed and type-checked from that
+// directory, and anything else (the stdlib) is type-checked from $GOROOT
+// source via the standard library's "source" importer. Packages are
+// type-checked and analyzed through the same analysis.NewInfo and
+// analysis.Run the cmd/fdlint driver uses.
 package analysistest
 
 import (
@@ -30,7 +29,7 @@ import (
 	"strings"
 	"testing"
 
-	"weakestfd/internal/xtools/go/analysis"
+	"weakestfd/internal/analysis"
 )
 
 // Run loads each named package from testdata/src/<path>, applies a to it,
@@ -38,9 +37,6 @@ import (
 // package's files.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	if len(a.Requires) > 0 || len(a.FactTypes) > 0 {
-		t.Fatalf("analysistest: analyzer %s uses Requires/FactTypes, which this loader does not support", a.Name)
-	}
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +48,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 			if err != nil {
 				t.Fatalf("loading %s: %v", path, err)
 			}
-			diags := runAnalyzer(t, a, ld, pkg)
+			diags := analysis.Run([]*analysis.Analyzer{a}, ld.fset, pkg.files, pkg.pkg, pkg.info)
 			checkExpectations(t, a, ld, pkg, diags)
 		})
 	}
@@ -119,16 +115,7 @@ func (ld *loader) load(path string) (*pkgInfo, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:        map[ast.Expr]types.TypeAndValue{},
-		Defs:         map[*ast.Ident]types.Object{},
-		Uses:         map[*ast.Ident]types.Object{},
-		Implicits:    map[ast.Node]types.Object{},
-		Selections:   map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:       map[ast.Node]*types.Scope{},
-		Instances:    map[*ast.Ident]types.Instance{},
-		FileVersions: map[*ast.File]string{},
-	}
+	info := analysis.NewInfo()
 	conf := types.Config{Importer: ld}
 	pkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
@@ -142,27 +129,6 @@ func (ld *loader) load(path string) (*pkgInfo, error) {
 func isDir(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.IsDir()
-}
-
-// runAnalyzer applies a to the loaded package and returns the diagnostics.
-func runAnalyzer(t *testing.T, a *analysis.Analyzer, ld *loader, pi *pkgInfo) []analysis.Diagnostic {
-	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       ld.fset,
-		Files:      pi.files,
-		Pkg:        pi.pkg,
-		TypesInfo:  pi.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   map[*analysis.Analyzer]interface{}{},
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s failed: %v", a.Name, err)
-	}
-	return diags
 }
 
 // expectation is one `// want "re"` clause: a position and a pattern.

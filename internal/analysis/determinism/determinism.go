@@ -22,13 +22,13 @@
 //     machine runner destroys the atomicity the model charges per step.
 //
 // Scope: every machine-world function (simtypes.Scope) in any package, plus
-// every function in the packages listed by -packages (default
-// internal/explore, internal/sim and internal/fleet — the hot paths and the
-// multi-process coordinator whose merged results must be schedule-timing
-// independent). The legacy goroutine engine files in internal/sim carry
-// file-wide //lint:fdlint determinism suppressions: their goroutines and
-// channel handshakes are the engine's mechanism, and replay determinism
-// there is enforced dynamically by the step gate. internal/fleet's audited
+// every function in internal/explore, internal/sim and internal/fleet (see
+// scopedPackages) — the hot paths and the multi-process coordinator whose
+// merged results must be schedule-timing independent. The legacy goroutine
+// engine's two go statements, in sim.Run and sim.RunTasks, carry line-level
+// //lint:fdlint determinism suppressions: their goroutines and channel
+// handshakes are the engine's mechanism, and replay determinism there is
+// enforced dynamically by the step gate. internal/fleet's audited
 // exceptions are line-level: the worker/reader goroutines that are the
 // process fan-out itself, and the coordinator's wall-clock summary stamp —
 // checkpoint writing and result merging stay in scope unconditionally.
@@ -39,34 +39,26 @@ import (
 	"go/types"
 	"strings"
 
+	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/simtypes"
 	"weakestfd/internal/analysis/suppress"
-	"weakestfd/internal/xtools/go/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc:  "machine steps and explorer hot paths must be deterministic: no time.Now, math/rand, map ranging, select-default or go statements",
-	URL:  "weakestfd/internal/analysis",
 	Run:  run,
 }
 
-// packagesFlag lists the package-path suffixes whose every function is in
-// scope (machine-world functions are in scope everywhere regardless).
-var packagesFlag = "internal/explore,internal/sim,internal/fleet"
+// scopedPackages lists, comma-separated, the package-path suffixes whose
+// every function is in scope (machine-world functions are in scope
+// everywhere regardless).
+const scopedPackages = "internal/explore,internal/sim,internal/fleet"
 
-func init() {
-	Analyzer.Flags.StringVar(&packagesFlag, "packages",
-		packagesFlag, "comma-separated package path suffixes fully in scope")
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	if strings.Contains(pass.Pkg.Path(), "internal/xtools") {
-		return nil, nil
-	}
+func run(pass *analysis.Pass) {
 	pkgInScope := false
-	for _, suf := range strings.Split(packagesFlag, ",") {
-		if suf != "" && simtypes.PathHasSuffix(pass.Pkg.Path(), strings.TrimSpace(suf)) {
+	for _, suf := range strings.Split(scopedPackages, ",") {
+		if simtypes.PathHasSuffix(pass.Pkg.Path(), suf) {
 			pkgInScope = true
 			break
 		}
@@ -102,7 +94,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // checkCall flags calls into the forbidden stdlib surfaces: time.Now and

@@ -1,4 +1,4 @@
-// Package analysis is the home of fdlint: a go/analysis suite that turns
+// Package analysis is the home of fdlint: a static-analysis suite that turns
 // the explorer's soundness conventions into machine-checked invariants.
 //
 // Every headline number the explorer produces — "violation-free over the
@@ -43,8 +43,8 @@
 //
 //	//lint:fdlint <analyzer> -- <justification>
 //
-// on the flagged line, the line above it, or (file-wide) on or above the
-// package clause. The justification must name the mechanism that replaces
+// on the flagged line or the line above it; there is no file-wide form. The
+// justification must name the mechanism that replaces
 // the static guarantee — e.g. the goroutine engine's step gate enforcing
 // atomicity dynamically, or a history transformer being oracle *plumbing*
 // whose output is itself observed through the seam. Suppressions without a
@@ -54,14 +54,23 @@
 //
 // # Running
 //
-// cmd/fdlint is a unitchecker binary; CI (and the smoke test in
+// This package also holds the small framework the analyzers run on: an
+// Analyzer is a name, a one-line summary and a Run function over a Pass
+// (one type-checked package), and Run applies a list of analyzers to a
+// package. No analyzer needs facts, prerequisites or results, so there is
+// nothing more.
+//
+// cmd/fdlint is the go vet -vettool driver: it speaks the go command's vet
+// protocol itself, type-checks each package against the compiler's export
+// data and runs every analyzer on it. CI (and the end-to-end tests in
 // smoke_test.go) run it over the whole repository as
 //
 //	go build -o fdlint ./cmd/fdlint
 //	go vet -vettool=$PWD/fdlint ./...
 //
 // Each analyzer also has an analysistest-style suite under its testdata/src
-// tree, driven by the loader in internal/analysis/analysistest (the
-// framework subset vendored in internal/xtools has no go/packages, so the
-// loader resolves testdata stubs by path suffix and the stdlib from source).
+// tree, driven by the loader in internal/analysis/analysistest, which
+// resolves testdata stubs by path suffix and the stdlib from source, then
+// calls the same Run. The end-to-end tests vet those testdata trees through
+// the driver too, so the suites pin the driver's report as well.
 package analysis

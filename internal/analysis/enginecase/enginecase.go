@@ -23,35 +23,25 @@ import (
 	"sort"
 	"strings"
 
+	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/simtypes"
 	"weakestfd/internal/analysis/suppress"
-	"weakestfd/internal/xtools/go/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "enginecase",
 	Doc:  "switches over explore.Engine must cover every engine constant explicitly",
-	URL:  "weakestfd/internal/analysis",
 	Run:  run,
 }
 
-// enumFlag names the enum type as <pkg path suffix>.<type name>.
-var enumFlag = "internal/explore.Engine"
+// pkgSuffix and typeName name the enum whose switches must be exhaustive:
+// explore.Engine, matched by package-path suffix.
+const (
+	pkgSuffix = "internal/explore"
+	typeName  = "Engine"
+)
 
-func init() {
-	Analyzer.Flags.StringVar(&enumFlag, "enum", enumFlag,
-		"enum type to enforce exhaustiveness for, as pkgPathSuffix.TypeName")
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	if strings.Contains(pass.Pkg.Path(), "internal/xtools") {
-		return nil, nil
-	}
-	dot := strings.LastIndex(enumFlag, ".")
-	if dot < 0 {
-		return nil, nil
-	}
-	pkgSuffix, typeName := enumFlag[:dot], enumFlag[dot+1:]
+func run(pass *analysis.Pass) {
 	sup := suppress.New(pass)
 	simtypes.NonTestFuncs(pass, func(decl *ast.FuncDecl) {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -73,7 +63,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // missingConstants returns the names of declared constants of typ (in its

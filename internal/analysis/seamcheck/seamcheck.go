@@ -25,36 +25,33 @@ package seamcheck
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
+	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/simtypes"
 	"weakestfd/internal/analysis/suppress"
-	"weakestfd/internal/xtools/go/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "seamcheck",
 	Doc:  "detector output must be observed through fd.Query/fd.QueryAt/sim.QuerySeam, never Oracle.Value directly",
-	URL:  "weakestfd/internal/analysis",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if simtypes.PathHasSuffix(pass.Pkg.Path(), "internal/fd") ||
-		strings.Contains(pass.Pkg.Path(), "internal/xtools") {
-		return nil, nil
+func run(pass *analysis.Pass) {
+	if simtypes.PathHasSuffix(pass.Pkg.Path(), "internal/fd") {
+		return
 	}
 	sim := simtypes.PkgWithSuffix(pass.Pkg, "internal/sim")
 	if sim == nil {
-		return nil, nil
+		return
 	}
 	oracleObj := sim.Scope().Lookup("Oracle")
 	if oracleObj == nil {
-		return nil, nil
+		return
 	}
 	oracle, ok := oracleObj.Type().Underlying().(*types.Interface)
 	if !ok {
-		return nil, nil
+		return
 	}
 	sup := suppress.New(pass)
 	simtypes.NonTestFuncs(pass, func(decl *ast.FuncDecl) {
@@ -80,5 +77,4 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }

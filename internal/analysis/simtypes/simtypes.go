@@ -11,7 +11,7 @@ import (
 	"go/types"
 	"strings"
 
-	"weakestfd/internal/xtools/go/analysis"
+	"weakestfd/internal/analysis"
 )
 
 // PathHasSuffix reports whether package path ends with the given

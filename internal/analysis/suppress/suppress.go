@@ -8,70 +8,49 @@
 //
 //	//lint:fdlint <analyzer>[,<analyzer>...] -- <justification>
 //
-// placed either on the flagged line itself (trailing comment), on the line
-// immediately above it, or — for whole-file exemptions such as the legacy
-// goroutine engine — on or above the file's package clause. The
-// justification after " -- " is free text; by policy it must say which
-// dynamic mechanism or review argument replaces the static guarantee
-// (see internal/analysis/doc.go for the suppression policy).
+// placed either on the flagged line itself (trailing comment) or on the line
+// immediately above it: a directive covers its own line and the next one,
+// and nothing else, so every exemption sits next to the code it excuses.
+// The justification after " -- "
+// is free text; by policy it must say which dynamic mechanism or review
+// argument replaces the static guarantee (see internal/analysis/doc.go for
+// the suppression policy).
 package suppress
 
 import (
 	"go/token"
 	"strings"
 
-	"weakestfd/internal/xtools/go/analysis"
+	"weakestfd/internal/analysis"
 )
 
 // prefix is the directive marker. The "lint:" namespace keeps gofmt from
 // reformatting the comment and mirrors staticcheck's //lint:ignore.
 const prefix = "//lint:fdlint"
 
-// fileIndex records one file's directives: the analyzers exempted file-wide
-// and the analyzers exempted per directive line.
-type fileIndex struct {
-	fileWide map[string]bool
-	byLine   map[int]map[string]bool
+// directive is one analyzer exempted on one line of one file.
+type directive struct {
+	file string
+	line int
+	name string
 }
 
 // Index holds the parsed directives of one package pass.
 type Index struct {
-	fset  *token.FileSet
-	files map[string]*fileIndex
+	fset       *token.FileSet
+	directives map[directive]bool
 }
 
-// New parses every //lint:fdlint directive in the pass's files. Directives
-// on or above the package clause apply to the whole file; any other
-// directive applies to its own line and the line below it.
+// New parses every //lint:fdlint directive in the pass's files. A directive
+// applies to its own line and the line below it.
 func New(pass *analysis.Pass) *Index {
-	idx := &Index{fset: pass.Fset, files: make(map[string]*fileIndex)}
+	idx := &Index{fset: pass.Fset, directives: map[directive]bool{}}
 	for _, f := range pass.Files {
-		pkgLine := idx.fset.Position(f.Package).Line
-		var fi *fileIndex
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parse(c.Text)
-				if !ok {
-					continue
-				}
-				if fi == nil {
-					fi = &fileIndex{fileWide: map[string]bool{}, byLine: map[int]map[string]bool{}}
-					idx.files[idx.fset.Position(f.Package).Filename] = fi
-				}
-				line := idx.fset.Position(c.Pos()).Line
-				if line <= pkgLine {
-					for _, n := range names {
-						fi.fileWide[n] = true
-					}
-					continue
-				}
-				m := fi.byLine[line]
-				if m == nil {
-					m = map[string]bool{}
-					fi.byLine[line] = m
-				}
-				for _, n := range names {
-					m[n] = true
+				p := idx.fset.Position(c.Pos())
+				for _, name := range parse(c.Text) {
+					idx.directives[directive{p.Filename, p.Line, name}] = true
 				}
 			}
 		}
@@ -79,39 +58,24 @@ func New(pass *analysis.Pass) *Index {
 	return idx
 }
 
-// parse extracts the analyzer names from one comment text, reporting whether
-// it is a directive at all. The justification after " -- " is ignored here;
+// parse returns the analyzer names one comment text exempts, or nil if it is
+// not a directive. The justification after " -- " is never read as names;
 // it exists for the human auditor.
-func parse(text string) ([]string, bool) {
-	if !strings.HasPrefix(text, prefix) {
-		return nil, false
+func parse(text string) []string {
+	rest, ok := strings.CutPrefix(text, prefix)
+	if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return nil // e.g. //lint:fdlintfoo
 	}
-	rest := text[len(prefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. //lint:fdlintfoo
-	}
-	if i := strings.Index(rest, "--"); i >= 0 {
-		rest = rest[:i]
-	}
-	var names []string
-	for _, f := range strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' || r == ',' }) {
-		names = append(names, f)
-	}
-	return names, len(names) > 0
+	rest, _, _ = strings.Cut(rest, "--")
+	return strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' || r == ',' })
 }
 
 // Suppressed reports whether a finding of the named analyzer at pos is
 // covered by a directive.
 func (idx *Index) Suppressed(name string, pos token.Pos) bool {
 	p := idx.fset.Position(pos)
-	fi := idx.files[p.Filename]
-	if fi == nil {
-		return false
-	}
-	if fi.fileWide[name] {
-		return true
-	}
-	return fi.byLine[p.Line][name] || fi.byLine[p.Line-1][name]
+	return idx.directives[directive{p.Filename, p.Line, name}] ||
+		idx.directives[directive{p.Filename, p.Line - 1, name}]
 }
 
 // Report emits a diagnostic through pass unless a directive suppresses it.
