@@ -182,9 +182,9 @@ func BenchmarkUpsilon1ToOmega(b *testing.B) {
 		spec := core.UpsilonF(n, 1)
 		h := spec.HistoryWithStable(pattern, 100, int64(i), sim.FullSet(n))
 		red := core.NewUpsilon1ToOmega(n, h)
-		bodies := make([]sim.Body, n)
-		for j := range bodies {
-			bodies[j] = red.Body()
+		machines := make([]sim.StepMachine, n)
+		for j := range machines {
+			machines[j] = red.Machine()
 		}
 		trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, func() []memory.Opt[sim.PID] {
 			out := make([]memory.Opt[sim.PID], n)
@@ -193,10 +193,10 @@ func BenchmarkUpsilon1ToOmega(b *testing.B) {
 			}
 			return out
 		})
-		_, err := sim.Run(sim.Config{
+		_, err := sim.RunMachines(sim.Config{
 			Pattern: pattern, Schedule: sim.NewRandom(int64(i)),
 			Budget: 20_000, StopWhen: trace.Hook(),
-		}, bodies)
+		}, machines)
 		if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 			b.Fatal(err)
 		}
@@ -283,13 +283,13 @@ func BenchmarkAblationStabilization(b *testing.B) {
 				pattern := sim.FailFree(n)
 				h := core.Upsilon(n).HistoryWorstCase(pattern, ts, int64(i))
 				g := core.NewFig1(n, h, converge.UseAtomic)
-				bodies := make([]sim.Body, n)
-				for j := range bodies {
-					bodies[j] = g.Body(sim.Value(100 + j))
+				machines := make([]sim.StepMachine, n)
+				for j := range machines {
+					machines[j] = g.Machine(sim.Value(100 + j))
 				}
-				rep, err := sim.Run(sim.Config{
+				rep, err := sim.RunMachines(sim.Config{
 					Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 23,
-				}, bodies)
+				}, machines)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,39 +297,6 @@ func BenchmarkAblationStabilization(b *testing.B) {
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 		})
-	}
-}
-
-// BenchmarkAblationConverge is E10c: k-converge cost vs k and
-// implementation.
-func BenchmarkAblationConverge(b *testing.B) {
-	n := 6
-	for _, impl := range []converge.Impl{converge.UseAtomic, converge.UseAfek} {
-		for _, k := range []int{1, 3, 5} {
-			b.Run(fmt.Sprintf("%v/k%d", impl, k), func(b *testing.B) {
-				var steps int64
-				for i := 0; i < b.N; i++ {
-					inst := converge.NewInstance("c", n, k, impl)
-					bodies := make([]sim.Body, n)
-					for j := range bodies {
-						v := sim.Value(j)
-						bodies[j] = func(p *sim.Proc) (sim.Value, bool) {
-							out, _ := inst.Converge(p, v)
-							return out, true
-						}
-					}
-					rep, err := sim.Run(sim.Config{
-						Pattern: sim.FailFree(n), Schedule: sim.NewRandom(int64(i)),
-						Budget: 1 << 20,
-					}, bodies)
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps += rep.Steps
-				}
-				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-			})
-		}
 	}
 }
 
@@ -394,45 +361,6 @@ func BenchmarkTimingImplementation(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
-// BenchmarkAfekSnapshotOps measures the raw substrate: snapshot operation
-// cost in simulator steps for both implementations.
-func BenchmarkAfekSnapshotOps(b *testing.B) {
-	for _, impl := range []string{"atomic", "afek"} {
-		b.Run(impl, func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				n := 5
-				var snap memory.Snapshot[sim.Value]
-				if impl == "afek" {
-					snap = memory.NewAfekSnapshot[sim.Value]("s", n)
-				} else {
-					snap = memory.NewAtomicSnapshot[sim.Value]("s", n)
-				}
-				bodies := make([]sim.Body, n)
-				for j := range bodies {
-					me := sim.PID(j)
-					bodies[j] = func(p *sim.Proc) (sim.Value, bool) {
-						for k := 0; k < 4; k++ {
-							snap.Update(p, me, sim.Value(k))
-							snap.Scan(p)
-						}
-						return 0, true
-					}
-				}
-				rep, err := sim.Run(sim.Config{
-					Pattern: sim.FailFree(n), Schedule: sim.NewRandom(int64(i)),
-					Budget: 1 << 20,
-				}, bodies)
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps += rep.Steps
-			}
-			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-		})
-	}
-}
-
 // BenchmarkAgreementBaselines exercises the agreement substrate directly.
 func BenchmarkAgreementBaselines(b *testing.B) {
 	n := 5
@@ -441,13 +369,13 @@ func BenchmarkAgreementBaselines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			omega := fd.NewOmega(pattern, 100, int64(i))
 			c := agreement.NewOmegaConsensus(n, omega, converge.UseAtomic)
-			bodies := make([]sim.Body, n)
-			for j := range bodies {
-				bodies[j] = c.Body(sim.Value(10 + j))
+			machines := make([]sim.StepMachine, n)
+			for j := range machines {
+				machines[j] = c.Machine(sim.Value(10 + j))
 			}
-			if _, err := sim.Run(sim.Config{
+			if _, err := sim.RunMachines(sim.Config{
 				Pattern: pattern, Schedule: sim.NewRandom(int64(i)), Budget: 1 << 21,
-			}, bodies); err != nil {
+			}, machines); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -456,13 +384,13 @@ func BenchmarkAgreementBaselines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			omegaN := fd.NewOmegaF(pattern, n-1, 100, int64(i))
 			a := agreement.NewOmegaNSetAgreement(n, omegaN, converge.UseAtomic)
-			bodies := make([]sim.Body, n)
-			for j := range bodies {
-				bodies[j] = a.Body(sim.Value(10 + j))
+			machines := make([]sim.StepMachine, n)
+			for j := range machines {
+				machines[j] = a.Machine(sim.Value(10 + j))
 			}
-			if _, err := sim.Run(sim.Config{
+			if _, err := sim.RunMachines(sim.Config{
 				Pattern: pattern, Schedule: sim.NewRandom(int64(i)), Budget: 1 << 21,
-			}, bodies); err != nil {
+			}, machines); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -470,44 +398,30 @@ func BenchmarkAgreementBaselines(b *testing.B) {
 }
 
 // BenchmarkLabMatrix drives the trimmed scenario matrix through the
-// internal/lab engine across both execution engines (the default step-machine
-// runner and the legacy goroutine runner) and across worker counts. The
-// machine/goroutine ns/op ratio is the step-machine speedup; the
-// workers1/workersN ratio is the pool's parallel speedup. The aggregate
-// results must be identical across all four cells — asserted via the
-// fingerprints after the timed loops.
+// internal/lab engine across worker counts. The workers1/workersN ratio is
+// the pool's parallel speedup. The aggregate results must be identical
+// across both cells — asserted via the fingerprints after the timed loops.
 func BenchmarkLabMatrix(b *testing.B) {
 	scs, err := lab.ExpandAll(scenarios.Quick(2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	runners := []struct {
-		name   string
-		legacy bool
-	}{
-		{"machine", false},
-		{"goroutine", true},
-	}
 	fingerprints := make(map[string]string)
-	for _, runner := range runners {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			name := fmt.Sprintf("%s/workers%d", runner.name, workers)
-			b.Run(name, func(b *testing.B) {
-				weakestfd.SetLegacyRunner(runner.legacy)
-				defer weakestfd.SetLegacyRunner(false)
-				b.ReportAllocs()
-				var rep *lab.Report
-				for i := 0; i < b.N; i++ {
-					rep = lab.Run(scs, lab.Options{Workers: workers})
-					if rep.Failed != 0 {
-						b.Fatalf("%d runs failed", rep.Failed)
-					}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		name := fmt.Sprintf("workers%d", workers)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rep *lab.Report
+			for i := 0; i < b.N; i++ {
+				rep = lab.Run(scs, lab.Options{Workers: workers})
+				if rep.Failed != 0 {
+					b.Fatalf("%d runs failed", rep.Failed)
 				}
-				b.StopTimer()
-				fingerprints[name] = rep.Fingerprint()
-				b.ReportMetric(float64(len(scs)), "scenarios/op")
-			})
-		}
+			}
+			b.StopTimer()
+			fingerprints[name] = rep.Fingerprint()
+			b.ReportMetric(float64(len(scs)), "scenarios/op")
+		})
 	}
 	var first, firstName string
 	for name, fp := range fingerprints {
@@ -520,32 +434,20 @@ func BenchmarkLabMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerStepThroughput compares the raw per-step cost of the two
-// engines on a long budget-bounded run (the FD-free livelock, 100k steps per
-// op): ns/op ÷ 100k is the engine's cost per simulated step. This is the
-// number the step-machine runner exists to shrink.
+// BenchmarkRunnerStepThroughput measures the raw per-step cost of the runner
+// on a long budget-bounded run (the FD-free livelock, 100k steps per op):
+// ns/op ÷ 100k is the cost per simulated step.
 func BenchmarkRunnerStepThroughput(b *testing.B) {
 	const budget = 100_000
-	for _, runner := range []struct {
-		name string
-		r    weakestfd.Runner
-	}{
-		{"machine", weakestfd.MachineRunner},
-		{"goroutine", weakestfd.GoroutineRunner},
-	} {
-		b.Run(runner.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-					N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: benchProposals(4),
-					Schedule: weakestfd.RoundRobinSchedule, Budget: budget,
-					Runner: runner.r,
-				})
-				if !errors.Is(err, weakestfd.ErrNoTermination) {
-					b.Fatalf("expected livelock, got %v", err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/budget, "ns/step")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
+			N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: benchProposals(4),
+			Schedule: weakestfd.RoundRobinSchedule, Budget: budget,
 		})
+		if !errors.Is(err, weakestfd.ErrNoTermination) {
+			b.Fatalf("expected livelock, got %v", err)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/budget, "ns/step")
 }

@@ -9,18 +9,15 @@
 //   - steps/op, when present in both, must match exactly — the simulation is
 //     deterministic, so any drift is a semantic change, not noise.
 //
-// Report-level checks: the machine and goroutine lab fingerprints must be
-// equal within the current report (bit-identical results across engines), the
-// machine-vs-goroutine matrix speedup must not fall below -min-speedup, the
-// deterministic explorer run-count ratios must not fall below
-// -min-explore-reduction (budget 0) and -min-flip-reduction (switch budget 1),
-// and the measured workloads (matrix seeds) must match.
+// Report-level checks: the deterministic explorer run-count ratios must not
+// fall below -min-explore-reduction (budget 0) and -min-flip-reduction
+// (switch budget 1), and the measured workloads (matrix seeds) must match.
 //
 // Wall-clock numbers only compare meaningfully on comparable hardware. When
 // the two reports disagree on GOMAXPROCS (a cheap different-machine
 // heuristic), the ns/op and allocs/op gates demote to warnings and only the
-// machine-independent checks (steps/op, fingerprints, speedup ratio) stay
-// fatal; regenerate the baseline on the gating machine to re-arm them.
+// machine-independent checks (steps/op, run-count ratios) stay fatal;
+// regenerate the baseline on the gating machine to re-arm them.
 //
 // Improvements never fail the gate; they are reported so the baseline can be
 // refreshed (`paperbench -bench-json bench/baseline.json`).
@@ -28,7 +25,7 @@
 // Usage:
 //
 //	benchgate -baseline bench/baseline.json -current BENCH_PR2.json
-//	benchgate -tolerance 0.2 -min-speedup 5 ...
+//	benchgate -tolerance 0.2 -min-explore-reduction 2 ...
 package main
 
 import (
@@ -43,15 +40,12 @@ import (
 // benchReport mirrors cmd/paperbench's BenchReport (kept in sync by the
 // schema field; both sides are this repository).
 type benchReport struct {
-	Schema                    int           `json:"schema"`
-	GOMAXPROCS                int           `json:"gomaxprocs"`
-	MatrixSeeds               int           `json:"matrix_seeds"`
-	Benchmarks                []benchResult `json:"benchmarks"`
-	SpeedupMachineVsGoroutine float64       `json:"speedup_machine_vs_goroutine"`
-	ExploreReduction          float64       `json:"explore_reduction"`
-	FlipReduction             float64       `json:"flip_reduction"`
-	FingerprintMachine        string        `json:"fingerprint_machine"`
-	FingerprintGoroutine      string        `json:"fingerprint_goroutine"`
+	Schema           int           `json:"schema"`
+	GOMAXPROCS       int           `json:"gomaxprocs"`
+	MatrixSeeds      int           `json:"matrix_seeds"`
+	Benchmarks       []benchResult `json:"benchmarks"`
+	ExploreReduction float64       `json:"explore_reduction"`
+	FlipReduction    float64       `json:"flip_reduction"`
 }
 
 type benchResult struct {
@@ -85,7 +79,6 @@ func main() {
 		baselinePath = flag.String("baseline", "bench/baseline.json", "committed baseline report")
 		currentPath  = flag.String("current", "", "freshly measured report (paperbench -bench-json)")
 		tolerance    = flag.Float64("tolerance", 0.20, "allowed fractional regression in ns/op and allocs/op")
-		minSpeedup   = flag.Float64("min-speedup", 5.0, "minimum machine-vs-goroutine matrix speedup")
 		minReduction = flag.Float64("min-explore-reduction", 2.0, "minimum classic-vs-source explorer run-count reduction (0 disables the check)")
 		minFlip      = flag.Float64("min-flip-reduction", 2.0, "minimum classic-vs-source run-count reduction on the switch-budget-1 sweep (0 disables the check)")
 	)
@@ -102,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if gate(os.Stdout, baseline, current, *tolerance, *minSpeedup, *minReduction, *minFlip) {
+	if gate(os.Stdout, baseline, current, *tolerance, *minReduction, *minFlip) {
 		os.Exit(1)
 	}
 }
@@ -116,7 +109,7 @@ func main() {
 // current value against a zero baseline fails — always fatally, since a
 // zero recorded cost is either corrupt data or a metric the current report
 // must also lack.
-func gate(w io.Writer, baseline, current *benchReport, tolerance, minSpeedup, minReduction, minFlip float64) (failed bool) {
+func gate(w io.Writer, baseline, current *benchReport, tolerance, minReduction, minFlip float64) (failed bool) {
 	fail := func(format string, args ...any) {
 		failed = true
 		fmt.Fprintf(w, "FAIL: "+format+"\n", args...)
@@ -136,17 +129,6 @@ func gate(w io.Writer, baseline, current *benchReport, tolerance, minSpeedup, mi
 	if baseline.MatrixSeeds != current.MatrixSeeds {
 		fail("workloads differ: baseline matrix seeds %d vs current %d (pass the baseline's -seeds to paperbench -bench-json)",
 			baseline.MatrixSeeds, current.MatrixSeeds)
-	}
-	if current.FingerprintMachine != current.FingerprintGoroutine {
-		fail("runner fingerprints differ: machine %s vs goroutine %s",
-			current.FingerprintMachine, current.FingerprintGoroutine)
-	}
-	if current.SpeedupMachineVsGoroutine < minSpeedup {
-		fail("matrix speedup %.2fx below required %.2fx",
-			current.SpeedupMachineVsGoroutine, minSpeedup)
-	} else {
-		fmt.Fprintf(w, "ok:   matrix speedup %.2fx (floor %.2fx)\n",
-			current.SpeedupMachineVsGoroutine, minSpeedup)
 	}
 	// The run-count ratio is deterministic in the exploration configuration
 	// (no wall clock involved), so this check stays fatal on any hardware.

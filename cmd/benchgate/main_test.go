@@ -9,20 +9,17 @@ import (
 // report-level fields the gate checks.
 func report(bench benchResult) *benchReport {
 	return &benchReport{
-		Schema:                    1,
-		GOMAXPROCS:                8,
-		MatrixSeeds:               2,
-		Benchmarks:                []benchResult{bench},
-		SpeedupMachineVsGoroutine: 6,
-		FingerprintMachine:        "aa",
-		FingerprintGoroutine:      "aa",
+		Schema:      1,
+		GOMAXPROCS:  8,
+		MatrixSeeds: 2,
+		Benchmarks:  []benchResult{bench},
 	}
 }
 
 func runGate(t *testing.T, baseline, current benchResult) (bool, string) {
 	t.Helper()
 	var out strings.Builder
-	failed := gate(&out, report(baseline), report(current), 0.20, 5.0, 0, 0)
+	failed := gate(&out, report(baseline), report(current), 0.20, 0, 0)
 	return failed, out.String()
 }
 
@@ -88,19 +85,12 @@ func TestGateTolerance(t *testing.T) {
 func TestGateReportLevelChecks(t *testing.T) {
 	base := benchResult{Name: "b", NsPerOp: 100, AllocsPerOp: 10, StepsPerOp: 33}
 
-	// Speedup below the floor: fail.
+	// Different workloads: fail.
 	b, c := report(base), report(base)
-	c.SpeedupMachineVsGoroutine = 3
+	c.MatrixSeeds = 3
 	var out strings.Builder
-	if !gate(&out, b, c, 0.20, 5.0, 0, 0) {
-		t.Fatal("sub-floor speedup passed")
-	}
-	// Cross-engine fingerprint mismatch: fail.
-	c = report(base)
-	c.FingerprintGoroutine = "bb"
-	out.Reset()
-	if !gate(&out, b, c, 0.20, 5.0, 0, 0) {
-		t.Fatal("fingerprint mismatch passed")
+	if !gate(&out, b, c, 0.20, 0, 0) {
+		t.Fatal("matrix seeds mismatch passed")
 	}
 	// Different GOMAXPROCS demotes wall-clock gates to warnings but keeps
 	// deterministic gates fatal.
@@ -108,7 +98,7 @@ func TestGateReportLevelChecks(t *testing.T) {
 	c.GOMAXPROCS = 1
 	c.Benchmarks[0].NsPerOp = 1000
 	out.Reset()
-	if gate(&out, b, c, 0.20, 5.0, 0, 0) {
+	if gate(&out, b, c, 0.20, 0, 0) {
 		t.Fatalf("wall-clock regression stayed fatal on different hardware:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "warn:") {
@@ -116,7 +106,7 @@ func TestGateReportLevelChecks(t *testing.T) {
 	}
 	c.Benchmarks[0].StepsPerOp = 44
 	out.Reset()
-	if !gate(&out, b, c, 0.20, 5.0, 0, 0) {
+	if !gate(&out, b, c, 0.20, 0, 0) {
 		t.Fatal("steps/op drift passed on different hardware")
 	}
 }
@@ -130,13 +120,13 @@ func TestGateExploreReduction(t *testing.T) {
 	b, c := report(base), report(base)
 	c.ExploreReduction = 1.5
 	var out strings.Builder
-	if !gate(&out, b, c, 0.20, 5.0, 2.0, 0) {
+	if !gate(&out, b, c, 0.20, 2.0, 0) {
 		t.Fatalf("sub-floor explore reduction passed:\n%s", out.String())
 	}
 	// Above the floor: pass, and report the ratio.
 	c.ExploreReduction = 12.0
 	out.Reset()
-	if gate(&out, b, c, 0.20, 5.0, 2.0, 0) {
+	if gate(&out, b, c, 0.20, 2.0, 0) {
 		t.Fatalf("above-floor explore reduction failed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "explore reduction 12.00x") {
@@ -146,13 +136,13 @@ func TestGateExploreReduction(t *testing.T) {
 	c.ExploreReduction = 1.5
 	c.GOMAXPROCS = 1
 	out.Reset()
-	if !gate(&out, b, c, 0.20, 5.0, 2.0, 0) {
+	if !gate(&out, b, c, 0.20, 2.0, 0) {
 		t.Fatal("sub-floor explore reduction passed on different hardware")
 	}
 	// Floor 0 disables the check.
 	out.Reset()
 	c = report(base)
-	if gate(&out, b, c, 0.20, 5.0, 0, 0) {
+	if gate(&out, b, c, 0.20, 0, 0) {
 		t.Fatalf("disabled reduction check still failed:\n%s", out.String())
 	}
 }
@@ -165,13 +155,13 @@ func TestGateFlipReduction(t *testing.T) {
 	b, c := report(base), report(base)
 	c.FlipReduction = 1.2
 	var out strings.Builder
-	if !gate(&out, b, c, 0.20, 5.0, 0, 2.0) {
+	if !gate(&out, b, c, 0.20, 0, 2.0) {
 		t.Fatalf("sub-floor flip reduction passed:\n%s", out.String())
 	}
 	// Above the floor: pass, and report the ratio.
 	c.FlipReduction = 7.5
 	out.Reset()
-	if gate(&out, b, c, 0.20, 5.0, 0, 2.0) {
+	if gate(&out, b, c, 0.20, 0, 2.0) {
 		t.Fatalf("above-floor flip reduction failed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "flip reduction 7.50x") {
@@ -181,13 +171,13 @@ func TestGateFlipReduction(t *testing.T) {
 	c.FlipReduction = 1.2
 	c.GOMAXPROCS = 1
 	out.Reset()
-	if !gate(&out, b, c, 0.20, 5.0, 0, 2.0) {
+	if !gate(&out, b, c, 0.20, 0, 2.0) {
 		t.Fatal("sub-floor flip reduction passed on different hardware")
 	}
 	// Floor 0 disables the check.
 	out.Reset()
 	c = report(base)
-	if gate(&out, b, c, 0.20, 5.0, 0, 0) {
+	if gate(&out, b, c, 0.20, 0, 0) {
 		t.Fatalf("disabled flip check still failed:\n%s", out.String())
 	}
 }

@@ -82,11 +82,9 @@ func runMatrix(args []string) {
 		jsonPath    = fs.String("json", "", "write the aggregate report to this file as JSON")
 		fingerprint = fs.Bool("fingerprint", false, "print the deterministic result hash")
 		list        = fs.Bool("list", false, "list scenario families and exit")
-		legacy      = fs.Bool("legacy-runner", false, "drive simulations with the goroutine-per-process engine")
 	)
 	_ = fs.Parse(args)
 	validatePool(*workers, *seeds)
-	weakestfd.SetLegacyRunner(*legacy)
 
 	if *list {
 		fmt.Println(strings.Join(scenarios.FamilyNames(), "\n"))
@@ -118,10 +116,8 @@ func runExtract(args []string) {
 		seed      = fs.Int64("seed", 1, "seed")
 		slack     = fs.Int("slack", 0, "batch slack w(σ) for omega")
 		budget    = fs.Int64("budget", 0, "step budget")
-		legacy    = fs.Bool("legacy-runner", false, "drive simulations with the goroutine-per-process engine")
 	)
 	_ = fs.Parse(args)
-	weakestfd.SetLegacyRunner(*legacy)
 
 	det, ok := map[string]weakestfd.Detector{
 		"omega":  weakestfd.Omega,

@@ -37,10 +37,6 @@ type BenchReport struct {
 	MatrixSeeds int `json:"matrix_seeds"`
 	// Benchmarks are the individual measurements.
 	Benchmarks []BenchResult `json:"benchmarks"`
-	// SpeedupMachineVsGoroutine is the ns/op ratio of the goroutine-runner
-	// lab matrix over the machine-runner lab matrix — the headline number of
-	// the step-machine engine. The gate enforces a floor on it.
-	SpeedupMachineVsGoroutine float64 `json:"speedup_machine_vs_goroutine"`
 	// ExploreReduction is the executed-run ratio of the classic DPOR engine
 	// over the source engine on the pinned fig1 n=3 exploration — the
 	// headline number of the source-set reduction. Run counts are
@@ -62,10 +58,8 @@ type BenchReport struct {
 	// entry's run count exactly — sharding must be result-neutral — and its
 	// wall clock within the usual tolerance, not this ratio.
 	FleetVsSingleProcess float64 `json:"fleet_vs_single_process"`
-	// FingerprintMachine/FingerprintGoroutine are the lab fingerprints of the
-	// quick matrix on each engine; they must be equal (bit-identical results).
-	FingerprintMachine   string `json:"fingerprint_machine"`
-	FingerprintGoroutine string `json:"fingerprint_goroutine"`
+	// FingerprintMachine is the lab fingerprint of the quick matrix.
+	FingerprintMachine string `json:"fingerprint_machine"`
 }
 
 // BenchResult is one measurement.
@@ -131,64 +125,31 @@ func runBenchJSON(path string, seeds int) error {
 		return err
 	}
 
-	// Deterministic preamble: fingerprints and step totals on both engines.
-	runMatrix := func(legacy bool) (*lab.Report, error) {
-		weakestfd.SetLegacyRunner(legacy)
-		defer weakestfd.SetLegacyRunner(false)
-		rep := lab.Run(scs, lab.Options{Workers: 1})
-		if rep.Failed != 0 {
-			return nil, fmt.Errorf("bench matrix (legacy=%v): %d runs failed", legacy, rep.Failed)
-		}
-		return rep, nil
-	}
-	mRep, err := runMatrix(false)
-	if err != nil {
-		return err
-	}
-	gRep, err := runMatrix(true)
-	if err != nil {
-		return err
+	// Deterministic preamble: fingerprint and step total.
+	mRep := lab.Run(scs, lab.Options{Workers: 1})
+	if mRep.Failed != 0 {
+		return fmt.Errorf("bench matrix: %d runs failed", mRep.Failed)
 	}
 	report := BenchReport{
-		Schema:               1,
-		GoVersion:            runtime.Version(),
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		MatrixSeeds:          seeds,
-		FingerprintMachine:   mRep.Fingerprint(),
-		FingerprintGoroutine: gRep.Fingerprint(),
+		Schema:             1,
+		GoVersion:          runtime.Version(),
+		GOMAXPROCS:         runtime.GOMAXPROCS(0),
+		MatrixSeeds:        seeds,
+		FingerprintMachine: mRep.Fingerprint(),
 	}
-	if report.FingerprintMachine != report.FingerprintGoroutine {
-		return fmt.Errorf("runner fingerprints differ: machine %s vs goroutine %s",
-			report.FingerprintMachine, report.FingerprintGoroutine)
-	}
-	steps := matrixSteps(mRep)
 
 	// Timed section. Each benchmark closure performs one full workload per
 	// iteration.
-	benchMatrix := func(legacy bool) testing.BenchmarkResult {
-		return benchBest(3, func(b *testing.B) {
-			weakestfd.SetLegacyRunner(legacy)
-			defer weakestfd.SetLegacyRunner(false)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep := lab.Run(scs, lab.Options{Workers: 1})
-				if rep.Failed != 0 {
-					b.Fatalf("%d runs failed", rep.Failed)
-				}
+	machine := benchBest(3, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep := lab.Run(scs, lab.Options{Workers: 1})
+			if rep.Failed != 0 {
+				b.Fatalf("%d runs failed", rep.Failed)
 			}
-		})
-	}
-	machine := benchMatrix(false)
-	goroutine := benchMatrix(true)
-	report.Benchmarks = append(report.Benchmarks,
-		newBenchResult("lab-matrix/machine", machine, steps),
-		newBenchResult("lab-matrix/goroutine", goroutine, steps),
-	)
-	mNs := float64(machine.T.Nanoseconds()) / float64(machine.N)
-	gNs := float64(goroutine.T.Nanoseconds()) / float64(goroutine.N)
-	if mNs > 0 {
-		report.SpeedupMachineVsGoroutine = gNs / mNs
-	}
+		}
+	})
+	report.Benchmarks = append(report.Benchmarks, newBenchResult("lab-matrix/machine", machine, matrixSteps(mRep)))
 
 	for _, fam := range familyBenchmarks() {
 		fam := fam
@@ -286,8 +247,8 @@ func runBenchJSON(path string, seeds int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bench report written to %s (matrix speedup %.2fx, explore reduction %.2fx, flip reduction %.2fx, fingerprint %s)\n",
-		path, report.SpeedupMachineVsGoroutine, report.ExploreReduction, report.FlipReduction, report.FingerprintMachine[:16])
+	fmt.Printf("bench report written to %s (explore reduction %.2fx, flip reduction %.2fx, fingerprint %s)\n",
+		path, report.ExploreReduction, report.FlipReduction, report.FingerprintMachine[:16])
 	return nil
 }
 

@@ -156,9 +156,9 @@ func runE7(w *tableWriter, seeds, _ int) {
 			spec := core.UpsilonF(n, 1)
 			h := spec.HistoryWithStable(tc.p, 100, int64(seed), tc.stable)
 			red := core.NewUpsilon1ToOmega(n, h)
-			bodies := make([]sim.Body, n)
-			for i := range bodies {
-				bodies[i] = red.Body()
+			machines := make([]sim.StepMachine, n)
+			for i := range machines {
+				machines[i] = red.Machine()
 			}
 			trace := check.NewOutputTrace[string](n, func() []string {
 				out := make([]string, n)
@@ -169,10 +169,10 @@ func runE7(w *tableWriter, seeds, _ int) {
 				}
 				return out
 			})
-			_, err := sim.Run(sim.Config{
+			_, err := sim.RunMachines(sim.Config{
 				Pattern: tc.p, Schedule: sim.NewRandom(int64(seed)),
 				Budget: 40_000, StopWhen: trace.Hook(),
-			}, bodies)
+			}, machines)
 			if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 				continue
 			}
@@ -290,11 +290,11 @@ func runE9(w *tableWriter, _, _ int) {
 	n := 4
 	dummy := fd.Constant(sim.FullSet(n))
 	g := core.NewFig1(n, dummy, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rep, err2 := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: budget}, bodies)
+	rep, err2 := sim.RunMachines(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: budget}, machines)
 	w.addRow("Fig 1, Υ stuck on U = correct", "lockstep", budget, len(rep.Decided) > 0,
 		err2 != nil && len(rep.Decided) == 0)
 
@@ -345,13 +345,13 @@ func runE10(w *tableWriter, seeds, _ int) {
 			pattern := sim.FailFree(n)
 			h := core.Upsilon(n).HistoryWorstCase(pattern, sim.Time(ts), int64(seed))
 			g := core.NewFig1(n, h, converge.UseAtomic)
-			bodies := make([]sim.Body, n)
-			for i := range bodies {
-				bodies[i] = g.Body(sim.Value(100 + i))
+			machines := make([]sim.StepMachine, n)
+			for i := range machines {
+				machines[i] = g.Machine(sim.Value(100 + i))
 			}
-			rep, err := sim.Run(sim.Config{
+			rep, err := sim.RunMachines(sim.Config{
 				Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 23,
-			}, bodies)
+			}, machines)
 			if err != nil {
 				continue
 			}
@@ -421,9 +421,9 @@ func runE11(w *tableWriter, seeds, _ int) {
 	// unimplementable without timing).
 	n := 3
 	hb := core.NewHeartbeatUpsilon(n, 4)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = hb.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = hb.Machine()
 	}
 	rr := sim.RoundRobin()
 	var phase int
@@ -453,7 +453,7 @@ func runE11(w *tableWriter, seeds, _ int) {
 	changes := 0
 	var prev sim.Set
 	sampled := false
-	_, _ = sim.Run(sim.Config{
+	_, _ = sim.RunMachines(sim.Config{
 		Pattern:  sim.FailFree(n),
 		Schedule: schedule,
 		Budget:   80_000,
@@ -466,7 +466,7 @@ func runE11(w *tableWriter, seeds, _ int) {
 			sampled = true
 			return false
 		},
-	}, bodies)
+	}, machines)
 	w.addRow("heartbeat Υ alone", "growing starvation bursts",
 		fmt.Sprintf("%d forced output changes (no stabilization)", changes), changes >= 6)
 	w.note("timing assumptions yield Υ (Section 1); pure asynchrony defeats any implementation (Υ is non-trivial)")

@@ -19,7 +19,6 @@
 //	paperbench -seeds 10            # more seeds per configuration
 //	paperbench -bench-json out.json # measure the benchmark suite (CI gate)
 //	paperbench -explore             # bounded-exhaustive schedule-space sweep
-//	paperbench -legacy-runner       # goroutine engine instead of step machines
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"weakestfd"
 	"weakestfd/internal/cli"
 	"weakestfd/internal/fleet"
 	"weakestfd/internal/lab"
@@ -84,7 +82,6 @@ func main() {
 		switchBudget = flag.Int("switch-budget", 0, "with -explore: max pre-stabilization detector output switches per history (0 = stable-from-0 histories, the standard suite)")
 		cpuprofile   = flag.String("cpuprofile", "", "with -explore: "+cli.CPUProfileUsage)
 		memprofile   = flag.String("memprofile", "", "with -explore: "+cli.MemProfileUsage)
-		legacy       = flag.Bool("legacy-runner", false, "drive simulations with the goroutine-per-process engine instead of the step-machine engine")
 	)
 	flag.Parse()
 	// Reject pool settings that would silently produce empty or hung
@@ -92,7 +89,6 @@ func main() {
 	if err := cli.ValidatePool(*workers, *seeds); err != nil {
 		log.Fatal(err)
 	}
-	weakestfd.SetLegacyRunner(*legacy)
 
 	if *switchBudget < 0 {
 		log.Fatal("-switch-budget must be >= 0")
@@ -104,9 +100,6 @@ func main() {
 		log.Fatal("-cpuprofile/-memprofile apply only to -explore")
 	}
 	if *exploreRun {
-		if *legacy {
-			log.Fatal("-explore drives the step-machine engine directly and cannot run on the goroutine engine; drop -legacy-runner")
-		}
 		stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 		if err != nil {
 			log.Fatal(err)

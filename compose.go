@@ -32,9 +32,6 @@ type ComposeConfig struct {
 	// Budget caps the run. Default 2^22 (the composition pays for both the
 	// reduction's and the protocol's steps).
 	Budget int64
-	// Runner selects the simulation engine; the zero value defers to the
-	// package default (the machine runner unless SetLegacyRunner).
-	Runner Runner
 }
 
 // SolveWithStableDetector solves (N−1)-set agreement using the chosen
@@ -90,13 +87,7 @@ func SolveWithStableDetector(cfg ComposeConfig) (*SetAgreementResult, error) {
 		Schedule: scheduleOf(cfg.Schedule, cfg.Seed),
 		Budget:   budget,
 	}
-	var rep *sim.Report
-	var runErr error
-	if cfg.Runner.useMachines(false, false) {
-		rep, runErr = sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))
-	} else {
-		rep, runErr = sim.RunTasks(simCfg, c.TaskSets(proposals))
-	}
+	rep, runErr := sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("%w: %v", ErrNoTermination, runErr)

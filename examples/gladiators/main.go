@@ -34,44 +34,48 @@ func main() {
 	h := spec.HistoryWithStable(pattern, 60, 7, u)
 
 	g := core.NewFig1(n, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
 
 	fmt.Printf("pattern: %v   stable Υ output: %v (≠ correct %v)\n\n",
 		pattern, u, pattern.Correct())
 
-	var last sim.Time
-	rep, err := sim.Run(sim.Config{
-		Pattern:  pattern,
-		Schedule: sim.RoundRobin(),
-		Budget:   1 << 20,
-		Tracer: func(e sim.Event) {
-			// Print a compressed trace: one line per step, eliding yields.
-			if e.Label == "yield" {
-				return
-			}
-			role := "?"
-			switch {
-			case pattern.CrashedBy(e.P, e.T):
-				role = "dead"
-			case u.Has(e.P):
-				role = "gladiator"
-			default:
-				role = "citizen"
-			}
-			if e.T-last > 1 {
-				fmt.Println("  ...")
-			}
-			last = e.T
-			if e.T <= 40 || e.Label == "write D" || e.Label == "read D" {
-				fmt.Printf("  t=%-4d %v (%s): %s\n", e.T, e.P, role, e.Label)
-			}
-		},
-	}, bodies)
+	// Record every step's shared-object accesses; registering the history
+	// makes each Υ query a read of its object H(Υ).
+	steps := sim.NewAccessLog()
+	queries := sim.NewQuerySeam(steps)
+	queries.Register("H(Υ)", h)
+	rep, err := sim.RunMachines(sim.Config{
+		Pattern:   pattern,
+		Schedule:  sim.RoundRobin(),
+		Budget:    1 << 20,
+		AccessLog: steps,
+		Queries:   queries,
+	}, machines)
 	if err != nil {
 		log.Fatal(err)
+	}
+
+	// Print a compressed trace: one line per step up to t=40, then only the
+	// steps touching the decision register D.
+	var last sim.Time
+	for i := 0; i < steps.Steps(); i++ {
+		p, accs := steps.Step(i)
+		t := sim.Time(i + 1) // step i is granted at time i+1
+		if t > 40 && !touchesD(steps, accs) {
+			continue
+		}
+		role := "citizen"
+		if u.Has(p) {
+			role = "gladiator"
+		}
+		if t-last > 1 {
+			fmt.Println("  ...")
+		}
+		last = t
+		fmt.Printf("  t=%-4d %v (%s): %s\n", t, p, role, steps.AccessString(accs))
 	}
 
 	fmt.Println("\noutcome:")
@@ -80,4 +84,14 @@ func main() {
 		fmt.Printf("  %v decided %d at t=%d\n", p, rep.Decided[p], rep.DecidedAt[p])
 	}
 	fmt.Printf("  distinct decisions: %v (bound ≤ %d)\n", rep.DecidedValues(), g.K())
+}
+
+// touchesD reports whether a step accessed the decision register D.
+func touchesD(steps *sim.AccessLog, accs []sim.Access) bool {
+	for _, a := range accs {
+		if steps.ObjName(a.Obj) == "D" {
+			return true
+		}
+	}
+	return false
 }

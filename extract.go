@@ -67,9 +67,6 @@ type ExtractConfig struct {
 	// Budget is the run length in steps (extractions never terminate on
 	// their own). Default 60000.
 	Budget int64
-	// Runner selects the simulation engine; the zero value defers to the
-	// package default (the machine runner unless SetLegacyRunner).
-	Runner Runner
 }
 
 // ExtractResult reports one extraction run.
@@ -146,21 +143,11 @@ func ExtractUpsilon(cfg ExtractConfig) (*ExtractResult, error) {
 		Budget:   budget,
 		StopWhen: trace.Hook(),
 	}
-	var rep *sim.Report
-	var runErr error
-	if cfg.Runner.useMachines(false, false) {
-		machines := make([]sim.StepMachine, cfg.N)
-		for i := range machines {
-			machines[i] = ex.Machine()
-		}
-		rep, runErr = sim.RunMachines(simCfg, machines)
-	} else {
-		bodies := make([]sim.Body, cfg.N)
-		for i := range bodies {
-			bodies[i] = ex.Body()
-		}
-		rep, runErr = sim.Run(simCfg, bodies)
+	machines := make([]sim.StepMachine, cfg.N)
+	for i := range machines {
+		machines[i] = ex.Machine()
 	}
+	rep, runErr := sim.RunMachines(simCfg, machines)
 	if runErr != nil && !errors.Is(runErr, sim.ErrBudgetExhausted) {
 		return nil, runErr
 	}

@@ -146,56 +146,50 @@ func TestQuickAsyncNeverViolatesSafety(t *testing.T) {
 	}
 }
 
-// FuzzSolveSetAgreement is the native fuzz face of the quick-check sweeps,
-// upgraded to a differential test: every generated configuration runs on
-// *both* execution engines, which must agree exactly — on success results
-// and on failure kinds — while the advertised k-set-agreement bound holds.
-// CI runs it in short -fuzztime mode as a smoke job.
+// FuzzSolveSetAgreement is the native fuzz face of the quick-check sweeps:
+// every generated configuration, on either snapshot implementation, must keep
+// the advertised k-set-agreement bound or fail with ErrNoTermination (only
+// the FD-free attempt may), and two runs of one configuration must return
+// identical results. CI runs it in short -fuzztime mode as a smoke job.
 func FuzzSolveSetAgreement(f *testing.F) {
-	f.Add(uint8(3), uint8(1), uint8(2), uint8(0), uint8(1), uint8(50), uint8(0))
-	f.Add(uint8(5), uint8(2), uint8(4), uint8(2), uint8(4), uint8(0), uint8(1))
-	f.Add(uint8(250), uint8(9), uint8(33), uint8(7), uint8(8), uint8(200), uint8(2))
-	f.Add(uint8(66), uint8(3), uint8(1), uint8(1), uint8(0), uint8(12), uint8(5))
-	f.Fuzz(func(t *testing.T, b0, b1, b2, b3, b4, b5, algByte uint8) {
+	f.Add(uint8(3), uint8(1), uint8(2), uint8(0), uint8(1), uint8(50), uint8(0), false)
+	f.Add(uint8(5), uint8(2), uint8(4), uint8(2), uint8(4), uint8(0), uint8(1), true)
+	f.Add(uint8(250), uint8(9), uint8(33), uint8(7), uint8(8), uint8(200), uint8(2), false)
+	f.Add(uint8(66), uint8(3), uint8(1), uint8(1), uint8(0), uint8(12), uint8(5), true)
+	f.Fuzz(func(t *testing.T, b0, b1, b2, b3, b4, b5, algByte uint8, registersOnly bool) {
 		algs := []Algorithm{UpsilonFig1, UpsilonFFig2, OmegaNBaseline, OmegaConsensus, OmegaNBoosted, AsyncAttempt}
 		alg := algs[int(algByte)%len(algs)]
 		cfg := genConfig([6]uint8{b0, b1, b2, b3, b4, b5}, alg)
+		cfg.RegistersOnly = registersOnly
 		if alg == AsyncAttempt {
 			// The FD-free attempt livelocks under round-robin; cap the budget
 			// (as TestQuickAsyncNeverViolatesSafety does) so one fuzz input
-			// cannot burn millions of steps on both engines.
+			// cannot burn millions of steps.
 			cfg.Budget = 30_000
 		}
-		machineCfg := cfg
-		machineCfg.Runner = MachineRunner
-		legacyCfg := cfg
-		legacyCfg.Runner = GoroutineRunner
-		mRes, mErr := SolveSetAgreement(machineCfg)
-		gRes, gErr := SolveSetAgreement(legacyCfg)
-		if (mErr == nil) != (gErr == nil) {
-			t.Fatalf("cfg %+v: runners disagree: machine=%v goroutine=%v", cfg, mErr, gErr)
+		res, err := SolveSetAgreement(cfg)
+		again, againErr := SolveSetAgreement(cfg)
+		if (err == nil) != (againErr == nil) || !reflect.DeepEqual(res, again) {
+			t.Fatalf("cfg %+v: two runs differ: %+v (%v) vs %+v (%v)", cfg, res, err, again, againErr)
 		}
-		if mErr != nil {
-			if !errors.Is(mErr, ErrNoTermination) {
-				t.Fatalf("cfg %+v: %v", cfg, mErr)
+		if err != nil {
+			if !errors.Is(err, ErrNoTermination) {
+				t.Fatalf("cfg %+v: %v", cfg, err)
 			}
 			if alg != AsyncAttempt {
-				t.Fatalf("cfg %+v: unexpected non-termination: %v", cfg, mErr)
+				t.Fatalf("cfg %+v: unexpected non-termination: %v", cfg, err)
 			}
 			return
 		}
-		if !reflect.DeepEqual(mRes, gRes) {
-			t.Fatalf("cfg %+v: results differ:\n machine:   %+v\n goroutine: %+v", cfg, mRes, gRes)
-		}
-		if len(mRes.Distinct) > mRes.K {
-			t.Fatalf("cfg %+v: %d distinct decisions exceed k=%d", cfg, len(mRes.Distinct), mRes.K)
+		if len(res.Distinct) > res.K {
+			t.Fatalf("cfg %+v: %d distinct decisions exceed k=%d", cfg, len(res.Distinct), res.K)
 		}
 	})
 }
 
-// FuzzExtractUpsilon differentially fuzzes the Figure 3 reduction: both
-// engines must produce the identical extraction and the extracted output must
-// satisfy the Υ^f specification.
+// FuzzExtractUpsilon fuzzes the Figure 3 reduction: the extracted output
+// must satisfy the Υ^f specification, and two runs of one configuration must
+// produce the identical extraction.
 func FuzzExtractUpsilon(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(30))
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(2), uint8(80))
@@ -219,23 +213,15 @@ func FuzzExtractUpsilon(f *testing.F) {
 			Seed:        int64(b0) ^ int64(b4)<<3,
 			Budget:      30_000,
 		}
-		machineCfg := cfg
-		machineCfg.Runner = MachineRunner
-		legacyCfg := cfg
-		legacyCfg.Runner = GoroutineRunner
-		mRes, mErr := ExtractUpsilon(machineCfg)
-		gRes, gErr := ExtractUpsilon(legacyCfg)
-		if (mErr == nil) != (gErr == nil) {
-			t.Fatalf("cfg %+v: runners disagree: machine=%v goroutine=%v", cfg, mErr, gErr)
+		res, err := ExtractUpsilon(cfg)
+		if err != nil {
+			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
-		if mErr != nil {
-			t.Fatalf("cfg %+v: %v", cfg, mErr)
+		if again, err := ExtractUpsilon(cfg); err != nil || !reflect.DeepEqual(res, again) {
+			t.Fatalf("cfg %+v: two runs differ: %+v vs %+v (%v)", cfg, res, again, err)
 		}
-		if !reflect.DeepEqual(mRes, gRes) {
-			t.Fatalf("cfg %+v: results differ:\n machine:   %+v\n goroutine: %+v", cfg, mRes, gRes)
-		}
-		if mRes.LegalErr != nil || len(mRes.Stable) < n-fRes {
-			t.Fatalf("cfg %+v: illegal extraction %+v", cfg, mRes)
+		if res.LegalErr != nil || len(res.Stable) < n-fRes {
+			t.Fatalf("cfg %+v: illegal extraction %+v", cfg, res)
 		}
 	})
 }

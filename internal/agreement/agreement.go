@@ -12,10 +12,8 @@ package agreement
 
 import (
 	"fmt"
-	"sync"
 
 	"weakestfd/internal/converge"
-	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -46,36 +44,6 @@ func NewOmegaConsensus(n int, omega sim.Oracle, impl converge.Impl) *OmegaConsen
 		conv:  converge.NewSeries("cons", n, impl),
 		d:     memory.NewRegister[memory.Opt[sim.Value]]("D"),
 		last:  newLazyRegs(),
-	}
-}
-
-// Body returns the consensus automaton proposing the given value.
-func (c *OmegaConsensus) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		me := p.ID()
-		for r := 1; ; {
-			if d := c.d.Read(p); d.OK {
-				return d.V, true
-			}
-			if fd.Query[sim.PID](p, c.omega) != me {
-				continue // not the leader: poll again
-			}
-			// Catch up on the latest announced pick before proposing.
-			if w := c.last.at(r).Read(p); w.OK {
-				v = w.V
-				r++
-				continue
-			}
-			picked, committed := c.conv.At(r, 0, 1).Converge(p, v)
-			v = picked
-			c.last.at(r).Write(p, memory.Some(v))
-			if committed {
-				c.d.Write(p, memory.Some(v))
-				return v, true
-			}
-			r++
-		}
 	}
 }
 
@@ -112,45 +80,6 @@ func NewOmegaNSetAgreement(n int, omegaN sim.Oracle, impl converge.Impl) *OmegaN
 // K returns the agreement parameter, n−1.
 func (a *OmegaNSetAgreement) K() int { return a.n - 1 }
 
-// Body returns the automaton proposing the given value.
-func (a *OmegaNSetAgreement) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		me := p.ID()
-		for r := 1; ; r++ {
-			if d := a.d.Read(p); d.OK {
-				return d.V, true
-			}
-			ann := a.ann.at(r)
-			// Wait until the round has an announcement from a current Ωn
-			// member, announcing ourselves whenever we are a member.
-			adopted := false
-			for !adopted {
-				l := fd.Query[sim.Set](p, a.omegaN)
-				if l.Has(me) {
-					ann.Write(p, me, memory.Some(v))
-				}
-				for _, j := range l.Members() {
-					if w := ann.Read(p, j); w.OK {
-						v = w.V
-						adopted = true
-						break
-					}
-				}
-				if d := a.d.Read(p); d.OK {
-					return d.V, true
-				}
-			}
-			picked, committed := a.conv.At(r, 0, a.n-1).Converge(p, v)
-			v = picked
-			if committed {
-				a.d.Write(p, memory.Some(v))
-				return v, true
-			}
-		}
-	}
-}
-
 // AsyncAttempt is the FD-free attempt at (n−1)-set agreement: processes loop
 // on (n−1)-converge instances with no failure information. Convergence only
 // fires when at most n−1 distinct values remain in play, which an adversary
@@ -172,28 +101,9 @@ func NewAsyncAttempt(n int, impl converge.Impl) *AsyncAttempt {
 	}
 }
 
-// Body returns the automaton proposing the given value.
-func (a *AsyncAttempt) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		for r := 1; ; r++ {
-			if d := a.d.Read(p); d.OK {
-				return d.V, true
-			}
-			picked, committed := a.conv.At(r, 0, a.n-1).Converge(p, v)
-			v = picked
-			if committed {
-				a.d.Write(p, memory.Some(v))
-				return v, true
-			}
-		}
-	}
-}
-
 // lazyRegs lazily allocates a register per round.
 type lazyRegs struct {
-	mu sync.Mutex
-	m  map[int]*memory.Register[memory.Opt[sim.Value]]
+	m map[int]*memory.Register[memory.Opt[sim.Value]]
 }
 
 func newLazyRegs() *lazyRegs {
@@ -201,8 +111,6 @@ func newLazyRegs() *lazyRegs {
 }
 
 func (l *lazyRegs) at(r int) *memory.Register[memory.Opt[sim.Value]] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	reg, ok := l.m[r]
 	if !ok {
 		reg = memory.NewRegister[memory.Opt[sim.Value]](fmt.Sprintf("Last[%d]", r))
@@ -213,9 +121,8 @@ func (l *lazyRegs) at(r int) *memory.Register[memory.Opt[sim.Value]] {
 
 // lazyArrays lazily allocates a register array per round.
 type lazyArrays struct {
-	mu sync.Mutex
-	n  int
-	m  map[int]*memory.Array[memory.Opt[sim.Value]]
+	n int
+	m map[int]*memory.Array[memory.Opt[sim.Value]]
 }
 
 func newLazyArrays(n int) *lazyArrays {
@@ -223,8 +130,6 @@ func newLazyArrays(n int) *lazyArrays {
 }
 
 func (l *lazyArrays) at(r int) *memory.Array[memory.Opt[sim.Value]] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	arr, ok := l.m[r]
 	if !ok {
 		arr = memory.NewArray[memory.Opt[sim.Value]](fmt.Sprintf("Ann[%d]", r), l.n)

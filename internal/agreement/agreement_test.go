@@ -28,17 +28,17 @@ func TestOmegaConsensus(t *testing.T) {
 				for seed := int64(0); seed < 5; seed++ {
 					omega := fd.NewOmega(pattern, 100, seed)
 					c := NewOmegaConsensus(n, omega, converge.UseAtomic)
-					bodies := make([]sim.Body, n)
+					machines := make([]sim.StepMachine, n)
 					proposals := make([]sim.Value, n)
-					for i := range bodies {
+					for i := range machines {
 						proposals[i] = sim.Value(10 + i)
-						bodies[i] = c.Body(proposals[i])
+						machines[i] = c.Machine(proposals[i])
 					}
-					rep, err := sim.Run(sim.Config{
+					rep, err := sim.RunMachines(sim.Config{
 						Pattern:  pattern,
 						Schedule: sim.NewRandom(seed + 31),
 						Budget:   1 << 21,
-					}, bodies)
+					}, machines)
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
@@ -56,13 +56,13 @@ func TestOmegaConsensusRoundRobin(t *testing.T) {
 	pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{0: 41})
 	omega := fd.NewOmega(pattern, 300, 2)
 	c := NewOmegaConsensus(n, omega, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(10 + i)
-		bodies[i] = c.Body(proposals[i])
+		machines[i] = c.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +86,17 @@ func TestOmegaNSetAgreement(t *testing.T) {
 				for seed := int64(0); seed < 5; seed++ {
 					omegaN := fd.NewOmegaF(pattern, n-1, 80, seed)
 					a := NewOmegaNSetAgreement(n, omegaN, converge.UseAtomic)
-					bodies := make([]sim.Body, n)
+					machines := make([]sim.StepMachine, n)
 					proposals := make([]sim.Value, n)
-					for i := range bodies {
+					for i := range machines {
 						proposals[i] = sim.Value(10 + i)
-						bodies[i] = a.Body(proposals[i])
+						machines[i] = a.Machine(proposals[i])
 					}
-					rep, err := sim.Run(sim.Config{
+					rep, err := sim.RunMachines(sim.Config{
 						Pattern:  pattern,
 						Schedule: sim.NewRandom(seed + 5),
 						Budget:   1 << 21,
-					}, bodies)
+					}, machines)
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
@@ -116,13 +116,13 @@ func TestOmegaNSetAgreementDropsAValue(t *testing.T) {
 	pattern := sim.FailFree(n)
 	omegaN := fd.NewOmegaF(pattern, n-1, 0, 3) // stable from the start
 	a := NewOmegaNSetAgreement(n, omegaN, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(10 + i)
-		bodies[i] = a.Body(proposals[i])
+		machines[i] = a.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestAsyncAttemptLivelocksUnderLockstep(t *testing.T) {
 	// lockstep scheduling, the FD-free attempt never decides.
 	n := 4
 	a := NewAsyncAttempt(n, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = a.Body(sim.Value(10 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = a.Machine(sim.Value(10 + i))
 	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: 50_000}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: 50_000}, machines)
 	if err == nil {
 		t.Fatalf("async attempt decided %v under lockstep", rep.DecidedValues())
 	}
@@ -155,13 +155,13 @@ func TestAsyncAttemptMayDecideOtherwise(t *testing.T) {
 	// commits. Both behaviours are consistent with the theory.
 	n := 4
 	a := NewAsyncAttempt(n, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(10 + i)
-		bodies[i] = a.Body(proposals[i])
+		machines[i] = a.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.Priority(0, 1, 2, 3), Budget: 1 << 20}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.Priority(0, 1, 2, 3), Budget: 1 << 20}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +176,12 @@ func TestAsyncAttemptWithFewValuesDecides(t *testing.T) {
 	// only bites at full input diversity.
 	n := 4
 	a := NewAsyncAttempt(n, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := []sim.Value{10, 10, 11, 12}
-	for i := range bodies {
-		bodies[i] = a.Body(proposals[i])
+	for i := range machines {
+		machines[i] = a.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: 1 << 20}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.RoundRobin(), Budget: 1 << 20}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,8 @@ func TestOmegaConsensusSingleProcess(t *testing.T) {
 	pattern := sim.FailFree(1)
 	omega := fd.NewOmega(pattern, 0, 0)
 	c := NewOmegaConsensus(1, omega, converge.UseAtomic)
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()},
-		[]sim.Body{c.Body(99)})
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()},
+		[]sim.StepMachine{c.Machine(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +209,13 @@ func TestOmegaNRegistersOnly(t *testing.T) {
 	pattern := sim.FailFree(n)
 	omegaN := fd.NewOmegaF(pattern, n-1, 50, 1)
 	a := NewOmegaNSetAgreement(n, omegaN, converge.UseAfek)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(10 + i)
-		bodies[i] = a.Body(proposals[i])
+		machines[i] = a.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.NewRandom(9), Budget: 1 << 22}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.NewRandom(9), Budget: 1 << 22}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"weakestfd/internal/converge"
-	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -58,45 +57,3 @@ func NewBoostedConsensus(n int, omegaN sim.Oracle, impl converge.Impl) *BoostedC
 
 // Objects exposes the consensus-object family for post-run verification.
 func (b *BoostedConsensus) Objects() *memory.ConsFamily { return b.cons }
-
-// Body returns the automaton proposing the given value.
-func (b *BoostedConsensus) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		me := p.ID()
-		for r := 1; ; r++ {
-			if d := b.d.Read(p); d.OK {
-				return d.V, true
-			}
-			ann := b.ann.at(r)
-			adopted := false
-			for !adopted {
-				l := fd.Query[sim.Set](p, b.omegaN)
-				if l.Has(me) {
-					// Funnel through the object keyed by this exact view.
-					won := b.cons.At(r, l).Propose(p, v)
-					ann.Write(p, me, memory.Some(won))
-					v = won
-					adopted = true
-					break
-				}
-				for _, j := range l.Members() {
-					if w := ann.Read(p, j); w.OK {
-						v = w.V
-						adopted = true
-						break
-					}
-				}
-				if d := b.d.Read(p); d.OK {
-					return d.V, true
-				}
-			}
-			picked, committed := b.conv.At(r, 0, 1).Converge(p, v)
-			v = picked
-			if committed {
-				b.d.Write(p, memory.Some(v))
-				return v, true
-			}
-		}
-	}
-}

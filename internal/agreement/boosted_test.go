@@ -16,13 +16,13 @@ func runBoosted(t *testing.T, pattern sim.Pattern, ts sim.Time, seed int64, sche
 	n := pattern.N()
 	omegaN := fd.NewOmegaF(pattern, n-1, ts, seed)
 	b := NewBoostedConsensus(n, omegaN, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(10 + i)
-		bodies[i] = b.Body(proposals[i])
+		machines[i] = b.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sched, Budget: 1 << 22}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: 1 << 22}, machines)
 	if err != nil {
 		t.Fatalf("boosted run: %v", err)
 	}
@@ -77,18 +77,40 @@ func TestBoostedConsensusDivergentViewsStaySafe(t *testing.T) {
 	}
 }
 
+// onceMachine performs one step, do, and decides what do returned.
+type onceMachine struct {
+	do  func(l *sim.AccessLog, me sim.PID) sim.Value
+	ctx sim.MachineContext
+	v   sim.Value
+}
+
+func (m *onceMachine) Init(ctx sim.MachineContext) { m.ctx = ctx }
+
+func (m *onceMachine) Step(sim.Time) sim.MachineStatus {
+	if m.do != nil {
+		m.v = m.do(m.ctx.Log, m.ctx.ID)
+	}
+	return sim.MachineDecided
+}
+
+func (m *onceMachine) Decision() sim.Value { return m.v }
+
+// proposer is a onceMachine proposing v(me) to obj.
+func proposer(obj *memory.ConsensusObject, v func(me sim.PID) sim.Value) sim.StepMachine {
+	return &onceMachine{do: func(l *sim.AccessLog, me sim.PID) sim.Value {
+		return obj.DirectPropose(l, me, v(me))
+	}}
+}
+
 func TestConsensusObjectSemantics(t *testing.T) {
 	obj := memory.NewConsensusObject("c", 2)
-	var got [2]sim.Value
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		got[p.ID()] = obj.Propose(p, sim.Value(p.ID())+10)
-		return got[p.ID()], true
-	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()},
-		[]sim.Body{body, body})
+	plus10 := func(me sim.PID) sim.Value { return sim.Value(me) + 10 }
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()},
+		[]sim.StepMachine{proposer(obj, plus10), proposer(obj, plus10)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := [2]sim.Value{rep.Decided[0], rep.Decided[1]}
 	if got[0] != got[1] {
 		t.Fatalf("object decided two values: %v", got)
 	}
@@ -108,17 +130,14 @@ func TestConsensusObjectSemantics(t *testing.T) {
 
 func TestConsensusObjectLimitEnforced(t *testing.T) {
 	obj := memory.NewConsensusObject("c", 2)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		obj.Propose(p, 1)
-		return 0, true
-	}
+	one := func(sim.PID) sim.Value { return 1 }
 	defer func() {
 		if recover() == nil {
 			t.Fatal("third accessor must panic")
 		}
 	}()
-	_, _ = sim.Run(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin()},
-		[]sim.Body{body, body, body})
+	_, _ = sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin()},
+		[]sim.StepMachine{proposer(obj, one), proposer(obj, one), proposer(obj, one)})
 }
 
 func TestConsFamilyKeying(t *testing.T) {
@@ -144,13 +163,10 @@ func TestConsFamilyKeying(t *testing.T) {
 func TestConsFamilyDetectsForeignAccessor(t *testing.T) {
 	fam := memory.NewConsFamily("c", 2)
 	obj := fam.At(1, sim.SetOf(0, 1))
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		obj.Propose(p, 5) // p3 accessing the {p1,p2}-keyed object
-		return 0, true
-	}
-	spin := func(p *sim.Proc) (sim.Value, bool) { return 0, true }
-	if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.Priority(2)},
-		[]sim.Body{spin, spin, body}); err != nil {
+	// p3 accesses the {p1,p2}-keyed object.
+	five := func(sim.PID) sim.Value { return 5 }
+	if _, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.Priority(2)},
+		[]sim.StepMachine{&onceMachine{}, &onceMachine{}, proposer(obj, five)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fam.AllAccessorsWithinLimit(); err == nil {

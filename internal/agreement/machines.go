@@ -7,9 +7,8 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// Step-machine ports of the baseline algorithm bodies for sim.RunMachines.
-// As in internal/core, each machine mirrors its Body operation for operation
-// so the two runners produce identical Reports; see core/machines.go for the
+// The baseline algorithms as step machines for sim.RunMachines: one atomic
+// operation per Step, as in internal/core; see core/machines.go for the
 // conventions.
 
 // ---------------------------------------------------------------------------
@@ -353,8 +352,8 @@ func (m *boostedMachine) Step(t sim.Time) sim.MachineStatus {
 	case bAnnWrite:
 		m.ann.DirectWrite(m.log, m.me, memory.Some(m.won))
 		m.v = m.won
-		// adopted via the leader path: skip the decision poll (the body
-		// breaks out of the adoption loop before it).
+		// adopted via the leader path: skip the decision poll (the
+		// adoption loop is left before it).
 		m.conv.Start(b.conv.At(m.r, 0, 1), m.v)
 		m.pc = bConv
 	case bAnnRead:

@@ -6,11 +6,10 @@
 // The explorer (internal/explore) prunes schedules using the access sets
 // machines report through sim.AccessLog. A machine that touches a register,
 // snapshot cell or consensus object through an uninstrumented path —
-// Inspect, the Proc-based Read/Write/Scan/Update/Propose, a raw field — has
-// performed communication the dependency analysis cannot see, and
-// Flanagan–Godefroid/source-DPOR soundness (which assumes the dependency
-// relation over-approximates real conflicts) is silently voided for every
-// sweep over that protocol. This analyzer makes the convention
+// Inspect, a raw field — has performed communication the dependency analysis
+// cannot see, and Flanagan–Godefroid/source-DPOR soundness (which assumes the
+// dependency relation over-approximates real conflicts) is silently voided
+// for every sweep over that protocol. This analyzer makes the convention
 // machine-checked: in any function classified machine-world by
 // simtypes.Scope, a call to a method of a type defined in internal/memory
 // is flagged unless the method is a Direct* accessor or shape-only metadata

@@ -4,8 +4,8 @@
 //
 // Everything the explorer produces is a claim about *re-executable* runs:
 // counterexample artifacts replay schedules step for step (fdlab replay),
-// cross-engine differential tests demand byte-identical Reports, and the
-// state-hash join layer identifies runs by fingerprints of their shared
+// pinned-digest and differential tests demand byte-identical results, and
+// the state-hash join layer identifies runs by fingerprints of their shared
 // state. All three break if a Step/Init body — or the runner/explorer code
 // driving it — consults a nondeterministic source:
 //
@@ -24,14 +24,11 @@
 // Scope: every machine-world function (simtypes.Scope) in any package, plus
 // every function in internal/explore, internal/sim and internal/fleet (see
 // scopedPackages) — the hot paths and the multi-process coordinator whose
-// merged results must be schedule-timing independent. The legacy goroutine
-// engine's two go statements, in sim.Run and sim.RunTasks, carry line-level
-// //lint:fdlint determinism suppressions: their goroutines and channel
-// handshakes are the engine's mechanism, and replay determinism there is
-// enforced dynamically by the step gate. internal/fleet's audited
-// exceptions are line-level: the worker/reader goroutines that are the
-// process fan-out itself, and the coordinator's wall-clock summary stamp —
-// checkpoint writing and result merging stay in scope unconditionally.
+// merged results must be schedule-timing independent. internal/sim has no
+// go statement at all. internal/fleet's audited exceptions are line-level:
+// the worker/reader goroutines that are the process fan-out itself, and the
+// coordinator's wall-clock summary stamp — checkpoint writing and result
+// merging stay in scope unconditionally.
 package determinism
 
 import (

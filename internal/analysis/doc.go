@@ -16,19 +16,19 @@
 //     sound because queries and output flips are conflicting accesses of a
 //     virtual history object (internal/sim/query.go). A query that
 //     bypasses the seam is invisible to that conflict relation.
-//  3. Determinism of steps and hot paths. Replayable artifacts,
-//     cross-engine differential equality and state-hash joins all assume a
-//     run is a pure function of (config, schedule, seeds).
+//  3. Determinism of steps and hot paths. Replayable artifacts, pinned
+//     result digests, differential equality and state-hash joins all
+//     assume a run is a pure function of (config, schedule, seeds).
 //
 // The four analyzers map onto those properties:
 //
 //   - accesscheck (invariant 1): in machine-world code, shared-object state
 //     may only be touched through the AccessLog-taking Direct* accessors of
-//     internal/memory; raw field access and the Proc-based or Inspect-style
-//     accessors are flagged.
+//     internal/memory; raw field access and the Inspect-style accessors
+//     are flagged.
 //   - seamcheck (invariant 2): detector output may only be observed via
-//     fd.Query, fd.QueryAt or sim.QuerySeam.Query; direct Oracle.Value
-//     calls are flagged outside internal/fd.
+//     fd.QueryAt or sim.QuerySeam.Query; direct Oracle.Value calls are
+//     flagged outside internal/fd.
 //   - determinism (invariant 3): in Step/Init bodies, machine-world helpers
 //     and the internal/explore + internal/sim hot paths, time.Now,
 //     math/rand, map ranging, select-with-default and go statements are
@@ -44,10 +44,10 @@
 //	//lint:fdlint <analyzer> -- <justification>
 //
 // on the flagged line or the line above it; there is no file-wide form. The
-// justification must name the mechanism that replaces
-// the static guarantee — e.g. the goroutine engine's step gate enforcing
-// atomicity dynamically, or a history transformer being oracle *plumbing*
-// whose output is itself observed through the seam. Suppressions without a
+// justification must name the mechanism that replaces the static guarantee
+// — e.g. a process reading a single-writer register it owns, or a history
+// transformer being oracle *plumbing* whose output is itself observed
+// through the seam. Suppressions without a
 // justification fail code review, not the build: the directive's " -- "
 // tail is deliberately free text, and `git grep 'lint:fdlint'` is the audit
 // surface. See internal/analysis/suppress.

@@ -7,15 +7,14 @@
 // flips are recorded writes, and a boundary-guard read at T−1 orders every
 // step against the flip at T. DPOR's independence relation is complete only
 // if *every* observation of detector output actually routes through that
-// seam — fd.Query (goroutine world), fd.QueryAt / sim.QuerySeam.Query
-// (machine world). A direct h.Value(p, t) call on a history is a read the
-// access log never sees: schedules that disagree on what the query returned
-// get merged into one equivalence class, and "violation-free" stops meaning
-// anything for unstable-history sweeps.
+// seam — fd.QueryAt or sim.QuerySeam.Query. A direct h.Value(p, t) call on
+// a history is a read the access log never sees: schedules that disagree on
+// what the query returned get merged into one equivalence class, and
+// "violation-free" stops meaning anything for unstable-history sweeps.
 //
 // This analyzer flags every call to the Value method of a type implementing
-// sim.Oracle, in any package outside internal/fd (which owns Query/QueryAt
-// and the history implementations) and excluding _test.go files. The
+// sim.Oracle, in any package outside internal/fd (which owns QueryAt and
+// the history implementations) and excluding _test.go files. The
 // audited exceptions — the seam's own oracle evaluation in
 // sim.QuerySeam.Query/OnStep, and the local history *transformers* in
 // internal/core that define one oracle pointwise in terms of another —
@@ -33,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "seamcheck",
-	Doc:  "detector output must be observed through fd.Query/fd.QueryAt/sim.QuerySeam, never Oracle.Value directly",
+	Doc:  "detector output must be observed through fd.QueryAt/sim.QuerySeam, never Oracle.Value directly",
 	Run:  run,
 }
 
@@ -73,7 +72,7 @@ func run(pass *analysis.Pass) {
 				return true
 			}
 			sup.Report(pass, sel.Sel.Pos(),
-				"detector output observed via Oracle.Value: queries must route through fd.Query/fd.QueryAt/sim.QuerySeam so the access log records the read (unstable-history DPOR soundness)")
+				"detector output observed via Oracle.Value: queries must route through fd.QueryAt/sim.QuerySeam so the access log records the read (unstable-history DPOR soundness)")
 			return true
 		})
 	})

@@ -25,7 +25,6 @@ package converge
 
 import (
 	"fmt"
-	"sync"
 
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
@@ -146,51 +145,12 @@ func NewInstance(name string, n, k int, impl Impl) *Instance {
 // K returns the instance's convergence parameter.
 func (c *Instance) K() int { return c.k }
 
-// Converge runs the routine for process p with input v, returning the picked
-// value and whether p commits to it.
-func (c *Instance) Converge(p *sim.Proc, v sim.Value) (sim.Value, bool) {
-	if c.k == 0 {
-		return v, false // 0-converge, by definition
-	}
-	c.a.Update(p, p.ID(), v)
-	vs := NewValueSet(c.a.Scan(p))
-	mine := proposal{set: vs, commit: len(vs) <= c.k}
-	c.b.Update(p, p.ID(), mine)
-	scan := c.b.Scan(p)
-
-	allCommit := true
-	var smallest ValueSet
-	for _, e := range scan {
-		if !e.OK {
-			continue
-		}
-		if !e.V.commit {
-			allCommit = false
-			continue
-		}
-		if smallest == nil || len(e.V.set) < len(smallest) {
-			smallest = e.V.set
-		}
-	}
-	switch {
-	case allCommit:
-		// Own entry is in the scan, so mine.commit is true and vs is a
-		// committing set.
-		return vs.Min(), true
-	case smallest != nil:
-		return smallest.Min(), false
-	default:
-		return v, false
-	}
-}
-
 // Series is a lazily-allocated family of converge instances, indexed the way
 // the paper indexes them: converge[r] and converge[r][k], with the instance's
 // convergence parameter part of the identity (so that processes with
 // divergent failure detector views, and hence divergent parameters, use
 // distinct objects).
 type Series struct {
-	mu   sync.Mutex
 	name string
 	n    int
 	impl Impl
@@ -210,8 +170,6 @@ func NewSeries(name string, n int, impl Impl) *Series {
 // first use. The accessor takes no simulation steps; object creation is
 // bookkeeping, not shared-memory communication.
 func (s *Series) At(r, k, param int) *Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	key := seriesKey{r: r, k: k, param: param}
 	inst, ok := s.m[key]
 	if !ok {

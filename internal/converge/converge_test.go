@@ -11,25 +11,65 @@ import (
 
 func impls() []Impl { return []Impl{UseAtomic, UseAfek} }
 
+// convMachine performs one Converge(inst, in) call and decides the picked
+// value, reporting the outcome to done.
+type convMachine struct {
+	inst    *Instance
+	in      sim.Value
+	done    func(me sim.PID, picked sim.Value, committed bool)
+	me      sim.PID
+	conv    Machine
+	started bool
+}
+
+func (m *convMachine) Init(ctx sim.MachineContext) { m.me = ctx.ID; m.conv.Bind(ctx) }
+
+func (m *convMachine) Step(sim.Time) sim.MachineStatus {
+	finished := false
+	if !m.started {
+		m.started = true
+		finished = m.conv.Start(m.inst, m.in) // a 0-converge takes no access
+	}
+	if !finished && !m.conv.StepOp() {
+		return sim.MachineRunning
+	}
+	if m.done != nil {
+		m.done(m.me, m.conv.Picked, m.conv.Committed)
+	}
+	return sim.MachineDecided
+}
+
+func (m *convMachine) Decision() sim.Value { return m.conv.Picked }
+
+// spinMachine never returns; each step is a no-op.
+type spinMachine struct{}
+
+func (spinMachine) Init(sim.MachineContext)         {}
+func (spinMachine) Step(sim.Time) sim.MachineStatus { return sim.MachineRunning }
+func (spinMachine) Decision() sim.Value             { return 0 }
+
+// converge runs n processes through inst with the given inputs, schedule
+// and pattern, returning the run's report, picks and commits.
+func converge(inst *Instance, inputs []sim.Value, sched sim.Schedule, pattern sim.Pattern) (rep *sim.Report, picks map[sim.PID]sim.Value, commits map[sim.PID]bool, err error) {
+	picks = make(map[sim.PID]sim.Value)
+	commits = make(map[sim.PID]bool)
+	machines := make([]sim.StepMachine, len(inputs))
+	for i := range machines {
+		machines[i] = &convMachine{inst: inst, in: inputs[i], done: func(me sim.PID, v sim.Value, c bool) {
+			picks[me] = v
+			commits[me] = c
+		}}
+	}
+	rep, err = sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: 1 << 18}, machines)
+	return rep, picks, commits, err
+}
+
 // runConverge drives n processes through a single k-converge instance with
 // the given inputs, schedule and pattern, returning picks and commits.
 func runConverge(t *testing.T, n, k int, impl Impl, inputs []sim.Value, sched sim.Schedule, pattern sim.Pattern) (picks map[sim.PID]sim.Value, commits map[sim.PID]bool) {
 	t.Helper()
-	inst := NewInstance("c", n, k, impl)
-	picks = make(map[sim.PID]sim.Value)
-	commits = make(map[sim.PID]bool)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		me := sim.PID(i)
-		in := inputs[i]
-		bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-			v, c := inst.Converge(p, in)
-			picks[me] = v
-			commits[me] = c
-			return v, true
-		}
-	}
-	if _, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sched, Budget: 1 << 18}, bodies); err != nil {
+	_, picks, commits, err := converge(NewInstance("c", n, k, impl), inputs, sched, pattern)
+	if err != nil {
 		t.Fatalf("converge run: %v", err)
 	}
 	return picks, commits
@@ -37,20 +77,26 @@ func runConverge(t *testing.T, n, k int, impl Impl, inputs []sim.Value, sched si
 
 func TestZeroConverge(t *testing.T) {
 	inst := NewInstance("c", 2, 0, UseAtomic)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		v, c := inst.Converge(p, 41)
+	log := sim.NewAccessLog()
+	check := func(_ sim.PID, v sim.Value, c bool) {
 		if v != 41 || c {
 			t.Errorf("0-converge = (%v, %v), want (41, false)", v, c)
 		}
-		return v, true
 	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()},
-		[]sim.Body{body, body})
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin(), AccessLog: log},
+		[]sim.StepMachine{&convMachine{inst: inst, in: 41, done: check}, &convMachine{inst: inst, in: 41, done: check}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Steps != 0 {
-		t.Errorf("0-converge must take no steps, took %d", rep.Steps)
+	// Each process decides in its first step; 0-converge itself takes no
+	// step, so those steps touch no shared object.
+	if rep.Steps != 2 {
+		t.Errorf("0-converge deciders took %d steps, want 2", rep.Steps)
+	}
+	for i := 0; i < log.Steps(); i++ {
+		if _, accs := log.Step(i); len(accs) != 0 {
+			t.Errorf("0-converge accessed shared memory: %s", log.AccessString(accs))
+		}
 	}
 }
 
@@ -146,19 +192,10 @@ func TestSoloCommits(t *testing.T) {
 			n := 3
 			inst := NewInstance("c", n, 1, impl)
 			var committed bool
-			solo := func(p *sim.Proc) (sim.Value, bool) {
-				v, c := inst.Converge(p, 5)
-				committed = c
-				return v, true
-			}
-			spin := func(p *sim.Proc) (sim.Value, bool) {
-				for {
-					p.Yield()
-				}
-			}
+			solo := &convMachine{inst: inst, in: 5, done: func(_ sim.PID, _ sim.Value, c bool) { committed = c }}
 			pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{1: 1, 2: 1})
-			if _, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.Priority(0)},
-				[]sim.Body{solo, spin, spin}); err != nil {
+			if _, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.Priority(0)},
+				[]sim.StepMachine{solo, spinMachine{}, spinMachine{}}); err != nil {
 				t.Fatal(err)
 			}
 			if !committed {
@@ -205,21 +242,8 @@ func TestQuickConvergeProperties(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = sim.Value(i%numDistinct + 1)
 		}
-		inst := NewInstance("c", n, k, UseAtomic)
-		picks := make(map[sim.PID]sim.Value)
-		commits := make(map[sim.PID]bool)
-		bodies := make([]sim.Body, n)
-		for i := range bodies {
-			me := sim.PID(i)
-			in := inputs[i]
-			bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-				v, c := inst.Converge(p, in)
-				picks[me] = v
-				commits[me] = c
-				return v, true
-			}
-		}
-		if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.NewRandom(seed)}, bodies); err != nil {
+		_, picks, commits, err := converge(NewInstance("c", n, k, UseAtomic), inputs, sim.NewRandom(seed), sim.FailFree(n))
+		if err != nil {
 			return false
 		}
 		anyCommit := false
@@ -328,14 +352,8 @@ func TestAfekCostHigherThanAtomic(t *testing.T) {
 	// The registers-only implementation must cost strictly more steps.
 	count := func(impl Impl) int64 {
 		inst := NewInstance("c", 3, 1, impl)
-		bodies := make([]sim.Body, 3)
-		for i := range bodies {
-			bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-				v, _ := inst.Converge(p, 1)
-				return v, true
-			}
-		}
-		rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin(), Budget: 1 << 18}, bodies)
+		machines := []sim.StepMachine{&convMachine{inst: inst, in: 1}, &convMachine{inst: inst, in: 1}, &convMachine{inst: inst, in: 1}}
+		rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin(), Budget: 1 << 18}, machines)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,5 +362,27 @@ func TestAfekCostHigherThanAtomic(t *testing.T) {
 	atomic, afek := count(UseAtomic), count(UseAfek)
 	if afek <= atomic {
 		t.Errorf("afek steps %d ≤ atomic steps %d", afek, atomic)
+	}
+}
+
+// BenchmarkAblationConverge is E10c: k-converge cost vs k and
+// implementation.
+func BenchmarkAblationConverge(b *testing.B) {
+	inputs := []sim.Value{0, 1, 2, 3, 4, 5}
+	n := len(inputs)
+	for _, impl := range impls() {
+		for _, k := range []int{1, 3, 5} {
+			b.Run(fmt.Sprintf("%v/k%d", impl, k), func(b *testing.B) {
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					rep, _, _, err := converge(NewInstance("c", n, k, impl), inputs, sim.NewRandom(int64(i)), sim.FailFree(n))
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += rep.Steps
+				}
+				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+			})
+		}
 	}
 }

@@ -1,33 +1,31 @@
 package converge
 
 import (
-	"fmt"
-
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
 
-// Machine resumes one Converge call one atomic step at a time, for use
-// inside sim.StepMachine protocol automata. Where Converge(p, v) blocks the
-// calling goroutine across its four snapshot operations, a Machine performs
-// exactly one of them per StepOp call and parks its control state in between,
-// producing the same picked value and commit flag as Converge for the same
-// interleaving.
+// Machine runs one k-converge call one atomic step at a time, for use
+// inside sim.StepMachine protocol automata: it performs the four snapshot
+// operations of the routine (see the package comment) in order, one per
+// StepOp call on the one-step atomic snapshot and one register access per
+// call on the Afek et al. construction, and parks its control state in
+// between.
 //
 // One Machine is embedded per process automaton and reused across converge
 // instances (Start rebinds it); its scan buffers are reused so the only
-// allocation per converge call is the value set that escapes into the shared
-// round-2 snapshot — the same allocation the goroutine path performs.
+// allocation per converge call on the atomic snapshot is the value set that
+// escapes into the shared round-2 snapshot.
 type Machine struct {
 	me   sim.PID
 	log  *sim.AccessLog
 	inst *Instance
-	a    memory.DirectSnapshot[sim.Value]
-	b    memory.DirectSnapshot[proposal]
 	in   sim.Value
 	vs   ValueSet
 	pc   uint8
 
+	opA   memory.SnapOp[sim.Value]
+	opB   memory.SnapOp[proposal]
 	scanA []memory.Opt[sim.Value]
 	scanB []memory.Opt[proposal]
 
@@ -59,35 +57,34 @@ func (m *Machine) Start(inst *Instance, v sim.Value) (done bool) {
 		m.Picked, m.Committed = v, false
 		return true
 	}
-	a, ok := memory.AsDirect(inst.a)
-	if !ok {
-		panic(fmt.Sprintf("converge: instance %T does not support step-free access (use the goroutine runner for the Afek construction)", inst.a))
-	}
-	b, _ := memory.AsDirect(inst.b)
 	m.inst = inst
-	m.a, m.b = a, b
 	m.in = v
 	m.pc = 0
 	return false
 }
 
-// StepOp performs the call's next atomic operation, returning true when the
-// call has completed and Picked/Committed are valid. The operation sequence
-// and the pick/commit logic mirror Instance.Converge exactly.
+// StepOp performs the call's next atomic step, returning true when the call
+// has completed and Picked/Committed are valid.
 func (m *Machine) StepOp() (done bool) {
+	a, b := m.inst.a, m.inst.b
 	switch m.pc {
 	case 0: // round 1 update
-		m.a.DirectUpdate(m.log, m.me, m.in)
-		m.pc = 1
+		if a.DirectUpdate(m.log, &m.opA, m.me, m.in) {
+			m.pc = 1
+		}
 	case 1: // round 1 scan
-		m.scanA = m.a.DirectScan(m.log, m.scanA[:0])
-		m.vs = NewValueSet(m.scanA)
-		m.pc = 2
+		if m.scanA, done = a.DirectScan(m.log, &m.opA, m.scanA[:0]); done {
+			m.vs = NewValueSet(m.scanA)
+			m.pc = 2
+		}
 	case 2: // round 2 update
-		m.b.DirectUpdate(m.log, m.me, proposal{set: m.vs, commit: len(m.vs) <= m.inst.k})
-		m.pc = 3
+		if b.DirectUpdate(m.log, &m.opB, m.me, proposal{set: m.vs, commit: len(m.vs) <= m.inst.k}) {
+			m.pc = 3
+		}
 	case 3: // round 2 scan + result
-		m.scanB = m.b.DirectScan(m.log, m.scanB[:0])
+		if m.scanB, done = b.DirectScan(m.log, &m.opB, m.scanB[:0]); !done {
+			return false
+		}
 		allCommit := true
 		var smallest ValueSet
 		for _, e := range m.scanB {

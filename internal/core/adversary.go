@@ -34,9 +34,9 @@ import (
 type Extractor struct {
 	// Name identifies the candidate in reports.
 	Name string
-	// Build returns the n process bodies and the candidate-output array the
-	// adversary watches. Bodies never return.
-	Build func(n, f int, upsilon sim.Oracle) (bodies []sim.Body, out *memory.Array[sim.Set])
+	// Build returns the n process machines and the candidate-output array
+	// the adversary watches. The machines never return.
+	Build func(n, f int, upsilon sim.Oracle) (machines []sim.StepMachine, out *memory.Array[sim.Set])
 }
 
 // AdversaryConfig parameterizes one adversary execution.
@@ -116,7 +116,7 @@ func RunAdversary(cfg AdversaryConfig) *AdversaryResult {
 	u := sim.FullSet(n).Remove(sim.PID(n - 1))
 	upsilon := fd.Constant(u)
 
-	bodies, out := cfg.Extractor.Build(n, f, upsilon)
+	machines, out := cfg.Extractor.Build(n, f, upsilon)
 	pattern := sim.FailFree(n)
 	res := &AdversaryResult{U: u}
 
@@ -186,12 +186,12 @@ func RunAdversary(cfg AdversaryConfig) *AdversaryResult {
 		return false
 	}
 
-	rep, err := sim.Run(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: schedule,
 		Budget:   budget,
 		StopWhen: stop,
-	}, bodies)
+	}, machines)
 	if err != nil && !rep.Stopped && !rep.BudgetExhausted {
 		panic(fmt.Sprintf("core: adversary run failed unexpectedly: %v", err))
 	}
@@ -220,7 +220,7 @@ func RunAdversary(cfg AdversaryConfig) *AdversaryResult {
 	}
 	completion := sim.CrashPattern(n, crashes)
 
-	bodies2, out2 := cfg.Extractor.Build(n, f, upsilon)
+	machines2, out2 := cfg.Extractor.Build(n, f, upsilon)
 	idx := 0
 	replay := sim.Func(func(_ sim.Time, enabled sim.Set) sim.PID {
 		p := grants[idx]
@@ -230,11 +230,11 @@ func RunAdversary(cfg AdversaryConfig) *AdversaryResult {
 		}
 		return p
 	})
-	rep2, err2 := sim.Run(sim.Config{
+	rep2, err2 := sim.RunMachines(sim.Config{
 		Pattern:  completion,
 		Schedule: replay,
 		Budget:   int64(len(grants)),
-	}, bodies2)
+	}, machines2)
 	_ = err2 // replay runs exactly the prefix; exhaustion is expected
 	confirmed := rep2.Steps == int64(len(grants))
 	for _, j := range completion.Correct().Members() {

@@ -54,17 +54,3 @@ func (c *Composed) K() int { return c.protocol.K() }
 
 // Extraction exposes the reduction half (for output inspection).
 func (c *Composed) Extraction() *Extraction { return c.extraction }
-
-// TaskSets returns, per process, the two parallel task bodies: the
-// reduction task and the agreement task proposing the given value.
-func (c *Composed) TaskSets(proposals []sim.Value) []sim.TaskSet {
-	n := len(proposals)
-	out := make([]sim.TaskSet, n)
-	for i := range out {
-		out[i] = sim.TaskSet{
-			c.extraction.Body(),
-			c.protocol.Body(proposals[i]),
-		}
-	}
-	return out
-}

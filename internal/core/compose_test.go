@@ -20,8 +20,8 @@ func runComposed(t *testing.T, pattern sim.Pattern, d sim.Oracle, phi Phi, sched
 	for i := range proposals {
 		proposals[i] = sim.Value(100 + i)
 	}
-	rep, err := sim.RunTasks(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget},
-		c.TaskSets(proposals))
+	rep, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget},
+		c.MachineTaskSets(proposals))
 	if err != nil {
 		t.Fatalf("composed run failed: %v", err)
 	}
@@ -100,9 +100,9 @@ func TestComposedStepsSplitAcrossTasks(t *testing.T) {
 	omega := fd.NewOmega(pattern, 50, 7)
 	c := NewComposed(n, omega, PhiOmega(n), converge.UseAtomic)
 	proposals := []sim.Value{100, 101, 102, 103}
-	rep, err := sim.RunTasks(sim.Config{
+	rep, err := sim.RunTaskMachines(sim.Config{
 		Pattern: pattern, Schedule: sim.NewRandom(11), Budget: 1 << 21,
-	}, c.TaskSets(proposals))
+	}, c.MachineTaskSets(proposals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,26 +118,46 @@ func TestComposedStepsSplitAcrossTasks(t *testing.T) {
 	}
 }
 
+// yieldMachine takes steps no-op steps, then decides decide(me); steps < 0
+// never returns.
+type yieldMachine struct {
+	steps  int
+	decide func(me sim.PID) sim.Value
+	onStep func()
+	me     sim.PID
+	n      int
+	v      sim.Value
+}
+
+func (m *yieldMachine) Init(ctx sim.MachineContext) { m.me = ctx.ID }
+
+func (m *yieldMachine) Step(sim.Time) sim.MachineStatus {
+	if m.onStep != nil {
+		m.onStep()
+	}
+	if m.n++; m.steps < 0 || m.n < m.steps {
+		return sim.MachineRunning
+	}
+	m.v = m.decide(m.me)
+	return sim.MachineDecided
+}
+
+func (m *yieldMachine) Decision() sim.Value { return m.v }
+
 func TestRunTasksMultiTaskSemantics(t *testing.T) {
-	// Direct RunTasks checks: a process with a deciding task and a forever
-	// task decides; crash kills both tasks; fairness rotates tasks.
+	// Direct RunTaskMachines checks: a process with a deciding task and a
+	// forever task decides; crash kills both tasks; fairness rotates tasks.
 	n := 2
 	pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{1: 7})
 	var foreverSteps int64
-	decider := func(p *sim.Proc) (sim.Value, bool) {
-		for i := 0; i < 5; i++ {
-			p.Yield()
-		}
-		return sim.Value(p.ID()), true
-	}
-	forever := func(p *sim.Proc) (sim.Value, bool) {
-		for {
-			p.Yield()
-			foreverSteps++
+	sets := make([]sim.MachineTaskSet, n)
+	for i := range sets {
+		sets[i] = sim.MachineTaskSet{
+			&yieldMachine{steps: 5, decide: func(me sim.PID) sim.Value { return sim.Value(me) }},
+			&yieldMachine{steps: -1, onStep: func() { foreverSteps++ }},
 		}
 	}
-	rep, err := sim.RunTasks(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 16},
-		[]sim.TaskSet{{decider, forever}, {decider, forever}})
+	rep, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 16}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,29 +176,20 @@ func TestRunTasksMultiTaskSemantics(t *testing.T) {
 }
 
 func TestRunTasksSingleTaskMatchesRun(t *testing.T) {
-	// RunTasks with one task per process behaves like Run.
-	mk := func() []sim.Body {
-		bodies := make([]sim.Body, 3)
-		for i := range bodies {
-			bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-				for k := 0; k < 4; k++ {
-					p.Yield()
-				}
-				return sim.Value(p.ID()) * 2, true
-			}
-		}
-		return bodies
-	}
+	// RunTaskMachines with one task per process behaves like RunMachines.
+	double := func(me sim.PID) sim.Value { return sim.Value(me) * 2 }
 	pattern := sim.FailFree(3)
-	a, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, mk())
+	machines := make([]sim.StepMachine, 3)
+	sets := make([]sim.MachineTaskSet, 3)
+	for i := range machines {
+		machines[i] = &yieldMachine{steps: 4, decide: double}
+		sets[i] = sim.MachineTaskSet{&yieldMachine{steps: 4, decide: double}}
+	}
+	a, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := make([]sim.TaskSet, 3)
-	for i, b := range mk() {
-		sets[i] = sim.TaskSet{b}
-	}
-	b, err := sim.RunTasks(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, sets)
+	b, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +204,7 @@ func TestRunTasksSingleTaskMatchesRun(t *testing.T) {
 }
 
 func TestRunTasksValidation(t *testing.T) {
-	for name, sets := range map[string][]sim.TaskSet{
+	for name, sets := range map[string][]sim.MachineTaskSet{
 		"wrong count": {{}},
 		"empty tasks": {{}, {}},
 	} {
@@ -203,7 +214,7 @@ func TestRunTasksValidation(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			_, _ = sim.RunTasks(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()}, sets)
+			_, _ = sim.RunTaskMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()}, sets)
 		}()
 	}
 }

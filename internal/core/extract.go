@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
@@ -91,95 +90,12 @@ func (e *Extraction) Output() []sim.Set { return e.out.Inspect() }
 // OutputAt returns process i's current emulated output.
 func (e *Extraction) OutputAt(i sim.PID) sim.Set { return e.out.At(i).Inspect() }
 
-// Body returns the reduction automaton for one process. It never returns;
-// extraction runs are ended by the step budget or a stop predicate.
-func (e *Extraction) Body() sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		me := p.ID()
-		full := sim.FullSet(e.n)
-		ts := int64(0)
-		lastTS := make([]int64, e.n) // freshness horizon per process
-
-		// publish runs one Task 1 action: query D, publish with timestamp.
-		publish := func() any {
-			d := p.Query(e.d)
-			ts++
-			e.r.Write(p, me, report{val: d, ts: ts})
-			return d
-		}
-
-		d := publish()
-		for r := 1; ; r++ {
-			// Round entry (lines 7-10).
-			e.out.Write(p, me, full)
-			s, w := e.phi(d)
-			changed, exited := e.rounds.at(r)
-			batches := 0
-			fresh := make([]int, e.n)
-			sSet := false
-
-			for !changed.Read(p) {
-				d2 := publish() // Task 1 interleaved with Task 2
-				if d2 != d {
-					changed.Write(p, true)
-					break
-				}
-				// Read all reports, tracking freshness.
-				sawBatch := true
-				for j := 0; j < e.n; j++ {
-					rep := e.r.Read(p, sim.PID(j))
-					if rep.ts > lastTS[j] {
-						if rep.val != d {
-							changed.Write(p, true)
-						}
-						fresh[j] += int(rep.ts - lastTS[j])
-						lastTS[j] = rep.ts
-					}
-					if fresh[j] < 2 {
-						sawBatch = false
-					}
-				}
-				if s == full || sSet {
-					continue // wait for a differing report (line 21)
-				}
-				if sawBatch {
-					batches++
-					for j := range fresh {
-						fresh[j] = 0
-					}
-				}
-				if batches < w {
-					// Accept another process's observation (line 15's
-					// "some process observes r batches").
-					if ex := exited.Read(p, me); ex.OK && ex.V == d {
-						batches = w
-					} else {
-						for j := 0; j < e.n && batches < w; j++ {
-							if ex := exited.Read(p, sim.PID(j)); ex.OK && ex.V == d {
-								batches = w
-							}
-						}
-					}
-				}
-				if batches >= w {
-					exited.Write(p, me, memory.Some[any](d)) // line 19
-					e.out.Write(p, me, s)
-					sSet = true
-				}
-			}
-			// Round r is over; adopt the freshest value we have seen.
-			d = publish()
-		}
-	}
-}
-
 // extractRounds lazily allocates the per-round shared flags of Figure 3:
 // Changed[r] (a differing report was seen; advance) and Exited[r][j] (the
 // value with which j exited the wait clause).
 type extractRounds struct {
-	mu sync.Mutex
-	n  int
-	m  map[int]*extractRound
+	n int
+	m map[int]*extractRound
 }
 
 type extractRound struct {
@@ -192,8 +108,6 @@ func newExtractRounds(n int) *extractRounds {
 }
 
 func (er *extractRounds) at(r int) (*memory.Register[bool], *memory.Array[memory.Opt[any]]) {
-	er.mu.Lock()
-	defer er.mu.Unlock()
 	round, ok := er.m[r]
 	if !ok {
 		round = &extractRound{

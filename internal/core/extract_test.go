@@ -17,17 +17,17 @@ func runExtraction(t *testing.T, pattern sim.Pattern, d sim.Oracle, phi Phi, sch
 	t.Helper()
 	n := pattern.N()
 	ex := NewExtraction(n, d, phi)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = ex.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = ex.Machine()
 	}
 	trace := check.NewOutputTrace[sim.Set](n, ex.Output)
-	rep, err := sim.Run(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,
 		Budget:   budget,
 		StopWhen: trace.Hook(),
-	}, bodies)
+	}, machines)
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatalf("extraction run: %v", err)
 	}

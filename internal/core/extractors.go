@@ -17,23 +17,7 @@ import (
 // Ω^f → Υ^f complement reduction; the adversary defeats it by sticking with
 // a constant Υ^f output whose complement it can crash.
 func ComplementExtractor() Extractor {
-	return Extractor{
-		Name: "complement",
-		Build: func(n, f int, upsilon sim.Oracle) ([]sim.Body, *memory.Array[sim.Set]) {
-			out := memory.NewArray[sim.Set]("omegaf-guess", n)
-			bodies := make([]sim.Body, n)
-			for i := range bodies {
-				me := sim.PID(i)
-				bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-					for {
-						u := fd.Query[sim.Set](p, upsilon)
-						out.Write(p, me, padToSize(u.Complement(n), f, n))
-					}
-				}
-			}
-			return bodies, out
-		},
-	}
+	return Extractor{Name: "complement", Build: candidates(false, true)}
 }
 
 // StalenessExtractor publishes the f processes with the freshest heartbeats
@@ -43,27 +27,7 @@ func ComplementExtractor() Extractor {
 // exactly the processes the candidate excluded, making yesterday's stale
 // processes today's freshest, forever.
 func StalenessExtractor() Extractor {
-	return Extractor{
-		Name: "staleness",
-		Build: func(n, f int, _ sim.Oracle) ([]sim.Body, *memory.Array[sim.Set]) {
-			out := memory.NewArray[sim.Set]("omegaf-guess", n)
-			hb := memory.NewArray[int64]("HB", n)
-			bodies := make([]sim.Body, n)
-			for i := range bodies {
-				me := sim.PID(i)
-				bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-					ts := int64(0)
-					for {
-						ts++
-						hb.Write(p, me, ts)
-						beats := hb.Collect(p)
-						out.Write(p, me, freshest(beats, f))
-					}
-				}
-			}
-			return bodies, out
-		},
-	}
+	return Extractor{Name: "staleness", Build: candidates(true, false)}
 }
 
 // HybridExtractor uses the complement when the Υ^f output is a proper
@@ -71,33 +35,103 @@ func StalenessExtractor() Extractor {
 // the Υ¹ → Ω reduction's case split. Against it the adversary's constant
 // proper-subset history reduces to the complement case.
 func HybridExtractor() Extractor {
-	return Extractor{
-		Name: "hybrid",
-		Build: func(n, f int, upsilon sim.Oracle) ([]sim.Body, *memory.Array[sim.Set]) {
-			out := memory.NewArray[sim.Set]("omegaf-guess", n)
-			hb := memory.NewArray[int64]("HB", n)
-			bodies := make([]sim.Body, n)
-			for i := range bodies {
-				me := sim.PID(i)
-				bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-					ts := int64(0)
-					for {
-						ts++
-						hb.Write(p, me, ts)
-						u := fd.Query[sim.Set](p, upsilon)
-						var l sim.Set
-						if u != sim.FullSet(p.N()) {
-							l = padToSize(u.Complement(n), f, n)
-						} else {
-							l = freshest(hb.Collect(p), f)
-						}
-						out.Write(p, me, l)
-					}
-				}
-			}
-			return bodies, out
-		},
+	return Extractor{Name: "hybrid", Build: candidates(true, true)}
+}
+
+// candidates returns the Build function of a candidate that, every
+// iteration, writes a fresh heartbeat (when heartbeat is set), queries Υ^f
+// (when query is set) and publishes a guess: the padded complement of the
+// Υ^f output — unless heartbeats are kept and the output is Π — else the f
+// freshest heartbeats, read by a collect.
+func candidates(heartbeat, query bool) func(n, f int, upsilon sim.Oracle) ([]sim.StepMachine, *memory.Array[sim.Set]) {
+	return func(n, f int, upsilon sim.Oracle) ([]sim.StepMachine, *memory.Array[sim.Set]) {
+		c := &candidate{n: n, f: f, out: memory.NewArray[sim.Set]("omegaf-guess", n)}
+		if heartbeat {
+			c.hb = memory.NewArray[int64]("HB", n)
+		}
+		if query {
+			c.upsilon = upsilon
+		}
+		machines := make([]sim.StepMachine, n)
+		for i := range machines {
+			machines[i] = &candidateMachine{c: c, beats: make([]int64, n)}
+		}
+		return machines, c.out
 	}
+}
+
+// candidate is the shared state of one candidate-extractor run.
+type candidate struct {
+	n, f    int
+	upsilon sim.Oracle // nil: the candidate never queries Υ^f
+	hb      *memory.Array[int64]
+	out     *memory.Array[sim.Set]
+}
+
+const (
+	cWriteHB  uint8 = iota // publish a fresh heartbeat
+	cQuery                 // query Υ^f
+	cCollect               // read one heartbeat register
+	cWriteOut              // publish the guess
+)
+
+type candidateMachine struct {
+	c     *candidate
+	me    sim.PID
+	ts    int64
+	beats []int64
+	j     int
+	guess sim.Set
+	log   *sim.AccessLog
+	seam  *sim.QuerySeam
+	pc    uint8
+}
+
+func (m *candidateMachine) Init(ctx sim.MachineContext) {
+	m.me, m.log, m.seam = ctx.ID, ctx.Log, ctx.Queries
+	m.pc = m.first()
+}
+
+// first is the operation that opens every iteration.
+func (m *candidateMachine) first() uint8 {
+	if m.c.hb != nil {
+		return cWriteHB
+	}
+	return cQuery
+}
+
+func (m *candidateMachine) Decision() sim.Value { return 0 }
+
+func (m *candidateMachine) Step(t sim.Time) sim.MachineStatus {
+	c := m.c
+	switch m.pc {
+	case cWriteHB:
+		m.ts++
+		c.hb.DirectWrite(m.log, m.me, m.ts)
+		m.j = 0
+		if c.upsilon != nil {
+			m.pc = cQuery
+		} else {
+			m.pc = cCollect
+		}
+	case cQuery:
+		if u := fd.QueryAt[sim.Set](m.seam, c.upsilon, m.me, t); c.hb == nil || u != sim.FullSet(c.n) {
+			m.guess = padToSize(u.Complement(c.n), c.f, c.n)
+			m.pc = cWriteOut
+		} else {
+			m.pc = cCollect
+		}
+	case cCollect:
+		m.beats[m.j] = c.hb.DirectRead(m.log, sim.PID(m.j))
+		if m.j++; m.j == c.n {
+			m.guess = freshest(m.beats, c.f)
+			m.pc = cWriteOut
+		}
+	case cWriteOut:
+		c.out.DirectWrite(m.log, m.me, m.guess)
+		m.pc = m.first()
+	}
+	return sim.MachineRunning
 }
 
 // AllExtractors returns the candidate catalogue.

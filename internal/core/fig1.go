@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"weakestfd/internal/converge"
-	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -35,7 +33,7 @@ import (
 // feeds D[r]).
 //
 // One Fig1 value holds the shared memory of one run; give each process a
-// body from Body.
+// machine from Machine.
 type Fig1 struct {
 	n       int
 	upsilon sim.Oracle
@@ -70,73 +68,11 @@ func (g *Fig1) K() int { return g.n - 1 }
 // inspection only.
 func (g *Fig1) Decision() memory.Opt[sim.Value] { return g.d.Inspect() }
 
-// Body returns the process automaton proposing the given value.
-func (g *Fig1) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		me := p.ID()
-		for r := 1; ; r++ {
-			if d := g.d.Read(p); d.OK {
-				return d.V, true // line 20: decide on a posted decision
-			}
-			// Line 4: top-level (n)-converge.
-			picked, committed := g.top.At(r, 0, g.K()).Converge(p, v)
-			v = picked
-			if committed {
-				g.d.Write(p, memory.Some(v))
-				return v, true
-			}
-			u := fd.Query[sim.Set](p, g.upsilon)
-
-			// Lines 12-17: the cyclic gladiator/citizen procedure.
-			dr, stable := g.rounds.at(r)
-		cycle:
-			for k := 1; ; k++ {
-				if d := g.d.Read(p); d.OK {
-					return d.V, true
-				}
-				if stable.Read(p) {
-					// Condition (a): someone saw Υ change in round r.
-					break cycle
-				}
-				if w := dr.Read(p); w.OK {
-					// Condition (c): a value reached D[r]; adopt it.
-					v = w.V
-					break cycle
-				}
-				if !u.Has(me) {
-					// Citizen: contribute the value and move on.
-					dr.Write(p, memory.Some(v))
-					break cycle
-				}
-				// Gladiator: try to shed one of U's values.
-				picked, committed := g.sub.At(r, k, u.Len()-1).Converge(p, v)
-				v = picked
-				if committed {
-					// Condition (b): a gladiator commit reaches D[r].
-					dr.Write(p, memory.Some(v))
-					break cycle
-				}
-				if u2 := fd.Query[sim.Set](p, g.upsilon); u2 != u {
-					stable.Write(p, true)
-					break cycle
-				}
-			}
-			// Leaving round r: adopt D[r] if some process fed it.
-			if w := dr.Read(p); w.OK {
-				v = w.V
-			}
-		}
-	}
-}
-
 // roundRegs lazily allocates the per-round registers D[r] and Stable[r].
-// Allocation is bookkeeping (no simulation steps); the mutex covers the
-// pre-first-step window in which process bodies may run concurrently.
+// Allocation is bookkeeping (no simulation steps).
 type roundRegs struct {
-	mu sync.Mutex
-	n  int
-	m  map[int]*roundPair
+	n int
+	m map[int]*roundPair
 }
 
 type roundPair struct {
@@ -149,8 +85,6 @@ func newRoundRegs(n int) *roundRegs {
 }
 
 func (rr *roundRegs) at(r int) (*memory.Register[memory.Opt[sim.Value]], *memory.Register[bool]) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
 	pair, ok := rr.m[r]
 	if !ok {
 		pair = &roundPair{

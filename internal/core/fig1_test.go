@@ -16,13 +16,13 @@ func runFig1(t *testing.T, pattern sim.Pattern, upsilon sim.Oracle, impl converg
 	t.Helper()
 	n := pattern.N()
 	g := NewFig1(n, upsilon, impl)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(100 + i) // all distinct: the hard case
-		bodies[i] = g.Body(proposals[i])
+		machines[i] = g.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget}, machines)
 	if err != nil {
 		t.Fatalf("fig1 run failed: %v", err)
 	}
@@ -147,6 +147,13 @@ func TestFig1Determinism(t *testing.T) {
 	}
 }
 
+// haltMachine is a non-participant: it halts, undecided, at its first step.
+type haltMachine struct{}
+
+func (haltMachine) Init(sim.MachineContext)         {}
+func (haltMachine) Step(sim.Time) sim.MachineStatus { return sim.MachineHalted }
+func (haltMachine) Decision() sim.Value             { return 0 }
+
 func TestFig1NonParticipant(t *testing.T) {
 	// The remark after Theorem 2: if some process never proposes, the
 	// remaining n−1 values make round 1's (n−1)-converge commit, so every
@@ -158,15 +165,13 @@ func TestFig1NonParticipant(t *testing.T) {
 	// beyond the horizon) to show termination does not rely on it.
 	h := Upsilon(n).History(pattern, 1<<30, 2)
 	g := NewFig1(n, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := []sim.Value{100, 101, 102, 0}
 	for i := 0; i < n-1; i++ {
-		bodies[i] = g.Body(proposals[i])
+		machines[i] = g.Machine(proposals[i])
 	}
-	bodies[n-1] = func(p *sim.Proc) (sim.Value, bool) {
-		return 0, false // never participates
-	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 20}, bodies)
+	machines[n-1] = haltMachine{} // never participates
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 20}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +196,11 @@ func TestFig1SpecViolatingUpsilonLivelocks(t *testing.T) {
 	pattern := sim.FailFree(n)
 	dummy := fd.Constant(sim.FullSet(n)) // = correct(F): illegal for Υ
 	g := NewFig1(n, dummy, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, machines)
 	if err == nil {
 		t.Fatalf("run decided %v despite spec-violating Υ under lockstep", rep.DecidedValues())
 	}
@@ -236,13 +241,13 @@ func TestFig1DecisionRegisterConsistent(t *testing.T) {
 	pattern := sim.FailFree(n)
 	h := Upsilon(n).History(pattern, 100, 6)
 	g := NewFig1(n, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(100 + i)
-		bodies[i] = g.Body(proposals[i])
+		machines[i] = g.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.NewRandom(11), Budget: 1 << 20}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.NewRandom(11), Budget: 1 << 20}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}

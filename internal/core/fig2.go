@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"weakestfd/internal/converge"
-	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -72,85 +70,6 @@ func (g *Fig2) K() int { return g.f }
 // inspection only.
 func (g *Fig2) Decision() memory.Opt[sim.Value] { return g.d.Inspect() }
 
-// Body returns the process automaton proposing the given value.
-func (g *Fig2) Body(input sim.Value) sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		v := input
-		me := p.ID()
-		minEntries := g.n - g.f // the paper's n+1−f
-		for r := 1; ; r++ {
-			if d := g.d.Read(p); d.OK {
-				return d.V, true
-			}
-			// Line 4: top-level (f)-converge.
-			picked, committed := g.top.At(r, 0, g.f).Converge(p, v)
-			v = picked
-			if committed {
-				g.d.Write(p, memory.Some(v))
-				return v, true
-			}
-			u := fd.Query[sim.Set](p, g.upsilon)
-
-			dr, stable := g.rounds.at(r)
-		cycle:
-			for k := 1; ; k++ {
-				if d := g.d.Read(p); d.OK {
-					return d.V, true
-				}
-				if stable.Read(p) {
-					break cycle
-				}
-				if w := dr.Read(p); w.OK { // line 23
-					v = w.V
-					break cycle
-				}
-				if !u.Has(me) {
-					dr.Write(p, memory.Some(v)) // line 11: citizen feeds D[r]
-					break cycle
-				}
-				// Gladiator sub-round (r, k).
-				snap := g.snaps.at(r, k, u.Len())
-				snap.Update(p, me, v) // line 16
-				for {                 // lines 17-19: wait for n+1−f entries
-					scan := snap.Scan(p)
-					if memory.CountSome(scan) >= minEntries {
-						v = minValue(scan) // line 25
-						break
-					}
-					if d := g.d.Read(p); d.OK {
-						return d.V, true
-					}
-					if w := dr.Read(p); w.OK {
-						v = w.V
-						break cycle
-					}
-					if stable.Read(p) {
-						break cycle
-					}
-					if u2 := fd.Query[sim.Set](p, g.upsilon); u2 != u {
-						stable.Write(p, true)
-						break cycle
-					}
-				}
-				param := u.Len() + g.f - g.n // the paper's |U|+f−n−1
-				picked, committed := g.sub.At(r, k, param).Converge(p, v)
-				v = picked
-				if committed {
-					dr.Write(p, memory.Some(v)) // commit feeds D[r]
-					break cycle
-				}
-				if u2 := fd.Query[sim.Set](p, g.upsilon); u2 != u {
-					stable.Write(p, true)
-					break cycle
-				}
-			}
-			if w := dr.Read(p); w.OK { // line 33: adopt before round r+1
-				v = w.V
-			}
-		}
-	}
-}
-
 func minValue(scan []memory.Opt[sim.Value]) sim.Value {
 	best := sim.Value(0)
 	found := false
@@ -170,7 +89,6 @@ func minValue(scan []memory.Opt[sim.Value]) sim.Value {
 // converge series, the identity includes the caller's |U| so that processes
 // with divergent Υ^f views use distinct objects.
 type snapSeries struct {
-	mu   sync.Mutex
 	n    int
 	impl converge.Impl
 	m    map[seriesKey3]memory.Snapshot[sim.Value]
@@ -183,8 +101,6 @@ func newSnapSeries(n int, impl converge.Impl) *snapSeries {
 }
 
 func (ss *snapSeries) at(r, k, usize int) memory.Snapshot[sim.Value] {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	key := seriesKey3{r: r, k: k, usize: usize}
 	s, ok := ss.m[key]
 	if !ok {

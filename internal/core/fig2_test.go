@@ -18,13 +18,13 @@ func runFig2(t *testing.T, pattern sim.Pattern, f int, upsilonF sim.Oracle, impl
 		t.Fatalf("pattern %v outside E_%d", pattern, f)
 	}
 	g := NewFig2(n, f, upsilonF, impl)
-	bodies := make([]sim.Body, n)
+	machines := make([]sim.StepMachine, n)
 	proposals := make([]sim.Value, n)
-	for i := range bodies {
+	for i := range machines {
 		proposals[i] = sim.Value(100 + i)
-		bodies[i] = g.Body(proposals[i])
+		machines[i] = g.Machine(proposals[i])
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget}, machines)
 	if err != nil {
 		t.Fatalf("fig2 run failed: %v", err)
 	}
@@ -192,11 +192,11 @@ func TestFig2SpecViolatingUpsilonFLivelocks(t *testing.T) {
 	pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{0: 37, 1: 37})
 	dummy := fd.Constant(sim.SetOf(2, 3)) // = correct(F): illegal for Υ^f
 	g := NewFig2(n, f, dummy, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, machines)
 	if err == nil {
 		t.Fatalf("run decided %v despite spec-violating Υ^f", rep.DecidedValues())
 	}
@@ -209,11 +209,11 @@ func TestFig2SpecViolatingUpsilonFLivelocks(t *testing.T) {
 	// D[r].
 	legal := fd.Constant(sim.SetOf(0, 3))
 	g2 := NewFig2(n, f, legal, converge.UseAtomic)
-	bodies2 := make([]sim.Body, n)
-	for i := range bodies2 {
-		bodies2[i] = g2.Body(sim.Value(100 + i))
+	machines2 := make([]sim.StepMachine, n)
+	for i := range machines2 {
+		machines2[i] = g2.Machine(sim.Value(100 + i))
 	}
-	rep2, err2 := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, bodies2)
+	rep2, err2 := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 60_000}, machines2)
 	if err2 != nil {
 		t.Fatalf("legal same-size U should decide: %v", err2)
 	}

@@ -88,58 +88,6 @@ func (e emulatedSetOracle) Value(p sim.PID, _ sim.Time) any {
 	return u
 }
 
-// Body returns the heartbeat task for one process; it never returns.
-func (h *HeartbeatUpsilon) Body() sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		me := p.ID()
-		lastSeen := make([]int64, h.n)  // last heartbeat value observed
-		staleFor := make([]int64, h.n)  // collect rounds without movement
-		threshold := make([]int64, h.n) // adaptive patience per target
-		for j := range threshold {
-			threshold[j] = h.initialThreshold
-		}
-		var ticks int64
-		suspected := sim.EmptySet
-		h.out.Write(p, me, sim.SetOf(0))
-		for {
-			ticks++
-			h.hb.Write(p, me, ticks)
-			beats := h.hb.Collect(p)
-			changed := false
-			for j := 0; j < h.n; j++ {
-				if sim.PID(j) == me {
-					continue
-				}
-				if beats[j] != lastSeen[j] {
-					lastSeen[j] = beats[j]
-					staleFor[j] = 0
-					if suspected.Has(sim.PID(j)) {
-						// False suspicion: retract and double the patience.
-						suspected = suspected.Remove(sim.PID(j))
-						threshold[j] *= 2
-						changed = true
-					}
-					continue
-				}
-				staleFor[j]++
-				if staleFor[j] >= threshold[j] && !suspected.Has(sim.PID(j)) {
-					suspected = suspected.Add(sim.PID(j))
-					changed = true
-				}
-			}
-			u := suspected
-			if u.IsEmpty() {
-				u = sim.SetOf(0)
-			}
-			if changed || h.out.At(me).Inspect() != u {
-				h.out.Write(p, me, u)
-			} else {
-				p.Yield() // keep the task's step rate even when quiescent
-			}
-		}
-	}
-}
-
 // TimedComposed solves (n−1)-set agreement with *no oracle at all*: Υ is
 // implemented from heartbeats (valid under an eventually synchronous
 // schedule) and consumed by the Figure 1 protocol, each as a parallel task
@@ -164,15 +112,3 @@ func (c *TimedComposed) K() int { return c.protocol.K() }
 
 // Implementation exposes the heartbeat half.
 func (c *TimedComposed) Implementation() *HeartbeatUpsilon { return c.impl }
-
-// TaskSets returns the two parallel task bodies per process.
-func (c *TimedComposed) TaskSets(proposals []sim.Value) []sim.TaskSet {
-	out := make([]sim.TaskSet, len(proposals))
-	for i := range out {
-		out[i] = sim.TaskSet{
-			c.impl.Body(),
-			c.protocol.Body(proposals[i]),
-		}
-	}
-	return out
-}

@@ -16,17 +16,17 @@ func runHeartbeat(t *testing.T, pattern sim.Pattern, sched sim.Schedule, budget 
 	t.Helper()
 	n := pattern.N()
 	hb := NewHeartbeatUpsilon(n, 4)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = hb.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = hb.Machine()
 	}
 	trace := check.NewOutputTrace[sim.Set](n, hb.Output)
-	rep, err := sim.Run(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,
 		Budget:   budget,
 		StopWhen: trace.Hook(),
-	}, bodies)
+	}, machines)
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatalf("heartbeat run: %v", err)
 	}
@@ -85,15 +85,15 @@ func TestHeartbeatUpsilonIndistinguishability(t *testing.T) {
 	budget := int64(20_000)
 	run := func(pattern sim.Pattern) []sim.Set {
 		hb := NewHeartbeatUpsilon(n, 4)
-		bodies := make([]sim.Body, n)
-		for i := range bodies {
-			bodies[i] = hb.Body()
+		machines := make([]sim.StepMachine, n)
+		for i := range machines {
+			machines[i] = hb.Machine()
 		}
-		_, err := sim.Run(sim.Config{
+		_, err := sim.RunMachines(sim.Config{
 			Pattern:  pattern,
 			Schedule: sim.Starve(2, sim.RoundRobin()),
 			Budget:   budget,
-		}, bodies)
+		}, machines)
 		if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 			t.Fatal(err)
 		}
@@ -121,9 +121,9 @@ func TestHeartbeatUpsilonDefeatedByAsynchrony(t *testing.T) {
 	n := 3
 	victim := sim.PID(2)
 	hb := NewHeartbeatUpsilon(n, 4)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = hb.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = hb.Machine()
 	}
 
 	// Phase k: starve the victim for 192·2^k steps, then round-robin for
@@ -157,7 +157,7 @@ func TestHeartbeatUpsilonDefeatedByAsynchrony(t *testing.T) {
 	changes := 0
 	var prev sim.Set
 	sampled := false
-	_, err := sim.Run(sim.Config{
+	_, err := sim.RunMachines(sim.Config{
 		Pattern:  sim.FailFree(n),
 		Schedule: schedule,
 		Budget:   80_000,
@@ -170,7 +170,7 @@ func TestHeartbeatUpsilonDefeatedByAsynchrony(t *testing.T) {
 			sampled = true
 			return false
 		},
-	}, bodies)
+	}, machines)
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestTimedComposedSolvesSetAgreement(t *testing.T) {
 				for i := range proposals {
 					proposals[i] = sim.Value(100 + i)
 				}
-				rep, err := sim.RunTasks(sim.Config{
+				rep, err := sim.RunTaskMachines(sim.Config{
 					Pattern:  tc.pattern,
 					Schedule: sim.EventuallySynchronous(1_000, 8, seed),
 					Budget:   1 << 22,
-				}, c.TaskSets(proposals))
+				}, c.MachineTaskSets(proposals))
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -224,11 +224,11 @@ func TestTimedComposedSafetyUnderPureAsynchrony(t *testing.T) {
 	pattern := sim.FailFree(n)
 	c := NewTimedComposed(n, 4, converge.UseAtomic)
 	proposals := []sim.Value{100, 101, 102, 103}
-	rep, err := sim.RunTasks(sim.Config{
+	rep, err := sim.RunTaskMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sim.Starve(3, sim.RoundRobin()),
 		Budget:   1 << 20,
-	}, c.TaskSets(proposals))
+	}, c.MachineTaskSets(proposals))
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatal(err)
 	}
@@ -250,29 +250,28 @@ func TestEventuallySynchronousBound(t *testing.T) {
 	bound := int64(6)
 	sched := sim.EventuallySynchronous(gst, bound, 3)
 	last := make([]sim.Time, n)
-	spin := func(p *sim.Proc) (sim.Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = spin
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = &yieldMachine{steps: -1}
 	}
 	var worst int64
-	_, err := sim.Run(sim.Config{
-		Pattern:  sim.FailFree(n),
-		Schedule: sched,
-		Budget:   5_000,
-		Tracer: func(e sim.Event) {
-			if e.T > gst+gst && last[e.P] > gst {
-				if wait := int64(e.T - last[e.P]); wait > worst {
-					worst = wait
-				}
+	log := sim.NewAccessLog()
+	_, err := sim.RunMachines(sim.Config{
+		Pattern:   sim.FailFree(n),
+		Schedule:  sched,
+		Budget:    5_000,
+		AccessLog: log,
+	}, machines)
+	for i := 0; i < log.Steps(); i++ {
+		p, _ := log.Step(i)
+		at := sim.Time(i + 1)
+		if at > gst+gst && last[p] > gst {
+			if wait := int64(at - last[p]); wait > worst {
+				worst = wait
 			}
-			last[e.P] = e.T
-		},
-	}, bodies)
+		}
+		last[p] = at
+	}
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -285,17 +284,17 @@ func TestEventuallySynchronousBound(t *testing.T) {
 
 func TestStarveSchedule(t *testing.T) {
 	var granted sim.Set
-	spin := func(p *sim.Proc) (sim.Value, bool) {
-		for {
-			p.Yield()
-		}
+	log := sim.NewAccessLog()
+	_, err := sim.RunMachines(sim.Config{
+		Pattern:   sim.FailFree(3),
+		Schedule:  sim.Starve(1, nil),
+		Budget:    100,
+		AccessLog: log,
+	}, []sim.StepMachine{&yieldMachine{steps: -1}, &yieldMachine{steps: -1}, &yieldMachine{steps: -1}})
+	for i := 0; i < log.Steps(); i++ {
+		p, _ := log.Step(i)
+		granted = granted.Add(p)
 	}
-	_, err := sim.Run(sim.Config{
-		Pattern:  sim.FailFree(3),
-		Schedule: sim.Starve(1, nil),
-		Budget:   100,
-		Tracer:   func(e sim.Event) { granted = granted.Add(e.P) },
-	}, []sim.Body{spin, spin, spin})
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -337,17 +336,17 @@ func TestHeartbeatThresholdAdaptation(t *testing.T) {
 		return enabled.Min()
 	})
 	hb := NewHeartbeatUpsilon(n, 2) // small patience: false suspicions early
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = hb.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = hb.Machine()
 	}
 	trace := check.NewOutputTrace[sim.Set](n, hb.Output)
-	_, err := sim.Run(sim.Config{
+	_, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: burst,
 		Budget:   80_000,
 		StopWhen: trace.Hook(),
-	}, bodies)
+	}, machines)
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
+	"hash"
 	"testing"
 
 	"weakestfd/internal/converge"
@@ -11,14 +14,52 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// The equivalence suite: the goroutine runner (sim.Run/RunTasks) and the
-// machine runner (sim.RunMachines/RunTaskMachines) must produce identical
-// Reports — every field, including DecidedAt, StepsBy and the Crashed
-// bookkeeping of poisoned runs — for every protocol ported to StepMachine,
-// across schedules and failure patterns.
+// The equivalence suite pins the step machines to the goroutine-per-process
+// reference engine the simulator used to carry. Each test walks an unchanged
+// grid of protocols, schedules and failure patterns and folds every case's
+// JSON-encoded Report (every field, including DecidedAt, StepsBy and the
+// Crashed bookkeeping of budget-stopped runs) and its error kind into a
+// sha256, in grid order. The expected digests were recorded while both
+// engines still existed and produced identical Reports on every case.
 
-// schedFactory builds a fresh schedule per run; schedules are stateful, so
-// the two runners must never share one instance.
+// reportPin accumulates the grid digest of one equivalence test.
+type reportPin struct {
+	h     hash.Hash
+	cases int
+}
+
+func newReportPin() *reportPin { return &reportPin{h: sha256.New()} }
+
+func (p *reportPin) add(t *testing.T, outcome any, err error) {
+	t.Helper()
+	b, jerr := json.Marshal(outcome)
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	kind := "ok"
+	if errors.Is(err, sim.ErrBudgetExhausted) {
+		kind = "budget"
+	} else if err != nil {
+		kind = "error"
+	}
+	fmt.Fprintf(p.h, "%s|%s\n", b, kind)
+	p.cases++
+}
+
+// check compares the digest with want once every case of the grid ran (a
+// -run filter that selects a subset skips the comparison).
+func (p *reportPin) check(t *testing.T, total int, want string) {
+	t.Helper()
+	if p.cases != total {
+		t.Logf("ran %d of %d cases; digest not compared", p.cases, total)
+		return
+	}
+	if got := hex.EncodeToString(p.h.Sum(nil)); got != want {
+		t.Fatalf("grid digest changed:\n got  %s\n want %s", got, want)
+	}
+}
+
+// schedFactory builds a fresh schedule per run; schedules are stateful.
 type schedFactory struct {
 	name string
 	mk   func(seed int64) sim.Schedule
@@ -32,17 +73,9 @@ func schedules() []schedFactory {
 	}
 }
 
-func requireSameReport(t *testing.T, goroutine, machine *sim.Report, gErr, mErr error) {
-	t.Helper()
-	if (gErr == nil) != (mErr == nil) {
-		t.Fatalf("error mismatch: goroutine=%v machine=%v", gErr, mErr)
-	}
-	if gErr != nil && !errors.Is(mErr, sim.ErrBudgetExhausted) != !errors.Is(gErr, sim.ErrBudgetExhausted) {
-		t.Fatalf("error kind mismatch: goroutine=%v machine=%v", gErr, mErr)
-	}
-	if !reflect.DeepEqual(goroutine, machine) {
-		t.Fatalf("report mismatch:\n goroutine: %+v\n machine:   %+v", goroutine, machine)
-	}
+type namedPattern struct {
+	name string
+	p    sim.Pattern
 }
 
 func proposalsFor(n int) []sim.Value {
@@ -54,56 +87,50 @@ func proposalsFor(n int) []sim.Value {
 }
 
 func TestMachineEquivalenceFig1(t *testing.T) {
-	patterns := map[string]func(n int) sim.Pattern{
-		"failfree": sim.FailFree,
-		"onecrash": func(n int) sim.Pattern {
+	patterns := []struct {
+		name string
+		mk   func(n int) sim.Pattern
+	}{
+		{"failfree", sim.FailFree},
+		{"onecrash", func(n int) sim.Pattern {
 			return sim.CrashPattern(n, map[sim.PID]sim.Time{1: 30})
-		},
-		"waitfree": func(n int) sim.Pattern {
+		}},
+		{"waitfree", func(n int) sim.Pattern {
 			crashes := make(map[sim.PID]sim.Time, n-1)
 			for i := 1; i < n; i++ {
 				crashes[sim.PID(i)] = sim.Time(9 * i)
 			}
 			return sim.CrashPattern(n, crashes)
-		},
+		}},
 	}
+	pin := newReportPin()
 	for _, n := range []int{3, 5, 7} {
-		for pname, mkPattern := range patterns {
+		for _, pat := range patterns {
 			for _, sf := range schedules() {
 				for _, ts := range []sim.Time{0, 150} {
 					for seed := int64(0); seed < 3; seed++ {
-						name := fmt.Sprintf("n%d/%s/%s/ts%d/seed%d", n, pname, sf.name, ts, seed)
+						name := fmt.Sprintf("n%d/%s/%s/ts%d/seed%d", n, pat.name, sf.name, ts, seed)
 						t.Run(name, func(t *testing.T) {
-							pattern := mkPattern(n)
-							run := func(machineRunner bool) (*sim.Report, error) {
-								h := Upsilon(n).History(pattern, ts, seed)
-								g := NewFig1(n, h, converge.UseAtomic)
-								cfg := sim.Config{Pattern: pattern, Schedule: sf.mk(seed), Budget: 1 << 22}
-								if machineRunner {
-									machines := make([]sim.StepMachine, n)
-									for i := range machines {
-										machines[i] = g.Machine(proposalsFor(n)[i])
-									}
-									return sim.RunMachines(cfg, machines)
-								}
-								bodies := make([]sim.Body, n)
-								for i := range bodies {
-									bodies[i] = g.Body(proposalsFor(n)[i])
-								}
-								return sim.Run(cfg, bodies)
+							pattern := pat.mk(n)
+							h := Upsilon(n).History(pattern, ts, seed)
+							g := NewFig1(n, h, converge.UseAtomic)
+							machines := make([]sim.StepMachine, n)
+							for i := range machines {
+								machines[i] = g.Machine(proposalsFor(n)[i])
 							}
-							gRep, gErr := run(false)
-							mRep, mErr := run(true)
-							requireSameReport(t, gRep, mRep, gErr, mErr)
+							rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sf.mk(seed), Budget: 1 << 22}, machines)
+							pin.add(t, rep, err)
 						})
 					}
 				}
 			}
 		}
 	}
+	pin.check(t, 3*3*3*2*3, "33e3f1d04447e1ad08b17b9650909546842ec48db5e4c4e70428ed6af3238b5e")
 }
 
 func TestMachineEquivalenceFig2(t *testing.T) {
+	pin := newReportPin()
 	for _, tc := range []struct{ n, f, crashes int }{{4, 1, 0}, {4, 2, 2}, {6, 2, 1}, {6, 5, 3}} {
 		for _, sf := range schedules() {
 			for seed := int64(0); seed < 3; seed++ {
@@ -114,35 +141,24 @@ func TestMachineEquivalenceFig2(t *testing.T) {
 						crashes[sim.PID(i)] = sim.Time(13 * (i + 1))
 					}
 					pattern := sim.CrashPattern(tc.n, crashes)
-					run := func(machineRunner bool) (*sim.Report, error) {
-						h := UpsilonF(tc.n, tc.f).History(pattern, 150, seed)
-						g := NewFig2(tc.n, tc.f, h, converge.UseAtomic)
-						cfg := sim.Config{Pattern: pattern, Schedule: sf.mk(seed), Budget: 1 << 22}
-						if machineRunner {
-							machines := make([]sim.StepMachine, tc.n)
-							for i := range machines {
-								machines[i] = g.Machine(proposalsFor(tc.n)[i])
-							}
-							return sim.RunMachines(cfg, machines)
-						}
-						bodies := make([]sim.Body, tc.n)
-						for i := range bodies {
-							bodies[i] = g.Body(proposalsFor(tc.n)[i])
-						}
-						return sim.Run(cfg, bodies)
+					h := UpsilonF(tc.n, tc.f).History(pattern, 150, seed)
+					g := NewFig2(tc.n, tc.f, h, converge.UseAtomic)
+					machines := make([]sim.StepMachine, tc.n)
+					for i := range machines {
+						machines[i] = g.Machine(proposalsFor(tc.n)[i])
 					}
-					gRep, gErr := run(false)
-					mRep, mErr := run(true)
-					requireSameReport(t, gRep, mRep, gErr, mErr)
+					rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sf.mk(seed), Budget: 1 << 22}, machines)
+					pin.add(t, rep, err)
 				})
 			}
 		}
 	}
+	pin.check(t, 4*3*3, "77e1203518bdde59472abd5608c258ae161c2b4af3eacac113cd22956ab61c73")
 }
 
-// TestMachineEquivalenceExtraction compares the Figure 3 reduction on both
-// runners, including the emulated-output evolution (sampled after every step
-// through StopWhen, exactly as ExtractUpsilon wires it).
+// TestMachineEquivalenceExtraction pins the Figure 3 reduction, including
+// the emulated-output evolution (sampled after every step through StopWhen,
+// exactly as ExtractUpsilon wires it).
 func TestMachineEquivalenceExtraction(t *testing.T) {
 	const n = 5
 	type source struct {
@@ -160,118 +176,96 @@ func TestMachineEquivalenceExtraction(t *testing.T) {
 			return fd.NewStableEvPerfect(p, 150, seed), PhiStableEvPerfect(n)
 		}},
 	}
-	patterns := map[string]sim.Pattern{
-		"failfree": sim.FailFree(n),
-		"onecrash": sim.CrashPattern(n, map[sim.PID]sim.Time{2: 40}),
+	patterns := []namedPattern{
+		{"failfree", sim.FailFree(n)},
+		{"onecrash", sim.CrashPattern(n, map[sim.PID]sim.Time{2: 40})},
 	}
+	pin := newReportPin()
 	for _, src := range sources {
-		for pname, pattern := range patterns {
+		for _, pat := range patterns {
 			for _, sf := range schedules() {
 				for seed := int64(0); seed < 2; seed++ {
-					name := fmt.Sprintf("%s/%s/%s/seed%d", src.name, pname, sf.name, seed)
+					name := fmt.Sprintf("%s/%s/%s/seed%d", src.name, pat.name, sf.name, seed)
 					t.Run(name, func(t *testing.T) {
-						run := func(machineRunner bool) (*sim.Report, [][]sim.Set, error) {
-							oracle, phi := src.mk(pattern, seed)
-							ex := NewExtraction(n, oracle, phi)
-							var outputs [][]sim.Set
-							cfg := sim.Config{
-								Pattern:  pattern,
-								Schedule: sf.mk(seed),
-								Budget:   6000,
-								StopWhen: func(sim.Time) bool {
-									outputs = append(outputs, append([]sim.Set(nil), ex.Output()...))
-									return false
-								},
-							}
-							if machineRunner {
-								machines := make([]sim.StepMachine, n)
-								for i := range machines {
-									machines[i] = ex.Machine()
-								}
-								rep, err := sim.RunMachines(cfg, machines)
-								return rep, outputs, err
-							}
-							bodies := make([]sim.Body, n)
-							for i := range bodies {
-								bodies[i] = ex.Body()
-							}
-							rep, err := sim.Run(cfg, bodies)
-							return rep, outputs, err
+						oracle, phi := src.mk(pat.p, seed)
+						ex := NewExtraction(n, oracle, phi)
+						var outputs [][]sim.Set
+						cfg := sim.Config{
+							Pattern:  pat.p,
+							Schedule: sf.mk(seed),
+							Budget:   6000,
+							StopWhen: func(sim.Time) bool {
+								outputs = append(outputs, append([]sim.Set(nil), ex.Output()...))
+								return false
+							},
 						}
-						gRep, gOut, gErr := run(false)
-						mRep, mOut, mErr := run(true)
-						requireSameReport(t, gRep, mRep, gErr, mErr)
-						if !reflect.DeepEqual(gOut, mOut) {
-							t.Fatalf("emulated output evolution differs (%d vs %d samples)", len(gOut), len(mOut))
+						machines := make([]sim.StepMachine, n)
+						for i := range machines {
+							machines[i] = ex.Machine()
 						}
+						rep, err := sim.RunMachines(cfg, machines)
+						pin.add(t, struct {
+							Report  *sim.Report
+							Outputs [][]sim.Set
+						}{rep, outputs}, err)
 					})
 				}
 			}
 		}
 	}
+	pin.check(t, 3*2*3*2, "35f120b4e4ab16bb1fc66076d67d5f61a25cd1bbd4f0d365d46efc52de0324bb")
 }
 
-// TestMachineEquivalenceComposed compares the two-task composition (Figure 3
-// reduction + Figure 1 protocol) on RunTasks vs RunTaskMachines, covering
-// the task-rotation logic.
+// TestMachineEquivalenceComposed pins the two-task composition (Figure 3
+// reduction + Figure 1 protocol) on RunTaskMachines, covering the
+// task-rotation logic.
 func TestMachineEquivalenceComposed(t *testing.T) {
 	const n = 5
-	patterns := map[string]sim.Pattern{
-		"failfree": sim.FailFree(n),
-		"onecrash": sim.CrashPattern(n, map[sim.PID]sim.Time{2: 40}),
+	patterns := []namedPattern{
+		{"failfree", sim.FailFree(n)},
+		{"onecrash", sim.CrashPattern(n, map[sim.PID]sim.Time{2: 40})},
 	}
-	for pname, pattern := range patterns {
+	pin := newReportPin()
+	for _, pat := range patterns {
 		for _, sf := range schedules() {
 			for seed := int64(0); seed < 2; seed++ {
-				name := fmt.Sprintf("%s/%s/seed%d", pname, sf.name, seed)
+				name := fmt.Sprintf("%s/%s/seed%d", pat.name, sf.name, seed)
 				t.Run(name, func(t *testing.T) {
-					run := func(machineRunner bool) (*sim.Report, error) {
-						oracle := fd.NewOmega(pattern, 120, seed)
-						c := NewComposed(n, oracle, PhiOmega(n), converge.UseAtomic)
-						cfg := sim.Config{Pattern: pattern, Schedule: sf.mk(seed), Budget: 1 << 22}
-						if machineRunner {
-							return sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
-						}
-						return sim.RunTasks(cfg, c.TaskSets(proposalsFor(n)))
-					}
-					gRep, gErr := run(false)
-					mRep, mErr := run(true)
-					requireSameReport(t, gRep, mRep, gErr, mErr)
+					oracle := fd.NewOmega(pat.p, 120, seed)
+					c := NewComposed(n, oracle, PhiOmega(n), converge.UseAtomic)
+					cfg := sim.Config{Pattern: pat.p, Schedule: sf.mk(seed), Budget: 1 << 22}
+					rep, err := sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
+					pin.add(t, rep, err)
 				})
 			}
 		}
 	}
+	pin.check(t, 2*3*2, "9759293e337330465187b97e5abbf76583f2cb4517ba2bb196b6492defc58e58")
 }
 
-// TestMachineEquivalenceTimed compares the oracle-free composition
-// (heartbeat Υ implementation + Figure 1) under the eventually synchronous
-// schedule on both task runners.
+// TestMachineEquivalenceTimed pins the oracle-free composition (heartbeat
+// Υ implementation + Figure 1) under the eventually synchronous schedule.
 func TestMachineEquivalenceTimed(t *testing.T) {
 	const n = 4
-	patterns := map[string]sim.Pattern{
-		"failfree": sim.FailFree(n),
-		"onecrash": sim.CrashPattern(n, map[sim.PID]sim.Time{1: 300}),
+	patterns := []namedPattern{
+		{"failfree", sim.FailFree(n)},
+		{"onecrash", sim.CrashPattern(n, map[sim.PID]sim.Time{1: 300})},
 	}
-	for pname, pattern := range patterns {
+	pin := newReportPin()
+	for _, pat := range patterns {
 		for seed := int64(0); seed < 3; seed++ {
-			name := fmt.Sprintf("%s/seed%d", pname, seed)
+			name := fmt.Sprintf("%s/seed%d", pat.name, seed)
 			t.Run(name, func(t *testing.T) {
-				run := func(machineRunner bool) (*sim.Report, error) {
-					c := NewTimedComposed(n, 4, converge.UseAtomic)
-					cfg := sim.Config{
-						Pattern:  pattern,
-						Schedule: sim.EventuallySynchronous(800, 8, seed),
-						Budget:   1 << 22,
-					}
-					if machineRunner {
-						return sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
-					}
-					return sim.RunTasks(cfg, c.TaskSets(proposalsFor(n)))
+				c := NewTimedComposed(n, 4, converge.UseAtomic)
+				cfg := sim.Config{
+					Pattern:  pat.p,
+					Schedule: sim.EventuallySynchronous(800, 8, seed),
+					Budget:   1 << 22,
 				}
-				gRep, gErr := run(false)
-				mRep, mErr := run(true)
-				requireSameReport(t, gRep, mRep, gErr, mErr)
+				rep, err := sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
+				pin.add(t, rep, err)
 			})
 		}
 	}
+	pin.check(t, 2*3, "15171d9241910205fabf8409ce3c3574ca1d752e681b104949e399a1aa0de21a")
 }

@@ -1,41 +1,27 @@
 package core
 
 import (
-	"fmt"
-
 	"weakestfd/internal/converge"
 	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
 
-// Step-machine ports of the hot protocol bodies, for sim.RunMachines. Each
-// machine mirrors the corresponding Body *operation for operation*: the
-// program counter enumerates the body's atomic operations (register and
-// snapshot accesses, detector queries), and every Step call performs exactly
-// one of them followed by the body's process-local computation up to the next
-// operation. Under the same Config the two representations therefore take
-// identical steps and produce identical Reports — the equivalence suite
-// asserts this across every scenario family.
-//
-// The machines require the one-step atomic snapshot implementation
-// (converge.UseAtomic); the Afek registers-only construction spans many steps
-// per operation and stays on the goroutine runner.
-
-// directSnap asserts step-free access on a snapshot, with a uniform error.
-func directSnap[T any](s memory.Snapshot[T]) memory.DirectSnapshot[T] {
-	d, ok := memory.AsDirect(s)
-	if !ok {
-		panic(fmt.Sprintf("core: snapshot %T does not support step-free access (use the goroutine runner for the Afek construction)", s))
-	}
-	return d
-}
+// The protocols as step machines, for sim.RunMachines. Each machine's
+// program counter enumerates the atomic operations of the paper's pseudocode
+// (register and snapshot accesses, detector queries), and every Step call
+// performs exactly one of them followed by the process-local computation up
+// to the next operation. A snapshot operation of the Afek et al.
+// registers-only construction (converge.UseAfek) spans many steps: its site
+// is re-entered, one register access per step, until the operation completes.
+// The equivalence suite pins every machine's Reports across the scenario
+// families.
 
 // ---------------------------------------------------------------------------
 // Figure 1
 
-// fig1 machine program counter, one value per atomic operation site of
-// Fig1.Body.
+// fig1 machine program counter, one value per atomic operation site of the
+// Figure 1 pseudocode.
 const (
 	f1ReadD        uint8 = iota // line 20 + round top: read decision register
 	f1TopConv                   // line 4: top-level (n)-converge (4 ops)
@@ -82,8 +68,7 @@ type fig1Machine struct {
 	decision sim.Value
 }
 
-// Machine returns the Figure 1 automaton proposing the given value in
-// resumable step-machine form — Body(input) for the machine runner.
+// Machine returns the Figure 1 automaton proposing the given value.
 func (g *Fig1) Machine(input sim.Value) sim.StepMachine {
 	return &fig1Machine{g: g, v: input}
 }
@@ -236,7 +221,8 @@ type fig2Machine struct {
 
 	dr     *memory.Register[memory.Opt[sim.Value]]
 	stable *memory.Register[bool]
-	snap   memory.DirectSnapshot[sim.Value]
+	snap   memory.Snapshot[sim.Value]
+	snapOp memory.SnapOp[sim.Value]
 	scan   []memory.Opt[sim.Value]
 	conv   converge.Machine
 	log    *sim.AccessLog
@@ -255,8 +241,7 @@ type fig2Machine struct {
 	decision sim.Value
 }
 
-// Machine returns the Figure 2 automaton proposing the given value in
-// resumable step-machine form.
+// Machine returns the Figure 2 automaton proposing the given value.
 func (g *Fig2) Machine(input sim.Value) sim.StepMachine {
 	return &fig2Machine{g: g, v: input, minEntries: g.n - g.f}
 }
@@ -319,17 +304,21 @@ func (m *fig2Machine) Step(t sim.Time) sim.MachineStatus {
 		} else if !m.u.Has(m.me) {
 			m.pc = f2CitizenWrite // line 11
 		} else {
-			m.snap = directSnap(g.snaps.at(m.r, m.k, m.u.Len()))
+			m.snap = g.snaps.at(m.r, m.k, m.u.Len())
 			m.pc = f2SnapUpdate
 		}
 	case f2CitizenWrite:
 		m.dr.DirectWrite(m.log, memory.Some(m.v))
 		m.pc = f2LeaveReadDr
 	case f2SnapUpdate:
-		m.snap.DirectUpdate(m.log, m.me, m.v) // line 16
-		m.pc = f2SnapScan
+		if m.snap.DirectUpdate(m.log, &m.snapOp, m.me, m.v) { // line 16
+			m.pc = f2SnapScan
+		}
 	case f2SnapScan:
-		m.scan = m.snap.DirectScan(m.log, m.scan[:0])
+		var done bool
+		if m.scan, done = m.snap.DirectScan(m.log, &m.snapOp, m.scan[:0]); !done {
+			break
+		}
 		if memory.CountSome(m.scan) >= m.minEntries {
 			m.v = minValue(m.scan) // line 25
 			param := m.u.Len() + g.f - g.n
@@ -461,8 +450,7 @@ type extractionMachine struct {
 	mut ExtractMutation
 }
 
-// Machine returns the Figure 3 reduction automaton in resumable step-machine
-// form; like Body, it never returns.
+// Machine returns the Figure 3 reduction automaton; it never returns.
 func (e *Extraction) Machine() sim.StepMachine {
 	return &extractionMachine{e: e}
 }
@@ -660,8 +648,7 @@ type heartbeatMachine struct {
 	pc        uint8
 }
 
-// Machine returns the heartbeat task in resumable step-machine form; like
-// Body, it never returns.
+// Machine returns the heartbeat task; it never returns.
 func (h *HeartbeatUpsilon) Machine() sim.StepMachine {
 	return &heartbeatMachine{h: h}
 }
@@ -737,7 +724,7 @@ func (m *heartbeatMachine) Step(_ sim.Time) sim.MachineStatus {
 		h.out.DirectWrite(m.log, m.me, m.u)
 		m.pc = hbTick
 	case hbYield:
-		// One no-op step, like Proc.Yield: waiting consumes schedule steps.
+		// One no-op step: waiting consumes schedule steps.
 		m.pc = hbTick
 	}
 	return sim.MachineRunning
@@ -746,9 +733,9 @@ func (m *heartbeatMachine) Step(_ sim.Time) sim.MachineStatus {
 // ---------------------------------------------------------------------------
 // Compositions
 
-// MachineTaskSets returns the step-machine counterpart of TaskSets for
-// sim.RunTaskMachines: per process, the reduction machine and the agreement
-// machine proposing the given value, in the same task order.
+// MachineTaskSets returns the two tasks of every process for
+// sim.RunTaskMachines: the reduction machine, then the agreement machine
+// proposing the given value.
 func (c *Composed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 	out := make([]sim.MachineTaskSet, len(proposals))
 	for i := range out {
@@ -760,9 +747,8 @@ func (c *Composed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 	return out
 }
 
-// MachineTaskSets returns the step-machine counterpart of TaskSets for
-// sim.RunTaskMachines: the heartbeat machine and the Figure 1 machine, in the
-// same task order.
+// MachineTaskSets returns the two tasks of every process for
+// sim.RunTaskMachines: the heartbeat machine, then the Figure 1 machine.
 func (c *TimedComposed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 	out := make([]sim.MachineTaskSet, len(proposals))
 	for i := range out {

@@ -9,8 +9,21 @@ import (
 )
 
 // White-box step-profile tests: the paper's pseudocode prescribes which
-// kinds of atomic operations each protocol performs; the trace recorder
-// verifies the implementations take exactly those step classes.
+// kinds of atomic operations each protocol performs; the trace summary of a
+// recorded run verifies the implementations take exactly those step classes.
+
+// profile runs machines with an access log, registering the detector
+// history h so that queries class as "R(H)", and summarizes the run.
+func profile(pattern sim.Pattern, budget int64, h sim.Oracle, machines []sim.StepMachine) (trace.Summary, *sim.Report, error) {
+	log := sim.NewAccessLog()
+	seam := sim.NewQuerySeam(log)
+	seam.Register("H", h)
+	rep, err := sim.RunMachines(sim.Config{
+		Pattern: pattern, Schedule: sim.RoundRobin(), Budget: budget,
+		AccessLog: log, Queries: seam,
+	}, machines)
+	return trace.Summarize(log, pattern.N()), rep, err
+}
 
 func TestFig1StepProfile(t *testing.T) {
 	n := 4
@@ -18,25 +31,22 @@ func TestFig1StepProfile(t *testing.T) {
 	// Worst-case noise forces multiple rounds, exercising all step classes.
 	h := Upsilon(n).HistoryWorstCase(pattern, 300, 1)
 	g := NewFig1(n, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rec := trace.NewRecorder(nil)
-	if _, err := sim.Run(sim.Config{
-		Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21,
-		Tracer: rec.Hook(),
-	}, bodies); err != nil {
+	s, _, err := profile(pattern, 1<<21, h, machines)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Summarize()
 	// The protocol's vocabulary, per Figure 1: decision register reads and
-	// writes, Υ queries, round registers, converge snapshot ops.
+	// writes, Υ queries, round registers, converge snapshot ops (an update
+	// writes the updater's cell, a scan reads every cell).
 	for _, class := range []string{
-		"read D", "write D", "query",
-		"read D[·]", "write D[·]", "read Stable[·]",
-		"update nconv[·][·]/·.A", "scan nconv[·][·]/·.B",
-		"update gconv[·][·]/·.A",
+		"R(D)", "W(D)", "R(H)",
+		"R(D[·])", "W(D[·])", "R(Stable[·])",
+		"W(nconv[·][·]/·.A[·])", "R(nconv[·][·]/·.B[·])",
+		"W(gconv[·][·]/·.A[·])",
 	} {
 		if s.ByClass[class] == 0 {
 			t.Errorf("no %q steps recorded; classes: %v", class, s.ByClass)
@@ -44,13 +54,13 @@ func TestFig1StepProfile(t *testing.T) {
 	}
 	// No foreign step classes: everything must be one of the protocol's.
 	allowed := map[string]bool{
-		"read D": true, "write D": true, "query": true,
-		"read D[·]": true, "write D[·]": true,
-		"read Stable[·]": true, "write Stable[·]": true,
-		"update nconv[·][·]/·.A": true, "scan nconv[·][·]/·.A": true,
-		"update nconv[·][·]/·.B": true, "scan nconv[·][·]/·.B": true,
-		"update gconv[·][·]/·.A": true, "scan gconv[·][·]/·.A": true,
-		"update gconv[·][·]/·.B": true, "scan gconv[·][·]/·.B": true,
+		"R(D)": true, "W(D)": true, "R(H)": true,
+		"R(D[·])": true, "W(D[·])": true,
+		"R(Stable[·])": true, "W(Stable[·])": true,
+		"W(nconv[·][·]/·.A[·])": true, "R(nconv[·][·]/·.A[·])": true,
+		"W(nconv[·][·]/·.B[·])": true, "R(nconv[·][·]/·.B[·])": true,
+		"W(gconv[·][·]/·.A[·])": true, "R(gconv[·][·]/·.A[·])": true,
+		"W(gconv[·][·]/·.B[·])": true, "R(gconv[·][·]/·.B[·])": true,
 	}
 	for class := range s.ByClass {
 		if !allowed[class] {
@@ -66,19 +76,15 @@ func TestFig2StepProfile(t *testing.T) {
 	u := sim.SetOf(0, 2, 3, 4) // all correct + one faulty: gladiator path
 	h := UpsilonF(n, f).HistoryWithStable(pattern, 0, 1, u)
 	g := NewFig2(n, f, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rec := trace.NewRecorder(nil)
-	if _, err := sim.Run(sim.Config{
-		Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 21,
-		Tracer: rec.Hook(),
-	}, bodies); err != nil {
+	s, _, err := profile(pattern, 1<<21, h, machines)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Summarize()
-	for _, class := range []string{"update A[·][·]/·", "scan A[·][·]/·", "query", "write D"} {
+	for _, class := range []string{"W(A[·][·]/·[·])", "R(A[·][·]/·[·])", "R(H)", "W(D)"} {
 		if s.ByClass[class] == 0 {
 			t.Errorf("no %q steps recorded; classes: %v", class, s.ByClass)
 		}
@@ -91,22 +97,17 @@ func TestExtractionStepProfile(t *testing.T) {
 	n := 3
 	pattern := sim.FailFree(n)
 	ex := NewExtraction(n, constPIDOracle{}, PhiOmega(n))
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = ex.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = ex.Machine()
 	}
-	rec := trace.NewRecorder(nil)
-	rep, _ := sim.Run(sim.Config{
-		Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 5_000,
-		Tracer: rec.Hook(),
-	}, bodies)
+	s, rep, _ := profile(pattern, 5_000, constPIDOracle{}, machines)
 	if !rep.BudgetExhausted {
 		t.Fatal("extraction should run to budget")
 	}
-	s := rec.Summarize()
 	for _, class := range []string{
-		"query", "write R[·]", "read R[·]",
-		"read Changed[·]", "write Υf-output[·]",
+		"R(H)", "W(R[·])", "R(R[·])",
+		"R(Changed[·])", "W(Υf-output[·])",
 	} {
 		if s.ByClass[class] == 0 {
 			t.Errorf("no %q steps recorded; classes: %v", class, s.ByClass)

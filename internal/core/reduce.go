@@ -86,23 +86,62 @@ func NewUpsilon1ToOmega(n int, upsilon sim.Oracle) *Upsilon1ToOmega {
 // between steps only.
 func (u *Upsilon1ToOmega) OutputAt(i sim.PID) memory.Opt[sim.PID] { return u.out.At(i).Inspect() }
 
-// Body returns the reduction automaton for one process; it never returns.
-func (u *Upsilon1ToOmega) Body() sim.Body {
-	return func(p *sim.Proc) (sim.Value, bool) {
-		me := p.ID()
-		ts := int64(0)
-		for {
-			ts++
-			u.hb.Write(p, me, ts)
-			set := fd.Query[sim.Set](p, u.upsilon)
-			var leader sim.PID
-			if set.Len() < u.n {
-				leader = set.Complement(u.n).Min()
-			} else {
-				beats := u.hb.Collect(p)
-				leader = freshest(beats, u.n-1).Min()
-			}
-			u.out.Write(p, me, memory.Some(leader))
+// Machine returns the reduction automaton for one process; it never returns.
+// Each iteration writes a fresh heartbeat, queries Υ¹, collects the
+// heartbeats when Υ¹ outputs Π, and publishes the elected leader.
+func (u *Upsilon1ToOmega) Machine() sim.StepMachine {
+	return &upsilon1Machine{u: u, beats: make([]int64, u.n)}
+}
+
+const (
+	u1WriteHB  uint8 = iota // publish a fresh heartbeat
+	u1Query                 // query Υ¹
+	u1Collect               // read one heartbeat register
+	u1WriteOut              // publish the leader
+)
+
+type upsilon1Machine struct {
+	u      *Upsilon1ToOmega
+	me     sim.PID
+	ts     int64
+	beats  []int64
+	j      int
+	leader sim.PID
+	log    *sim.AccessLog
+	seam   *sim.QuerySeam
+	pc     uint8
+}
+
+func (m *upsilon1Machine) Init(ctx sim.MachineContext) {
+	m.me, m.log, m.seam = ctx.ID, ctx.Log, ctx.Queries
+}
+
+func (m *upsilon1Machine) Decision() sim.Value { return 0 }
+
+func (m *upsilon1Machine) Step(t sim.Time) sim.MachineStatus {
+	u := m.u
+	switch m.pc {
+	case u1WriteHB:
+		m.ts++
+		u.hb.DirectWrite(m.log, m.me, m.ts)
+		m.pc = u1Query
+	case u1Query:
+		if set := fd.QueryAt[sim.Set](m.seam, u.upsilon, m.me, t); set.Len() < u.n {
+			m.leader = set.Complement(u.n).Min()
+			m.pc = u1WriteOut
+		} else {
+			m.j = 0
+			m.pc = u1Collect
 		}
+	case u1Collect:
+		m.beats[m.j] = u.hb.DirectRead(m.log, sim.PID(m.j))
+		if m.j++; m.j == u.n {
+			m.leader = freshest(m.beats, u.n-1).Min()
+			m.pc = u1WriteOut
+		}
+	case u1WriteOut:
+		u.out.DirectWrite(m.log, m.me, memory.Some(m.leader))
+		m.pc = u1WriteHB
 	}
+	return sim.MachineRunning
 }

@@ -16,9 +16,9 @@ func runUpsilon1ToOmega(t *testing.T, pattern sim.Pattern, upsilon sim.Oracle, s
 	t.Helper()
 	n := pattern.N()
 	red := NewUpsilon1ToOmega(n, upsilon)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = red.Body()
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = red.Machine()
 	}
 	trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, func() []memory.Opt[sim.PID] {
 		out := make([]memory.Opt[sim.PID], n)
@@ -27,12 +27,12 @@ func runUpsilon1ToOmega(t *testing.T, pattern sim.Pattern, upsilon sim.Oracle, s
 		}
 		return out
 	})
-	rep, err := sim.Run(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,
 		Budget:   budget,
 		StopWhen: trace.Hook(),
-	}, bodies)
+	}, machines)
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatalf("reduction run: %v", err)
 	}

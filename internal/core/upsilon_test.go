@@ -221,11 +221,11 @@ func TestFig1WorstCaseNoiseDelaysDecision(t *testing.T) {
 	pattern := sim.FailFree(n)
 	h := Upsilon(n).HistoryWorstCase(pattern, 800, 2)
 	g := NewFig1(n, h, converge.UseAtomic)
-	bodies := make([]sim.Body, n)
-	for i := range bodies {
-		bodies[i] = g.Body(sim.Value(100 + i))
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		machines[i] = g.Machine(sim.Value(100 + i))
 	}
-	rep, err := sim.Run(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 20}, bodies)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 20}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}

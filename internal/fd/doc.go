@@ -47,9 +47,9 @@
 //     enumerate *when* a history stabilizes (its SwitchBudget dimension)
 //     while keeping DPOR's independence relation sound.
 //
-// Queries themselves are first-class accesses: Query (goroutine runner) and
-// QueryAt (step machines) route through the run's query seam, which records
-// each query as a read of the queried history's object.
+// Queries themselves are first-class accesses: QueryAt routes through the
+// run's query seam, which records each query as a read of the queried
+// history's object.
 //
 // Tagged histories (tagged.go) stamp outputs with the emitting module so
 // reductions can count module switches, which the Theorem 1/5 adversary

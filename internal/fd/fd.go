@@ -6,22 +6,10 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// Query queries oracle h as process p (one atomic step) and asserts the
-// output type, panicking on a range mismatch — querying a detector at the
-// wrong type is an algorithm bug.
-func Query[T any](p *sim.Proc, h sim.Oracle) T {
-	v := p.Query(h)
-	out, ok := v.(T)
-	if !ok {
-		panic(fmt.Sprintf("fd: oracle output %T, algorithm expected %T", v, out))
-	}
-	return out
-}
-
-// QueryAt evaluates oracle h at (p, t) without a Proc and asserts the output
-// type — the machine-runner counterpart of Query. The caller (a
-// sim.StepMachine driven by sim.RunMachines) is charged the step by the
-// runner itself. The query routes through the run's query seam q (from
+// QueryAt is process p's failure detector query at time t: it evaluates
+// oracle h and asserts the output type, panicking if the history does not
+// yield a T. The caller (a sim.StepMachine) is charged the step by the
+// runner. The query routes through the run's query seam q (from
 // sim.MachineContext.Queries; nil evaluates the oracle directly) so that on
 // recorded runs it is a first-class read of the history's virtual object.
 func QueryAt[T any](q *sim.QuerySeam, h sim.Oracle, p sim.PID, t sim.Time) T {

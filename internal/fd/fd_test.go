@@ -206,32 +206,28 @@ func TestCheckStableDetectsDivergence(t *testing.T) {
 
 func TestQueryTypeMismatchPanics(t *testing.T) {
 	o := Constant(42)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		Query[string](p, o) // wrong type: oracle yields int
-		return 0, true
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	_, _ = sim.Run(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
-		[]sim.Body{body})
+	QueryAt[string](nil, o, 0, 1) // wrong type: oracle yields int
 }
 
 func TestQueryTyped(t *testing.T) {
 	o := Constant(sim.SetOf(1, 2))
-	var got sim.Set
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		got = Query[sim.Set](p, o)
-		return 0, true
-	}
-	if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
-		[]sim.Body{body}); err != nil {
-		t.Fatal(err)
-	}
+	log := sim.NewAccessLog()
+	seam := sim.NewQuerySeam(log)
+	seam.Register("H", o)
+	log.BeginStep()
+	got := QueryAt[sim.Set](seam, o, 0, 1)
+	log.EndStep(0)
 	if got != sim.SetOf(1, 2) {
 		t.Errorf("Query = %v", got)
+	}
+	// The query is a read of the history's virtual object.
+	if _, accs := log.Step(0); log.AccessString(accs) != "R(H)" {
+		t.Errorf("query recorded %s, want R(H)", log.AccessString(accs))
 	}
 }
 

@@ -68,25 +68,25 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "snapshot update writes one cell",
 			ops: func(l *sim.AccessLog) {
-				s, _ := AsDirect(NewAtomicSnapshot[int]("s", 3))
-				s.DirectUpdate(l, 1, 5)
+				s := NewAtomicSnapshot[int]("s", 3)
+				s.DirectUpdate(l, nil, 1, 5)
 			},
 			want: []string{"W(s[1])"},
 		},
 		{
 			name: "snapshot scan reads every cell in order",
 			ops: func(l *sim.AccessLog) {
-				s, _ := AsDirect(NewAtomicSnapshot[int]("s", 3))
-				s.DirectScan(l, nil)
+				s := NewAtomicSnapshot[int]("s", 3)
+				s.DirectScan(l, nil, nil)
 			},
 			want: []string{"R(s[0])", "R(s[1])", "R(s[2])"},
 		},
 		{
 			name: "snapshot update+scan",
 			ops: func(l *sim.AccessLog) {
-				s, _ := AsDirect(NewAtomicSnapshot[int]("s", 2))
-				s.DirectUpdate(l, 0, 1)
-				s.DirectScan(l, nil)
+				s := NewAtomicSnapshot[int]("s", 2)
+				s.DirectUpdate(l, nil, 0, 1)
+				s.DirectScan(l, nil, nil)
 			},
 			want: []string{"W(s[0])", "R(s[0])", "R(s[1])"},
 		},
@@ -112,30 +112,16 @@ func TestAccessClassification(t *testing.T) {
 	}
 }
 
-// stepperMachine performs one scripted shared-memory op per step; its final
-// step reads decideFrom and decides that value — the minimal StepMachine
-// for commutativity experiments.
-type stepperMachine struct {
-	ops        []func(l *sim.AccessLog)
-	decideFrom *Register[int]
-	log        *sim.AccessLog
-	pc         int
-	decision   sim.Value
+// writeThenDecide writes v into r, then reads r and decides what it read:
+// one scripted access per step, the minimal machine for commutativity
+// experiments.
+func writeThenDecide(r *Register[int], v int) sim.StepMachine {
+	var got int
+	return &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
+		func(l *sim.AccessLog, _ sim.PID) bool { r.DirectWrite(l, v); return true },
+		func(l *sim.AccessLog, _ sim.PID) bool { got = r.DirectRead(l); return true },
+	}, decide: func() sim.Value { return sim.Value(got) }}
 }
-
-func (m *stepperMachine) Init(ctx sim.MachineContext) { m.log = ctx.Log }
-
-func (m *stepperMachine) Step(sim.Time) sim.MachineStatus {
-	if m.pc < len(m.ops) {
-		m.ops[m.pc](m.log)
-		m.pc++
-		return sim.MachineRunning
-	}
-	m.decision = sim.Value(m.decideFrom.DirectRead(m.log))
-	return sim.MachineDecided
-}
-
-func (m *stepperMachine) Decision() sim.Value { return m.decision }
 
 // TestCommutativityOracle is the semantic justification of the DPOR
 // independence relation: two adjacent steps whose recorded access sets are
@@ -152,17 +138,11 @@ func TestCommutativityOracle(t *testing.T) {
 		a, b := NewRegister[int]("a"), NewRegister[int]("b")
 		f := fixture{regs: []*Register[int]{a, b}}
 		f.mk = func() []sim.StepMachine {
-			p0 := &stepperMachine{decideFrom: a, ops: []func(l *sim.AccessLog){
-				func(l *sim.AccessLog) { a.DirectWrite(l, 1) },
-			}}
 			target := b
 			if shared {
 				target = a
 			}
-			p1 := &stepperMachine{decideFrom: target, ops: []func(l *sim.AccessLog){
-				func(l *sim.AccessLog) { target.DirectWrite(l, 2) },
-			}}
-			return []sim.StepMachine{p0, p1}
+			return []sim.StepMachine{writeThenDecide(a, 1), writeThenDecide(target, 2)}
 		}
 		return f
 	}
@@ -229,7 +209,8 @@ func TestCommutativityOracle(t *testing.T) {
 func TestDirectAccessNilLogZeroAlloc(t *testing.T) {
 	r := NewRegister[int64]("r")
 	arr := NewArray[int64]("a", 4)
-	snap, _ := AsDirect(NewAtomicSnapshot[int64]("s", 4))
+	snap := NewAtomicSnapshot[int64]("s", 4)
+	var op SnapOp[int64]
 	cons := NewConsensusObject("c", 4)
 	scratch := make([]Opt[int64], 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -237,8 +218,8 @@ func TestDirectAccessNilLogZeroAlloc(t *testing.T) {
 		_ = r.DirectRead(nil)
 		arr.DirectWrite(nil, 2, 5)
 		_ = arr.DirectRead(nil, 2)
-		snap.DirectUpdate(nil, 1, 9)
-		scratch = snap.DirectScan(nil, scratch[:0])
+		snap.DirectUpdate(nil, &op, 1, 9)
+		scratch, _ = snap.DirectScan(nil, &op, scratch[:0])
 		_ = cons.DirectPropose(nil, 0, 3)
 	})
 	if allocs != 0 {

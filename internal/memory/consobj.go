@@ -3,15 +3,14 @@ package memory
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"weakestfd/internal/sim"
 )
 
-// ConsensusObject is an m-process consensus object: Propose is a one-step
-// atomic operation; the first proposed value wins and every Propose returns
-// it. Its consensus number is m — at most m *distinct* processes may ever
-// access one instance, and the object enforces that limit by panicking,
+// ConsensusObject is an m-process consensus object: DirectPropose is a
+// one-step atomic operation; the first proposed value wins and every propose
+// returns it. Its consensus number is m — at most m *distinct* processes may
+// ever access one instance, and the object enforces that limit by panicking,
 // which turns any algorithmic misuse (the subtle bug the Ωn-boosting
 // literature is careful about) into an immediate test failure rather than a
 // silent power upgrade.
@@ -43,27 +42,6 @@ func NewConsensusObject(name string, m int) *ConsensusObject {
 // Limit returns m, the object's consensus number.
 func (c *ConsensusObject) Limit() int { return c.limit }
 
-// Propose submits v and returns the object's decision (the first value ever
-// proposed); one atomic step. It panics if more than m distinct processes
-// access the object.
-func (c *ConsensusObject) Propose(p *sim.Proc, v sim.Value) sim.Value {
-	var out sim.Value
-	p.Step("propose "+c.name, func() {
-		if !c.accessors.Has(p.ID()) {
-			c.accessors = c.accessors.Add(p.ID())
-			if c.accessors.Len() > c.limit {
-				panic(fmt.Sprintf("memory: %s is a %d-process consensus object; accessors %v exceed it",
-					c.name, c.limit, c.accessors))
-			}
-		}
-		if !c.decided.OK {
-			c.decided = Some(v)
-		}
-		out = c.decided.V
-	})
-	return out
-}
-
 // Accessors returns the set of processes that have accessed the object; for
 // post-run inspection only.
 func (c *ConsensusObject) Accessors() sim.Set { return c.accessors }
@@ -79,7 +57,6 @@ func (c *ConsensusObject) Decision() Opt[sim.Value] { return c.decided }
 type ConsFamily struct {
 	name  string
 	limit int
-	mu    sync.Mutex
 	m     map[consKey]*ConsensusObject
 }
 
@@ -99,8 +76,6 @@ func (f *ConsFamily) At(r int, l sim.Set) *ConsensusObject {
 	if l.Len() > f.limit {
 		panic(fmt.Sprintf("memory: accessor set %v exceeds %d-process consensus objects", l, f.limit))
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	key := consKey{r: r, l: l}
 	obj, ok := f.m[key]
 	if !ok {
@@ -113,8 +88,6 @@ func (f *ConsFamily) At(r int, l sim.Set) *ConsensusObject {
 // AllAccessorsWithinLimit verifies, post-run, that no object of the family
 // was over-subscribed (defence in depth next to the per-object panic).
 func (f *ConsFamily) AllAccessorsWithinLimit() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	keys := make([]consKey, 0, len(f.m))
 	for k := range f.m {
 		keys = append(keys, k)

@@ -9,17 +9,19 @@ import (
 func TestConsensusObjectFirstWins(t *testing.T) {
 	obj := NewConsensusObject("c", 3)
 	results := make([]sim.Value, 3)
-	bodies := make([]sim.Body, 3)
-	for i := range bodies {
+	machines := make([]sim.StepMachine, 3)
+	for i := range machines {
 		me := sim.PID(i)
-		bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-			results[me] = obj.Propose(p, sim.Value(me)+100)
-			return results[me], true
-		}
+		machines[i] = &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
+			func(l *sim.AccessLog, me sim.PID) bool {
+				results[me] = obj.DirectPropose(l, me, sim.Value(me)+100)
+				return true
+			},
+		}, decide: func() sim.Value { return results[me] }}
 	}
 	// Priority: p2 proposes first.
-	if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.Priority(1, 0, 2)},
-		bodies); err != nil {
+	if _, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.Priority(1, 0, 2)},
+		machines); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range results {
@@ -38,16 +40,18 @@ func TestConsensusObjectFirstWins(t *testing.T) {
 func TestConsensusObjectRepeatAccessor(t *testing.T) {
 	// The same process proposing repeatedly counts once against the limit.
 	obj := NewConsensusObject("c", 1)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		a := obj.Propose(p, 5)
-		b := obj.Propose(p, 9)
+	var a, b sim.Value
+	m := &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
+		func(l *sim.AccessLog, me sim.PID) bool { a = obj.DirectPropose(l, me, 5); return true },
+		func(l *sim.AccessLog, me sim.PID) bool { b = obj.DirectPropose(l, me, 9); return true },
+	}, decide: func() sim.Value {
 		if a != 5 || b != 5 {
 			t.Errorf("got %d/%d", a, b)
 		}
-		return a, true
-	}
-	if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
-		[]sim.Body{body}); err != nil {
+		return a
+	}}
+	if _, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
+		[]sim.StepMachine{m}); err != nil {
 		t.Fatal(err)
 	}
 	if obj.Accessors() != sim.SetOf(0) {

@@ -6,15 +6,13 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// Direct (step-free) shared-object access for the machine runner.
+// Direct shared-object access for the machine runner.
 //
-// The goroutine runner charges every shared-object operation one atomic step
-// by routing it through sim.Proc. The machine runner (sim.RunMachines) is
-// single-threaded and accounts the step itself: exactly one StepMachine.Step
-// call runs at a time, and that call performs exactly one operation. Machines
-// therefore access objects through the Direct* methods below, which touch the
-// object state without a Proc. The atomicity guarantee is unchanged — it now
-// comes from the runner's single-threadedness instead of the step gate.
+// The machine runner (sim.RunMachines) is single-threaded and accounts the
+// step itself: exactly one StepMachine.Step call runs at a time, and that
+// call performs exactly one operation. Machines therefore access objects
+// through the Direct* methods below, which touch the object state directly;
+// atomicity comes from the runner's single-threadedness.
 //
 // Every Direct* accessor takes the run's *sim.AccessLog (the one the runner
 // hands machines through sim.MachineContext.Log) and reports its
@@ -23,11 +21,6 @@ import (
 // analysis is built on. A nil log is the no-op default: recording is guarded
 // by one nil check and the disabled path allocates nothing (asserted by
 // TestDirectAccessNilLogZeroAlloc).
-//
-// Algorithm *bodies* must never call Direct* methods: doing so would perform
-// shared-memory communication without consuming a schedule step, breaking the
-// model. They exist only for StepMachine implementations (and, like Inspect,
-// for post-run checks).
 
 // logID returns the register's identity in log l, interning the name on the
 // first access recorded into l. The cache is keyed by log pointer: an object
@@ -41,7 +34,7 @@ func (r *Register[T]) logID(l *sim.AccessLog) sim.ObjID {
 	return r.oid
 }
 
-// DirectRead returns the register's value without taking a step.
+// DirectRead returns the register's value; one atomic step.
 func (r *Register[T]) DirectRead(l *sim.AccessLog) T {
 	if l != nil {
 		l.Record(r.logID(l), sim.AccessRead)
@@ -49,7 +42,7 @@ func (r *Register[T]) DirectRead(l *sim.AccessLog) T {
 	return r.v
 }
 
-// DirectWrite sets the register's value without taking a step. On a
+// DirectWrite sets the register's value; one atomic step. On a
 // digest-enabled log the write carries the new value's fingerprint, keeping
 // the log's state digest (sim.AccessLog.StateDigest) in sync with shared
 // memory without ever re-walking the registers.
@@ -64,29 +57,14 @@ func (r *Register[T]) DirectWrite(l *sim.AccessLog, v T) {
 	r.v = v
 }
 
-// DirectRead reads register i without taking a step.
+// DirectRead reads register i; one atomic step.
 func (a *Array[T]) DirectRead(l *sim.AccessLog, i sim.PID) T {
 	return a.regs[i].DirectRead(l)
 }
 
-// DirectWrite writes register i without taking a step.
+// DirectWrite writes register i; one atomic step.
 func (a *Array[T]) DirectWrite(l *sim.AccessLog, i sim.PID, v T) {
 	a.regs[i].DirectWrite(l, v)
-}
-
-// DirectSnapshot is the step-free face of a snapshot object. Only
-// implementations whose Update and Scan are single atomic steps can offer it;
-// the one-step atomic snapshot does, the Afek et al. registers-only
-// construction (whose operations span many steps) does not. Machine
-// constructors assert for this interface and reject snapshot implementations
-// that lack it.
-type DirectSnapshot[T any] interface {
-	Snapshot[T]
-	// DirectUpdate writes v into position i without taking a step.
-	DirectUpdate(l *sim.AccessLog, i sim.PID, v T)
-	// DirectScan appends the contents of all n positions to dst and returns
-	// the extended slice; pass scratch[:0] to reuse a scan buffer.
-	DirectScan(l *sim.AccessLog, dst []Opt[T]) []Opt[T]
 }
 
 // cellID returns position i's identity in log l. Snapshot accesses are
@@ -107,8 +85,8 @@ func (s *atomicSnapshot[T]) cellID(l *sim.AccessLog, i int) sim.ObjID {
 	return s.cellIDs[i]
 }
 
-// DirectUpdate implements DirectSnapshot.
-func (s *atomicSnapshot[T]) DirectUpdate(l *sim.AccessLog, i sim.PID, v T) {
+// DirectUpdate implements Snapshot in one step.
+func (s *atomicSnapshot[T]) DirectUpdate(l *sim.AccessLog, _ *SnapOp[T], i sim.PID, v T) bool {
 	if l != nil {
 		if id := s.cellID(l, int(i)); l.DigestOn() {
 			l.RecordValued(id, sim.AccessWrite, Some(v).StateFP())
@@ -117,30 +95,24 @@ func (s *atomicSnapshot[T]) DirectUpdate(l *sim.AccessLog, i sim.PID, v T) {
 		}
 	}
 	s.cells[i] = Some(v)
+	return true
 }
 
-// DirectScan implements DirectSnapshot.
-func (s *atomicSnapshot[T]) DirectScan(l *sim.AccessLog, dst []Opt[T]) []Opt[T] {
+// DirectScan implements Snapshot in one step.
+func (s *atomicSnapshot[T]) DirectScan(l *sim.AccessLog, _ *SnapOp[T], dst []Opt[T]) ([]Opt[T], bool) {
 	if l != nil {
 		for j := range s.cells {
 			l.Record(s.cellID(l, j), sim.AccessRead)
 		}
 	}
-	return append(dst, s.cells...)
+	return append(dst, s.cells...), true
 }
 
-// AsDirect asserts that snap supports step-free access, returning false for
-// multi-step implementations (the Afek construction).
-func AsDirect[T any](snap Snapshot[T]) (DirectSnapshot[T], bool) {
-	d, ok := snap.(DirectSnapshot[T])
-	return d, ok
-}
-
-// DirectPropose is the step-free variant of ConsensusObject.Propose for the
-// machine runner: first value wins, every call returns the decision, and the
-// m-process access limit is enforced exactly as in Propose. A propose both
-// reads and conditionally writes the object; it is recorded as a single
-// write, which conflicts with everything a read-plus-write would.
+// DirectPropose submits v on behalf of process me and returns the object's
+// decision (the first value ever proposed); one atomic step. It panics if
+// more than m distinct processes access the object. A propose both reads and
+// conditionally writes the object; it is recorded as a single write, which
+// conflicts with everything a read-plus-write would.
 func (c *ConsensusObject) DirectPropose(l *sim.AccessLog, me sim.PID, v sim.Value) sim.Value {
 	if !c.accessors.Has(me) {
 		c.accessors = c.accessors.Add(me)

@@ -5,9 +5,9 @@
 // Attiya, Dolev, Gafni, Merritt and Shavit (J. ACM 1993) — the paper's
 // reference [1].
 //
-// Every operation costs exactly one simulator step per register access; the
-// one-step snapshot costs one step per operation and is justified by [1]'s
-// implementability result.
+// Machines access the objects through the Direct* methods (direct.go): one
+// register access per simulator step, one step per operation of the one-step
+// snapshot (justified by [1]'s implementability result).
 package memory
 
 import (
@@ -58,21 +58,9 @@ func NewRegister[T any](name string) *Register[T] {
 	return &Register[T]{name: name}
 }
 
-// Read returns the register's current value; one atomic step.
-func (r *Register[T]) Read(p *sim.Proc) T {
-	var out T
-	p.Step("read "+r.name, func() { out = r.v })
-	return out
-}
-
-// Write sets the register's value; one atomic step.
-func (r *Register[T]) Write(p *sim.Proc, v T) {
-	p.Step("write "+r.name, func() { r.v = v })
-}
-
 // Inspect returns the register's value without taking a step. It exists for
 // the benefit of schedules, stop predicates and post-run checks, all of
-// which run while no process is executing; algorithm bodies must not use it.
+// which run while no process is executing; machines must not use it.
 func (r *Register[T]) Inspect() T { return r.v }
 
 // Array is a per-process array of atomic registers, R[0..n-1]: the shared
@@ -96,21 +84,6 @@ func (a *Array[T]) N() int { return len(a.regs) }
 
 // At returns the i-th register.
 func (a *Array[T]) At(i sim.PID) *Register[T] { return a.regs[i] }
-
-// Read reads register i; one atomic step.
-func (a *Array[T]) Read(p *sim.Proc, i sim.PID) T { return a.regs[i].Read(p) }
-
-// Write writes register i; one atomic step.
-func (a *Array[T]) Write(p *sim.Proc, i sim.PID, v T) { a.regs[i].Write(p, v) }
-
-// Collect reads all n registers one step at a time (a non-atomic collect).
-func (a *Array[T]) Collect(p *sim.Proc) []T {
-	out := make([]T, len(a.regs))
-	for i := range a.regs {
-		out[i] = a.regs[i].Read(p)
-	}
-	return out
-}
 
 // Inspect returns a copy of the array contents without taking steps; for
 // schedules and post-run checks only.

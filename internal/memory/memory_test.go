@@ -8,17 +8,71 @@ import (
 	"weakestfd/internal/sim"
 )
 
+// opMachine runs a script of shared-memory operations: each op is repeated,
+// one step per call, until it reports done, and the step completing the last
+// op decides decide() (0 when decide is nil) — a body with its loop unrolled.
+type opMachine struct {
+	ops      []func(l *sim.AccessLog, me sim.PID) (done bool)
+	decide   func() sim.Value
+	me       sim.PID
+	log      *sim.AccessLog
+	pc       int
+	decision sim.Value
+}
+
+func (m *opMachine) Init(ctx sim.MachineContext) { m.me, m.log = ctx.ID, ctx.Log }
+
+func (m *opMachine) Step(sim.Time) sim.MachineStatus {
+	if m.ops[m.pc](m.log, m.me) {
+		m.pc++
+	}
+	if m.pc < len(m.ops) {
+		return sim.MachineRunning
+	}
+	if m.decide != nil {
+		m.decision = m.decide()
+	}
+	return sim.MachineDecided
+}
+
+func (m *opMachine) Decision() sim.Value { return m.decision }
+
+// update and scan wrap one snapshot operation as an opMachine op; each
+// machine brings its own SnapOp, as a process does.
+func update(s Snapshot[sim.Value], op *SnapOp[sim.Value], v func(me sim.PID) sim.Value) func(*sim.AccessLog, sim.PID) bool {
+	return func(l *sim.AccessLog, me sim.PID) bool { return s.DirectUpdate(l, op, me, v(me)) }
+}
+
+func scan(s Snapshot[sim.Value], op *SnapOp[sim.Value], got func(view []Opt[sim.Value])) func(*sim.AccessLog, sim.PID) bool {
+	return func(l *sim.AccessLog, _ sim.PID) bool {
+		view, done := s.DirectScan(l, op, nil)
+		if done {
+			got(view)
+		}
+		return done
+	}
+}
+
+// keep returns a scan callback storing the view in *dst.
+func keep(dst *[]Opt[sim.Value]) func([]Opt[sim.Value]) {
+	return func(view []Opt[sim.Value]) { *dst = view }
+}
+
 func TestRegisterReadWrite(t *testing.T) {
 	reg := NewRegister[int]("r")
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		if got := reg.Read(p); got != 0 {
-			t.Errorf("initial read = %d", got)
-		}
-		reg.Write(p, 7)
-		return sim.Value(reg.Read(p)), true
-	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
-		[]sim.Body{body})
+	var last int
+	m := &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
+		func(l *sim.AccessLog, _ sim.PID) bool {
+			if got := reg.DirectRead(l); got != 0 {
+				t.Errorf("initial read = %d", got)
+			}
+			return true
+		},
+		func(l *sim.AccessLog, _ sim.PID) bool { reg.DirectWrite(l, 7); return true },
+		func(l *sim.AccessLog, _ sim.PID) bool { last = reg.DirectRead(l); return true },
+	}, decide: func() sim.Value { return sim.Value(last) }}
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(1), Schedule: sim.RoundRobin()},
+		[]sim.StepMachine{m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +98,21 @@ func TestRegisterOpt(t *testing.T) {
 
 func TestArrayCollect(t *testing.T) {
 	arr := NewArray[int]("a", 3)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		arr.Write(p, p.ID(), int(p.ID())+10)
-		vals := arr.Collect(p)
+	machines := make([]sim.StepMachine, 3)
+	for i := range machines {
 		sum := 0
-		for _, v := range vals {
-			sum += v
+		ops := []func(*sim.AccessLog, sim.PID) bool{
+			func(l *sim.AccessLog, me sim.PID) bool { arr.DirectWrite(l, me, int(me)+10); return true },
 		}
-		return sim.Value(sum), true
+		for j := 0; j < arr.N(); j++ {
+			ops = append(ops, func(l *sim.AccessLog, _ sim.PID) bool {
+				sum += arr.DirectRead(l, sim.PID(j))
+				return true
+			})
+		}
+		machines[i] = &opMachine{ops: ops, decide: func() sim.Value { return sim.Value(sum) }}
 	}
-	rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin()},
-		[]sim.Body{body, body, body})
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin()}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +135,8 @@ func TestArrayCollect(t *testing.T) {
 }
 
 // snapshotFactories enumerates the two implementations under test.
-func snapshotFactories() map[string]SnapshotFactory[sim.Value] {
-	return map[string]SnapshotFactory[sim.Value]{
+func snapshotFactories() map[string]func(name string, n int) Snapshot[sim.Value] {
+	return map[string]func(name string, n int) Snapshot[sim.Value]{
 		"atomic": NewAtomicSnapshot[sim.Value],
 		"afek":   NewAfekSnapshot[sim.Value],
 	}
@@ -88,17 +146,22 @@ func TestSnapshotUpdateScan(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		t.Run(name, func(t *testing.T) {
 			snap := factory("s", 2)
-			body := func(p *sim.Proc) (sim.Value, bool) {
-				snap.Update(p, p.ID(), sim.Value(p.ID())+100)
-				scan := snap.Scan(p)
-				own := scan[p.ID()]
-				if !own.OK || own.V != sim.Value(p.ID())+100 {
-					t.Errorf("%v: own update not visible in own scan: %v", p.ID(), scan)
-				}
-				return sim.Value(CountSome(scan)), true
+			machines := make([]sim.StepMachine, 2)
+			for i := range machines {
+				var op SnapOp[sim.Value]
+				var view []Opt[sim.Value]
+				me := sim.PID(i)
+				machines[i] = &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
+					update(snap, &op, func(me sim.PID) sim.Value { return sim.Value(me) + 100 }),
+					scan(snap, &op, keep(&view)),
+				}, decide: func() sim.Value {
+					if own := view[me]; !own.OK || own.V != sim.Value(me)+100 {
+						t.Errorf("%v: own update not visible in own scan: %v", me, view)
+					}
+					return sim.Value(CountSome(view))
+				}}
 			}
-			rep, err := sim.Run(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.NewRandom(3)},
-				[]sim.Body{body, body})
+			rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.NewRandom(3)}, machines)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,6 +174,48 @@ func TestSnapshotUpdateScan(t *testing.T) {
 	}
 }
 
+// containmentRun has n processes alternate ops updates and scans under the
+// given schedule, returning the run's report and every scan. Values encode
+// (pid, iteration) so containment is checkable: later values are strictly
+// larger.
+func containmentRun(snap Snapshot[sim.Value], n, ops int, sched sim.Schedule) (*sim.Report, [][]Opt[sim.Value], error) {
+	var scans [][]Opt[sim.Value]
+	machines := make([]sim.StepMachine, n)
+	for i := range machines {
+		var op SnapOp[sim.Value]
+		var script []func(*sim.AccessLog, sim.PID) bool
+		for k := 0; k < ops; k++ {
+			script = append(script,
+				update(snap, &op, func(me sim.PID) sim.Value { return sim.Value(int(me)*1000 + k) }),
+				scan(snap, &op, func(view []Opt[sim.Value]) { scans = append(scans, view) }))
+		}
+		machines[i] = &opMachine{ops: script}
+	}
+	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(n), Schedule: sched}, machines)
+	return rep, scans, err
+}
+
+// allComparable reports whether every pair of scans is related by
+// containment, naming an incomparable pair otherwise.
+func allComparable(scans [][]Opt[sim.Value]) (int, int, bool) {
+	dominates := func(a, b []Opt[sim.Value]) bool {
+		for j := range a {
+			if b[j].OK && (!a[j].OK || a[j].V < b[j].V) {
+				return false
+			}
+		}
+		return true
+	}
+	for x := range scans {
+		for y := range scans {
+			if !dominates(scans[x], scans[y]) && !dominates(scans[y], scans[x]) {
+				return x, y, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
 // TestSnapshotContainment drives many interleaved update/scan workloads and
 // verifies the defining property of atomic snapshots: all scans are related
 // by containment on sequence numbers (a scan that sees process j's k-th
@@ -119,45 +224,16 @@ func TestSnapshotContainment(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		for seed := int64(0); seed < 20; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				n := 4
-				snap := factory("s", n)
-				type scanRec struct {
-					vals []Opt[sim.Value]
-				}
-				var scans []scanRec
-				bodies := make([]sim.Body, n)
-				for i := range bodies {
-					me := sim.PID(i)
-					bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-						for k := 0; k < 6; k++ {
-							// Values encode (pid, iteration) so containment is
-							// checkable: later values are strictly larger.
-							snap.Update(p, me, sim.Value(int(me)*1000+k))
-							scans = append(scans, scanRec{vals: snap.Scan(p)})
-						}
-						return 0, true
-					}
-				}
-				if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.NewRandom(seed)}, bodies); err != nil {
+				_, scans, err := containmentRun(factory("s", 4), 4, 6, sim.NewRandom(seed))
+				if err != nil {
 					t.Fatal(err)
 				}
-				// Pairwise containment: for each pair of scans, one must
-				// dominate the other positionwise.
-				dominates := func(a, b []Opt[sim.Value]) bool {
-					for j := range a {
-						if b[j].OK && (!a[j].OK || a[j].V < b[j].V) {
-							return false
-						}
-					}
-					return true
+				if len(scans) != 4*6 {
+					t.Fatalf("%d scans completed, want %d", len(scans), 4*6)
 				}
-				for x := range scans {
-					for y := range scans {
-						if !dominates(scans[x].vals, scans[y].vals) && !dominates(scans[y].vals, scans[x].vals) {
-							t.Fatalf("scans %d and %d incomparable:\n%v\n%v",
-								x, y, ScanString(scans[x].vals), ScanString(scans[y].vals))
-						}
-					}
+				if x, y, ok := allComparable(scans); !ok {
+					t.Fatalf("scans %d and %d incomparable:\n%v\n%v",
+						x, y, ScanString(scans[x]), ScanString(scans[y]))
 				}
 			})
 		}
@@ -169,21 +245,21 @@ func TestSnapshotContainment(t *testing.T) {
 func TestSnapshotRegularity(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		t.Run(name, func(t *testing.T) {
-			n := 3
-			snap := factory("s", n)
-			writer := func(p *sim.Proc) (sim.Value, bool) {
-				snap.Update(p, p.ID(), 9)
-				return 0, true
-			}
-			reader := func(p *sim.Proc) (sim.Value, bool) {
+			snap := factory("s", 3)
+			var op0, op1, op2 SnapOp[sim.Value]
+			var view []Opt[sim.Value]
+			nine := func(sim.PID) sim.Value { return 9 }
+			machines := []sim.StepMachine{
+				&opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{update(snap, &op0, nine)}},
+				&opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{update(snap, &op1, nine)}},
 				// Priority schedule runs writers to completion first.
-				scan := snap.Scan(p)
-				return sim.Value(CountSome(scan)), true
+				&opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{scan(snap, &op2, keep(&view))},
+					decide: func() sim.Value { return sim.Value(CountSome(view)) }},
 			}
-			rep, err := sim.Run(sim.Config{
-				Pattern:  sim.FailFree(n),
+			rep, err := sim.RunMachines(sim.Config{
+				Pattern:  sim.FailFree(3),
 				Schedule: sim.Priority(0, 1, 2),
-			}, []sim.Body{writer, writer, reader})
+			}, machines)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,16 +276,15 @@ func TestSnapshotRegularity(t *testing.T) {
 func TestAfekScanBorrowsView(t *testing.T) {
 	n := 2
 	snap := NewAfekSnapshot[sim.Value]("s", n)
+	var scanOp, writeOp SnapOp[sim.Value]
 	var scanned []Opt[sim.Value]
-	scanner := func(p *sim.Proc) (sim.Value, bool) {
-		scanned = snap.Scan(p)
-		return 0, true
+	var writes []func(*sim.AccessLog, sim.PID) bool
+	for k := 0; k < 100; k++ {
+		writes = append(writes, update(snap, &writeOp, func(sim.PID) sim.Value { return sim.Value(k) }))
 	}
-	writer := func(p *sim.Proc) (sim.Value, bool) {
-		for k := 0; k < 100; k++ {
-			snap.Update(p, p.ID(), sim.Value(k))
-		}
-		return 0, true
+	machines := []sim.StepMachine{
+		&opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{scan(snap, &scanOp, keep(&scanned))}},
+		&opMachine{ops: writes},
 	}
 	// Give the writer 8 steps per scanner step: an Afek update costs ~6
 	// steps (embedded scan + read + write), so the writer completes at
@@ -224,11 +299,11 @@ func TestAfekScanBorrowsView(t *testing.T) {
 		}
 		return 0
 	})
-	_, err := sim.Run(sim.Config{
+	_, err := sim.RunMachines(sim.Config{
 		Pattern:  sim.FailFree(n),
 		Schedule: weighted,
 		Budget:   1 << 16,
-	}, []sim.Body{scanner, writer})
+	}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,42 +333,32 @@ func TestScanString(t *testing.T) {
 // over random op counts preserve pairwise scan comparability.
 func TestSnapshotQuickContainment(t *testing.T) {
 	prop := func(seed int64, opsRaw uint8) bool {
-		n := 3
-		ops := int(opsRaw%5) + 1
-		snap := NewAfekSnapshot[sim.Value]("s", n)
-		var scans [][]Opt[sim.Value]
-		bodies := make([]sim.Body, n)
-		for i := range bodies {
-			me := sim.PID(i)
-			bodies[i] = func(p *sim.Proc) (sim.Value, bool) {
-				for k := 0; k < ops; k++ {
-					snap.Update(p, me, sim.Value(int(me)*100+k))
-					scans = append(scans, snap.Scan(p))
-				}
-				return 0, true
-			}
-		}
-		if _, err := sim.Run(sim.Config{Pattern: sim.FailFree(n), Schedule: sim.NewRandom(seed)}, bodies); err != nil {
+		_, scans, err := containmentRun(NewAfekSnapshot[sim.Value]("s", 3), 3, int(opsRaw%5)+1, sim.NewRandom(seed))
+		if err != nil {
 			return false
 		}
-		dominates := func(a, b []Opt[sim.Value]) bool {
-			for j := range a {
-				if b[j].OK && (!a[j].OK || a[j].V < b[j].V) {
-					return false
-				}
-			}
-			return true
-		}
-		for x := range scans {
-			for y := range scans {
-				if !dominates(scans[x], scans[y]) && !dominates(scans[y], scans[x]) {
-					return false
-				}
-			}
-		}
-		return true
+		_, _, ok := allComparable(scans)
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkAfekSnapshotOps measures the raw substrate: snapshot operation
+// cost in simulator steps for both implementations.
+func BenchmarkAfekSnapshotOps(b *testing.B) {
+	for _, impl := range []string{"atomic", "afek"} {
+		b.Run(impl, func(b *testing.B) {
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				rep, _, err := containmentRun(snapshotFactories()[impl]("s", 5), 5, 4, sim.NewRandom(int64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += rep.Steps
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
 }

@@ -11,34 +11,72 @@ import (
 // positions, such that all scans are related by containment (each position of
 // one scan is the same or a more recent write than the other's).
 //
-// Two implementations are provided: AtomicSnapshot performs each operation in
-// one simulator step (justified by the implementability result of Afek et
-// al., the paper's [1]), and AfekSnapshot is that very construction from
+// Two implementations are provided: NewAtomicSnapshot performs each operation
+// in one simulator step (justified by the implementability result of Afek et
+// al., the paper's [1]), and NewAfekSnapshot is that very construction from
 // single-writer registers, so that the "registers only" claim of the paper's
 // algorithms can be exercised end to end.
+//
+// A machine drives an operation one step at a time: it repeats the same
+// DirectUpdate or DirectScan call, once per step, until the call reports the
+// operation done. The op argument carries the operation's progress between
+// those calls; the one-step snapshot completes on the first call and never
+// touches it.
 type Snapshot[T any] interface {
-	// Update writes v into position i. Processes only update their own
-	// position in the paper's protocols, but the object does not require it.
-	Update(p *sim.Proc, i sim.PID, v T)
-	// Scan returns the contents of all n positions; absent positions (never
-	// updated) are None.
-	Scan(p *sim.Proc) []Opt[T]
 	// N returns the number of positions.
 	N() int
+	// DirectUpdate performs the next atomic step of Update(i, v) and reports
+	// whether the update completed. Processes only update their own position
+	// in the paper's protocols, but the object does not require it.
+	DirectUpdate(l *sim.AccessLog, op *SnapOp[T], i sim.PID, v T) (done bool)
+	// DirectScan performs the next atomic step of a Scan. Once the scan
+	// completes it appends the contents of all n positions to dst (absent
+	// positions, never updated, are None) and returns the extended slice and
+	// true; pass scratch[:0] to reuse a scan buffer.
+	DirectScan(l *sim.AccessLog, op *SnapOp[T], dst []Opt[T]) (scan []Opt[T], done bool)
 }
 
-// SnapshotFactory builds snapshot objects; protocols that need families of
-// snapshot objects (one per round/sub-round) take a factory so experiments
-// can switch implementations.
-type SnapshotFactory[T any] func(name string, n int) Snapshot[T]
+// SnapOp is one process's snapshot operation in flight. Its zero value is
+// ready, and the one-step snapshot never touches it. An Afek et al. Update or
+// Scan keeps its collects and program counter in it between register
+// accesses and resets them when it completes, so one SnapOp serves every
+// operation a process performs in turn.
+type SnapOp[T any] struct {
+	afek *afekOp[T] // allocated by the first Afek et al. operation
+}
+
+// afekOp is the state of an Afek et al. operation between its steps.
+type afekOp[T any] struct {
+	phase     uint8 // update: afekScan, afekReadOwn or afekWrite
+	j         int   // next register of the current collect
+	collected bool  // prev holds a complete collect of this scan
+	prev, cur []afekCell[T]
+	moved     []int    // per writer: sequence-number changes seen by this scan
+	view      []Opt[T] // an update's embedded scan, once taken
+	seq       int64    // an update's own sequence number, once read
+}
+
+// state returns op's Afek et al. state for n registers, allocating it on
+// first use.
+func (op *SnapOp[T]) state(n int) *afekOp[T] {
+	if op.afek == nil || len(op.afek.cur) != n {
+		op.afek = &afekOp[T]{prev: make([]afekCell[T], n), cur: make([]afekCell[T], n), moved: make([]int, n)}
+	}
+	return op.afek
+}
+
+// Update phases of an Afek et al. operation.
+const (
+	afekScan uint8 = iota
+	afekReadOwn
+	afekWrite
+)
 
 // NewAtomicSnapshot returns a snapshot object whose Update and Scan each
 // take one atomic step.
 func NewAtomicSnapshot[T any](name string, n int) Snapshot[T] {
 	return &atomicSnapshot[T]{name: name, cells: make([]Opt[T], n)}
 }
-
-var _ SnapshotFactory[int] = NewAtomicSnapshot[int]
 
 type atomicSnapshot[T any] struct {
 	name  string
@@ -52,16 +90,6 @@ type atomicSnapshot[T any] struct {
 
 func (s *atomicSnapshot[T]) N() int { return len(s.cells) }
 
-func (s *atomicSnapshot[T]) Update(p *sim.Proc, i sim.PID, v T) {
-	p.Step("update "+s.name, func() { s.cells[i] = Some(v) })
-}
-
-func (s *atomicSnapshot[T]) Scan(p *sim.Proc) []Opt[T] {
-	out := make([]Opt[T], len(s.cells))
-	p.Step("scan "+s.name, func() { copy(out, s.cells) })
-	return out
-}
-
 // afekCell is the content of one single-writer register in the Afek et al.
 // construction: the value, an unbounded sequence number, and the embedded
 // scan the writer performed just before this write (used for helping).
@@ -73,76 +101,97 @@ type afekCell[T any] struct {
 
 // NewAfekSnapshot returns a wait-free atomic snapshot implemented from
 // single-writer multi-reader registers (Afek et al., J. ACM 40(4), 1993,
-// unbounded-register version):
+// unbounded-register version), one register access per step:
 //
-//   - Update(i, v): perform an embedded scan, then write (v, seq+1, scan) to
-//     register i.
-//   - Scan: repeatedly collect all registers. If two successive collects are
-//     identical (no sequence number changed), the double collect is a valid
-//     snapshot. Otherwise, a writer moved; once some writer has been observed
-//     to move twice since the scan began, its embedded view was taken
-//     entirely within this scan's interval and is returned (helping).
+//   - Scan: repeatedly collect all registers, reading them in index order.
+//     If two successive collects are identical (no sequence number
+//     changed), the double collect is a valid snapshot. Otherwise a writer
+//     moved; once some writer has been observed to move twice since the scan
+//     began, its embedded view was taken entirely within this scan's
+//     interval and is returned (helping).
+//   - Update(i, v): perform an embedded scan, read register i, then write
+//     (v, seq+1, scan) to it.
 //
 // Each collect costs n register-read steps, and an update costs a scan plus
-// one write, so operations cost O(n²) steps — the price of registers-only.
+// two steps, so operations cost O(n²) steps — the price of registers-only.
 func NewAfekSnapshot[T any](name string, n int) Snapshot[T] {
-	return &afekSnapshot[T]{name: name, regs: NewArray[afekCell[T]](name, n)}
+	return &afekSnapshot[T]{regs: NewArray[afekCell[T]](name, n)}
 }
 
-var _ SnapshotFactory[int] = NewAfekSnapshot[int]
-
 type afekSnapshot[T any] struct {
-	name string
 	regs *Array[afekCell[T]]
 }
 
 func (s *afekSnapshot[T]) N() int { return s.regs.N() }
 
-func (s *afekSnapshot[T]) Update(p *sim.Proc, i sim.PID, v T) {
-	view := s.Scan(p)
-	cur := s.regs.Read(p, i)
-	s.regs.Write(p, i, afekCell[T]{val: Some(v), seq: cur.seq + 1, view: view})
+func (s *afekSnapshot[T]) DirectUpdate(l *sim.AccessLog, op *SnapOp[T], i sim.PID, v T) bool {
+	st := op.state(s.regs.N())
+	switch st.phase {
+	case afekScan:
+		// The embedded scan escapes into register i: give it its own slice.
+		if view, done := s.scanStep(l, st, nil); done {
+			st.view, st.phase = view, afekReadOwn
+		}
+		return false
+	case afekReadOwn:
+		st.seq = s.regs.DirectRead(l, i).seq
+		st.phase = afekWrite
+		return false
+	default:
+		s.regs.DirectWrite(l, i, afekCell[T]{val: Some(v), seq: st.seq + 1, view: st.view})
+		st.phase, st.view = afekScan, nil
+		return true
+	}
 }
 
-func (s *afekSnapshot[T]) Scan(p *sim.Proc) []Opt[T] {
+func (s *afekSnapshot[T]) DirectScan(l *sim.AccessLog, op *SnapOp[T], dst []Opt[T]) ([]Opt[T], bool) {
+	return s.scanStep(l, op.state(s.regs.N()), dst)
+}
+
+// scanStep performs the next register read of a scan and, when that read
+// completes a collect, compares it with the previous one; see
+// NewAfekSnapshot. A nil dst receives a freshly allocated view.
+func (s *afekSnapshot[T]) scanStep(l *sim.AccessLog, op *afekOp[T], dst []Opt[T]) ([]Opt[T], bool) {
 	n := s.regs.N()
-	moved := make([]int, n)
-	prev := s.regs.Collect(p)
-	for {
-		cur := s.regs.Collect(p)
-		same := true
-		for j := 0; j < n; j++ {
-			if cur[j].seq != prev[j].seq {
-				same = false
+	op.cur[op.j] = s.regs.DirectRead(l, sim.PID(op.j))
+	if op.j++; op.j < n {
+		return dst, false
+	}
+	op.j = 0
+	if !op.collected {
+		op.collected = true
+		op.prev, op.cur = op.cur, op.prev
+		return dst, false
+	}
+	// Compare with the previous collect: any writer seen moving twice since
+	// the scan began has an embedded view taken entirely within this scan.
+	same, borrow := true, -1
+	for j := range op.cur {
+		if op.cur[j].seq != op.prev[j].seq {
+			same = false
+			if op.moved[j]++; op.moved[j] >= 2 {
+				borrow = j
 				break
 			}
 		}
-		if same {
-			return values(cur)
-		}
-		for j := 0; j < n; j++ {
-			if cur[j].seq == prev[j].seq {
-				continue
-			}
-			moved[j]++
-			if moved[j] >= 2 {
-				// j's latest update embeds a scan that started after our
-				// scan began; borrow it.
-				view := make([]Opt[T], n)
-				copy(view, cur[j].view)
-				return view
-			}
-		}
-		prev = cur
 	}
-}
-
-func values[T any](cells []afekCell[T]) []Opt[T] {
-	out := make([]Opt[T], len(cells))
-	for i, c := range cells {
-		out[i] = c.val
+	if !same && borrow < 0 {
+		op.prev, op.cur = op.cur, op.prev
+		return dst, false
 	}
-	return out
+	if dst == nil {
+		dst = make([]Opt[T], 0, n)
+	}
+	if same {
+		for _, c := range op.cur {
+			dst = append(dst, c.val)
+		}
+	} else {
+		dst = append(dst, op.cur[borrow].view...)
+	}
+	op.collected = false
+	clear(op.moved)
+	return dst, true
 }
 
 // CountSome returns the number of present entries in a scan result — the

@@ -2,10 +2,9 @@
 // system of N = n+1 crash-prone processes taking atomic steps on shared
 // objects and failure detector modules, driven by an explicit schedule.
 //
-// The runner serializes all process execution — exactly one process
-// goroutine is runnable at any instant, and the scheduler decides which.
-// Runs are therefore deterministic functions of (schedule, failure pattern,
-// oracle histories) and are data-race-free by construction.
+// The runner executes all processes in a single goroutine, one atomic step
+// at a time, in the order the schedule decides. Runs are therefore
+// deterministic functions of (schedule, failure pattern, oracle histories).
 //
 // Logical time is the global step counter: step k happens at time k,
 // matching the paper's non-decreasing time lists T with at most one step
@@ -26,17 +25,15 @@
 //   - Oracle is a failure detector history H: a function from (process,
 //     time) to the detector's output range, sampled by a process's step
 //     (the paper's "query the failure detector module").
-//   - Body is one process's algorithm A(p): a function run step-by-step
-//     against shared memory; Proc is the per-process handle carrying its
-//     PID, current time, and oracle access.
-//   - Run / RunTasks execute a configuration ⟨A, H, F, schedule⟩ and
-//     produce a Report (decisions, steps, crashes) — one run R of the
-//     paper, cut off at a step budget since impossibility arguments reason
-//     about infinite runs the simulator cannot finish.
-//   - StepMachine is a Body with its control state made explicit, and
-//     RunMachines / RunTaskMachines the coroutine-free engine driving such
-//     machines in a single goroutine — zero channels, near-zero allocations
-//     per step, byte-identical Reports to Run / RunTasks (see machine.go).
+//   - StepMachine is one process's algorithm A(p) as a resumable automaton:
+//     each Step performs one atomic step against shared memory, with its
+//     control state held explicitly between steps; MachineContext carries
+//     its PID, the system size and the run's instrumentation.
+//   - RunMachines / RunTaskMachines execute a configuration ⟨A, H, F,
+//     schedule⟩ and produce a Report (decisions, steps, crashes) — one run R
+//     of the paper, cut off at a step budget since impossibility arguments
+//     reason about infinite runs the simulator cannot finish (see
+//     machine.go).
 //
 // Set is the bitset of PIDs used for detector outputs (the range 2^Π of Υ)
 // and correct/faulty sets throughout.

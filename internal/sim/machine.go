@@ -2,19 +2,10 @@ package sim
 
 import "fmt"
 
-// This file is the simulator's second execution engine: a coroutine-free
-// step-machine runner. The goroutine runner (Run/RunTasks) executes each
-// process body on its own goroutine and synchronizes every atomic step with
-// two channel handshakes; that is the most convenient way to *write*
-// protocol code, but it makes a logically single-threaded simulation pay
-// Go-scheduler overhead on every step. The machine runner instead drives
-// processes as resumable state machines — Aspnes-style explicit step
-// schedules over process automata — in a single goroutine with zero channels
-// and near-zero allocations per step.
-//
-// Both engines implement the same model and must produce byte-identical
-// Reports for the same (Config, algorithm) pair; the equivalence suite in
-// machine_equiv_test.go and the repository-level runner tests enforce this.
+// This file is the simulator's execution engine: it drives processes as
+// resumable state machines — Aspnes-style explicit step schedules over
+// process automata — in a single goroutine, with no channels and near-zero
+// allocations per step.
 
 // MachineStatus is the outcome of one StepMachine step.
 type MachineStatus uint8
@@ -26,12 +17,12 @@ const (
 	// the value is available from Decision.
 	MachineDecided
 	// MachineHalted means the machine returned without deciding (a
-	// non-participant), mirroring a Body returning (0, false).
+	// non-participant).
 	MachineHalted
 )
 
-// MachineContext carries the per-process identity the runner assigns before
-// the first step — the machine-world analogue of Proc.ID/Proc.N.
+// MachineContext carries the per-process identity and instrumentation the
+// runner assigns before the first step.
 type MachineContext struct {
 	// ID is the process identity (slot index in the machines slice).
 	ID PID
@@ -50,17 +41,15 @@ type MachineContext struct {
 	Queries *QuerySeam
 }
 
-// StepMachine is a process automaton in resumable form: where a Body blocks
-// inside Proc.Step for each grant, a StepMachine *returns* between steps and
-// stores its control state explicitly. Each Step call must perform exactly
-// one atomic operation (one shared-object access, failure detector query or
-// yield) and may follow it with any amount of process-local computation; this
-// is exactly the atomicity granularity Proc.Step gives a Body.
+// StepMachine is a process automaton A(p) in resumable form: it *returns*
+// between steps and stores its control state explicitly. Each Step call must
+// perform at most one atomic operation (one shared-object access or failure
+// detector query; none for a no-op step) and may follow it with any amount
+// of process-local computation.
 //
 // Because the runner is single-threaded, machines access shared objects
-// directly (memory.Register.DirectRead, memory.DirectSnapshot, …) instead of
-// going through Proc: with one machine stepping at a time, every access is
-// trivially atomic.
+// directly (memory.Register.DirectRead, memory.Snapshot.DirectScan, …): with
+// one machine stepping at a time, every access is trivially atomic.
 type StepMachine interface {
 	// Init is called exactly once, before the machine's first step.
 	Init(ctx MachineContext)
@@ -71,8 +60,7 @@ type StepMachine interface {
 	Decision() Value
 }
 
-// machState mirrors the goroutine runner's procState for machines. Machines
-// have no "awaited" state: they are always either runnable, returned or dead.
+// machState is a machine's runner-side state: runnable, returned or dead.
 type machState uint8
 
 const (
@@ -82,14 +70,15 @@ const (
 )
 
 // RunMachines executes one StepMachine per process under the given
-// configuration and returns the run report. It is the coroutine-free
-// counterpart of Run and follows the same scheduling rules step for step, so
-// that an algorithm ported faithfully from Body to StepMachine produces an
-// identical Report under an identical Config.
+// configuration and returns the run report — one run R of the paper, cut off
+// at the step budget. It returns ErrBudgetExhausted (wrapped) if the budget
+// ran out before every correct process returned. A machine cannot return
+// before its first step.
 //
-// Differences from Run: Config.Tracer receives events with the generic label
-// "step" (machines do not carry human-readable step labels), and a machine
-// cannot return before its first step (no ported protocol does).
+// At every time t = 1, 2, …, processes whose crash time has arrived are
+// crashed, the schedule picks one of the remaining live processes, and that
+// process's machine takes its step t. A panicking machine is a bug in the
+// algorithm, not a property of the run; the panic propagates.
 func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 	n := cfg.Pattern.N()
 	if len(machines) != n {
@@ -114,9 +103,8 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		machines[i].Init(MachineContext{ID: PID(i), N: n, Log: cfg.AccessLog, Queries: cfg.Queries})
 	}
 
-	// crashLive marks every still-live machine crashed — the machine-world
-	// equivalent of the goroutine runner's poisonAllPending, which the report
-	// observes as membership in Crashed.
+	// crashLive marks every still-live machine crashed when the run is cut
+	// off, which the report observes as membership in Crashed.
 	crashLive := func() {
 		for i := range states {
 			if states[i] == machLive {
@@ -161,9 +149,6 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		cfg.AccessLog.EndStep(pid)
 		rep.Steps++
 		rep.StepsBy[pid]++
-		if cfg.Tracer != nil {
-			cfg.Tracer(Event{T: t, P: pid, Label: "step"})
-		}
 		switch status {
 		case MachineDecided:
 			states[pid] = machReturned
@@ -189,16 +174,23 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 	return rep, nil
 }
 
-// MachineTaskSet holds one logical process's parallel task machines, the
-// machine-world TaskSet.
+// MachineTaskSet holds the machines of one logical process's parallel tasks.
 type MachineTaskSet []StepMachine
 
-// RunTaskMachines is RunMachines generalized to multi-task processes,
-// mirroring RunTasks: all tasks of process i share identity PID i, every
-// atomic step belongs to exactly one task, the schedule decides which
-// *process* steps and the runner rotates among that process's live tasks. A
-// process decides when any of its tasks does; the run ends successfully as
-// soon as every correct process has decided.
+// RunTaskMachines is RunMachines generalized to multi-task processes. The
+// paper's Figure 3 algorithm explicitly runs "two parallel tasks" inside
+// each process; composing a reduction with an algorithm that consumes the
+// emulated detector likewise puts two automata inside one process. All tasks
+// of process i share identity PID i (and its failure fate), every atomic
+// step belongs to exactly one task, the schedule decides which *process*
+// steps and the runner rotates fairly among that process's live tasks,
+// modelling a fair local task scheduler. Report fields are per logical
+// process (StepsBy sums a process's tasks).
+//
+// A process decides when any of its tasks returns a decision; its other
+// tasks may keep running (reductions never return). The run ends
+// successfully as soon as every correct process has decided; otherwise it
+// ends on budget exhaustion or StopWhen.
 func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
 	n := cfg.Pattern.N()
 	if len(tasks) != n {
@@ -311,9 +303,6 @@ func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
 		cfg.AccessLog.EndStep(pid)
 		rep.Steps++
 		rep.StepsBy[pid]++
-		if cfg.Tracer != nil {
-			cfg.Tracer(Event{T: t, P: pid, Label: "step"})
-		}
 		switch status {
 		case MachineDecided:
 			s.state = machReturned

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"reflect"
+	"encoding/json"
 	"testing"
 )
 
-// countdownMachine yields for steps-1 steps, then decides (or halts) on its
-// last step. Its Body twin below must produce identical reports.
+// countdownMachine takes steps-1 no-op steps, then decides (or halts) on its
+// last step.
 type countdownMachine struct {
 	steps   int
 	val     Value
@@ -27,28 +27,16 @@ func (m *countdownMachine) Step(Time) MachineStatus {
 	return MachineHalted
 }
 
-func countdownBody(steps int, val Value, decides bool) Body {
-	return func(p *Proc) (Value, bool) {
-		for i := 0; i < steps; i++ {
-			p.Yield()
-		}
-		return val, decides
-	}
-}
-
-// spinMachine never returns; its twin body yields forever.
+// spinMachine never returns; every step is a no-op.
 type spinMachine struct{}
 
 func (spinMachine) Init(MachineContext)     {}
 func (spinMachine) Decision() Value         { return 0 }
 func (spinMachine) Step(Time) MachineStatus { return MachineRunning }
 
-func spinBody(p *Proc) (Value, bool) {
-	for {
-		p.Yield()
-	}
-}
-
+// TestRunMachinesMatchesRunToyWorkloads pins RunMachines on toy workloads to
+// the Reports of the goroutine-per-process runner the simulator used to
+// carry, recorded while both engines existed and agreed on every case.
 func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 	type tc struct {
 		name     string
@@ -56,11 +44,15 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 		budget   int64
 		stopAt   Time
 		machines func() []StepMachine
-		bodies   func() []Body
+		want     map[string]string // per schedule: the reference Report, as JSON
 	}
 	cases := []tc{
 		{
-			name:    "all-decide",
+			name: "all-decide",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{"0":10,"1":20,"2":30},"DecidedAt":{"0":6,"1":2,"2":9},"Halted":0,"Crashed":0,"Steps":9,"StepsBy":[3,1,5],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+				"random":     `{"Decided":{"0":10,"1":20,"2":30},"DecidedAt":{"0":9,"1":5,"2":7},"Halted":0,"Crashed":0,"Steps":9,"StepsBy":[3,1,5],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+			},
 			pattern: FailFree(3),
 			machines: func() []StepMachine {
 				return []StepMachine{
@@ -69,16 +61,13 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 					&countdownMachine{steps: 5, val: 30, decides: true},
 				}
 			},
-			bodies: func() []Body {
-				return []Body{
-					countdownBody(3, 10, true),
-					countdownBody(1, 20, true),
-					countdownBody(5, 30, true),
-				}
-			},
 		},
 		{
-			name:    "halt-without-deciding",
+			name: "halt-without-deciding",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{"1":7},"DecidedAt":{"1":6},"Halted":1,"Crashed":0,"Steps":6,"StepsBy":[2,4],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+				"random":     `{"Decided":{"1":7},"DecidedAt":{"1":6},"Halted":1,"Crashed":0,"Steps":6,"StepsBy":[2,4],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+			},
 			pattern: FailFree(2),
 			machines: func() []StepMachine {
 				return []StepMachine{
@@ -86,12 +75,13 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 					&countdownMachine{steps: 4, val: 7, decides: true},
 				}
 			},
-			bodies: func() []Body {
-				return []Body{countdownBody(2, 0, false), countdownBody(4, 7, true)}
-			},
 		},
 		{
-			name:    "crash-mid-run",
+			name: "crash-mid-run",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{"0":1,"2":3},"DecidedAt":{"0":12,"2":13},"Halted":0,"Crashed":2,"Steps":13,"StepsBy":[6,1,6],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+				"random":     `{"Decided":{"0":1,"2":3},"DecidedAt":{"0":12,"2":7},"Halted":0,"Crashed":2,"Steps":12,"StepsBy":[6,0,6],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+			},
 			pattern: CrashPattern(3, map[PID]Time{1: 4}),
 			machines: func() []StepMachine {
 				return []StepMachine{
@@ -100,16 +90,13 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 					&countdownMachine{steps: 6, val: 3, decides: true},
 				}
 			},
-			bodies: func() []Body {
-				return []Body{
-					countdownBody(6, 1, true),
-					countdownBody(50, 2, true),
-					countdownBody(6, 3, true),
-				}
-			},
 		},
 		{
-			name:    "crash-before-first-step",
+			name: "crash-before-first-step",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{"1":2},"DecidedAt":{"1":2},"Halted":0,"Crashed":1,"Steps":2,"StepsBy":[0,2],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+				"random":     `{"Decided":{"1":2},"DecidedAt":{"1":2},"Halted":0,"Crashed":1,"Steps":2,"StepsBy":[0,2],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+			},
 			pattern: CrashPattern(2, map[PID]Time{0: 0}),
 			machines: func() []StepMachine {
 				return []StepMachine{
@@ -117,27 +104,30 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 					&countdownMachine{steps: 2, val: 2, decides: true},
 				}
 			},
-			bodies: func() []Body {
-				return []Body{countdownBody(9, 1, true), countdownBody(2, 2, true)}
-			},
 		},
 		{
-			name:    "budget-exhausted",
+			name: "budget-exhausted",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{},"DecidedAt":{},"Halted":0,"Crashed":3,"Steps":25,"StepsBy":[13,12],"Stopped":false,"BudgetExhausted":true,"Accesses":null}`,
+				"random":     `{"Decided":{},"DecidedAt":{},"Halted":0,"Crashed":3,"Steps":25,"StepsBy":[12,13],"Stopped":false,"BudgetExhausted":true,"Accesses":null}`,
+			},
 			pattern: FailFree(2),
 			budget:  25,
 			machines: func() []StepMachine {
 				return []StepMachine{spinMachine{}, spinMachine{}}
 			},
-			bodies: func() []Body { return []Body{spinBody, spinBody} },
 		},
 		{
-			name:    "stop-when",
+			name: "stop-when",
+			want: map[string]string{
+				"roundrobin": `{"Decided":{"1":5},"DecidedAt":{"1":6},"Halted":0,"Crashed":1,"Steps":13,"StepsBy":[10,3],"Stopped":true,"BudgetExhausted":false,"Accesses":null}`,
+				"random":     `{"Decided":{"1":5},"DecidedAt":{"1":5},"Halted":0,"Crashed":1,"Steps":13,"StepsBy":[10,3],"Stopped":true,"BudgetExhausted":false,"Accesses":null}`,
+			},
 			pattern: FailFree(2),
 			stopAt:  13,
 			machines: func() []StepMachine {
 				return []StepMachine{spinMachine{}, &countdownMachine{steps: 3, val: 5, decides: true}}
 			},
-			bodies: func() []Body { return []Body{spinBody, countdownBody(3, 5, true)} },
 		},
 	}
 	for _, c := range cases {
@@ -157,22 +147,32 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 					}
 					return cfg
 				}
-				gRep, gErr := Run(mkCfg(), c.bodies())
-				mRep, mErr := RunMachines(mkCfg(), c.machines())
-				if (gErr == nil) != (mErr == nil) {
-					t.Fatalf("error mismatch: goroutine=%v machine=%v", gErr, mErr)
-				}
-				if !reflect.DeepEqual(gRep, mRep) {
-					t.Fatalf("report mismatch:\n goroutine: %+v\n machine:   %+v", gRep, mRep)
-				}
+				rep, err := RunMachines(mkCfg(), c.machines())
+				requireReport(t, rep, err, c.want[sched])
 			})
 		}
 	}
 }
 
-// TestRunTaskMachinesRotation pins the fair local task rotation against
-// RunTasks: two spin tasks plus one decider per process, under both
-// schedules.
+// requireReport compares rep with a reference Report given as JSON, and err
+// with the reference's outcome: a successful run exactly when every correct
+// process returned (neither budget-exhausted nor stopped).
+func requireReport(t *testing.T, rep *Report, err error, want string) {
+	t.Helper()
+	got, jerr := json.Marshal(rep)
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	if string(got) != want {
+		t.Fatalf("report mismatch:\n got  %s\n want %s", got, want)
+	}
+	if failed := rep.BudgetExhausted || rep.Stopped; (err != nil) != failed {
+		t.Fatalf("err = %v for report %s", err, got)
+	}
+}
+
+// TestRunTaskMachinesRotation pins the fair local task rotation: two spin
+// tasks plus one decider per process, under both schedules.
 func TestRunTaskMachinesRotation(t *testing.T) {
 	pattern := CrashPattern(3, map[PID]Time{2: 9})
 	mkMachines := func() []MachineTaskSet {
@@ -185,12 +185,9 @@ func TestRunTaskMachinesRotation(t *testing.T) {
 		}
 		return out
 	}
-	mkBodies := func() []TaskSet {
-		out := make([]TaskSet, 3)
-		for i := range out {
-			out[i] = TaskSet{spinBody, countdownBody(4+i, Value(100+i), true)}
-		}
-		return out
+	want := map[string]string{
+		"roundrobin": `{"Decided":{"0":100,"1":101},"DecidedAt":{"0":15,"1":20},"Halted":0,"Crashed":7,"Steps":20,"StepsBy":[9,9,2],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+		"random":     `{"Decided":{"0":100,"1":101},"DecidedAt":{"0":13,"1":26},"Halted":0,"Crashed":7,"Steps":26,"StepsBy":[14,9,3],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
 	}
 	for _, sched := range []string{"roundrobin", "random"} {
 		t.Run(sched, func(t *testing.T) {
@@ -200,14 +197,8 @@ func TestRunTaskMachinesRotation(t *testing.T) {
 				}
 				return RoundRobin()
 			}
-			gRep, gErr := RunTasks(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, mkBodies())
-			mRep, mErr := RunTaskMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, mkMachines())
-			if (gErr == nil) != (mErr == nil) {
-				t.Fatalf("error mismatch: goroutine=%v machine=%v", gErr, mErr)
-			}
-			if !reflect.DeepEqual(gRep, mRep) {
-				t.Fatalf("report mismatch:\n goroutine: %+v\n machine:   %+v", gRep, mRep)
-			}
+			rep, err := RunTaskMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, mkMachines())
+			requireReport(t, rep, err, want[sched])
 		})
 	}
 }

@@ -26,6 +26,14 @@ const NoCrash Time = math.MaxInt64
 // take minima, so a totally ordered integer domain loses no generality.
 type Value int64
 
+// Oracle is a failure detector history H: Value(p, t) is the output of the
+// failure detector module of process p at time t (paper Section 3.2).
+// Implementations must be pure functions of (p, t), or depend only on the
+// state of the run they belong to, which a single runner thread drives.
+type Oracle interface {
+	Value(p PID, t Time) any
+}
+
 // String implements fmt.Stringer.
 func (p PID) String() string { return fmt.Sprintf("p%d", int(p)+1) }
 

@@ -148,20 +148,29 @@ func TestPatternNoCrashEntryIgnored(t *testing.T) {
 	}
 }
 
-// countBody returns after taking exactly k steps.
-func countBody(k int) Body {
-	return func(p *Proc) (Value, bool) {
-		for i := 0; i < k; i++ {
-			p.Yield()
-		}
-		return Value(p.ID()), true
+// counts returns machines where machine i decides Value(i) after exactly
+// ks[i] steps.
+func counts(ks ...int) []StepMachine {
+	out := make([]StepMachine, len(ks))
+	for i, k := range ks {
+		out[i] = &countdownMachine{steps: k, val: Value(i), decides: true}
 	}
+	return out
+}
+
+// recording wraps s and appends every granted process to *order: the
+// runner consults its schedule exactly once per step.
+func recording(s Schedule, order *[]PID) Schedule {
+	return Func(func(t Time, enabled Set) PID {
+		p := s.Next(t, enabled)
+		*order = append(*order, p)
+		return p
+	})
 }
 
 func TestRunAllDecide(t *testing.T) {
 	pattern := FailFree(3)
-	rep, err := Run(Config{Pattern: pattern, Schedule: RoundRobin()},
-		[]Body{countBody(5), countBody(3), countBody(7)})
+	rep, err := RunMachines(Config{Pattern: pattern, Schedule: RoundRobin()}, counts(5, 3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,26 +191,34 @@ func TestRunAllDecide(t *testing.T) {
 	}
 }
 
-func TestRunDeterminism(t *testing.T) {
-	mk := func() []Body {
-		shared := new(int64)
-		bodies := make([]Body, 4)
-		for i := range bodies {
-			bodies[i] = func(p *Proc) (Value, bool) {
-				var acc Value
-				for k := 0; k < 50; k++ {
-					p.Step("acc", func() {
-						*shared += int64(p.ID()) + 1
-						acc = Value(*shared)
-					})
-				}
-				return acc, true
-			}
-		}
-		return bodies
+// accMachine adds its PID+1 to a shared counter in each of 50 steps and
+// decides the last total it saw.
+type accMachine struct {
+	shared *int64
+	me     PID
+	k      int
+	acc    Value
+}
+
+func (m *accMachine) Init(ctx MachineContext) { m.me = ctx.ID }
+func (m *accMachine) Decision() Value         { return m.acc }
+func (m *accMachine) Step(Time) MachineStatus {
+	*m.shared += int64(m.me) + 1
+	m.acc = Value(*m.shared)
+	if m.k++; m.k < 50 {
+		return MachineRunning
 	}
+	return MachineDecided
+}
+
+func TestRunDeterminism(t *testing.T) {
 	run := func() map[PID]Value {
-		rep, err := Run(Config{Pattern: FailFree(4), Schedule: NewRandom(42)}, mk())
+		shared := new(int64)
+		machines := make([]StepMachine, 4)
+		for i := range machines {
+			machines[i] = &accMachine{shared: shared}
+		}
+		rep, err := RunMachines(Config{Pattern: FailFree(4), Schedule: NewRandom(42)}, machines)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +235,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunCrash(t *testing.T) {
 	// p1 crashes at time 4: it takes at most 3 steps under round-robin.
 	pattern := CrashPattern(2, map[PID]Time{1: 4})
-	rep, err := Run(Config{Pattern: pattern, Schedule: RoundRobin()},
-		[]Body{countBody(10), countBody(1000)})
+	rep, err := RunMachines(Config{Pattern: pattern, Schedule: RoundRobin()}, counts(10, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +255,7 @@ func TestRunCrash(t *testing.T) {
 
 func TestRunCrashAtZeroTakesNoSteps(t *testing.T) {
 	pattern := CrashPattern(2, map[PID]Time{1: 0})
-	rep, err := Run(Config{Pattern: pattern, Schedule: RoundRobin()},
-		[]Body{countBody(2), countBody(100)})
+	rep, err := RunMachines(Config{Pattern: pattern, Schedule: RoundRobin()}, counts(2, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +265,8 @@ func TestRunCrashAtZeroTakesNoSteps(t *testing.T) {
 }
 
 func TestRunBudgetExhaustion(t *testing.T) {
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	rep, err := Run(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 100},
-		[]Body{spin, spin})
+	rep, err := RunMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 100},
+		[]StepMachine{spinMachine{}, spinMachine{}})
 	if err == nil {
 		t.Fatal("expected budget exhaustion error")
 	}
@@ -269,12 +279,8 @@ func TestRunBudgetExhaustion(t *testing.T) {
 }
 
 func TestRunHaltWithoutDeciding(t *testing.T) {
-	halt := func(p *Proc) (Value, bool) {
-		p.Yield()
-		return 0, false
-	}
-	rep, err := Run(Config{Pattern: FailFree(2), Schedule: RoundRobin()},
-		[]Body{halt, countBody(1)})
+	rep, err := RunMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin()},
+		[]StepMachine{&countdownMachine{steps: 1, decides: false}, counts(1, 1)[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +293,11 @@ func TestRunHaltWithoutDeciding(t *testing.T) {
 }
 
 func TestRunStopWhen(t *testing.T) {
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	rep, err := Run(Config{
+	rep, err := RunMachines(Config{
 		Pattern:  FailFree(2),
 		Schedule: RoundRobin(),
 		StopWhen: func(t Time) bool { return t >= 10 },
-	}, []Body{spin, spin})
+	}, []StepMachine{spinMachine{}, spinMachine{}})
 	if err == nil {
 		t.Fatal("stopped run with live correct processes should report an error")
 	}
@@ -311,45 +312,30 @@ func TestRunStopWhen(t *testing.T) {
 	}
 }
 
-func TestRunTracer(t *testing.T) {
-	var events []Event
-	_, err := Run(Config{
-		Pattern:  FailFree(2),
-		Schedule: RoundRobin(),
-		Tracer:   func(e Event) { events = append(events, e) },
-	}, []Body{countBody(2), countBody(2)})
-	if err != nil {
-		t.Fatal(err)
+// panicMachine panics on its second step.
+type panicMachine struct{ steps int }
+
+func (m *panicMachine) Init(MachineContext) {}
+func (m *panicMachine) Decision() Value     { return 0 }
+func (m *panicMachine) Step(Time) MachineStatus {
+	if m.steps++; m.steps == 2 {
+		panic("kaboom")
 	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	for i, e := range events {
-		if e.T != Time(i+1) {
-			t.Errorf("event %d at time %d, want %d", i, e.T, i+1)
-		}
-		if e.Label != "yield" {
-			t.Errorf("event label %q", e.Label)
-		}
-	}
+	return MachineRunning
 }
 
 func TestRunPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("body panic should propagate out of Run")
+			t.Fatal("machine panic should propagate out of RunMachines")
 		}
 	}()
-	boom := func(p *Proc) (Value, bool) {
-		p.Yield()
-		panic("kaboom")
-	}
-	_, _ = Run(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []Body{boom})
+	_, _ = RunMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []StepMachine{&panicMachine{}})
 }
 
 func TestRoundRobinFairness(t *testing.T) {
-	rep, err := Run(Config{Pattern: FailFree(3), Schedule: RoundRobin(), Budget: 99},
-		[]Body{countBody(1000), countBody(1000), countBody(1000)})
+	rep, err := RunMachines(Config{Pattern: FailFree(3), Schedule: RoundRobin(), Budget: 99},
+		counts(1000, 1000, 1000))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -361,8 +347,8 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestRandomScheduleFairness(t *testing.T) {
-	rep, err := Run(Config{Pattern: FailFree(4), Schedule: NewRandom(7), Budget: 4000},
-		[]Body{countBody(1 << 30), countBody(1 << 30), countBody(1 << 30), countBody(1 << 30)})
+	rep, err := RunMachines(Config{Pattern: FailFree(4), Schedule: NewRandom(7), Budget: 4000},
+		counts(1<<30, 1<<30, 1<<30, 1<<30))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -375,8 +361,7 @@ func TestRandomScheduleFairness(t *testing.T) {
 
 func TestPrioritySchedule(t *testing.T) {
 	// p3 runs alone until it returns; then p1; then p2.
-	rep, err := Run(Config{Pattern: FailFree(3), Schedule: Priority(2, 0, 1)},
-		[]Body{countBody(5), countBody(5), countBody(5)})
+	rep, err := RunMachines(Config{Pattern: FailFree(3), Schedule: Priority(2, 0, 1)}, counts(5, 5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,12 +386,11 @@ func TestScriptSoloAndEachOnce(t *testing.T) {
 		EachOnce(),
 		Solo(0, 2),
 	)
-	_, err := Run(Config{
+	_, err := RunMachines(Config{
 		Pattern:  FailFree(3),
-		Schedule: sched,
+		Schedule: recording(sched, &order),
 		Budget:   8,
-		Tracer:   func(e Event) { order = append(order, e.P) },
-	}, []Body{countBody(100), countBody(100), countBody(100)})
+	}, counts(100, 100, 100))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -420,11 +404,10 @@ func TestScriptAppendMidRun(t *testing.T) {
 	sched := NewScript(RoundRobin(), Solo(1, 2))
 	appended := false
 	var order []PID
-	_, err := Run(Config{
+	_, err := RunMachines(Config{
 		Pattern:  FailFree(2),
-		Schedule: sched,
+		Schedule: recording(sched, &order),
 		Budget:   6,
-		Tracer:   func(e Event) { order = append(order, e.P) },
 		StopWhen: func(t Time) bool {
 			if t == 2 && !appended {
 				appended = true
@@ -432,7 +415,7 @@ func TestScriptAppendMidRun(t *testing.T) {
 			}
 			return false
 		},
-	}, []Body{countBody(100), countBody(100)})
+	}, counts(100, 100))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -444,12 +427,11 @@ func TestScriptAppendMidRun(t *testing.T) {
 
 func TestAlternateSchedule(t *testing.T) {
 	var order []PID
-	_, err := Run(Config{
+	_, err := RunMachines(Config{
 		Pattern:  FailFree(2),
-		Schedule: Alternate(Priority(0), Priority(1)),
+		Schedule: recording(Alternate(Priority(0), Priority(1)), &order),
 		Budget:   6,
-		Tracer:   func(e Event) { order = append(order, e.P) },
-	}, []Body{countBody(100), countBody(100)})
+	}, counts(100, 100))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -477,16 +459,19 @@ func TestFullSetBounds(t *testing.T) {
 
 func TestQueryIsAStep(t *testing.T) {
 	oracle := constOracle{v: 42}
-	body := func(p *Proc) (Value, bool) {
-		a := p.Query(oracle).(int)
-		return Value(a), true
-	}
-	rep, err := Run(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []Body{body})
+	log := NewAccessLog()
+	seam := NewQuerySeam(log)
+	seam.Register("H", oracle)
+	rep, err := RunMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin(), AccessLog: log, Queries: seam},
+		[]StepMachine{&queryMachine{h: oracle, queryOn: map[int]bool{1: true}, steps: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Steps != 1 {
 		t.Errorf("query cost %d steps, want 1", rep.Steps)
+	}
+	if _, accs := log.Step(0); log.AccessString(accs) != "R(H)" {
+		t.Errorf("query step recorded %s, want R(H)", log.AccessString(accs))
 	}
 	if rep.Decided[0] != 42 {
 		t.Errorf("query value lost")
@@ -497,19 +482,26 @@ type constOracle struct{ v int }
 
 func (c constOracle) Value(PID, Time) any { return c.v }
 
-func TestProcTimeAdvances(t *testing.T) {
-	var times []Time
-	body := func(p *Proc) (Value, bool) {
-		for i := 0; i < 3; i++ {
-			p.Yield()
-			times = append(times, p.Time())
-		}
-		return 0, true
+// timesMachine records the time of each of its 3 steps.
+type timesMachine struct{ times []Time }
+
+func (m *timesMachine) Init(MachineContext) {}
+func (m *timesMachine) Decision() Value     { return 0 }
+func (m *timesMachine) Step(t Time) MachineStatus {
+	if m.times = append(m.times, t); len(m.times) < 3 {
+		return MachineRunning
 	}
-	if _, err := Run(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []Body{body}); err != nil {
+	return MachineDecided
+}
+
+// TestProcTimeAdvances: a process's k-th step of a solo run happens at
+// time k.
+func TestProcTimeAdvances(t *testing.T) {
+	m := &timesMachine{}
+	if _, err := RunMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []StepMachine{m}); err != nil {
 		t.Fatal(err)
 	}
-	for i, ts := range times {
+	for i, ts := range m.times {
 		if ts != Time(i+1) {
 			t.Errorf("time %d after step %d", ts, i+1)
 		}

@@ -2,22 +2,20 @@ package sim
 
 import "testing"
 
+// tickMachine never returns; each step increments *n.
+type tickMachine struct{ n *int64 }
+
+func (m tickMachine) Init(MachineContext)     {}
+func (m tickMachine) Decision() Value         { return 0 }
+func (m tickMachine) Step(Time) MachineStatus { *m.n++; return MachineRunning }
+
 func TestRunTasksBasics(t *testing.T) {
 	// One deciding task and one spinning task per process: the run ends as
-	// soon as every correct process has decided, with the spinners poisoned.
-	decide := func(p *Proc) (Value, bool) {
-		for i := 0; i < 3; i++ {
-			p.Yield()
-		}
-		return Value(p.ID()) + 10, true
-	}
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	rep, err := RunTasks(Config{Pattern: FailFree(2), Schedule: RoundRobin()},
-		[]TaskSet{{decide, spin}, {decide, spin}})
+	// soon as every correct process has decided, with the spinners crashed.
+	rep, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin()}, []MachineTaskSet{
+		{&countdownMachine{steps: 3, val: 10, decides: true}, spinMachine{}},
+		{&countdownMachine{steps: 3, val: 11, decides: true}, spinMachine{}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,16 +27,8 @@ func TestRunTasksBasics(t *testing.T) {
 func TestRunTasksFairRotation(t *testing.T) {
 	// With two spinning tasks per process, both must get steps.
 	counts := make([]int64, 4) // (pid, task) flattened
-	mk := func(slot int) Body {
-		return func(p *Proc) (Value, bool) {
-			for {
-				p.Yield()
-				counts[slot]++
-			}
-		}
-	}
-	_, err := RunTasks(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 400},
-		[]TaskSet{{mk(0), mk(1)}, {mk(2), mk(3)}})
+	_, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 400},
+		[]MachineTaskSet{{tickMachine{&counts[0]}, tickMachine{&counts[1]}}, {tickMachine{&counts[2]}, tickMachine{&counts[3]}}})
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -50,18 +40,11 @@ func TestRunTasksFairRotation(t *testing.T) {
 }
 
 func TestRunTasksCrashKillsAllTasks(t *testing.T) {
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	decide := func(p *Proc) (Value, bool) {
-		p.Yield()
-		return 7, true
-	}
 	pattern := CrashPattern(2, map[PID]Time{1: 5})
-	rep, err := RunTasks(Config{Pattern: pattern, Schedule: RoundRobin(), Budget: 1000},
-		[]TaskSet{{decide, spin}, {spin, spin}})
+	rep, err := RunTaskMachines(Config{Pattern: pattern, Schedule: RoundRobin(), Budget: 1000}, []MachineTaskSet{
+		{&countdownMachine{steps: 1, val: 7, decides: true}, spinMachine{}},
+		{spinMachine{}, spinMachine{}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +57,11 @@ func TestRunTasksCrashKillsAllTasks(t *testing.T) {
 }
 
 func TestRunTasksStopWhen(t *testing.T) {
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	rep, err := RunTasks(Config{
+	rep, err := RunTaskMachines(Config{
 		Pattern:  FailFree(1),
 		Schedule: RoundRobin(),
 		StopWhen: func(t Time) bool { return t >= 5 },
-	}, []TaskSet{{spin, spin}})
+	}, []MachineTaskSet{{spinMachine{}, spinMachine{}}})
 	if err == nil {
 		t.Fatal("stopped run without decisions must error")
 	}
@@ -93,18 +71,11 @@ func TestRunTasksStopWhen(t *testing.T) {
 }
 
 func TestRunTasksHaltedTask(t *testing.T) {
-	halt := func(p *Proc) (Value, bool) {
-		p.Yield()
-		return 0, false
-	}
-	decide := func(p *Proc) (Value, bool) {
-		for i := 0; i < 4; i++ {
-			p.Yield() // slower than the halting task, which must finish first
-		}
-		return 3, true
-	}
-	rep, err := RunTasks(Config{Pattern: FailFree(1), Schedule: RoundRobin()},
-		[]TaskSet{{halt, decide}})
+	rep, err := RunTaskMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []MachineTaskSet{{
+		&countdownMachine{steps: 1, decides: false},
+		// Slower than the halting task, which must finish first.
+		&countdownMachine{steps: 4, val: 3, decides: true},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +89,10 @@ func TestRunTasksHaltedTask(t *testing.T) {
 
 func TestRunTasksFirstDecisionWins(t *testing.T) {
 	// Two deciding tasks in one process: the first decision is recorded.
-	fast := func(p *Proc) (Value, bool) {
-		p.Yield()
-		return 1, true
-	}
-	slow := func(p *Proc) (Value, bool) {
-		for i := 0; i < 10; i++ {
-			p.Yield()
-		}
-		return 2, true
-	}
-	rep, err := RunTasks(Config{Pattern: FailFree(1), Schedule: RoundRobin()},
-		[]TaskSet{{slow, fast}})
+	rep, err := RunTaskMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []MachineTaskSet{{
+		&countdownMachine{steps: 10, val: 2, decides: true}, // slow
+		&countdownMachine{steps: 1, val: 1, decides: true},  // fast
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +102,8 @@ func TestRunTasksFirstDecisionWins(t *testing.T) {
 }
 
 func TestRunTasksBudget(t *testing.T) {
-	spin := func(p *Proc) (Value, bool) {
-		for {
-			p.Yield()
-		}
-	}
-	rep, err := RunTasks(Config{Pattern: FailFree(2), Schedule: NewRandom(1), Budget: 64},
-		[]TaskSet{{spin}, {spin, spin}})
+	rep, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: NewRandom(1), Budget: 64},
+		[]MachineTaskSet{{spinMachine{}}, {spinMachine{}, spinMachine{}}})
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -166,12 +124,8 @@ func TestEventuallySynchronousValidation(t *testing.T) {
 func TestStarveVictimOnlyWhenAlone(t *testing.T) {
 	// If the victim is the only enabled process, Starve must still grant it
 	// (the schedule contract requires a member of enabled).
-	body := func(p *Proc) (Value, bool) {
-		p.Yield()
-		return 1, true
-	}
-	rep, err := Run(Config{Pattern: FailFree(1), Schedule: Starve(0, nil)},
-		[]Body{body})
+	rep, err := RunMachines(Config{Pattern: FailFree(1), Schedule: Starve(0, nil)},
+		[]StepMachine{&countdownMachine{steps: 1, val: 1, decides: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

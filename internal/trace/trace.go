@@ -1,84 +1,72 @@
-// Package trace records and summarizes run traces: which process performed
-// which kind of atomic step when. It powers the narrated examples, the
-// -trace flag of cmd/setagree, and white-box tests that assert protocols
-// take the *kinds* of steps the paper's pseudocode prescribes.
+// Package trace summarizes what a run's steps did: how many steps each
+// process took and which kinds of shared-object access those steps made. It
+// reads the run's sim.AccessLog, so a traced run is an ordinary machine run
+// with a log attached — plus, for detector queries to show up as reads of
+// the history object, a sim.QuerySeam with the run's histories registered.
+// It powers the -trace flag of cmd/setagree and white-box tests that assert
+// protocols take the *kinds* of steps the paper's pseudocode prescribes.
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"weakestfd/internal/sim"
 )
 
-// Recorder collects step events from a run via sim.Config.Tracer.
-type Recorder struct {
-	filter func(sim.Event) bool
-	events []sim.Event
-}
-
-// NewRecorder builds a recorder; a nil filter records everything.
-func NewRecorder(filter func(sim.Event) bool) *Recorder {
-	return &Recorder{filter: filter}
-}
-
-// Hook returns the tracer callback to plug into sim.Config.Tracer.
-func (r *Recorder) Hook() func(sim.Event) {
-	return func(e sim.Event) {
-		if r.filter == nil || r.filter(e) {
-			r.events = append(r.events, e)
-		}
-	}
-}
-
-// Events returns the recorded events in time order.
-func (r *Recorder) Events() []sim.Event { return r.events }
-
-// Timeline returns the events of one process, in time order.
-func (r *Recorder) Timeline(p sim.PID) []sim.Event {
-	var out []sim.Event
-	for _, e := range r.events {
-		if e.P == p {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Summary aggregates a recording.
+// Summary aggregates a recorded run.
 type Summary struct {
 	// Total is the number of recorded steps.
 	Total int64
-	// ByProc counts steps per process (indexed by PID; length = max PID+1).
+	// ByProc counts steps per process, indexed by PID, for every process of
+	// the system: a process that took no step counts 0.
 	ByProc []int64
-	// ByClass counts steps per label class (see LabelClass).
+	// ByClass counts steps per step class (see StepClass).
 	ByClass map[string]int64
 }
 
-// Summarize aggregates the recording into per-process and per-label-class
-// counts.
-func (r *Recorder) Summarize() Summary {
-	s := Summary{ByClass: make(map[string]int64)}
-	maxP := sim.PID(-1)
-	for _, e := range r.events {
-		if e.P > maxP {
-			maxP = e.P
-		}
-	}
-	s.ByProc = make([]int64, int(maxP)+1)
-	for _, e := range r.events {
+// Summarize aggregates the steps recorded in log by a system of n
+// processes into per-process and per-class counts.
+func Summarize(log *sim.AccessLog, n int) Summary {
+	s := Summary{ByProc: make([]int64, n), ByClass: make(map[string]int64)}
+	for i := 0; i < log.Steps(); i++ {
+		p, accs := log.Step(i)
 		s.Total++
-		s.ByProc[e.P]++
-		s.ByClass[LabelClass(e.Label)]++
+		s.ByProc[p]++
+		s.ByClass[StepClass(log, accs)]++
 	}
 	return s
 }
 
-// LabelClass collapses a step label to its structural class: indices inside
-// brackets and trailing round/sub-round decorations are replaced by "·", so
-// "read D[3]" and "read D[17]" both class as "read D[·]", and
-// "update nconv[2][5]/3.A" classes as "update nconv[·][·]/·.A".
+// NoAccess is the class of a step that touched no shared object, such as a
+// no-op step.
+const NoAccess = "(no access)"
+
+// StepClass returns the structural class of a step with the given access
+// set: its distinct accesses, rendered as in sim.AccessLog.AccessString and
+// collapsed by LabelClass, in the order first made. A write of register
+// D[3] classes as "W(D[·])", and an atomic scan of snapshot nconv[2][0]/3.A,
+// which reads every cell, as "R(nconv[·][·]/·.A[·])".
+func StepClass(log *sim.AccessLog, accs []sim.Access) string {
+	if len(accs) == 0 {
+		return NoAccess
+	}
+	var classes []string
+	for _, a := range accs {
+		c := LabelClass(a.Kind.String() + "(" + log.ObjName(a.Obj) + ")")
+		if !slices.Contains(classes, c) {
+			classes = append(classes, c)
+		}
+	}
+	return strings.Join(classes, " ")
+}
+
+// LabelClass collapses an object name or access label to its structural
+// class: indices inside brackets and trailing round/sub-round decorations
+// are replaced by "·", so "D[3]" and "D[17]" both class as "D[·]", and
+// "nconv[2][5]/3.A" classes as "nconv[·][·]/·.A".
 func LabelClass(label string) string {
 	var b strings.Builder
 	i := 0
@@ -109,7 +97,7 @@ func LabelClass(label string) string {
 	return b.String()
 }
 
-// String renders the summary, label classes sorted by descending count.
+// String renders the summary, step classes sorted by descending count.
 func (s Summary) String() string {
 	type kv struct {
 		class string

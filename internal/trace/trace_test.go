@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"weakestfd/internal/fd"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -27,68 +28,80 @@ func TestLabelClass(t *testing.T) {
 	}
 }
 
+// scriptMachine performs one scripted step per Step call and decides after
+// the last one.
+type scriptMachine struct {
+	steps []func(ctx sim.MachineContext, t sim.Time)
+	ctx   sim.MachineContext
+	pc    int
+}
+
+func (m *scriptMachine) Init(ctx sim.MachineContext) { m.ctx = ctx }
+
+func (m *scriptMachine) Step(t sim.Time) sim.MachineStatus {
+	m.steps[m.pc](m.ctx, t)
+	if m.pc++; m.pc < len(m.steps) {
+		return sim.MachineRunning
+	}
+	return sim.MachineDecided
+}
+
+func (m *scriptMachine) Decision() sim.Value { return 0 }
+
 func TestRecorderAndSummary(t *testing.T) {
 	reg := memory.NewRegister[int]("X")
 	arr := memory.NewArray[int]("Y", 2)
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		reg.Write(p, 1)
-		arr.Write(p, p.ID(), 2)
-		reg.Read(p)
-		return 0, true
+	snap := memory.NewAtomicSnapshot[int]("S", 2)
+	h := fd.Constant(sim.SetOf(0))
+	mk := func() sim.StepMachine {
+		return &scriptMachine{steps: []func(sim.MachineContext, sim.Time){
+			func(ctx sim.MachineContext, _ sim.Time) { reg.DirectWrite(ctx.Log, 1) },
+			func(ctx sim.MachineContext, _ sim.Time) { arr.DirectWrite(ctx.Log, ctx.ID, 2) },
+			func(ctx sim.MachineContext, _ sim.Time) { reg.DirectRead(ctx.Log) },
+			func(ctx sim.MachineContext, _ sim.Time) { snap.DirectScan(ctx.Log, nil, nil) },
+			func(ctx sim.MachineContext, t sim.Time) { fd.QueryAt[sim.Set](ctx.Queries, h, ctx.ID, t) },
+			func(sim.MachineContext, sim.Time) {},
+		}}
 	}
-	rec := NewRecorder(nil)
-	_, err := sim.Run(sim.Config{
-		Pattern:  sim.FailFree(2),
-		Schedule: sim.RoundRobin(),
-		Tracer:   rec.Hook(),
-	}, []sim.Body{body, body})
+	log := sim.NewAccessLog()
+	seam := sim.NewQuerySeam(log)
+	seam.Register("H", h)
+	_, err := sim.RunMachines(sim.Config{
+		Pattern:   sim.FailFree(2),
+		Schedule:  sim.RoundRobin(),
+		AccessLog: log,
+		Queries:   seam,
+	}, []sim.StepMachine{mk(), mk()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Summarize()
-	if s.Total != 6 {
-		t.Fatalf("Total = %d, want 6", s.Total)
+	s := Summarize(log, 2)
+	if s.Total != 12 {
+		t.Fatalf("Total = %d, want 12", s.Total)
 	}
-	if s.ByProc[0] != 3 || s.ByProc[1] != 3 {
+	if s.ByProc[0] != 6 || s.ByProc[1] != 6 {
 		t.Fatalf("ByProc = %v", s.ByProc)
 	}
-	if s.ByClass["write X"] != 2 || s.ByClass["write Y[·]"] != 2 || s.ByClass["read X"] != 2 {
-		t.Fatalf("ByClass = %v", s.ByClass)
-	}
-	if tl := rec.Timeline(1); len(tl) != 3 {
-		t.Fatalf("Timeline(1) = %v", tl)
+	for class, want := range map[string]int64{
+		"W(X)": 2, "W(Y[·])": 2, "R(X)": 2, "R(S[·])": 2, "R(H)": 2, NoAccess: 2,
+	} {
+		if s.ByClass[class] != want {
+			t.Fatalf("ByClass[%q] = %d, want %d; classes: %v", class, s.ByClass[class], want, s.ByClass)
+		}
 	}
 	out := s.String()
-	for _, want := range []string{"steps: 6", "write X", "write Y[·]"} {
+	for _, want := range []string{"steps: 12", "W(X)", "W(Y[·])", "R(S[·])"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	rec := NewRecorder(func(e sim.Event) bool { return e.P == 0 })
-	body := func(p *sim.Proc) (sim.Value, bool) {
-		p.Yield()
-		return 0, true
-	}
-	_, err := sim.Run(sim.Config{
-		Pattern:  sim.FailFree(2),
-		Schedule: sim.RoundRobin(),
-		Tracer:   rec.Hook(),
-	}, []sim.Body{body, body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events()) != 1 || rec.Events()[0].P != 0 {
-		t.Fatalf("filter failed: %v", rec.Events())
-	}
-}
-
+// TestEmptySummary: every process gets a row, with count 0 when it took no
+// step.
 func TestEmptySummary(t *testing.T) {
-	rec := NewRecorder(nil)
-	s := rec.Summarize()
-	if s.Total != 0 || len(s.ByProc) != 0 {
+	s := Summarize(sim.NewAccessLog(), 2)
+	if s.Total != 0 || len(s.ByProc) != 2 || s.ByProc[0] != 0 || s.ByProc[1] != 0 || len(s.ByClass) != 0 {
 		t.Fatalf("empty summary wrong: %+v", s)
 	}
 }

@@ -35,9 +35,6 @@ type TimedConfig struct {
 	Seed int64
 	// Budget caps the run. Default 2^22.
 	Budget int64
-	// Runner selects the simulation engine; the zero value defers to the
-	// package default (the machine runner unless SetLegacyRunner).
-	Runner Runner
 }
 
 // SolveWithTimingAssumptions solves (N−1)-set agreement using only timing
@@ -82,13 +79,7 @@ func SolveWithTimingAssumptions(cfg TimedConfig) (*SetAgreementResult, error) {
 		Schedule: sim.EventuallySynchronous(sim.Time(gst), bound, cfg.Seed),
 		Budget:   budget,
 	}
-	var rep *sim.Report
-	var runErr error
-	if cfg.Runner.useMachines(false, false) {
-		rep, runErr = sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))
-	} else {
-		rep, runErr = sim.RunTasks(simCfg, c.TaskSets(proposals))
-	}
+	rep, runErr := sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("%w: %v", ErrNoTermination, runErr)

@@ -123,13 +123,10 @@ type SetAgreementConfig struct {
 	RegistersOnly bool
 	// Budget caps the run length in steps. Default 2^21.
 	Budget int64
-	// Trace, when set, records every atomic step and renders a step-class
-	// summary into SetAgreementResult.Trace. Tracing forces the goroutine
-	// runner (step labels exist only there).
+	// Trace, when set, records every atomic step's shared-object accesses
+	// (a detector query reads the detector's history object) and renders a
+	// step-class summary into SetAgreementResult.Trace.
 	Trace bool
-	// Runner selects the simulation engine; the zero value defers to the
-	// package default (the machine runner unless SetLegacyRunner).
-	Runner Runner
 }
 
 // SetAgreementResult reports one set-agreement run.
@@ -175,21 +172,21 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		budget = 1 << 21
 	}
 
-	// Each algorithm exposes the same automaton in two representations:
-	// blocking bodies for the goroutine runner and resumable step machines
-	// for the machine runner. bodyOf/machineOf build process i's instance.
+	// machineOf builds process i's automaton; hist is the detector history
+	// the algorithm queries (nil for AsyncAttempt), registered under hname
+	// with a traced run's query seam.
 	var (
 		k         int
-		bodyOf    func(i int) sim.Body
 		machineOf func(i int) sim.StepMachine
+		hist      sim.Oracle
+		hname     string
 	)
 	ts := sim.Time(cfg.StabilizeAt)
 	switch cfg.Algorithm {
 	case UpsilonFig1:
-		h := core.Upsilon(cfg.N).History(pattern, ts, cfg.Seed)
-		g := core.NewFig1(cfg.N, h, impl)
+		hist, hname = core.Upsilon(cfg.N).History(pattern, ts, cfg.Seed), "H(Υ)"
+		g := core.NewFig1(cfg.N, hist, impl)
 		k = g.K()
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	case UpsilonFFig2:
 		if cfg.F < 1 || cfg.F >= cfg.N {
@@ -198,33 +195,28 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		if !pattern.InEnvironment(cfg.F) {
 			return nil, fmt.Errorf("weakestfd: %d crashes exceed F=%d (outside E_f)", pattern.NumFaulty(), cfg.F)
 		}
-		h := core.UpsilonF(cfg.N, cfg.F).History(pattern, ts, cfg.Seed)
-		g := core.NewFig2(cfg.N, cfg.F, h, impl)
+		hist, hname = core.UpsilonF(cfg.N, cfg.F).History(pattern, ts, cfg.Seed), "H(Υf)"
+		g := core.NewFig2(cfg.N, cfg.F, hist, impl)
 		k = g.K()
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	case OmegaNBaseline:
-		h := fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed)
-		g := agreement.NewOmegaNSetAgreement(cfg.N, h, impl)
+		hist, hname = fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed), "H(Ωn)"
+		g := agreement.NewOmegaNSetAgreement(cfg.N, hist, impl)
 		k = g.K()
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	case OmegaConsensus:
-		h := fd.NewOmega(pattern, ts, cfg.Seed)
-		g := agreement.NewOmegaConsensus(cfg.N, h, impl)
+		hist, hname = fd.NewOmega(pattern, ts, cfg.Seed), "H(Ω)"
+		g := agreement.NewOmegaConsensus(cfg.N, hist, impl)
 		k = 1
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	case AsyncAttempt:
 		g := agreement.NewAsyncAttempt(cfg.N, impl)
 		k = cfg.N - 1
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	case OmegaNBoosted:
-		h := fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed)
-		g := agreement.NewBoostedConsensus(cfg.N, h, impl)
+		hist, hname = fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed), "H(Ωn)"
+		g := agreement.NewBoostedConsensus(cfg.N, hist, impl)
 		k = 1
-		bodyOf = func(i int) sim.Body { return g.Body(sim.Value(cfg.Proposals[i])) }
 		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
 	default:
 		return nil, fmt.Errorf("weakestfd: unknown algorithm %v", cfg.Algorithm)
@@ -235,26 +227,16 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		Schedule: scheduleOf(cfg.Schedule, cfg.Seed),
 		Budget:   budget,
 	}
-	var rec *trace.Recorder
-	var rep *sim.Report
-	var runErr error
-	if cfg.Runner.useMachines(cfg.Trace, cfg.RegistersOnly) {
-		machines := make([]sim.StepMachine, cfg.N)
-		for i := range machines {
-			machines[i] = machineOf(i)
-		}
-		rep, runErr = sim.RunMachines(simCfg, machines)
-	} else {
-		if cfg.Trace {
-			rec = trace.NewRecorder(nil)
-			simCfg.Tracer = rec.Hook()
-		}
-		bodies := make([]sim.Body, cfg.N)
-		for i := range bodies {
-			bodies[i] = bodyOf(i)
-		}
-		rep, runErr = sim.Run(simCfg, bodies)
+	if cfg.Trace {
+		simCfg.AccessLog = sim.NewAccessLog()
+		simCfg.Queries = sim.NewQuerySeam(simCfg.AccessLog)
+		simCfg.Queries.Register(hname, hist)
 	}
+	machines := make([]sim.StepMachine, cfg.N)
+	for i := range machines {
+		machines[i] = machineOf(i)
+	}
+	rep, runErr := sim.RunMachines(simCfg, machines)
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("%w: %v", ErrNoTermination, runErr)
@@ -270,8 +252,8 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		return nil, err
 	}
 	res := newResult(rep, k)
-	if rec != nil {
-		res.Trace = rec.Summarize().String()
+	if cfg.Trace {
+		res.Trace = trace.Summarize(simCfg.AccessLog, cfg.N).String()
 	}
 	return res, nil
 }

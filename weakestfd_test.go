@@ -2,6 +2,8 @@ package weakestfd
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +81,31 @@ func TestSolveSetAgreementRegistersOnly(t *testing.T) {
 	}
 	if len(res.Distinct) > 2 {
 		t.Fatalf("distinct = %v", res.Distinct)
+	}
+}
+
+// TestSolveSetAgreementTraceListsEveryProcess: the trace summary has a row
+// for every process — including one that crashed before its first step —
+// and tracing leaves the run's outcome unchanged.
+func TestSolveSetAgreementTraceListsEveryProcess(t *testing.T) {
+	cfg := SetAgreementConfig{N: 4, Proposals: []int64{100, 101, 102, 103}, CrashAt: map[int]int64{3: 0}}
+	plain, err := SolveSetAgreement(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trace = true
+	traced, err := SolveSetAgreement(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{"  p1: ", "  p2: ", "  p3: ", "  p4: 0\n"} {
+		if !strings.Contains(traced.Trace, row) {
+			t.Errorf("trace lacks %q:\n%s", row, traced.Trace)
+		}
+	}
+	traced.Trace = ""
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("tracing changed the run:\n plain:  %+v\n traced: %+v", plain, traced)
 	}
 }
 
