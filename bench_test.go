@@ -186,13 +186,7 @@ func BenchmarkUpsilon1ToOmega(b *testing.B) {
 		for j := range machines {
 			machines[j] = red.Machine()
 		}
-		trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, func() []memory.Opt[sim.PID] {
-			out := make([]memory.Opt[sim.PID], n)
-			for j := range out {
-				out[j] = red.OutputAt(sim.PID(j))
-			}
-			return out
-		})
+		trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, red.OutputAt)
 		_, err := sim.RunMachines(sim.Config{
 			Pattern: pattern, Schedule: sim.NewRandom(int64(i)),
 			Budget: 20_000, StopWhen: trace.Hook(),

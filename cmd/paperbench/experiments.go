@@ -160,14 +160,11 @@ func runE7(w *tableWriter, seeds, _ int) {
 			for i := range machines {
 				machines[i] = red.Machine()
 			}
-			trace := check.NewOutputTrace[string](n, func() []string {
-				out := make([]string, n)
-				for i := range out {
-					if v := red.OutputAt(sim.PID(i)); v.OK {
-						out[i] = v.V.String()
-					}
+			trace := check.NewOutputTrace[string](n, func(i sim.PID) string {
+				if v := red.OutputAt(i); v.OK {
+					return v.V.String()
 				}
-				return out
+				return ""
 			})
 			_, err := sim.RunMachines(sim.Config{
 				Pattern: tc.p, Schedule: sim.NewRandom(int64(seed)),

@@ -136,7 +136,7 @@ func ExtractUpsilon(cfg ExtractConfig) (*ExtractResult, error) {
 	}
 
 	ex := core.NewExtraction(cfg.N, oracle, phi)
-	trace := check.NewOutputTrace[sim.Set](cfg.N, ex.Output)
+	trace := check.NewOutputTrace[sim.Set](cfg.N, ex.OutputAt)
 	simCfg := sim.Config{
 		Pattern:  pattern,
 		Schedule: scheduleOf(cfg.Schedule, cfg.Seed),

@@ -41,8 +41,8 @@ func NewOmegaConsensus(n int, omega sim.Oracle, impl converge.Impl) *OmegaConsen
 	return &OmegaConsensus{
 		n:     n,
 		omega: omega,
-		conv:  converge.NewSeries("cons", n, impl),
-		d:     memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		conv:  converge.NewSeries(sim.NameOf("cons"), n, impl),
+		d:     memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		last:  newLazyRegs(),
 	}
 }
@@ -71,8 +71,8 @@ func NewOmegaNSetAgreement(n int, omegaN sim.Oracle, impl converge.Impl) *OmegaN
 	return &OmegaNSetAgreement{
 		n:      n,
 		omegaN: omegaN,
-		conv:   converge.NewSeries("nset", n, impl),
-		d:      memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		conv:   converge.NewSeries(sim.NameOf("nset"), n, impl),
+		d:      memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		ann:    newLazyArrays(n),
 	}
 }
@@ -96,10 +96,18 @@ type AsyncAttempt struct {
 func NewAsyncAttempt(n int, impl converge.Impl) *AsyncAttempt {
 	return &AsyncAttempt{
 		n:    n,
-		conv: converge.NewSeries("async", n, impl),
-		d:    memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		conv: converge.NewSeries(sim.NameOf("async"), n, impl),
+		d:    memory.NewRegister[memory.Opt[sim.Value]](keyD),
 	}
 }
+
+// The shared objects' keys: the decision register D, and the per-round
+// registers Last[r] and announcement arrays Ann[r][i].
+var (
+	keyD    = sim.KeyOf("D")
+	keyLast = sim.KeyOf("Last")
+	keyAnn  = sim.KeyOf("Ann")
+)
 
 // lazyRegs lazily allocates a register per round.
 type lazyRegs struct {
@@ -113,7 +121,7 @@ func newLazyRegs() *lazyRegs {
 func (l *lazyRegs) at(r int) *memory.Register[memory.Opt[sim.Value]] {
 	reg, ok := l.m[r]
 	if !ok {
-		reg = memory.NewRegister[memory.Opt[sim.Value]](fmt.Sprintf("Last[%d]", r))
+		reg = memory.NewRegister[memory.Opt[sim.Value]](keyLast.WithRound(r))
 		l.m[r] = reg
 	}
 	return reg
@@ -132,7 +140,7 @@ func newLazyArrays(n int) *lazyArrays {
 func (l *lazyArrays) at(r int) *memory.Array[memory.Opt[sim.Value]] {
 	arr, ok := l.m[r]
 	if !ok {
-		arr = memory.NewArray[memory.Opt[sim.Value]](fmt.Sprintf("Ann[%d]", r), l.n)
+		arr = memory.NewArray[memory.Opt[sim.Value]](keyAnn.WithRound(r), l.n)
 		l.m[r] = arr
 	}
 	return arr

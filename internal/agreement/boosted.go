@@ -48,9 +48,9 @@ func NewBoostedConsensus(n int, omegaN sim.Oracle, impl converge.Impl) *BoostedC
 	return &BoostedConsensus{
 		n:      n,
 		omegaN: omegaN,
-		cons:   memory.NewConsFamily("Cons", n-1),
-		conv:   converge.NewSeries("boost", n, impl),
-		d:      memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		cons:   memory.NewConsFamily(sim.KeyOf("Cons"), n-1),
+		conv:   converge.NewSeries(sim.NameOf("boost"), n, impl),
+		d:      memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		ann:    newLazyArrays(n),
 	}
 }

@@ -103,7 +103,7 @@ func proposer(obj *memory.ConsensusObject, v func(me sim.PID) sim.Value) sim.Ste
 }
 
 func TestConsensusObjectSemantics(t *testing.T) {
-	obj := memory.NewConsensusObject("c", 2)
+	obj := memory.NewConsensusObject(sim.KeyOf("c"), 2)
 	plus10 := func(me sim.PID) sim.Value { return sim.Value(me) + 10 }
 	rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()},
 		[]sim.StepMachine{proposer(obj, plus10), proposer(obj, plus10)})
@@ -129,7 +129,7 @@ func TestConsensusObjectSemantics(t *testing.T) {
 }
 
 func TestConsensusObjectLimitEnforced(t *testing.T) {
-	obj := memory.NewConsensusObject("c", 2)
+	obj := memory.NewConsensusObject(sim.KeyOf("c"), 2)
 	one := func(sim.PID) sim.Value { return 1 }
 	defer func() {
 		if recover() == nil {
@@ -141,7 +141,7 @@ func TestConsensusObjectLimitEnforced(t *testing.T) {
 }
 
 func TestConsFamilyKeying(t *testing.T) {
-	fam := memory.NewConsFamily("c", 2)
+	fam := memory.NewConsFamily(sim.KeyOf("c"), 2)
 	a := fam.At(1, sim.SetOf(0, 1))
 	b := fam.At(1, sim.SetOf(0, 1))
 	c := fam.At(1, sim.SetOf(0, 2))
@@ -161,7 +161,7 @@ func TestConsFamilyKeying(t *testing.T) {
 }
 
 func TestConsFamilyDetectsForeignAccessor(t *testing.T) {
-	fam := memory.NewConsFamily("c", 2)
+	fam := memory.NewConsFamily(sim.KeyOf("c"), 2)
 	obj := fam.At(1, sim.SetOf(0, 1))
 	// p3 accesses the {p1,p2}-keyed object.
 	five := func(sim.PID) sim.Value { return 5 }

@@ -44,23 +44,25 @@ func Consensus(rep *sim.Report, pattern sim.Pattern, proposals []sim.Value) erro
 }
 
 // OutputTrace records the evolution of per-process emulated detector
-// outputs across a run, via a sampling function plugged into
-// sim.Config.StopWhen (which the runner calls on quiescent shared state
-// after every step).
+// outputs across a run. Observe, plugged into sim.Config.StopWhen (which the
+// runner calls on quiescent shared state after every step), reads each
+// process's current output through a per-process reader and compares it in
+// place with the last one recorded, so observing a step allocates nothing.
 type OutputTrace[T comparable] struct {
 	n          int
-	sample     func() []T
+	read       func(i sim.PID) T
 	last       []T
 	lastChange []sim.Time
 	sampled    bool
 	final      sim.Time
 }
 
-// NewOutputTrace builds a trace over n per-process outputs read by sample.
-func NewOutputTrace[T comparable](n int, sample func() []T) *OutputTrace[T] {
+// NewOutputTrace builds a trace over n per-process outputs; read(i) returns
+// process i's current output.
+func NewOutputTrace[T comparable](n int, read func(i sim.PID) T) *OutputTrace[T] {
 	return &OutputTrace[T]{
 		n:          n,
-		sample:     sample,
+		read:       read,
 		last:       make([]T, n),
 		lastChange: make([]sim.Time, n),
 	}
@@ -70,11 +72,10 @@ func NewOutputTrace[T comparable](n int, sample func() []T) *OutputTrace[T] {
 //
 //	StopWhen: func(t sim.Time) bool { trace.Observe(t); return false }
 func (o *OutputTrace[T]) Observe(t sim.Time) {
-	cur := o.sample()
 	for i := 0; i < o.n; i++ {
-		if !o.sampled || cur[i] != o.last[i] {
+		if cur := o.read(sim.PID(i)); !o.sampled || cur != o.last[i] {
 			o.lastChange[i] = t
-			o.last[i] = cur[i]
+			o.last[i] = cur
 		}
 	}
 	o.sampled = true

@@ -60,11 +60,7 @@ func TestConsensusIsOneSetAgreement(t *testing.T) {
 
 func TestOutputTraceStability(t *testing.T) {
 	vals := []int{1, 1}
-	trace := NewOutputTrace[int](2, func() []int {
-		out := make([]int, 2)
-		copy(out, vals)
-		return out
-	})
+	trace := NewOutputTrace[int](2, func(i sim.PID) int { return vals[i] })
 	trace.Observe(1)
 	trace.Observe(2)
 	vals[0] = 5
@@ -91,7 +87,7 @@ func TestOutputTraceStability(t *testing.T) {
 }
 
 func TestOutputTraceDisagreement(t *testing.T) {
-	trace := NewOutputTrace[int](2, func() []int { return []int{1, 2} })
+	trace := NewOutputTrace[int](2, func(i sim.PID) int { return []int{1, 2}[i] })
 	trace.Observe(1)
 	if _, _, err := trace.StableFrom(sim.SetOf(0, 1)); err == nil {
 		t.Fatal("expected disagreement error")
@@ -103,7 +99,7 @@ func TestOutputTraceDisagreement(t *testing.T) {
 }
 
 func TestOutputTraceEmpty(t *testing.T) {
-	trace := NewOutputTrace[int](1, func() []int { return []int{0} })
+	trace := NewOutputTrace[int](1, func(sim.PID) int { return 0 })
 	if _, _, err := trace.StableFrom(sim.SetOf(0)); err == nil {
 		t.Fatal("expected error with no samples")
 	}
@@ -114,7 +110,7 @@ func TestOutputTraceEmpty(t *testing.T) {
 }
 
 func TestOutputTraceHookNeverStops(t *testing.T) {
-	trace := NewOutputTrace[int](1, func() []int { return []int{7} })
+	trace := NewOutputTrace[int](1, func(sim.PID) int { return 7 })
 	hook := trace.Hook()
 	for i := sim.Time(1); i <= 3; i++ {
 		if hook(i) {

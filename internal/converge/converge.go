@@ -123,19 +123,21 @@ type Instance struct {
 	b memory.Snapshot[proposal]
 }
 
-// NewInstance creates a k-converge object for n processes.
-func NewInstance(name string, n, k int, impl Impl) *Instance {
+// NewInstance creates a k-converge object for n processes, identified by
+// key: its two snapshot objects are parts A and B of key, so their cells
+// render as key.A[i] and key.B[i].
+func NewInstance(key sim.ObjKey, n, k int, impl Impl) *Instance {
 	if k < 0 {
 		panic(fmt.Sprintf("converge: negative k=%d", k))
 	}
 	inst := &Instance{k: k}
 	switch impl {
 	case UseAtomic:
-		inst.a = memory.NewAtomicSnapshot[sim.Value](name+".A", n)
-		inst.b = memory.NewAtomicSnapshot[proposal](name+".B", n)
+		inst.a = memory.NewAtomicSnapshot[sim.Value](key.WithPart(0), n)
+		inst.b = memory.NewAtomicSnapshot[proposal](key.WithPart(1), n)
 	case UseAfek:
-		inst.a = memory.NewAfekSnapshot[sim.Value](name+".A", n)
-		inst.b = memory.NewAfekSnapshot[proposal](name+".B", n)
+		inst.a = memory.NewAfekSnapshot[sim.Value](key.WithPart(0), n)
+		inst.b = memory.NewAfekSnapshot[proposal](key.WithPart(1), n)
 	default:
 		panic(fmt.Sprintf("converge: unknown Impl %d", int(impl)))
 	}
@@ -149,32 +151,39 @@ func (c *Instance) K() int { return c.k }
 // the paper indexes them: converge[r] and converge[r][k], with the instance's
 // convergence parameter part of the identity (so that processes with
 // divergent failure detector views, and hence divergent parameters, use
-// distinct objects).
+// distinct objects). Instance [r][k] with parameter param is identified by
+// the key name[r][k]/param.
 type Series struct {
-	name string
+	key  sim.ObjKey
 	n    int
 	impl Impl
-	m    map[seriesKey]*Instance
+	// insts holds the instances created so far, in creation order. A run
+	// touches only a few rounds, so a short slice searched from its most
+	// recent end beats a map.
+	insts []seriesEntry
 }
 
-type seriesKey struct {
+type seriesEntry struct {
 	r, k, param int
+	inst        *Instance
 }
 
-// NewSeries creates a converge-instance family for n processes.
-func NewSeries(name string, n int, impl Impl) *Series {
-	return &Series{name: name, n: n, impl: impl, m: make(map[seriesKey]*Instance)}
+// NewSeries creates a converge-instance family for n processes whose
+// instances are named after name.
+func NewSeries(name sim.Name, n int, impl Impl) *Series {
+	return &Series{key: name.Key(sim.ObjConverge), n: n, impl: impl}
 }
 
 // At returns the param-converge instance with indices [r][k], creating it on
 // first use. The accessor takes no simulation steps; object creation is
 // bookkeeping, not shared-memory communication.
 func (s *Series) At(r, k, param int) *Instance {
-	key := seriesKey{r: r, k: k, param: param}
-	inst, ok := s.m[key]
-	if !ok {
-		inst = NewInstance(fmt.Sprintf("%s[%d][%d]/%d", s.name, r, k, param), s.n, param, s.impl)
-		s.m[key] = inst
+	for i := len(s.insts) - 1; i >= 0; i-- {
+		if e := &s.insts[i]; e.r == r && e.k == k && e.param == param {
+			return e.inst
+		}
 	}
+	inst := NewInstance(s.key.WithRound(r).WithSub(k, param), s.n, param, s.impl)
+	s.insts = append(s.insts, seriesEntry{r: r, k: k, param: param, inst: inst})
 	return inst
 }

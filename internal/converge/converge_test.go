@@ -11,6 +11,9 @@ import (
 
 func impls() []Impl { return []Impl{UseAtomic, UseAfek} }
 
+// keyC identifies the stand-alone instances the tests build.
+var keyC = sim.NameOf("c").Key(sim.ObjConverge)
+
 // convMachine performs one Converge(inst, in) call and decides the picked
 // value, reporting the outcome to done.
 type convMachine struct {
@@ -68,7 +71,7 @@ func converge(inst *Instance, inputs []sim.Value, sched sim.Schedule, pattern si
 // the given inputs, schedule and pattern, returning picks and commits.
 func runConverge(t *testing.T, n, k int, impl Impl, inputs []sim.Value, sched sim.Schedule, pattern sim.Pattern) (picks map[sim.PID]sim.Value, commits map[sim.PID]bool) {
 	t.Helper()
-	_, picks, commits, err := converge(NewInstance("c", n, k, impl), inputs, sched, pattern)
+	_, picks, commits, err := converge(NewInstance(keyC, n, k, impl), inputs, sched, pattern)
 	if err != nil {
 		t.Fatalf("converge run: %v", err)
 	}
@@ -76,7 +79,7 @@ func runConverge(t *testing.T, n, k int, impl Impl, inputs []sim.Value, sched si
 }
 
 func TestZeroConverge(t *testing.T) {
-	inst := NewInstance("c", 2, 0, UseAtomic)
+	inst := NewInstance(keyC, 2, 0, UseAtomic)
 	log := sim.NewAccessLog()
 	check := func(_ sim.PID, v sim.Value, c bool) {
 		if v != 41 || c {
@@ -190,7 +193,7 @@ func TestSoloCommits(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl.String(), func(t *testing.T) {
 			n := 3
-			inst := NewInstance("c", n, 1, impl)
+			inst := NewInstance(keyC, n, 1, impl)
 			var committed bool
 			solo := &convMachine{inst: inst, in: 5, done: func(_ sim.PID, _ sim.Value, c bool) { committed = c }}
 			pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{1: 1, 2: 1})
@@ -242,7 +245,7 @@ func TestQuickConvergeProperties(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = sim.Value(i%numDistinct + 1)
 		}
-		_, picks, commits, err := converge(NewInstance("c", n, k, UseAtomic), inputs, sim.NewRandom(seed), sim.FailFree(n))
+		_, picks, commits, err := converge(NewInstance(keyC, n, k, UseAtomic), inputs, sim.NewRandom(seed), sim.FailFree(n))
 		if err != nil {
 			return false
 		}
@@ -317,7 +320,7 @@ func TestValueSetMinEmptyPanics(t *testing.T) {
 }
 
 func TestSeriesIdentity(t *testing.T) {
-	s := NewSeries("x", 3, UseAtomic)
+	s := NewSeries(sim.NameOf("x"), 3, UseAtomic)
 	a := s.At(1, 2, 2)
 	b := s.At(1, 2, 2)
 	c := s.At(1, 2, 1)
@@ -339,7 +342,7 @@ func TestNegativeKPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewInstance("c", 2, -1, UseAtomic)
+	NewInstance(keyC, 2, -1, UseAtomic)
 }
 
 func TestImplString(t *testing.T) {
@@ -351,7 +354,7 @@ func TestImplString(t *testing.T) {
 func TestAfekCostHigherThanAtomic(t *testing.T) {
 	// The registers-only implementation must cost strictly more steps.
 	count := func(impl Impl) int64 {
-		inst := NewInstance("c", 3, 1, impl)
+		inst := NewInstance(keyC, 3, 1, impl)
 		machines := []sim.StepMachine{&convMachine{inst: inst, in: 1}, &convMachine{inst: inst, in: 1}, &convMachine{inst: inst, in: 1}}
 		rep, err := sim.RunMachines(sim.Config{Pattern: sim.FailFree(3), Schedule: sim.RoundRobin(), Budget: 1 << 18}, machines)
 		if err != nil {
@@ -375,7 +378,7 @@ func BenchmarkAblationConverge(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/k%d", impl, k), func(b *testing.B) {
 				var steps int64
 				for i := 0; i < b.N; i++ {
-					rep, _, _, err := converge(NewInstance("c", n, k, impl), inputs, sim.NewRandom(int64(i)), sim.FailFree(n))
+					rep, _, _, err := converge(NewInstance(keyC, n, k, impl), inputs, sim.NewRandom(int64(i)), sim.FailFree(n))
 					if err != nil {
 						b.Fatal(err)
 					}

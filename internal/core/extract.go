@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -77,44 +75,54 @@ func NewExtraction(n int, d sim.Oracle, phi Phi) *Extraction {
 		n:      n,
 		d:      d,
 		phi:    phi,
-		r:      memory.NewArray[report]("R", n),
-		out:    memory.NewArray[sim.Set]("Υf-output", n),
+		r:      memory.NewArray[report](keyReports, n),
+		out:    memory.NewArray[sim.Set](keyUpsilonOut, n),
 		rounds: newExtractRounds(n),
 	}
 }
 
-// Output returns the current emulated Υ^f outputs; for inspection between
-// steps (schedules, stop predicates, post-run checks) only.
-func (e *Extraction) Output() []sim.Set { return e.out.Inspect() }
+// The extraction's shared objects: the report array R, the emulated output
+// array, and the per-round flags Changed[r] and Exited[r][j].
+var (
+	keyReports    = sim.KeyOf("R")
+	keyUpsilonOut = sim.KeyOf("Υf-output")
+	keyChanged    = sim.KeyOf("Changed")
+	keyExited     = sim.KeyOf("Exited")
+)
 
-// OutputAt returns process i's current emulated output.
+// OutputAt returns process i's current emulated Υ^f output; for inspection
+// between steps (schedules, stop predicates, post-run checks) only.
 func (e *Extraction) OutputAt(i sim.PID) sim.Set { return e.out.At(i).Inspect() }
 
 // extractRounds lazily allocates the per-round shared flags of Figure 3:
 // Changed[r] (a differing report was seen; advance) and Exited[r][j] (the
-// value with which j exited the wait clause).
+// value with which j exited the wait clause). Rounds count up from 1, so
+// the rounds are indexed by number directly.
 type extractRounds struct {
-	n int
-	m map[int]*extractRound
+	n      int
+	rounds []*extractRound
 }
 
 type extractRound struct {
-	changed *memory.Register[bool]
+	changed memory.Register[bool]
 	exited  *memory.Array[memory.Opt[any]]
 }
 
 func newExtractRounds(n int) *extractRounds {
-	return &extractRounds{n: n, m: make(map[int]*extractRound)}
+	return &extractRounds{n: n}
 }
 
 func (er *extractRounds) at(r int) (*memory.Register[bool], *memory.Array[memory.Opt[any]]) {
-	round, ok := er.m[r]
-	if !ok {
-		round = &extractRound{
-			changed: memory.NewRegister[bool](fmt.Sprintf("Changed[%d]", r)),
-			exited:  memory.NewArray[memory.Opt[any]](fmt.Sprintf("Exited[%d]", r), er.n),
-		}
-		er.m[r] = round
+	for r >= len(er.rounds) {
+		er.rounds = append(er.rounds, nil)
 	}
-	return round.changed, round.exited
+	round := er.rounds[r]
+	if round == nil {
+		round = &extractRound{
+			changed: *memory.NewRegister[bool](keyChanged.WithRound(r)),
+			exited:  memory.NewArray[memory.Opt[any]](keyExited.WithRound(r), er.n),
+		}
+		er.rounds[r] = round
+	}
+	return &round.changed, round.exited
 }

@@ -21,7 +21,7 @@ func runExtraction(t *testing.T, pattern sim.Pattern, d sim.Oracle, phi Phi, sch
 	for i := range machines {
 		machines[i] = ex.Machine()
 	}
-	trace := check.NewOutputTrace[sim.Set](n, ex.Output)
+	trace := check.NewOutputTrace[sim.Set](n, ex.OutputAt)
 	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,

@@ -38,6 +38,9 @@ func HybridExtractor() Extractor {
 	return Extractor{Name: "hybrid", Build: candidates(true, true)}
 }
 
+// keyGuess names a candidate's published Ω^f guesses.
+var keyGuess = sim.KeyOf("omegaf-guess")
+
 // candidates returns the Build function of a candidate that, every
 // iteration, writes a fresh heartbeat (when heartbeat is set), queries Υ^f
 // (when query is set) and publishes a guess: the padded complement of the
@@ -45,9 +48,9 @@ func HybridExtractor() Extractor {
 // freshest heartbeats, read by a collect.
 func candidates(heartbeat, query bool) func(n, f int, upsilon sim.Oracle) ([]sim.StepMachine, *memory.Array[sim.Set]) {
 	return func(n, f int, upsilon sim.Oracle) ([]sim.StepMachine, *memory.Array[sim.Set]) {
-		c := &candidate{n: n, f: f, out: memory.NewArray[sim.Set]("omegaf-guess", n)}
+		c := &candidate{n: n, f: f, out: memory.NewArray[sim.Set](keyGuess, n)}
 		if heartbeat {
-			c.hb = memory.NewArray[int64]("HB", n)
+			c.hb = memory.NewArray[int64](keyHeartbeats, n)
 		}
 		if query {
 			c.upsilon = upsilon

@@ -53,12 +53,25 @@ func NewFig1(n int, upsilon sim.Oracle, impl converge.Impl) *Fig1 {
 	return &Fig1{
 		n:       n,
 		upsilon: upsilon,
-		top:     converge.NewSeries("nconv", n, impl),
-		sub:     converge.NewSeries("gconv", n, impl),
-		d:       memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		top:     converge.NewSeries(nameNConv, n, impl),
+		sub:     converge.NewSeries(nameGConv, n, impl),
+		d:       memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		rounds:  newRoundRegs(n),
 	}
 }
+
+// The shared objects' base names and keys, resolved once per process so
+// that building a run's shared state looks nothing up.
+var (
+	nameNConv = sim.NameOf("nconv")
+	nameFConv = sim.NameOf("fconv")
+	nameGConv = sim.NameOf("gconv")
+	// keyD is the decision register D; keyDr and keyStable name the
+	// per-round registers D[r] and Stable[r].
+	keyD      = sim.KeyOf("D")
+	keyDr     = sim.NameOf("D").Key(sim.ObjRound)
+	keyStable = sim.NameOf("Stable").Key(sim.ObjRound)
+)
 
 // K returns the agreement parameter: the maximum number of distinct decision
 // values, n−1 for n processes.
@@ -69,29 +82,33 @@ func (g *Fig1) K() int { return g.n - 1 }
 func (g *Fig1) Decision() memory.Opt[sim.Value] { return g.d.Inspect() }
 
 // roundRegs lazily allocates the per-round registers D[r] and Stable[r].
-// Allocation is bookkeeping (no simulation steps).
+// Allocation is bookkeeping (no simulation steps). Rounds count up from 1,
+// so the pairs are indexed by round directly.
 type roundRegs struct {
-	n int
-	m map[int]*roundPair
+	n     int
+	pairs []*roundPair
 }
 
 type roundPair struct {
-	dr     *memory.Register[memory.Opt[sim.Value]]
-	stable *memory.Register[bool]
+	dr     memory.Register[memory.Opt[sim.Value]]
+	stable memory.Register[bool]
 }
 
 func newRoundRegs(n int) *roundRegs {
-	return &roundRegs{n: n, m: make(map[int]*roundPair)}
+	return &roundRegs{n: n}
 }
 
 func (rr *roundRegs) at(r int) (*memory.Register[memory.Opt[sim.Value]], *memory.Register[bool]) {
-	pair, ok := rr.m[r]
-	if !ok {
-		pair = &roundPair{
-			dr:     memory.NewRegister[memory.Opt[sim.Value]](fmt.Sprintf("D[%d]", r)),
-			stable: memory.NewRegister[bool](fmt.Sprintf("Stable[%d]", r)),
-		}
-		rr.m[r] = pair
+	for r >= len(rr.pairs) {
+		rr.pairs = append(rr.pairs, nil)
 	}
-	return pair.dr, pair.stable
+	pair := rr.pairs[r]
+	if pair == nil {
+		pair = &roundPair{
+			dr:     *memory.NewRegister[memory.Opt[sim.Value]](keyDr.WithRound(r)),
+			stable: *memory.NewRegister[bool](keyStable.WithRound(r)),
+		}
+		rr.pairs[r] = pair
+	}
+	return &pair.dr, &pair.stable
 }

@@ -55,9 +55,9 @@ func NewFig2(n, f int, upsilon sim.Oracle, impl converge.Impl) *Fig2 {
 		f:       f,
 		upsilon: upsilon,
 		impl:    impl,
-		top:     converge.NewSeries("fconv", n, impl),
-		sub:     converge.NewSeries("gconv", n, impl),
-		d:       memory.NewRegister[memory.Opt[sim.Value]]("D"),
+		top:     converge.NewSeries(nameFConv, n, impl),
+		sub:     converge.NewSeries(nameGConv, n, impl),
+		d:       memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		rounds:  newRoundRegs(n),
 		snaps:   newSnapSeries(n, impl),
 	}
@@ -87,30 +87,41 @@ func minValue(scan []memory.Opt[sim.Value]) sim.Value {
 
 // snapSeries lazily allocates the atomic snapshot objects A[r][k]. Like
 // converge series, the identity includes the caller's |U| so that processes
-// with divergent Υ^f views use distinct objects.
+// with divergent Υ^f views use distinct objects: snapshot [r][k] for |U| = u
+// is identified by the key A[r][k]/u.
 type snapSeries struct {
 	n    int
 	impl converge.Impl
-	m    map[seriesKey3]memory.Snapshot[sim.Value]
+	// snaps holds the snapshots created so far; a run touches only a few
+	// rounds, so a short slice searched from its most recent end suffices.
+	snaps []snapEntry
 }
 
-type seriesKey3 struct{ r, k, usize int }
+type snapEntry struct {
+	r, k, usize int
+	snap        memory.Snapshot[sim.Value]
+}
+
+// keyGladiator names the gladiator snapshots A[r][k]/|U|.
+var keyGladiator = sim.NameOf("A").Key(sim.ObjGladiator)
 
 func newSnapSeries(n int, impl converge.Impl) *snapSeries {
-	return &snapSeries{n: n, impl: impl, m: make(map[seriesKey3]memory.Snapshot[sim.Value])}
+	return &snapSeries{n: n, impl: impl}
 }
 
 func (ss *snapSeries) at(r, k, usize int) memory.Snapshot[sim.Value] {
-	key := seriesKey3{r: r, k: k, usize: usize}
-	s, ok := ss.m[key]
-	if !ok {
-		name := fmt.Sprintf("A[%d][%d]/%d", r, k, usize)
-		if ss.impl == converge.UseAfek {
-			s = memory.NewAfekSnapshot[sim.Value](name, ss.n)
-		} else {
-			s = memory.NewAtomicSnapshot[sim.Value](name, ss.n)
+	for i := len(ss.snaps) - 1; i >= 0; i-- {
+		if e := &ss.snaps[i]; e.r == r && e.k == k && e.usize == usize {
+			return e.snap
 		}
-		ss.m[key] = s
 	}
+	key := keyGladiator.WithRound(r).WithSub(k, usize)
+	var s memory.Snapshot[sim.Value]
+	if ss.impl == converge.UseAfek {
+		s = memory.NewAfekSnapshot[sim.Value](key, ss.n)
+	} else {
+		s = memory.NewAtomicSnapshot[sim.Value](key, ss.n)
+	}
+	ss.snaps = append(ss.snaps, snapEntry{r: r, k: k, usize: usize, snap: s})
 	return s
 }

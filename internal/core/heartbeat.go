@@ -55,18 +55,22 @@ func NewHeartbeatUpsilon(n int, initialThreshold int64) *HeartbeatUpsilon {
 	}
 	return &HeartbeatUpsilon{
 		n:                n,
-		hb:               memory.NewArray[int64]("HB", n),
-		out:              memory.NewArray[sim.Set]("Υ-impl", n),
+		hb:               memory.NewArray[int64](keyHeartbeats, n),
+		out:              memory.NewArray[sim.Set](keyUpsilonImpl, n),
 		initialThreshold: initialThreshold,
 	}
 }
 
+// keyHeartbeats names the heartbeat array HB every timing-based module
+// shares; keyUpsilonImpl the implemented Υ's output array.
+var (
+	keyHeartbeats  = sim.KeyOf("HB")
+	keyUpsilonImpl = sim.KeyOf("Υ-impl")
+)
+
 // OutputAt returns process i's current emulated output; for inspection
 // between steps only.
 func (h *HeartbeatUpsilon) OutputAt(i sim.PID) sim.Set { return h.out.At(i).Inspect() }
-
-// Output returns all current emulated outputs; for inspection only.
-func (h *HeartbeatUpsilon) Output() []sim.Set { return h.out.Inspect() }
 
 // Emulated exposes the implementation as a queryable oracle: the module
 // output of process p is p's own output variable (process-local state),

@@ -20,7 +20,7 @@ func runHeartbeat(t *testing.T, pattern sim.Pattern, sched sim.Schedule, budget 
 	for i := range machines {
 		machines[i] = hb.Machine()
 	}
-	trace := check.NewOutputTrace[sim.Set](n, hb.Output)
+	trace := check.NewOutputTrace[sim.Set](n, hb.OutputAt)
 	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,
@@ -340,7 +340,7 @@ func TestHeartbeatThresholdAdaptation(t *testing.T) {
 	for i := range machines {
 		machines[i] = hb.Machine()
 	}
-	trace := check.NewOutputTrace[sim.Set](n, hb.Output)
+	trace := check.NewOutputTrace[sim.Set](n, hb.OutputAt)
 	_, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: burst,

@@ -195,7 +195,11 @@ func TestMachineEquivalenceExtraction(t *testing.T) {
 							Schedule: sf.mk(seed),
 							Budget:   6000,
 							StopWhen: func(sim.Time) bool {
-								outputs = append(outputs, append([]sim.Set(nil), ex.Output()...))
+								out := make([]sim.Set, n)
+								for i := range out {
+									out[i] = ex.OutputAt(sim.PID(i))
+								}
+								outputs = append(outputs, out)
 								return false
 							},
 						}

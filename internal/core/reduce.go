@@ -77,10 +77,13 @@ func NewUpsilon1ToOmega(n int, upsilon sim.Oracle) *Upsilon1ToOmega {
 	return &Upsilon1ToOmega{
 		n:       n,
 		upsilon: upsilon,
-		hb:      memory.NewArray[int64]("HB", n),
-		out:     memory.NewArray[memory.Opt[sim.PID]]("Ω-output", n),
+		hb:      memory.NewArray[int64](keyHeartbeats, n),
+		out:     memory.NewArray[memory.Opt[sim.PID]](keyOmegaOut, n),
 	}
 }
+
+// keyOmegaOut names the reduction's emulated Ω output array.
+var keyOmegaOut = sim.KeyOf("Ω-output")
 
 // OutputAt returns process i's current emulated Ω output; for inspection
 // between steps only.

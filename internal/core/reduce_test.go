@@ -20,13 +20,7 @@ func runUpsilon1ToOmega(t *testing.T, pattern sim.Pattern, upsilon sim.Oracle, s
 	for i := range machines {
 		machines[i] = red.Machine()
 	}
-	trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, func() []memory.Opt[sim.PID] {
-		out := make([]memory.Opt[sim.PID], n)
-		for i := range out {
-			out[i] = red.OutputAt(sim.PID(i))
-		}
-		return out
-	})
+	trace := check.NewOutputTrace[memory.Opt[sim.PID]](n, red.OutputAt)
 	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sched,

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"strings"
-
-	"weakestfd/internal/sim"
-)
+import "weakestfd/internal/sim"
 
 // Trace classification: mapping a shrunk counterexample onto a library of
 // named failure patterns. A shrunk artifact is a verified but opaque object —
@@ -177,46 +173,26 @@ func Classify(run *Run, property string) FailurePattern {
 	return mustPattern("unclassified")
 }
 
-// isSnapshotObj matches fig2's gladiator snapshot entries ("A[r][k]/|U|", …).
-func isSnapshotObj(name string) bool { return strings.HasPrefix(name, "A[") }
+// isSnapshotObj matches fig2's gladiator snapshot entries (A[r][k]/|U|).
+func isSnapshotObj(key sim.ObjKey) bool { return key.Kind() == sim.ObjGladiator }
 
-// isConvergeObj matches k-converge registers at any nesting level
-// ("nconv[r][k]/param.A", "gconv…", "fconv…").
-func isConvergeObj(name string) bool { return strings.Contains(name, "conv") }
+// isConvergeObj matches k-converge snapshot cells at any nesting level
+// (nconv[r][k]/param.A[i], gconv…, fconv…).
+func isConvergeObj(key sim.ObjKey) bool { return key.Kind() == sim.ObjConverge }
 
-// roundIndexedObj reports whether an access-log object name carries a
-// protocol round index as its first bracket group, and isolates it. These
-// are the per-round protocol objects — decision-estimate and stability
-// registers, converge registers, snapshot entries — whose access pattern
-// reveals which rounds a process actually executed. Detector history
-// objects, the plain decision register "D", and the extraction's registers
-// are excluded: only the agreement protocols' round counters are contiguous
-// by construction.
-func roundIndexedObj(name string) (round int, ok bool) {
-	switch {
-	case strings.HasPrefix(name, "D["), strings.HasPrefix(name, "Stable["), strings.HasPrefix(name, "A["):
-	case strings.HasPrefix(name, "nconv["), strings.HasPrefix(name, "gconv["), strings.HasPrefix(name, "fconv["):
-	default:
-		return 0, false
+// roundIndexedObj reports whether an access-log object carries a protocol
+// round index, and isolates it. These are the per-round protocol objects —
+// decision-estimate and stability registers, converge registers, snapshot
+// entries — whose access pattern reveals which rounds a process actually
+// executed. Detector history objects, the plain decision register D, and
+// the extraction's registers are excluded: only the agreement protocols'
+// round counters are contiguous by construction.
+func roundIndexedObj(key sim.ObjKey) (round int, ok bool) {
+	switch key.Kind() {
+	case sim.ObjRound, sim.ObjConverge, sim.ObjGladiator:
+		return key.Round()
 	}
-	i := strings.IndexByte(name, '[')
-	j := strings.IndexByte(name[i:], ']')
-	if j < 0 {
-		return 0, false
-	}
-	r := 0
-	digits := name[i+1 : i+j]
-	if digits == "" {
-		return 0, false
-	}
-	for k := 0; k < len(digits); k++ {
-		c := digits[k]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		r = r*10 + int(c-'0')
-	}
-	return r, true
+	return 0, false
 }
 
 // roundSkipper scans the run's access log for a process whose round-indexed
@@ -234,7 +210,7 @@ func roundSkipper(run *Run) sim.PID {
 	for i := 0; i < log.Steps(); i++ {
 		pid, accs := log.Step(i)
 		for _, a := range accs {
-			if r, ok := roundIndexedObj(log.ObjName(a.Obj)); ok {
+			if r, ok := roundIndexedObj(log.Key(a.Obj)); ok {
 				if seen[pid] == nil {
 					seen[pid] = make(map[int]bool)
 				}
@@ -273,7 +249,7 @@ func roundSkipper(run *Run) sim.PID {
 // fingerprint of the adopt-order and stale-snapshot failures: the decision
 // was computed from converge or snapshot state another process went on to
 // overwrite.
-func deciderMissedWrite(run *Run, match func(string) bool) bool {
+func deciderMissedWrite(run *Run, match func(sim.ObjKey) bool) bool {
 	log := run.Report.Accesses
 	if log == nil || run.Report.Decided == nil {
 		return false
@@ -287,7 +263,7 @@ func deciderMissedWrite(run *Run, match func(string) bool) bool {
 	for i := 0; i < log.Steps(); i++ {
 		pid, accs := log.Step(i)
 		for _, a := range accs {
-			if a.Kind == sim.AccessRead && match(log.ObjName(a.Obj)) {
+			if a.Kind == sim.AccessRead && match(log.Key(a.Obj)) {
 				lastRead[key{pid, a.Obj}] = i
 			}
 		}
@@ -300,7 +276,7 @@ func deciderMissedWrite(run *Run, match func(string) bool) bool {
 				continue
 			}
 			for _, a := range accs {
-				if a.Kind != sim.AccessWrite || !match(log.ObjName(a.Obj)) {
+				if a.Kind != sim.AccessWrite || !match(log.Key(a.Obj)) {
 					continue
 				}
 				if ri, ok := lastRead[key{p, a.Obj}]; ok && ri < i {

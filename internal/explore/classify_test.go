@@ -39,9 +39,25 @@ func TestPatternLibraryIntegrity(t *testing.T) {
 // syntheticAccess is one step of a hand-built access trace.
 type syntheticAccess struct {
 	pid  sim.PID
-	obj  string
+	obj  sim.ObjKey
 	kind sim.AccessKind
 }
+
+// Keys of the protocol objects the synthetic traces touch, built the way
+// internal/core and internal/converge build them.
+var (
+	testKeyD        = sim.KeyOf("D")
+	testKeyDr       = sim.NameOf("D").Key(sim.ObjRound)
+	testKeyStable   = sim.NameOf("Stable").Key(sim.ObjRound)
+	testKeyGlad     = sim.NameOf("A").Key(sim.ObjGladiator)
+	testKeyNConv    = sim.NameOf("nconv").Key(sim.ObjConverge)
+	testKeyGConv    = sim.NameOf("gconv").Key(sim.ObjConverge)
+	testKeyFConv    = sim.NameOf("fconv").Key(sim.ObjConverge)
+	testKeyChanged  = sim.KeyOf("Changed")
+	testKeyReports  = sim.KeyOf("R")
+	testKeyHistory  = sim.KeyOf("H(U)")
+	testKeyConvCell = testKeyNConv.WithRound(1).WithSub(0, 2).WithPart(0).WithCell(0)
+)
 
 func syntheticLog(steps []syntheticAccess) *sim.AccessLog {
 	log := sim.NewAccessLog()
@@ -74,21 +90,22 @@ func TestClassifySignatures(t *testing.T) {
 	// A round gap in one process's round-indexed accesses (D[1] then D[3]).
 	skipLog := func() *sim.AccessLog {
 		return syntheticLog([]syntheticAccess{
-			{0, "D[1]", sim.AccessRead},
-			{1, "D[1]", sim.AccessRead},
-			{1, "D[2]", sim.AccessRead},
-			{0, "D[3]", sim.AccessRead},
+			{0, testKeyDr.WithRound(1), sim.AccessRead},
+			{1, testKeyDr.WithRound(1), sim.AccessRead},
+			{1, testKeyDr.WithRound(2), sim.AccessRead},
+			{0, testKeyDr.WithRound(3), sim.AccessRead},
 		})
 	}
 	// The decider p1's last read of a converge register precedes p0's write.
 	convRace := syntheticLog([]syntheticAccess{
-		{1, "nconv[1][0]/param.A", sim.AccessRead},
-		{0, "nconv[1][0]/param.A", sim.AccessWrite},
+		{1, testKeyConvCell, sim.AccessRead},
+		{0, testKeyConvCell, sim.AccessWrite},
 	})
 	// Same race on a fig2 snapshot entry.
+	snapCell := testKeyGlad.WithRound(1).WithSub(1, 2).WithCell(0)
 	snapRace := syntheticLog([]syntheticAccess{
-		{1, "A[1][1]/2", sim.AccessRead},
-		{0, "A[1][1]/2", sim.AccessWrite},
+		{1, snapCell, sim.AccessRead},
+		{0, snapCell, sim.AccessWrite},
 	})
 
 	cases := []struct {
@@ -119,32 +136,32 @@ func TestClassifySignatures(t *testing.T) {
 	}
 }
 
-// TestRoundIndexedObj pins which access-log object names carry a protocol
-// round index.
+// TestRoundIndexedObj pins which access-log objects carry a protocol round
+// index: the classifier reads the key's kind and round, never the rendered
+// name.
 func TestRoundIndexedObj(t *testing.T) {
 	cases := []struct {
-		name  string
+		key   sim.ObjKey
 		round int
 		ok    bool
 	}{
-		{"D[1]", 1, true},
-		{"D[12]", 12, true},
-		{"Stable[3]", 3, true},
-		{"A[2][1]/2", 2, true},
-		{"nconv[4][1]/param.A", 4, true},
-		{"gconv[7][2]/param.B", 7, true},
-		{"fconv[5][0]/commit", 5, true},
-		{"D", 0, false},          // the decision register has no round
-		{"R", 0, false},          // extraction registers are not rounds
-		{"H(U)", 0, false},       // detector histories are not rounds
-		{"Changed[2]", 0, false}, // extraction state, excluded by prefix
-		{"D[x]", 0, false},       // non-numeric index
-		{"D[]", 0, false},        // empty index
+		{testKeyDr.WithRound(1), 1, true},
+		{testKeyDr.WithRound(12), 12, true},
+		{testKeyStable.WithRound(3), 3, true},
+		{testKeyGlad.WithRound(2).WithSub(1, 2).WithCell(0), 2, true},
+		{testKeyNConv.WithRound(4).WithSub(1, 2).WithPart(0).WithCell(1), 4, true},
+		{testKeyGConv.WithRound(7).WithSub(2, 1).WithPart(1).WithCell(0), 7, true},
+		{testKeyFConv.WithRound(5).WithSub(0, 1).WithPart(0).WithCell(2), 5, true},
+		{testKeyD, 0, false},                             // the decision register has no round
+		{testKeyReports.WithCell(1), 0, false},           // extraction registers are not rounds
+		{testKeyHistory, 0, false},                       // detector histories are not rounds
+		{testKeyChanged.WithRound(2), 0, false},          // extraction state: a plain object
+		{testKeyNConv.WithPart(0).WithCell(0), 0, false}, // a converge instance outside any series
 	}
 	for _, c := range cases {
-		r, ok := roundIndexedObj(c.name)
+		r, ok := roundIndexedObj(c.key)
 		if ok != c.ok || (ok && r != c.round) {
-			t.Errorf("roundIndexedObj(%q) = (%d,%v), want (%d,%v)", c.name, r, ok, c.round, c.ok)
+			t.Errorf("roundIndexedObj(%s) = (%d,%v), want (%d,%v)", c.key, r, ok, c.round, c.ok)
 		}
 	}
 }
@@ -153,10 +170,10 @@ func TestRoundIndexedObj(t *testing.T) {
 // contiguous round traces and on processes with a single round.
 func TestRoundSkipperContiguous(t *testing.T) {
 	log := syntheticLog([]syntheticAccess{
-		{0, "D[1]", sim.AccessRead},
-		{0, "D[2]", sim.AccessRead},
-		{0, "D[3]", sim.AccessRead},
-		{1, "D[5]", sim.AccessRead},
+		{0, testKeyDr.WithRound(1), sim.AccessRead},
+		{0, testKeyDr.WithRound(2), sim.AccessRead},
+		{0, testKeyDr.WithRound(3), sim.AccessRead},
+		{1, testKeyDr.WithRound(5), sim.AccessRead},
 	})
 	run := classifyRun(sim.FailFree(2), nil, nil, log, 0)
 	if p := roundSkipper(run); p != -1 {
@@ -171,7 +188,7 @@ func TestRoundSkipperContiguous(t *testing.T) {
 // write to land strictly after the decider's last read, by a different
 // process, and only counts deciding processes.
 func TestDeciderMissedWriteDirection(t *testing.T) {
-	obj := "nconv[1][0]/param.A"
+	obj := testKeyConvCell
 	decided := map[sim.PID]sim.Value{1: 101}
 	// Write before the last read: no race.
 	before := syntheticLog([]syntheticAccess{

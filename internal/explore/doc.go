@@ -66,21 +66,21 @@
 //     horizon in the same joint state run identical tails. Each run's state
 //     at the horizon is fingerprinted incrementally (sim.AccessLog's
 //     order-insensitive XOR of per-write value fingerprints — see
-//     StateDigest) and keyed together with the round-robin rotation point,
-//     a fingerprint of any forced-prefix grants still pending past the
-//     horizon, and the detector environment's *outputs digest*
-//     (sim.QuerySeam.OutputsDigest): per live history, the output a query at
-//     the horizon would observe plus every still-pending flip's time and
-//     post-flip output. A later run hitting a seen key stops at the horizon
-//     and splices the recorded tail, counted in Result.Joined. Soundness:
-//     crashes and flips fire at *absolute* times, and machines consult time
-//     only through the query seam, whose environment-side accesses are
-//     sealed out of the per-process observation hashes (they are charged to
-//     whichever step runs at the flip time, not observed by it) and carried
-//     by the env component instead — so equal key at equal time t means the
-//     two runs' futures are *identical* step for step, not merely
-//     equivalent, and the first visitor's property verdict covers the
-//     joined run. A sound key never changes the search, only who executes
+//     StateDigest) and keyed together with the round-robin rotation point
+//     and a fingerprint of any forced-prefix grants still pending past the
+//     horizon. The digest covers the detector environment too: each flip
+//     writes its history object with the post-flip output's fingerprint
+//     (sim.QuerySeam.OnStep). A later run hitting a seen key stops at the
+//     horizon and splices the recorded tail, counted in Result.Joined.
+//     Soundness: crashes and flips fire at *absolute* times — the flips
+//     still pending at the horizon are the same for every run of a
+//     configuration — and machines consult time only through the query
+//     seam, whose environment-side accesses are sealed out of the
+//     per-process observation hashes (they are charged to whichever step
+//     runs at the flip time, not observed by it) — so equal key at equal
+//     time t means the two runs' futures are *identical* step for step, not
+//     merely equivalent, and the first visitor's property verdict covers
+//     the joined run. A sound key never changes the search, only who executes
 //     each tail: the hash variant visits exactly the pure-source schedules
 //     (pinned by the differential suite). The cache is capped
 //     (Config.MaxStates); hitting the cap only disables new insertions and

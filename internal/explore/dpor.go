@@ -118,22 +118,32 @@ type dporNode struct {
 	slept     []sleeper // earlier fully-explored siblings at this node
 }
 
-// dporRecord is one run's scheduling transcript: the forced prefix is
-// replayed through a sim.FixedSchedule (round-robin fallback closes the
-// run fairly) whose OnGrant hook records the enabled set and grant of
-// every step for the post-run dependency analysis.
-type dporRecord struct {
+// runRecord is the schedule of a reducing engine's runs and their
+// scheduling transcript at once: a sim.FixedSchedule replays the forced
+// prefix and closes the run with its fresh round-robin tail, and the record
+// keeps the grant and enabled set of every step for the post-run dependency
+// analysis. One record serves every run of a configuration; reset rewinds
+// it, keeping its buffers. The join key's rotation component relies on the
+// tail's rotation starting fresh on every run.
+type runRecord struct {
+	sched   sim.FixedSchedule
 	granted []sim.PID
 	enabled []sim.Set
 }
 
-func (r *dporRecord) schedule(prefix []sim.PID) *sim.FixedSchedule {
-	s := sim.NewFixedSchedule(prefix)
-	s.OnGrant = func(_ int, _ sim.Time, enabled sim.Set, chosen sim.PID) {
-		r.granted = append(r.granted, chosen)
-		r.enabled = append(r.enabled, enabled)
-	}
-	return s
+// reset starts the next run, forced into prefix.
+func (r *runRecord) reset(prefix []sim.PID) {
+	r.sched = sim.FixedSchedule{Prefix: prefix}
+	r.granted = r.granted[:0]
+	r.enabled = r.enabled[:0]
+}
+
+// Next implements sim.Schedule.
+func (r *runRecord) Next(t sim.Time, enabled sim.Set) sim.PID {
+	pick := r.sched.Next(t, enabled)
+	r.granted = append(r.granted, pick)
+	r.enabled = append(r.enabled, enabled)
+	return pick
 }
 
 // dporSearch is the per-configuration DPOR state.
@@ -167,6 +177,7 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 	}
 	d := &dporSearch{e: e, pattern: pattern, oracle: oracle, n: n, log: sim.NewAccessLog()}
 	var prefix []sim.PID
+	rec := &runRecord{}
 	for {
 		if e.stopped() {
 			return d
@@ -175,11 +186,12 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 			d.truncated = true
 			return d
 		}
-		rec := &dporRecord{}
-		sched := rec.schedule(prefix)
+		rec.reset(prefix)
 		d.log.Reset()
-		run := execute(e.cfg.System, pattern, oracle, sched, e.cfg.Budget, d.log, nil)
-		run.Schedule = append([]sim.PID(nil), rec.granted...)
+		run := execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, d.log, nil)
+		// The schedule aliases the record's buffer, valid until the next
+		// run: everything that keeps it (the shrinker) copies it.
+		run.Schedule = rec.granted
 		d.runs++
 		e.runs.Add(1)
 		if run.OutputsSettled {
@@ -187,7 +199,7 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 		}
 		bumpMax(&e.maxSteps, run.Report.Steps)
 		d.violations += e.check(run, pattern, oracle)
-		if sched.Diverged() {
+		if rec.sched.Diverged() {
 			// A forced prefix can only diverge if re-execution is not
 			// deterministic — a broken system, not a property of the run.
 			panic(fmt.Sprintf("explore: DPOR prefix diverged on %s under %s, %s (non-deterministic system?)",
@@ -206,7 +218,7 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 // extend appends stack nodes for the steps the last run executed beyond the
 // forced prefix (up to MaxDepth), and fills in the access set of the node
 // whose alternative was just executed for the first time.
-func (d *dporSearch) extend(start int, rec *dporRecord) {
+func (d *dporSearch) extend(start int, rec *runRecord) {
 	steps := d.log.Steps()
 	if start > 0 {
 		nd := &d.stack[start-1]

@@ -58,15 +58,15 @@ func (s toySystem) Instantiate(sim.Pattern, OracleChoice) Instance {
 	if s.disjoint {
 		// Each process owns a private counter: every pair of steps of
 		// different processes commutes.
-		a := memory.NewRegister[int64]("a")
-		b := memory.NewRegister[int64]("b")
+		a := memory.NewRegister[int64](sim.KeyOf("a"))
+		b := memory.NewRegister[int64](sim.KeyOf("b"))
 		return Instance{Machines: []sim.StepMachine{
 			&toyMachine{src: a, dst: a},
 			&toyMachine{src: b, dst: b},
 		}}
 	}
 	// Shared counter: read-read commutes, read-write and write-write do not.
-	x := memory.NewRegister[int64]("x")
+	x := memory.NewRegister[int64](sim.KeyOf("x"))
 	return Instance{Machines: []sim.StepMachine{
 		&toyMachine{src: x, dst: x},
 		&toyMachine{src: x, dst: x},

@@ -629,9 +629,9 @@ func bumpMax(m *atomic.Int64, v int64) {
 // queries and history flips are part of those sets. An unrecorded run needs
 // no seam — flip schedules live in the oracle itself, so outputs are
 // identical either way. stop, when non-nil, is polled after every step (and
-// after the instance's observer) with the step count and the query seam; a
-// true return ends the run early — the source engine's state-hash join probe.
-func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time, *sim.QuerySeam) bool) *Run {
+// after the instance's observer) with the step count; a true return ends the
+// run early — the source engine's state-hash join probe.
+func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time) bool) *Run {
 	inst := sys.Instantiate(pattern, oracle)
 	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: budget, AccessLog: log}
 	var seam *sim.QuerySeam
@@ -648,7 +648,7 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 			if observe != nil {
 				observe(t)
 			}
-			return stop != nil && stop(t, seam)
+			return stop != nil && stop(t)
 		}
 	}
 	var rep *sim.Report

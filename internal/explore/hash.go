@@ -17,19 +17,13 @@ import "weakestfd/internal/sim"
 //     counter. Equal digests mean (up to 64-bit collisions) identical shared
 //     state and identical machine local states, because a machine's local
 //     state is a deterministic function of its observation sequence. The
-//     environment's own history-object accesses (flip writes and
-//     boundary-guard reads) are sealed out of the observation hashes
-//     (sim.AccessLog.SealEnv): they are charged to whichever step runs at
-//     the flip's absolute time, not observed by it, and the env component
-//     below carries the information instead;
-//   - the detector environment's outputs digest at h
-//     (sim.QuerySeam.OutputsDigest): per registered history, the output a
-//     query at h would observe plus every still-pending flip's (time,
-//     post-flip output). Equal env components mean the continuations query
-//     identical presents and face identical futures; because the pending
-//     schedule is folded in, prefixes reaching h on opposite sides of a flip
-//     can never be identified even when the observable outputs happen to
-//     coincide;
+//     detector histories are shared objects of the digest too: each flip at
+//     or before h writes its history object with the post-flip output's
+//     fingerprint (sim.QuerySeam.OnStep), so the digest already holds what a
+//     query at h observes. The environment's own history-object accesses
+//     (flip writes and boundary-guard reads) are sealed out of the
+//     observation hashes (sim.AccessLog.SealEnv): they are charged to
+//     whichever step runs at the flip's absolute time, not observed by it;
 //   - the round-robin rotation state entering the tail (the last granted
 //     PID, or fresh when the forced prefix covered the whole horizon), so
 //     identical states continued by differently-rotated fair tails are
@@ -40,15 +34,16 @@ import "weakestfd/internal/sim"
 //     grants too.
 //
 // Both runs are at the same global time (t = h: time advances one per step),
-// the crash pattern fires at absolute times, and flips fire at absolute
-// times, so equal keys imply the continuations are *identical runs*, step
-// for step — not merely equivalent. The joiner therefore stops executing at
-// h, splices the cached tail's access trace into its log (so the race
-// analysis that drives further branching sees the complete run), counts the
-// cached tail's step/settledness facts, and skips property checking: the
-// first visitor checked the identical run, and the explorer deduplicates
-// violations per (pattern, oracle, property), so a joiner's checks can
-// contribute nothing the first visitor's did not.
+// the crash pattern fires at absolute times, and the flips still pending
+// after h fire at absolute times fixed by the configuration — the same for
+// every run sharing the cache — so equal keys imply the continuations are
+// *identical runs*, step for step — not merely equivalent. The joiner
+// therefore stops executing at h, splices the cached tail's access trace
+// into its log (so the race analysis that drives further branching sees the
+// complete run), counts the cached tail's step/settledness facts, and skips
+// property checking: the first visitor checked the identical run, and the
+// explorer deduplicates violations per (pattern, oracle, property), so a
+// joiner's checks can contribute nothing the first visitor's did not.
 //
 // The cache is bounded by Config.MaxStates entries per configuration; once
 // full it stops admitting new states (Result.StateCapped) but keeps probing
@@ -57,7 +52,6 @@ import "weakestfd/internal/sim"
 // joinKey identifies a state at the branch horizon.
 type joinKey struct {
 	digest  uint64
-	env     uint64 // QuerySeam.OutputsDigest at the horizon
 	pending uint64 // pidSeqFP of forced-prefix grants past the horizon, 0 none
 	rr      int16  // RR rotation entering the tail: last granted PID, -1 fresh
 }
@@ -72,55 +66,82 @@ func pidSeqFP(pids []sim.PID) uint64 {
 	return h
 }
 
-// tailStep is one cached tail step: its process and an owned copy of its
-// access set.
-type tailStep struct {
-	p   sim.PID
-	acc []sim.Access
-}
-
-// joinEntry is the reusable continuation of a state: the tail's grants and
-// access trace, and the run facts the joiner reports instead of measuring.
+// joinEntry is the reusable continuation of a state: where its tail's
+// grants and access trace sit in the cache's arenas, and the run facts the
+// joiner reports instead of measuring.
 type joinEntry struct {
-	grants  []sim.PID
-	tail    []tailStep
-	steps   int64
-	settled bool
+	grants, grantsEnd int32 // the tail's grants: joinCache.grants[grants:grantsEnd]
+	tail, tailEnd     int32 // the tail's steps: tailPID/tailAccEnd[tail:tailEnd]
+	accs              int32 // where the first tail step's accesses start
+	steps             int64
+	settled           bool
 }
 
 // joinCache maps horizon states to their continuations for one
-// configuration's search (single-goroutine access; no locking).
+// configuration's search (single-goroutine access; no locking). The tails
+// live in flat arenas shared by every entry, so caching a tail copies it
+// without allocating per step: tail step i is process tailPID[i] and its
+// accesses end at accs[tailAccEnd[i]] (they start where step i−1's end,
+// or at the entry's accs for its first step).
 type joinCache struct {
 	max    int
-	m      map[joinKey]*joinEntry
+	m      map[joinKey]joinEntry
 	capped bool
+
+	grants     []sim.PID
+	tailPID    []sim.PID
+	tailAccEnd []int32
+	accs       []sim.Access
 }
 
 func newJoinCache(max int) *joinCache {
-	return &joinCache{max: max, m: make(map[joinKey]*joinEntry)}
+	return &joinCache{max: max, m: make(map[joinKey]joinEntry)}
 }
 
-// get returns the cached continuation for key, nil when unseen.
-func (c *joinCache) get(key joinKey) *joinEntry {
-	return c.m[key]
+// get returns the cached continuation for key, reporting whether it exists.
+func (c *joinCache) get(key joinKey) (joinEntry, bool) {
+	ent, ok := c.m[key]
+	return ent, ok
 }
 
 // put records a continuation: the tail portion of the log (steps from
-// horizon on) and of the grant sequence, copied out of the run's buffers.
-// Returns false when the entry cap is hit (the state is not admitted).
+// horizon on) and of the grant sequence, copied into the arenas. Returns
+// false when the entry cap is hit (the state is not admitted).
 func (c *joinCache) put(key joinKey, log *sim.AccessLog, granted []sim.PID, horizon int, steps int64, settled bool) bool {
 	if len(c.m) >= c.max {
 		c.capped = true
 		return false
 	}
-	ent := &joinEntry{steps: steps, settled: settled}
+	ent := joinEntry{
+		grants:  int32(len(c.grants)),
+		tail:    int32(len(c.tailPID)),
+		accs:    int32(len(c.accs)),
+		steps:   steps,
+		settled: settled,
+	}
 	if horizon < len(granted) {
-		ent.grants = append([]sim.PID(nil), granted[horizon:]...)
+		c.grants = append(c.grants, granted[horizon:]...)
 	}
 	for i := horizon; i < log.Steps(); i++ {
 		p, acc := log.Step(i)
-		ent.tail = append(ent.tail, tailStep{p: p, acc: append([]sim.Access(nil), acc...)})
+		c.tailPID = append(c.tailPID, p)
+		c.accs = append(c.accs, acc...)
+		c.tailAccEnd = append(c.tailAccEnd, int32(len(c.accs)))
 	}
+	ent.grantsEnd = int32(len(c.grants))
+	ent.tailEnd = int32(len(c.tailPID))
 	c.m[key] = ent
 	return true
+}
+
+// splice appends the entry's tail to a joined run: its steps to log and its
+// grants to granted, which it returns extended.
+func (c *joinCache) splice(ent joinEntry, log *sim.AccessLog, granted []sim.PID) []sim.PID {
+	start := ent.accs
+	for i := ent.tail; i < ent.tailEnd; i++ {
+		end := c.tailAccEnd[i]
+		log.AppendStep(c.tailPID[i], c.accs[start:end])
+		start = end
+	}
+	return append(granted, c.grants[ent.grants:ent.grantsEnd]...)
 }

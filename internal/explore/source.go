@@ -113,15 +113,16 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 	// horizon: on a cache hit the run stops there and reuses the cached tail;
 	// on a miss the completed run's tail is inserted under the probed key.
 	// The closure (and the per-run probe state it captures) is built once for
-	// the whole configuration — it sits on the per-run hot path.
+	// the whole configuration, and so is the run record — both sit on the
+	// per-run hot path.
 	var prefix []sim.PID
-	var rec *dporRecord
-	var hit *joinEntry
+	rec := &runRecord{}
+	var hit joinEntry
+	var joined, probed bool
 	var probeKey joinKey
-	var probed bool
-	var stop func(sim.Time, *sim.QuerySeam) bool
+	var stop func(sim.Time) bool
 	if s.horizon > 0 {
-		stop = func(t sim.Time, seam *sim.QuerySeam) bool {
+		stop = func(t sim.Time) bool {
 			if int(t) != s.horizon || probed {
 				return false
 			}
@@ -135,9 +136,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 				// they agree on the pending suffix too.
 				probeKey.pending = pidSeqFP(prefix[s.horizon:])
 			}
-			probeKey.env = seam.OutputsDigest(t)
-			hit = s.joins.get(probeKey)
-			return hit != nil
+			hit, joined = s.joins.get(probeKey)
+			return joined
 		}
 	}
 	for {
@@ -148,26 +148,21 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			s.truncated = true
 			return s
 		}
-		rec = &dporRecord{}
-		sched := rec.schedule(prefix)
+		rec.reset(prefix)
 		s.log.Reset()
-		hit, probed = nil, false
+		joined, probed = false, false
 
-		run := execute(e.cfg.System, pattern, oracle, sched, e.cfg.Budget, s.log, stop)
+		run := execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, s.log, stop)
 		s.seam = run.seam
 		s.hasFlips = s.seam.FlipsRemaining(0) > 0
 		s.runs++
 		e.runs.Add(1)
-		if hit != nil {
+		if joined {
 			// Joined run: splice the cached tail so the race analysis sees
 			// the complete run, and account the first visitor's facts. The
 			// first visitor also checked the identical continuation, so no
 			// property check here.
-			for _, ts := range hit.tail {
-				s.log.AppendStep(ts.p, ts.acc)
-			}
-			rec.granted = append(rec.granted, hit.grants...)
-			run.Schedule = append([]sim.PID(nil), rec.granted...)
+			rec.granted = s.joins.splice(hit, s.log, rec.granted)
 			s.joined++
 			e.joined.Add(1)
 			if hit.settled {
@@ -175,7 +170,9 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			}
 			bumpMax(&e.maxSteps, hit.steps)
 		} else {
-			run.Schedule = append([]sim.PID(nil), rec.granted...)
+			// The schedule aliases the record's buffer, valid until the
+			// next run: everything that keeps it (the shrinker) copies it.
+			run.Schedule = rec.granted
 			if run.OutputsSettled {
 				e.settled.Add(1)
 			}
@@ -185,7 +182,7 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 				s.joins.put(probeKey, s.log, rec.granted, s.horizon, run.Report.Steps, run.OutputsSettled)
 			}
 		}
-		if sched.Diverged() {
+		if rec.sched.Diverged() {
 			// A forced prefix can only diverge if re-execution is not
 			// deterministic — a broken system, not a property of the run.
 			// Wakeup tails cannot diverge either: their steps left-shift to
@@ -210,7 +207,7 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 // steps beyond the current stack (up to MaxDepth) — which include the forced
 // wakeup tail, each node seeded with its executed step as the first covered
 // alternative.
-func (s *srcSearch) extend(rec *dporRecord) {
+func (s *srcSearch) extend(rec *runRecord) {
 	steps := s.log.Steps()
 	if k := len(s.stack); k > 0 {
 		nd := &s.stack[k-1]

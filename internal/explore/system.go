@@ -465,7 +465,7 @@ func (s extractSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance
 	for i := range machines {
 		machines[i] = ex.MutantMachine(s.mut)
 	}
-	trace := check.NewOutputTrace[sim.Set](s.n, ex.Output)
+	trace := check.NewOutputTrace[sim.Set](s.n, ex.OutputAt)
 	correct := pattern.Correct()
 	return Instance{
 		Machines:  machines,

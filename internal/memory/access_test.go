@@ -31,7 +31,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "register read",
 			ops: func(l *sim.AccessLog) {
-				r := NewRegister[int]("r")
+				r := NewRegister[int](sim.KeyOf("r"))
 				r.DirectRead(l)
 			},
 			want: []string{"R(r)"},
@@ -39,7 +39,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "register write",
 			ops: func(l *sim.AccessLog) {
-				r := NewRegister[int]("r")
+				r := NewRegister[int](sim.KeyOf("r"))
 				r.DirectWrite(l, 7)
 			},
 			want: []string{"W(r)"},
@@ -47,7 +47,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "register write then read",
 			ops: func(l *sim.AccessLog) {
-				r := NewRegister[int]("r")
+				r := NewRegister[int](sim.KeyOf("r"))
 				r.DirectWrite(l, 7)
 				if r.DirectRead(l) != 7 {
 					t.Error("lost write")
@@ -58,7 +58,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "array accesses are per-register",
 			ops: func(l *sim.AccessLog) {
-				a := NewArray[int]("a", 3)
+				a := NewArray[int](sim.KeyOf("a"), 3)
 				a.DirectWrite(l, 2, 9)
 				a.DirectRead(l, 0)
 				a.DirectRead(l, 2)
@@ -68,7 +68,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "snapshot update writes one cell",
 			ops: func(l *sim.AccessLog) {
-				s := NewAtomicSnapshot[int]("s", 3)
+				s := NewAtomicSnapshot[int](sim.KeyOf("s"), 3)
 				s.DirectUpdate(l, nil, 1, 5)
 			},
 			want: []string{"W(s[1])"},
@@ -76,7 +76,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "snapshot scan reads every cell in order",
 			ops: func(l *sim.AccessLog) {
-				s := NewAtomicSnapshot[int]("s", 3)
+				s := NewAtomicSnapshot[int](sim.KeyOf("s"), 3)
 				s.DirectScan(l, nil, nil)
 			},
 			want: []string{"R(s[0])", "R(s[1])", "R(s[2])"},
@@ -84,7 +84,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "snapshot update+scan",
 			ops: func(l *sim.AccessLog) {
-				s := NewAtomicSnapshot[int]("s", 2)
+				s := NewAtomicSnapshot[int](sim.KeyOf("s"), 2)
 				s.DirectUpdate(l, nil, 0, 1)
 				s.DirectScan(l, nil, nil)
 			},
@@ -93,7 +93,7 @@ func TestAccessClassification(t *testing.T) {
 		{
 			name: "consensus propose is a write",
 			ops: func(l *sim.AccessLog) {
-				c := NewConsensusObject("c", 2)
+				c := NewConsensusObject(sim.KeyOf("c"), 2)
 				c.DirectPropose(l, 0, 4)
 				c.DirectPropose(l, 1, 8)
 			},
@@ -135,7 +135,7 @@ func TestCommutativityOracle(t *testing.T) {
 		mk   func() []sim.StepMachine
 	}
 	build := func(shared bool) fixture {
-		a, b := NewRegister[int]("a"), NewRegister[int]("b")
+		a, b := NewRegister[int](sim.KeyOf("a")), NewRegister[int](sim.KeyOf("b"))
 		f := fixture{regs: []*Register[int]{a, b}}
 		f.mk = func() []sim.StepMachine {
 			target := b
@@ -207,11 +207,11 @@ func TestCommutativityOracle(t *testing.T) {
 // instrumentation compiled in but disabled (nil log), the Direct* hot paths
 // allocate nothing.
 func TestDirectAccessNilLogZeroAlloc(t *testing.T) {
-	r := NewRegister[int64]("r")
-	arr := NewArray[int64]("a", 4)
-	snap := NewAtomicSnapshot[int64]("s", 4)
+	r := NewRegister[int64](sim.KeyOf("r"))
+	arr := NewArray[int64](sim.KeyOf("a"), 4)
+	snap := NewAtomicSnapshot[int64](sim.KeyOf("s"), 4)
 	var op SnapOp[int64]
-	cons := NewConsensusObject("c", 4)
+	cons := NewConsensusObject(sim.KeyOf("c"), 4)
 	scratch := make([]Opt[int64], 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.DirectWrite(nil, 1)

@@ -20,7 +20,7 @@ import (
 // requires Ωn (Guerraoui–Kuznetsov, the paper's [13]), strictly more
 // failure information than the Υ that set agreement needs.
 type ConsensusObject struct {
-	name      string
+	key       sim.ObjKey
 	limit     int
 	decided   Opt[sim.Value]
 	accessors sim.Set
@@ -31,12 +31,13 @@ type ConsensusObject struct {
 	logRef *sim.AccessLog
 }
 
-// NewConsensusObject returns an m-process consensus object.
-func NewConsensusObject(name string, m int) *ConsensusObject {
+// NewConsensusObject returns an m-process consensus object identified by
+// key.
+func NewConsensusObject(key sim.ObjKey, m int) *ConsensusObject {
 	if m < 1 {
 		panic(fmt.Sprintf("memory: consensus object limit %d", m))
 	}
-	return &ConsensusObject{name: name, limit: m}
+	return &ConsensusObject{key: key, limit: m}
 }
 
 // Limit returns m, the object's consensus number.
@@ -55,7 +56,7 @@ func (c *ConsensusObject) Decision() Opt[sim.Value] { return c.decided }
 // standard trick of the Ωn-boosting algorithms: |L| = m guarantees the
 // object named by L is touched only by members of L.
 type ConsFamily struct {
-	name  string
+	key   sim.ObjKey
 	limit int
 	m     map[consKey]*ConsensusObject
 }
@@ -65,9 +66,10 @@ type consKey struct {
 	l sim.Set
 }
 
-// NewConsFamily builds a family of m-process consensus objects.
-func NewConsFamily(name string, m int) *ConsFamily {
-	return &ConsFamily{name: name, limit: m, m: make(map[consKey]*ConsensusObject)}
+// NewConsFamily builds a family of m-process consensus objects; the object
+// for round r and accessor set l is identified by key[r]{l}.
+func NewConsFamily(key sim.ObjKey, m int) *ConsFamily {
+	return &ConsFamily{key: key, limit: m, m: make(map[consKey]*ConsensusObject)}
 }
 
 // At returns the object for round r and accessor set l (|l| must not exceed
@@ -79,7 +81,7 @@ func (f *ConsFamily) At(r int, l sim.Set) *ConsensusObject {
 	key := consKey{r: r, l: l}
 	obj, ok := f.m[key]
 	if !ok {
-		obj = NewConsensusObject(fmt.Sprintf("%s[%d]%v", f.name, r, l), f.limit)
+		obj = NewConsensusObject(f.key.WithRound(r).WithSet(l), f.limit)
 		f.m[key] = obj
 	}
 	return obj
@@ -101,10 +103,10 @@ func (f *ConsFamily) AllAccessorsWithinLimit() error {
 	for _, k := range keys {
 		obj := f.m[k]
 		if obj.Accessors().Len() > obj.Limit() {
-			return fmt.Errorf("memory: %s over-subscribed: %v", obj.name, obj.Accessors())
+			return fmt.Errorf("memory: %s over-subscribed: %v", obj.key, obj.Accessors())
 		}
 		if !obj.Accessors().SubsetOf(k.l) {
-			return fmt.Errorf("memory: %s accessed by %v outside its key set %v", obj.name, obj.Accessors(), k.l)
+			return fmt.Errorf("memory: %s accessed by %v outside its key set %v", obj.key, obj.Accessors(), k.l)
 		}
 	}
 	return nil

@@ -7,7 +7,7 @@ import (
 )
 
 func TestConsensusObjectFirstWins(t *testing.T) {
-	obj := NewConsensusObject("c", 3)
+	obj := NewConsensusObject(sim.KeyOf("c"), 3)
 	results := make([]sim.Value, 3)
 	machines := make([]sim.StepMachine, 3)
 	for i := range machines {
@@ -39,7 +39,7 @@ func TestConsensusObjectFirstWins(t *testing.T) {
 
 func TestConsensusObjectRepeatAccessor(t *testing.T) {
 	// The same process proposing repeatedly counts once against the limit.
-	obj := NewConsensusObject("c", 1)
+	obj := NewConsensusObject(sim.KeyOf("c"), 1)
 	var a, b sim.Value
 	m := &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
 		func(l *sim.AccessLog, me sim.PID) bool { a = obj.DirectPropose(l, me, 5); return true },
@@ -65,11 +65,11 @@ func TestConsensusObjectValidation(t *testing.T) {
 			t.Fatal("expected panic for limit 0")
 		}
 	}()
-	NewConsensusObject("c", 0)
+	NewConsensusObject(sim.KeyOf("c"), 0)
 }
 
 func TestConsFamilyWithinLimitEmpty(t *testing.T) {
-	fam := NewConsFamily("c", 2)
+	fam := NewConsFamily(sim.KeyOf("c"), 2)
 	if err := fam.AllAccessorsWithinLimit(); err != nil {
 		t.Fatal(err)
 	}

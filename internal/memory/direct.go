@@ -1,10 +1,6 @@
 package memory
 
-import (
-	"fmt"
-
-	"weakestfd/internal/sim"
-)
+import "weakestfd/internal/sim"
 
 // Direct shared-object access for the machine runner.
 //
@@ -22,13 +18,20 @@ import (
 // by one nil check and the disabled path allocates nothing (asserted by
 // TestDirectAccessNilLogZeroAlloc).
 
-// logID returns the register's identity in log l, interning the name on the
-// first access recorded into l. The cache is keyed by log pointer: an object
-// recorded into a different log re-interns, so sharing an object between
-// logs is safe (if wasteful).
+// ID caches. Every object interns its key (sim.ObjKey) into a log on the
+// first access recorded there and caches the resulting ID next to the log
+// pointer, so later accesses in the same log pay one pointer comparison.
+// The cache is keyed by log pointer: an object recorded into a different log
+// re-interns, so sharing an object between logs is safe (if wasteful). A
+// fresh object whose key the log already holds (the same register in the
+// next run of an exploration) gets the ID interned before, at the cost of
+// one map lookup; only a snapshot allocates, for its per-position table.
+
+// logID returns the register's identity in log l, interning its key on the
+// first access recorded into l.
 func (r *Register[T]) logID(l *sim.AccessLog) sim.ObjID {
 	if r.logRef != l {
-		r.oid = l.Intern(r.name)
+		r.oid = l.Intern(r.key)
 		r.logRef = l
 	}
 	return r.oid
@@ -68,17 +71,18 @@ func (a *Array[T]) DirectWrite(l *sim.AccessLog, i sim.PID, v T) {
 }
 
 // cellID returns position i's identity in log l. Snapshot accesses are
-// recorded per position ("name[i]"), not per object: updates write only
-// their own position, so updates by different processes commute, while a
-// scan reads every position and conflicts with each of them — exactly the
-// dependency structure the containment argument of [1] induces.
+// recorded per position (the snapshot's key with cell i), not per object:
+// updates write only their own position, so updates by different processes
+// commute, while a scan reads every position and conflicts with each of
+// them — exactly the dependency structure the containment argument of [1]
+// induces. The first access recorded into l interns every position.
 func (s *atomicSnapshot[T]) cellID(l *sim.AccessLog, i int) sim.ObjID {
 	if s.logRef != l {
 		if s.cellIDs == nil {
 			s.cellIDs = make([]sim.ObjID, len(s.cells))
 		}
 		for j := range s.cellIDs {
-			s.cellIDs[j] = l.Intern(fmt.Sprintf("%s[%d]", s.name, j))
+			s.cellIDs[j] = l.Intern(s.key.WithCell(j))
 		}
 		s.logRef = l
 	}
@@ -117,7 +121,7 @@ func (c *ConsensusObject) DirectPropose(l *sim.AccessLog, me sim.PID, v sim.Valu
 	if !c.accessors.Has(me) {
 		c.accessors = c.accessors.Add(me)
 		if c.accessors.Len() > c.limit {
-			panic(c.name + ": consensus object accessor limit exceeded")
+			panic(c.key.String() + ": consensus object accessor limit exceeded")
 		}
 	}
 	if !c.decided.OK {
@@ -125,7 +129,7 @@ func (c *ConsensusObject) DirectPropose(l *sim.AccessLog, me sim.PID, v sim.Valu
 	}
 	if l != nil {
 		if c.logRef != l {
-			c.oid = l.Intern(c.name)
+			c.oid = l.Intern(c.key)
 			c.logRef = l
 		}
 		// The recorded fingerprint is the object's post-propose state — the

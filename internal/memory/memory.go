@@ -10,11 +10,7 @@
 // snapshot (justified by [1]'s implementability result).
 package memory
 
-import (
-	"fmt"
-
-	"weakestfd/internal/sim"
-)
+import "weakestfd/internal/sim"
 
 // Opt is an optional value: registers start ⊥ and the paper's protocols
 // repeatedly test registers against ⊥.
@@ -40,22 +36,23 @@ func (o Opt[T]) StateFP() uint64 {
 
 // Register is an atomic multi-reader multi-writer register holding a value
 // of type T. The zero value... is not usable; construct with NewRegister so
-// the register carries a name for traces.
+// the register carries its identity for traces.
 type Register[T any] struct {
-	name string
-	v    T
+	key sim.ObjKey
+	v   T
 
 	// oid caches the register's interned identity in logRef, so recorded
-	// runs pay the name-interning map lookup once per (object, log) pair
+	// runs pay the key-interning map lookup once per (object, log) pair
 	// instead of once per access. Valid only while logRef matches the log
 	// in use; see Register.logID.
 	oid    sim.ObjID
 	logRef *sim.AccessLog
 }
 
-// NewRegister returns a register initialized to T's zero value.
-func NewRegister[T any](name string) *Register[T] {
-	return &Register[T]{name: name}
+// NewRegister returns a register identified by key, initialized to T's zero
+// value.
+func NewRegister[T any](key sim.ObjKey) *Register[T] {
+	return &Register[T]{key: key}
 }
 
 // Inspect returns the register's value without taking a step. It exists for
@@ -65,32 +62,32 @@ func (r *Register[T]) Inspect() T { return r.v }
 
 // Array is a per-process array of atomic registers, R[0..n-1]: the shared
 // structure used by all announcement/heartbeat patterns in the paper.
+// Register i is identified by the array's key with cell i.
 type Array[T any] struct {
-	name string
-	regs []*Register[T]
+	regs []Register[T]
 }
 
 // NewArray returns an array of n registers, each holding T's zero value.
-func NewArray[T any](name string, n int) *Array[T] {
-	regs := make([]*Register[T], n)
-	for i := range regs {
-		regs[i] = NewRegister[T](fmt.Sprintf("%s[%d]", name, i))
+func NewArray[T any](key sim.ObjKey, n int) *Array[T] {
+	a := &Array[T]{regs: make([]Register[T], n)}
+	for i := range a.regs {
+		a.regs[i].key = key.WithCell(i)
 	}
-	return &Array[T]{name: name, regs: regs}
+	return a
 }
 
 // N returns the array length.
 func (a *Array[T]) N() int { return len(a.regs) }
 
 // At returns the i-th register.
-func (a *Array[T]) At(i sim.PID) *Register[T] { return a.regs[i] }
+func (a *Array[T]) At(i sim.PID) *Register[T] { return &a.regs[i] }
 
 // Inspect returns a copy of the array contents without taking steps; for
 // schedules and post-run checks only.
 func (a *Array[T]) Inspect() []T {
 	out := make([]T, len(a.regs))
-	for i, r := range a.regs {
-		out[i] = r.Inspect()
+	for i := range a.regs {
+		out[i] = a.regs[i].Inspect()
 	}
 	return out
 }

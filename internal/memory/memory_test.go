@@ -59,7 +59,7 @@ func keep(dst *[]Opt[sim.Value]) func([]Opt[sim.Value]) {
 }
 
 func TestRegisterReadWrite(t *testing.T) {
-	reg := NewRegister[int]("r")
+	reg := NewRegister[int](sim.KeyOf("r"))
 	var last int
 	m := &opMachine{ops: []func(*sim.AccessLog, sim.PID) bool{
 		func(l *sim.AccessLog, _ sim.PID) bool {
@@ -97,7 +97,7 @@ func TestRegisterOpt(t *testing.T) {
 }
 
 func TestArrayCollect(t *testing.T) {
-	arr := NewArray[int]("a", 3)
+	arr := NewArray[int](sim.KeyOf("a"), 3)
 	machines := make([]sim.StepMachine, 3)
 	for i := range machines {
 		sum := 0
@@ -135,8 +135,8 @@ func TestArrayCollect(t *testing.T) {
 }
 
 // snapshotFactories enumerates the two implementations under test.
-func snapshotFactories() map[string]func(name string, n int) Snapshot[sim.Value] {
-	return map[string]func(name string, n int) Snapshot[sim.Value]{
+func snapshotFactories() map[string]func(key sim.ObjKey, n int) Snapshot[sim.Value] {
+	return map[string]func(key sim.ObjKey, n int) Snapshot[sim.Value]{
 		"atomic": NewAtomicSnapshot[sim.Value],
 		"afek":   NewAfekSnapshot[sim.Value],
 	}
@@ -145,7 +145,7 @@ func snapshotFactories() map[string]func(name string, n int) Snapshot[sim.Value]
 func TestSnapshotUpdateScan(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		t.Run(name, func(t *testing.T) {
-			snap := factory("s", 2)
+			snap := factory(sim.KeyOf("s"), 2)
 			machines := make([]sim.StepMachine, 2)
 			for i := range machines {
 				var op SnapOp[sim.Value]
@@ -224,7 +224,7 @@ func TestSnapshotContainment(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		for seed := int64(0); seed < 20; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				_, scans, err := containmentRun(factory("s", 4), 4, 6, sim.NewRandom(seed))
+				_, scans, err := containmentRun(factory(sim.KeyOf("s"), 4), 4, 6, sim.NewRandom(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func TestSnapshotContainment(t *testing.T) {
 func TestSnapshotRegularity(t *testing.T) {
 	for name, factory := range snapshotFactories() {
 		t.Run(name, func(t *testing.T) {
-			snap := factory("s", 3)
+			snap := factory(sim.KeyOf("s"), 3)
 			var op0, op1, op2 SnapOp[sim.Value]
 			var view []Opt[sim.Value]
 			nine := func(sim.PID) sim.Value { return 9 }
@@ -275,7 +275,7 @@ func TestSnapshotRegularity(t *testing.T) {
 // fail until the scanner borrows an embedded view.
 func TestAfekScanBorrowsView(t *testing.T) {
 	n := 2
-	snap := NewAfekSnapshot[sim.Value]("s", n)
+	snap := NewAfekSnapshot[sim.Value](sim.KeyOf("s"), n)
 	var scanOp, writeOp SnapOp[sim.Value]
 	var scanned []Opt[sim.Value]
 	var writes []func(*sim.AccessLog, sim.PID) bool
@@ -333,7 +333,7 @@ func TestScanString(t *testing.T) {
 // over random op counts preserve pairwise scan comparability.
 func TestSnapshotQuickContainment(t *testing.T) {
 	prop := func(seed int64, opsRaw uint8) bool {
-		_, scans, err := containmentRun(NewAfekSnapshot[sim.Value]("s", 3), 3, int(opsRaw%5)+1, sim.NewRandom(seed))
+		_, scans, err := containmentRun(NewAfekSnapshot[sim.Value](sim.KeyOf("s"), 3), 3, int(opsRaw%5)+1, sim.NewRandom(seed))
 		if err != nil {
 			return false
 		}
@@ -352,7 +352,7 @@ func BenchmarkAfekSnapshotOps(b *testing.B) {
 		b.Run(impl, func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				rep, _, err := containmentRun(snapshotFactories()[impl]("s", 5), 5, 4, sim.NewRandom(int64(i)))
+				rep, _, err := containmentRun(snapshotFactories()[impl](sim.KeyOf("s"), 5), 5, 4, sim.NewRandom(int64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}

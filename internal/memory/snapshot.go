@@ -73,13 +73,13 @@ const (
 )
 
 // NewAtomicSnapshot returns a snapshot object whose Update and Scan each
-// take one atomic step.
-func NewAtomicSnapshot[T any](name string, n int) Snapshot[T] {
-	return &atomicSnapshot[T]{name: name, cells: make([]Opt[T], n)}
+// take one atomic step. Position i is identified by key with cell i.
+func NewAtomicSnapshot[T any](key sim.ObjKey, n int) Snapshot[T] {
+	return &atomicSnapshot[T]{key: key, cells: make([]Opt[T], n)}
 }
 
 type atomicSnapshot[T any] struct {
-	name  string
+	key   sim.ObjKey
 	cells []Opt[T]
 
 	// cellIDs caches the per-position interned identities in logRef; see
@@ -114,8 +114,10 @@ type afekCell[T any] struct {
 //
 // Each collect costs n register-read steps, and an update costs a scan plus
 // two steps, so operations cost O(n²) steps — the price of registers-only.
-func NewAfekSnapshot[T any](name string, n int) Snapshot[T] {
-	return &afekSnapshot[T]{regs: NewArray[afekCell[T]](name, n)}
+// Register i is identified by key with cell i, as position i of the one-step
+// snapshot is.
+func NewAfekSnapshot[T any](key sim.ObjKey, n int) Snapshot[T] {
+	return &afekSnapshot[T]{regs: NewArray[afekCell[T]](key, n)}
 }
 
 type afekSnapshot[T any] struct {

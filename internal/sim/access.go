@@ -11,6 +11,11 @@ import "strings"
 // write), which is the independence relation dynamic partial-order
 // reduction prunes by.
 //
+// Objects are identified by their structural keys (ObjKey, objkey.go): the
+// log interns each key to a dense ObjID in first-access order, and renders
+// an object's display name only when a trace asks for it (ObjName,
+// AccessString). Recording a run formats no strings.
+//
 // The log is strictly optional: a nil *AccessLog is the no-op default, every
 // method is nil-safe, and the accessors in internal/memory guard their
 // recording behind a single nil check — the lab/benchmark hot paths run with
@@ -37,9 +42,10 @@ func (k AccessKind) String() string {
 }
 
 // ObjID is a log-local shared-object identity, interned from the object's
-// name. IDs are assigned from 1; 0 is "never interned". Because interning is
-// by name and a log's intern table survives Reset, the same object name maps
-// to the same ID across every run recorded into one log.
+// key (ObjKey). IDs are assigned from 1, in first-access order; 0 is "never
+// interned". Because interning is by key and a log's intern table survives
+// Reset, the same object maps to the same ID across every run recorded into
+// one log.
 type ObjID int32
 
 // Access is one shared-object access: which object, read or write.
@@ -57,11 +63,11 @@ type stepSpan struct {
 // AccessLog records, per granted step, the shared-object accesses that step
 // performed. The runner brackets every machine step with BeginStep/EndStep;
 // the instrumented accessors in internal/memory call Record in between.
-// Reset clears the recorded steps but keeps the name→ID intern table, so a
+// Reset clears the recorded steps but keeps the key→ID intern table, so a
 // log reused across the runs of one exploration assigns stable IDs.
 type AccessLog struct {
-	ids   map[string]ObjID
-	names []string // names[id-1] is the interned name of id
+	ids   map[ObjKey]ObjID
+	keys  []ObjKey // keys[id-1] is the interned key of id
 	buf   []Access
 	spans []stepSpan
 	start int32
@@ -94,28 +100,36 @@ type AccessLog struct {
 
 // NewAccessLog returns an empty log.
 func NewAccessLog() *AccessLog {
-	return &AccessLog{ids: make(map[string]ObjID)}
+	return &AccessLog{ids: make(map[ObjKey]ObjID)}
 }
 
-// Intern returns the stable ID for an object name, assigning one on first
+// Intern returns the stable ID for an object key, assigning one on first
 // use. Callers must not invoke Intern on a nil log (the accessors check
 // for nil before interning).
-func (l *AccessLog) Intern(name string) ObjID {
-	if id, ok := l.ids[name]; ok {
+func (l *AccessLog) Intern(key ObjKey) ObjID {
+	if id, ok := l.ids[key]; ok {
 		return id
 	}
-	l.names = append(l.names, name)
-	id := ObjID(len(l.names))
-	l.ids[name] = id
+	l.keys = append(l.keys, key)
+	id := ObjID(len(l.keys))
+	l.ids[key] = id
 	return id
 }
 
-// ObjName returns the interned name of id ("?" for unknown IDs).
+// Key returns the interned key of id (the zero key for unknown IDs).
+func (l *AccessLog) Key(id ObjID) ObjKey {
+	if l == nil || id < 1 || int(id) > len(l.keys) {
+		return ObjKey{}
+	}
+	return l.keys[id-1]
+}
+
+// ObjName renders the display name of id ("?" for unknown IDs).
 func (l *AccessLog) ObjName(id ObjID) string {
-	if l == nil || id < 1 || int(id) > len(l.names) {
+	if l == nil || id < 1 || int(id) > len(l.keys) {
 		return "?"
 	}
-	return l.names[id-1]
+	return l.keys[id-1].String()
 }
 
 // Record appends one access to the current step. Nil-safe no-op.

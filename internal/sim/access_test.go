@@ -7,11 +7,11 @@ import (
 
 func TestAccessLogStepsAndSpans(t *testing.T) {
 	l := NewAccessLog()
-	x, y := l.Intern("x"), l.Intern("y")
+	x, y := l.Intern(KeyOf("x")), l.Intern(KeyOf("y"))
 	if x == y || x == 0 || y == 0 {
 		t.Fatalf("bad interning: x=%d y=%d", x, y)
 	}
-	if l.Intern("x") != x {
+	if l.Intern(KeyOf("x")) != x {
 		t.Fatal("re-interning x changed its ID")
 	}
 
@@ -48,7 +48,7 @@ func TestAccessLogStepsAndSpans(t *testing.T) {
 	if l.Steps() != 0 {
 		t.Fatal("Reset kept steps")
 	}
-	if l.Intern("y") != y {
+	if l.Intern(KeyOf("y")) != y {
 		t.Fatal("Reset dropped the intern table")
 	}
 	if l.ObjName(y) != "y" || l.ObjName(0) != "?" {
@@ -125,5 +125,42 @@ func TestRunMachinesRecordsSpans(t *testing.T) {
 	}
 	if byPID[0] != rep.StepsBy[0] || byPID[1] != rep.StepsBy[1] {
 		t.Fatalf("span owners %v, StepsBy %v", byPID, rep.StepsBy)
+	}
+}
+
+// TestObjKeyNames pins how keys render: the display names of every object
+// family the protocols build, byte for byte, and which keys carry a round.
+func TestObjKeyNames(t *testing.T) {
+	conv := NameOf("nconv").Key(ObjConverge)
+	cases := []struct {
+		key   ObjKey
+		name  string
+		round int
+		ok    bool
+	}{
+		{KeyOf("D"), "D", 0, false},
+		{NameOf("D").Key(ObjRound).WithRound(3), "D[3]", 3, true},
+		{KeyOf("R").WithCell(2), "R[2]", 0, false},
+		{KeyOf("Exited").WithRound(2).WithCell(1), "Exited[2][1]", 2, true},
+		{conv.WithRound(1).WithSub(0, 2).WithPart(0).WithCell(0), "nconv[1][0]/2.A[0]", 1, true},
+		{conv.WithPart(1).WithCell(4), "nconv.B[4]", 0, false},
+		{NameOf("A").Key(ObjGladiator).WithRound(12).WithSub(1, 3).WithCell(2), "A[12][1]/3[2]", 12, true},
+		{KeyOf("Cons").WithRound(3).WithSet(SetOf(0, 2)), "Cons[3]{p1,p3}", 3, true},
+		{KeyOf("Cons").WithRound(1).WithSet(SetOf(63)), "Cons[1]{p64}", 1, true},
+		{KeyOf("H(Ω)"), "H(Ω)", 0, false},
+	}
+	for _, c := range cases {
+		if got := c.key.String(); got != c.name {
+			t.Errorf("key renders %q, want %q", got, c.name)
+		}
+		if r, ok := c.key.Round(); ok != c.ok || r != c.round {
+			t.Errorf("%s: Round() = (%d,%v), want (%d,%v)", c.name, r, ok, c.round, c.ok)
+		}
+	}
+	if NameOf("nconv") != NameOf("nconv") || NameOf("nconv") == NameOf("gconv") {
+		t.Error("NameOf is not a bijection on base names")
+	}
+	if KeyOf("D").WithRound(3) == NameOf("D").Key(ObjRound).WithRound(3) {
+		t.Error("keys of different kinds compare equal")
 	}
 }

@@ -1,12 +1,33 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrBudgetExhausted is reported when the step budget ran out before every
 // correct process returned. In this simulator it is the observable face of
 // non-termination; impossibility experiments assert it, liveness experiments
 // assert its absence.
 var ErrBudgetExhausted = errors.New("sim: step budget exhausted before all correct processes returned")
+
+// BudgetError is the error a run returns when its budget ran out before
+// every correct process returned: it wraps ErrBudgetExhausted and records
+// the run's pattern and step count. The message is rendered only when asked
+// for, so runs that end on the budget, as every extraction run does, pay
+// for no formatting.
+type BudgetError struct {
+	Pattern Pattern
+	Steps   int64
+}
+
+// Error renders "<ErrBudgetExhausted> (pattern <pattern>, <steps> steps)".
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("%v (pattern %v, %d steps)", ErrBudgetExhausted, e.Pattern, e.Steps)
+}
+
+// Unwrap returns ErrBudgetExhausted.
+func (e *BudgetError) Unwrap() error { return ErrBudgetExhausted }
 
 // Config describes one run of an algorithm.
 type Config struct {

@@ -1,30 +1,30 @@
 package sim
 
 // FixedSchedule replays an explicit grant sequence: step i of the run goes to
-// Prefix[i], and once the prefix is exhausted the schedule defers to Fallback
-// (round-robin when nil). It is the replay hook of the schedule-space
+// Prefix[i], and once the prefix is exhausted the schedule defers to
+// round-robin. It is the replay hook of the schedule-space
 // explorer (internal/explore): a counterexample artifact carries the granted
 // PID sequence of a violating run, and re-executing it through a
 // FixedSchedule reproduces that run step for step.
 //
 // A prefix entry that is not enabled at its turn (possible when a shrinker
 // mutates the sequence, or when the program under replay changed) does not
-// fault the run: the schedule falls through to Fallback for that step and
+// fault the run: the schedule falls through to round-robin for that step and
 // records the divergence. Every schedule is a legal adversary, so a diverged
 // replay is still a valid run — it just no longer retraces the original one.
 type FixedSchedule struct {
 	// Prefix is the grant sequence to replay, one PID per step.
 	Prefix []PID
-	// Fallback takes over after the prefix (and for non-enabled prefix
-	// entries); nil means round-robin.
-	Fallback Schedule
 	// OnGrant, when non-nil, observes every scheduling decision: the 0-based
-	// step index, the time, the enabled set and the granted PID. The explorer
-	// uses it to learn branch points; replay uses it for step traces.
+	// step index, the time, the enabled set and the granted PID. Artifact
+	// replay uses it for step traces.
 	OnGrant func(idx int, t Time, enabled Set, chosen PID)
 
 	pos      int
 	diverged bool
+	// rr is the round-robin rotation that takes over after the prefix (and
+	// for non-enabled prefix entries), fresh on every schedule.
+	rr roundRobin
 }
 
 // NewFixedSchedule returns a FixedSchedule over the given prefix with a
@@ -45,10 +45,7 @@ func (s *FixedSchedule) Next(t Time, enabled Set) PID {
 		if idx < len(s.Prefix) {
 			s.diverged = true
 		}
-		if s.Fallback == nil {
-			s.Fallback = RoundRobin()
-		}
-		pick = s.Fallback.Next(t, enabled)
+		pick = s.rr.Next(t, enabled)
 	}
 	if s.OnGrant != nil {
 		s.OnGrant(idx, t, enabled, pick)

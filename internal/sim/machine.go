@@ -71,9 +71,9 @@ const (
 
 // RunMachines executes one StepMachine per process under the given
 // configuration and returns the run report — one run R of the paper, cut off
-// at the step budget. It returns ErrBudgetExhausted (wrapped) if the budget
-// ran out before every correct process returned. A machine cannot return
-// before its first step.
+// at the step budget. It returns a *BudgetError, which wraps
+// ErrBudgetExhausted, if the budget ran out before every correct process
+// returned. A machine cannot return before its first step.
 //
 // At every time t = 1, 2, …, processes whose crash time has arrived are
 // crashed, the schedule picks one of the remaining live processes, and that
@@ -168,7 +168,7 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 
 	for _, pid := range cfg.Pattern.Correct().Members() {
 		if states[pid] != machReturned {
-			return rep, fmt.Errorf("%w (pattern %v, %d steps)", ErrBudgetExhausted, cfg.Pattern, rep.Steps)
+			return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
 		}
 	}
 	return rep, nil
@@ -325,7 +325,7 @@ func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
 	}
 
 	if !allCorrectDecided() {
-		return rep, fmt.Errorf("%w (pattern %v, %d steps)", ErrBudgetExhausted, cfg.Pattern, rep.Steps)
+		return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
 	}
 	return rep, nil
 }

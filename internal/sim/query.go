@@ -80,10 +80,11 @@ func NewQuerySeam(log *AccessLog) *QuerySeam {
 	return &QuerySeam{log: log}
 }
 
-// Register adds a history under the given virtual-object name. If h
-// implements FlipOracle its output switches are recorded as writes of the
-// object; other oracles are assumed stable for the whole run (their queries
-// record inert reads). Registering the same oracle twice is a no-op.
+// Register adds a history under the given virtual-object name (a plain
+// ObjKey, KeyOf(name)). If h implements FlipOracle its output switches are
+// recorded as writes of the object; other oracles are assumed stable for
+// the whole run (their queries record inert reads). Registering the same
+// oracle twice is a no-op.
 func (q *QuerySeam) Register(name string, h Oracle) {
 	if q == nil || q.log == nil || h == nil {
 		return
@@ -93,7 +94,7 @@ func (q *QuerySeam) Register(name string, h Oracle) {
 			return
 		}
 	}
-	slot := histSlot{h: h, id: q.log.Intern(name)}
+	slot := histSlot{h: h, id: q.log.Intern(KeyOf(name))}
 	if fo, ok := h.(FlipOracle); ok {
 		slot.flips = fo.FlipTimes()
 	}
@@ -138,11 +139,8 @@ func (q *QuerySeam) OnStep(t Time) {
 }
 
 // FlipsRemaining counts, over every registered history, the output switches
-// still ahead of time t. The explorer's state-hash join used to fold this
-// count into its keys; OutputsDigest — which additionally pins *what* each
-// pending flip switches to and what is observable now — subsumes it there,
-// and the count remains as the cheap summary for reporting and tests.
-// Nil-safe (0).
+// still ahead of time t. The source engine asks it whether a run's
+// histories flip at all. Nil-safe (0).
 func (q *QuerySeam) FlipsRemaining(t Time) int {
 	if q == nil {
 		return 0
@@ -181,33 +179,6 @@ func (q *QuerySeam) FlipCrossed(id ObjID, lo, hi Time) bool {
 		}
 	}
 	return false
-}
-
-// OutputsDigest fingerprints the live detector environment at time t: for
-// every registered history, the output a query at t would observe, plus the
-// full schedule of still-pending flips — each remaining flip time with the
-// output it switches to. The explorer's state-hash join folds it into its
-// keys, so two prefixes are identified only when every history they can
-// query agrees on its current observable output *and* on everything the
-// environment will still do to it. Allocation-free for the fingerprintable
-// output types detector ranges use (sets, ints). Nil-safe (0).
-func (q *QuerySeam) OutputsDigest(t Time) uint64 {
-	if q == nil {
-		return 0
-	}
-	var h uint64
-	for i := range q.hists {
-		s := &q.hists[i]
-		//lint:fdlint seamcheck -- the seam fingerprinting its own history objects' outputs for the join key; this evaluation is the instrumentation, not an unrecorded detector read
-		h = fpMix(h, fpMix(uint64(s.id), StateFP(s.h.Value(0, t))))
-		for _, ft := range s.flips {
-			if ft > t {
-				//lint:fdlint seamcheck -- pending-flip outputs folded into the same environment fingerprint
-				h = fpMix(h, fpMix(uint64(ft), StateFP(s.h.Value(0, ft))))
-			}
-		}
-	}
-	return h
 }
 
 // Query evaluates oracle h at (p, t), recording the query as a read of h's

@@ -229,19 +229,17 @@ func TestRunMachinesNilSeamZeroAlloc(t *testing.T) {
 }
 
 // TestQuerySeamDigestZeroAlloc pins the allocation behavior of the seam
-// methods the source engine calls on its per-run hot path — the join probe's
-// environment digest and the race analysis's flip-crossing test. Both must
-// stay allocation-free for the detector ranges the sweeps use (small sets and
-// ints fingerprint without boxing allocations).
+// methods the source engine calls on its per-run hot path — the race
+// analysis's flip-crossing test and the flip count. Both must stay
+// allocation-free.
 func TestQuerySeamDigestZeroAlloc(t *testing.T) {
 	log := NewAccessLog()
 	seam := NewQuerySeam(log)
 	seam.Register("H", &flipOracle{flips: []Time{3, 9}, out: []any{Set(1), Set(3)}, stable: Set(2)})
 	seam.Register("G", seamOracle{v: 5})
-	id := log.Intern("H")
+	id := log.Intern(KeyOf("H"))
 	allocs := testing.AllocsPerRun(20, func() {
 		for t := Time(1); t <= 16; t++ {
-			_ = seam.OutputsDigest(t)
 			_ = seam.FlipCrossed(id, t, t+4)
 			_ = seam.FlipsRemaining(t)
 		}

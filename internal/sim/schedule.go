@@ -24,18 +24,26 @@ var _ Schedule = Func(nil)
 
 // RoundRobin returns a fair schedule that cycles through the enabled
 // processes in PID order.
-func RoundRobin() Schedule {
-	last := PID(-1)
-	return Func(func(_ Time, enabled Set) PID {
-		for i := 1; i <= MaxProcs; i++ {
-			p := PID((int(last) + i) % MaxProcs)
-			if enabled.Has(p) {
-				last = p
-				return p
-			}
-		}
+func RoundRobin() Schedule { return &roundRobin{} }
+
+// roundRobin is RoundRobin's rotation. Its zero value starts fresh.
+type roundRobin struct {
+	next PID // the last grant plus one: grants go to the lowest enabled PID from here
+}
+
+// Next implements Schedule: the lowest enabled PID above the last grant,
+// wrapping around to the lowest enabled PID.
+func (r *roundRobin) Next(_ Time, enabled Set) PID {
+	if enabled == 0 {
 		panic("sim: RoundRobin with empty enabled set")
-	})
+	}
+	p := lowest(enabled)
+	// Shifting by 64 (after a grant to PID 63) leaves nothing above.
+	if above := enabled & (^Set(0) << uint(r.next)); above != 0 {
+		p = lowest(above)
+	}
+	r.next = p + 1
+	return p
 }
 
 // NewRandom returns a schedule that picks uniformly at random among enabled

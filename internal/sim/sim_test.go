@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -505,5 +506,36 @@ func TestProcTimeAdvances(t *testing.T) {
 		if ts != Time(i+1) {
 			t.Errorf("time %d after step %d", ts, i+1)
 		}
+	}
+}
+
+// TestRoundRobinMatchesModularRotation pins RoundRobin's grant sequence to
+// its definition: starting after the last grant, try PIDs in cyclic order
+// modulo MaxProcs and grant the first enabled one. Enabled sets are drawn
+// at random, with PID 63 and empty-above-last cases included, and change
+// between grants.
+func TestRoundRobinMatchesModularRotation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := RoundRobin()
+	last := PID(-1)
+	for step := 0; step < 5000; step++ {
+		enabled := Set(rng.Uint64() & rng.Uint64() & rng.Uint64())
+		if step%7 == 0 {
+			enabled |= SetOf(63)
+		}
+		if enabled == 0 {
+			enabled = SetOf(PID(rng.Intn(MaxProcs)))
+		}
+		want := PID(-1)
+		for i := 1; i <= MaxProcs; i++ {
+			if p := PID((int(last) + i) % MaxProcs); enabled.Has(p) {
+				want = p
+				break
+			}
+		}
+		if got := s.Next(Time(step+1), enabled); got != want {
+			t.Fatalf("step %d: RoundRobin granted %v from %v after %v, want %v", step, got, enabled, last, want)
+		}
+		last = want
 	}
 }

@@ -49,9 +49,9 @@ func (m *scriptMachine) Step(t sim.Time) sim.MachineStatus {
 func (m *scriptMachine) Decision() sim.Value { return 0 }
 
 func TestRecorderAndSummary(t *testing.T) {
-	reg := memory.NewRegister[int]("X")
-	arr := memory.NewArray[int]("Y", 2)
-	snap := memory.NewAtomicSnapshot[int]("S", 2)
+	reg := memory.NewRegister[int](sim.KeyOf("X"))
+	arr := memory.NewArray[int](sim.KeyOf("Y"), 2)
+	snap := memory.NewAtomicSnapshot[int](sim.KeyOf("S"), 2)
 	h := fd.Constant(sim.SetOf(0))
 	mk := func() sim.StepMachine {
 		return &scriptMachine{steps: []func(sim.MachineContext, sim.Time){
