@@ -1,10 +1,11 @@
 package weakestfd_test
 
-// Benchmarks, one family per experiment table of EXPERIMENTS.md (and hence
-// per figure/theorem of the paper). Each op is one full simulated run, so
-// ns/op measures the wall cost of regenerating a data point; the simulated
-// step counts — the model-level metric the tables report — are exposed via
-// the custom "steps/op" metric.
+// Benchmarks, one family per experiment table of `paperbench -tables`
+// (E1–E11, and hence per figure/theorem of the paper). Each op is one full
+// simulated run, so ns/op measures the wall cost of regenerating a data
+// point; the simulated step counts — the model-level metric the tables
+// report — are exposed via the custom "steps/op" metric, and
+// TestFacadeStepCounts pins one run's count per facade entry point.
 //
 // Regenerate every table with:
 //
@@ -36,6 +37,61 @@ func benchProposals(n int) []int64 {
 		out[i] = int64(100 + i)
 	}
 	return out
+}
+
+// TestFacadeStepCounts pins the simulated steps of one fixed run per facade
+// entry point. Runs are deterministic in (config, seed), so a drift is a
+// change in what the protocols do, not noise. The timing facade's steps sit
+// in TestRunnerEquivalenceTiming's digest.
+func TestFacadeStepCounts(t *testing.T) {
+	steps := func(res *weakestfd.SetAgreementResult, err error) (int64, error) {
+		if err != nil {
+			return 0, err
+		}
+		return res.Steps, nil
+	}
+	cases := []struct {
+		name string
+		want int64
+		run  func() (int64, error)
+	}{
+		{"fig1", 33, func() (int64, error) {
+			return steps(weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
+				N: 9, Proposals: benchProposals(9), CrashAt: map[int]int64{1: 9, 2: 18},
+				StabilizeAt: 150, Budget: 1 << 22,
+			}))
+		}},
+		{"fig2", 81, func() (int64, error) {
+			return steps(weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
+				N: 6, F: 2, Algorithm: weakestfd.UpsilonFFig2,
+				Proposals: benchProposals(6), CrashAt: map[int]int64{0: 13, 1: 26},
+				StabilizeAt: 150, Budget: 1 << 22,
+			}))
+		}},
+		{"extract", 40_000, func() (int64, error) {
+			res, err := weakestfd.ExtractUpsilon(weakestfd.ExtractConfig{
+				N: 5, From: weakestfd.Omega, StabilizeAt: 150, Budget: 40_000,
+			})
+			if err != nil {
+				return 0, err
+			}
+			return res.Steps, nil
+		}},
+		{"compose", 76, func() (int64, error) {
+			return steps(weakestfd.SolveWithStableDetector(weakestfd.ComposeConfig{
+				N: 4, From: weakestfd.Omega, Proposals: benchProposals(4),
+				StabilizeAt: 100, Budget: 1 << 22,
+			}))
+		}},
+	}
+	for _, tc := range cases {
+		got, err := tc.run()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if got != tc.want {
+			t.Errorf("%s: %d simulated steps, want %d", tc.name, got, tc.want)
+		}
+	}
 }
 
 // BenchmarkFig1 is E1: the Υ-based n-set-agreement protocol across system

@@ -81,16 +81,18 @@ type Config struct {
 	MaxBlock int
 	// Budget caps every run's total step count. Default 4096.
 	Budget int64
-	// MaxDepth bounds the step depth at which the DPOR engine inserts
+	// MaxDepth bounds the step depth at which the DPOR engines insert
 	// backtrack points; beyond it runs continue under the fair tail without
 	// branching. 0 means the step budget — genuinely full-depth for
 	// terminating protocols. Non-terminating systems (the extraction, the
 	// compositions' reduction tasks) need a finite bound to keep the
-	// branching frontier tractable. EngineDPOR only.
+	// branching frontier tractable. EngineSource and EngineDPOR; under
+	// EngineSource it is also the state-hash join horizon (hash.go).
 	MaxDepth int
 	// MaxRuns caps the number of runs one configuration's DPOR search may
 	// execute (0 = unlimited); hitting the cap marks the Result Truncated,
-	// which voids the exhaustiveness claim for that sweep. EngineDPOR only.
+	// which voids the exhaustiveness claim for that sweep. EngineSource and
+	// EngineDPOR.
 	MaxRuns int64
 	// MaxFaults overrides the system's environment E_f (0 keeps it).
 	MaxFaults int

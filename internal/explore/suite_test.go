@@ -1,9 +1,6 @@
 package explore
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestSwitchBudgetOneSuiteCounts pins the exact explored space of the
 // standard suite at switch budget 1: per system, the configurations, runs,
@@ -12,7 +9,10 @@ import (
 // changes these counts even when the violation sets — empty on the real
 // protocols — cannot show it; an off-by-one in the flip-anchoring rule, for
 // one, loses 11.6% of the extraction's runs. The two n=3 systems of 192,966
-// runs each are left to the benchmark's pins.
+// runs each are pinned by the benchmark's suitePins instead: CI's
+// explore-smoke job runs one unit of its suite-sb1 workload (`bash
+// perfbench/run.sh --workload suite-sb1 --seed 1 --seconds 1 --trace 0`),
+// which exits 1 when any system's count drifts.
 func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("switch-budget-1 suite skipped under -short")
@@ -31,7 +31,7 @@ func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	}
 	seen := 0
 	for _, cfg := range DefaultSweep() {
-		label := fmt.Sprintf("%s/n=%d/f=%d", cfg.System.Name(), cfg.System.N(), cfg.withDefaults().MaxFaults)
+		label := sweepLabel(cfg)
 		want, ok := pins[label]
 		if !ok {
 			continue

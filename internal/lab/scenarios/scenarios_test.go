@@ -54,7 +54,7 @@ func TestFamilyLookup(t *testing.T) {
 
 // TestQuickDeterministicAcrossWorkers is the repo's acceptance check in
 // miniature: running real simulations through the engine produces identical
-// aggregate results at workers=1 and workers=4.
+// aggregate results at workers=1 and workers=4, and those results are pinned.
 func TestQuickDeterministicAcrossWorkers(t *testing.T) {
 	scs, err := lab.ExpandAll(Quick(2))
 	if err != nil {
@@ -65,6 +65,19 @@ func TestQuickDeterministicAcrossWorkers(t *testing.T) {
 	if serial.Fingerprint() != parallel.Fingerprint() {
 		t.Fatalf("aggregate results differ across worker counts:\n  1: %s\n  4: %s",
 			serial.Fingerprint(), parallel.Fingerprint())
+	}
+	// The fingerprint hashes every scenario's aggregated metrics, so it moves
+	// with any change to what the matrix simulates; the step total says how
+	// much moved.
+	steps := 0.0
+	for _, s := range serial.Scenarios {
+		m := s.Metric("steps")
+		steps += m.Mean * float64(m.N)
+	}
+	const wantFP, wantSteps = "d0a8001f593ea0f73467cdcf9e80c62bc120951fa1bebf6a6082fba0d465cba7", 481319
+	if fp := serial.Fingerprint(); fp != wantFP || steps != wantSteps {
+		t.Errorf("quick matrix drifted: fingerprint %s over %v simulated steps, want %s over %d",
+			fp, steps, wantFP, wantSteps)
 	}
 	if serial.Failed != 0 {
 		for _, s := range serial.Scenarios {

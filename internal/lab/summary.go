@@ -61,8 +61,8 @@ func (r *Report) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WriteJSON writes the report as indented JSON, for BENCH_*.json trajectory
-// files.
+// WriteJSON writes the report as indented JSON (`paperbench -json`,
+// `fdlab matrix -json`).
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

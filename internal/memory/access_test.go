@@ -203,7 +203,7 @@ func TestCommutativityOracle(t *testing.T) {
 	})
 }
 
-// TestDirectAccessNilLogZeroAlloc is the benchgate-side promise: with
+// TestDirectAccessNilLogZeroAlloc is the lab hot path's promise: with
 // instrumentation compiled in but disabled (nil log), the Direct* hot paths
 // allocate nothing.
 func TestDirectAccessNilLogZeroAlloc(t *testing.T) {
