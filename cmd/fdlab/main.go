@@ -16,7 +16,7 @@
 //	fdlab extract -n 5 -from omegaF -f 2 -seed 3
 //	fdlab falsify -n 5 -f 4 -candidate staleness -switches 30
 //	fdlab matrix -family waves -seeds 5 -workers 8 -json waves.json
-//	fdlab explore -system fig1 -n 3 -blocks 3
+//	fdlab explore -system fig1 -n 3 -max-depth 12
 //	fdlab fleet -system fig1 -n 4 -max-depth 11 -procs 4 -checkpoint fleet.json
 //	fdlab replay -in counterexample-fig1-1.json -trace
 package main

@@ -3,13 +3,12 @@
 //
 // The explorer dispatches on explore.Engine in several places: run
 // execution (exploreConfig), labelling, CLI parsing. The engines are
-// deliberately kept differentially comparable — the clean-suite violation
-// sets of source-DPOR, classic DPOR and the block enumerator must be
-// identical — so a switch that silently routes an unknown engine into one
-// of the existing arms (via default, or by falling off the end) would let a
-// future fourth engine inherit another engine's code path without anyone
-// noticing: sweeps would run, report "violation-free", and test a different
-// algorithm than claimed.
+// deliberately kept differentially comparable — source-DPOR and classic
+// DPOR must find identical violation sets — so a switch that silently
+// routes an unknown engine into one of the existing arms (via default, or
+// by falling off the end) would let a future engine inherit another
+// engine's code path without anyone noticing: sweeps would run, report
+// "violation-free", and test a different algorithm than claimed.
 //
 // The rule: every switch statement whose tag has type explore.Engine must
 // have an explicit case for every declared constant of that type. A default

@@ -5,7 +5,7 @@ package c
 import "weakestfd/internal/explore"
 
 func dispatch(e explore.Engine) int {
-	switch e { // want `switch over explore.Engine is not exhaustive: missing EngineDPOR, EngineEnum`
+	switch e { // want `switch over explore.Engine is not exhaustive: missing EngineDPOR, EngineNext`
 	case explore.EngineSource:
 		return 0
 	}
@@ -16,7 +16,7 @@ func full(e explore.Engine) int {
 	switch e {
 	case explore.EngineSource, explore.EngineDPOR:
 		return 0
-	case explore.EngineEnum:
+	case explore.EngineNext:
 		return 1
 	default:
 		panic("unknown engine")

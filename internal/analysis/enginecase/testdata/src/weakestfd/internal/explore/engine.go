@@ -1,5 +1,6 @@
 // Package explore stubs the explorer's Engine enum for the enginecase
-// analyzer: three engines today, and every switch must name all of them.
+// analyzer: its two engines plus a hypothetical newest one, and every switch
+// must name all of them.
 package explore
 
 type Engine uint8
@@ -7,7 +8,7 @@ type Engine uint8
 const (
 	EngineSource Engine = iota
 	EngineDPOR
-	EngineEnum
+	EngineNext
 )
 
 // Label is exhaustive with a panic default: the sanctioned shape.
@@ -17,8 +18,8 @@ func Label(e Engine) string {
 		return "source"
 	case EngineDPOR:
 		return "classic"
-	case EngineEnum:
-		return "legacy"
+	case EngineNext:
+		return "next"
 	default:
 		panic("unknown engine")
 	}
@@ -26,7 +27,7 @@ func Label(e Engine) string {
 
 // stale misses the newest engine; the default arm would silently absorb it.
 func stale(e Engine) string {
-	switch e { // want `switch over explore.Engine is not exhaustive: missing EngineEnum`
+	switch e { // want `switch over explore.Engine is not exhaustive: missing EngineNext`
 	case EngineSource:
 		return "source"
 	case EngineDPOR:

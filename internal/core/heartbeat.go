@@ -113,6 +113,3 @@ func NewTimedComposed(n int, initialThreshold int64, impl converge.Impl) *TimedC
 
 // K returns the agreement bound, n−1.
 func (c *TimedComposed) K() int { return c.protocol.K() }
-
-// Implementation exposes the heartbeat half.
-func (c *TimedComposed) Implementation() *HeartbeatUpsilon { return c.impl }

@@ -1,82 +1,70 @@
 package explore
 
 import (
-	"sort"
 	"strings"
 	"testing"
 )
 
-// Differential testing of the two exploration engines: DPOR (the default)
-// and the legacy context-switch-bounded enumerator must agree on what is
-// broken and what is not. CI's explore-smoke job runs these explicitly.
-
-// violationKeys returns the sorted (pattern, oracle, property) triples of a
-// result's violations.
-func violationKeys(r *Result) []string {
-	var out []string
-	for _, v := range r.Violations {
-		out = append(out, v.Pattern+"|"+v.Oracle+"|"+v.Property)
-	}
-	sort.Strings(out)
-	return out
-}
+// Differential testing of the two exploration engines: source-DPOR (the
+// default) and classic DPOR must agree on what is broken and what is not.
+// The multi-second sweeps these tests share with
+// TestSourceVsClassicDifferential run once per test binary
+// (exploreEnginesOnce). CI's explore-smoke job runs these explicitly.
 
 // TestDifferentialCleanSuite runs the standard n ≤ 3 suite under both
-// engines: both must be violation-free, the DPOR pass must not be
-// truncated, sleep sets must prune something, and DPOR must execute
-// strictly fewer schedules than the enumerator in total — the point of
-// dependency-aware exploration.
+// engines: both must be violation-free over the same configurations, the
+// default engine's pass must not be truncated, extract-omega must have
+// settled runs under both, sleep sets must prune something, and source-DPOR
+// must execute strictly fewer schedules than classic DPOR in total — the
+// point of source sets and wakeup sequences.
 func TestDifferentialCleanSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	var dporRuns, enumRuns, dporPruned int64
+	var sourceRuns, classicRuns, sourcePruned int64
 	for _, cfg := range DefaultSweep() {
-		d := Explore(cfg)
-		cfg.Engine = EngineEnum
-		l := Explore(cfg)
-		if len(d.Violations) != 0 {
-			t.Errorf("%s: DPOR found violations on the real protocol: %v", d.System, d.Violations)
+		c, _, s := cleanSuiteSweep(cfg)
+		if len(s.Violations) != 0 {
+			t.Errorf("%s: source-DPOR found violations on the real protocol: %v", s.System, s.Violations)
 		}
-		if len(l.Violations) != 0 {
-			t.Errorf("%s: enumerator found violations on the real protocol: %v", l.System, l.Violations)
+		if len(c.Violations) != 0 {
+			t.Errorf("%s: classic DPOR found violations on the real protocol: %v", c.System, c.Violations)
 		}
-		if d.Truncated {
-			t.Errorf("%s: DPOR sweep truncated — exhaustiveness claim void", d.System)
+		if s.Truncated {
+			t.Errorf("%s: source-DPOR sweep truncated — exhaustiveness claim void", s.System)
 		}
-		if d.Configs != l.Configs {
-			t.Errorf("%s: engines explored different config counts: %d vs %d", d.System, d.Configs, l.Configs)
+		if s.Configs != c.Configs {
+			t.Errorf("%s: engines explored different config counts: %d vs %d", s.System, s.Configs, c.Configs)
 		}
-		if d.System == "extract-omega" {
+		if s.System == "extract-omega" {
 			// Upsilon-sanity settledness is time-window-based and not
 			// trace-invariant (see dpor.go): guard against a silent
-			// settledness collapse that would make the DPOR pass vacuous.
-			if d.SettledRuns == 0 || l.SettledRuns == 0 {
-				t.Errorf("extract-omega: settled runs dpor=%d enum=%d; the sanity property was never exercised",
-					d.SettledRuns, l.SettledRuns)
+			// settledness collapse that would make either pass vacuous.
+			if s.SettledRuns == 0 || c.SettledRuns == 0 {
+				t.Errorf("extract-omega: settled runs source=%d classic=%d; the sanity property was never exercised",
+					s.SettledRuns, c.SettledRuns)
 			}
 		}
-		dporRuns += d.Runs
-		enumRuns += l.Runs
-		dporPruned += d.Pruned
-		t.Logf("%s: dpor %d runs (%d pruned) vs enum %d runs", d.System, d.Runs, d.Pruned, l.Runs)
+		sourceRuns += s.Runs
+		classicRuns += c.Runs
+		sourcePruned += s.Pruned
+		t.Logf("%s: source %d runs (%d pruned) vs classic %d runs", s.System, s.Runs, s.Pruned, c.Runs)
 	}
-	if dporRuns >= enumRuns {
-		t.Errorf("DPOR executed %d runs, not fewer than the enumerator's %d", dporRuns, enumRuns)
+	if sourceRuns >= classicRuns {
+		t.Errorf("source-DPOR executed %d runs, not fewer than classic DPOR's %d", sourceRuns, classicRuns)
 	}
-	if dporPruned == 0 {
+	if sourcePruned == 0 {
 		t.Error("sleep sets pruned nothing across the whole suite")
 	}
-	t.Logf("suite totals: dpor %d runs + %d pruned vs enum %d runs", dporRuns, dporPruned, enumRuns)
+	t.Logf("suite totals: source %d runs + %d pruned vs classic %d runs", sourceRuns, sourcePruned, classicRuns)
 }
 
 // TestDifferentialMutantIdenticalViolations: on the wrong-adopt fig1 mutant
 // at n = 2 both engines must find the *identical* set of violating
 // (pattern, oracle, property) configurations — every violating config is
 // enumerated (no MaxViolations cap) and compared exactly. At n = 3 the
-// full violating set is too expensive to enumerate twice, so the engines
-// are compared on the violated property set and the minimal-witness
-// property: both find agreement violations and both shrink the witness.
+// default engine must find what TestMutationBrokenFig1Caught requires of
+// classic DPOR: agreement violations only, each with a shrunk witness.
 func TestDifferentialMutantIdenticalViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
@@ -86,39 +74,33 @@ func TestDifferentialMutantIdenticalViolations(t *testing.T) {
 			System:        BrokenFig1System(2),
 			Engine:        engine,
 			MaxDepth:      24,
-			MaxBlocks:     3,
-			MaxBlock:      24,
 			Budget:        2048,
 			MaxViolations: 1 << 20, // enumerate every violating configuration
 			Workers:       1,
 		})
 	}
-	d, l := sweep(EngineDPOR), sweep(EngineEnum)
-	dk, lk := violationKeys(d), violationKeys(l)
-	if strings.Join(dk, "\n") != strings.Join(lk, "\n") {
-		t.Fatalf("violation sets differ at n=2:\nDPOR (%d):\n%s\nenum (%d):\n%s",
-			len(dk), strings.Join(dk, "\n"), len(lk), strings.Join(lk, "\n"))
+	s, c := sweep(EngineSource), sweep(EngineDPOR)
+	sk, ck := violationKeys(s), violationKeys(c)
+	if strings.Join(sk, "\n") != strings.Join(ck, "\n") {
+		t.Fatalf("violation sets differ at n=2:\nsource (%d):\n%s\nclassic (%d):\n%s",
+			len(sk), strings.Join(sk, "\n"), len(ck), strings.Join(ck, "\n"))
 	}
-	if len(dk) == 0 {
+	if len(sk) == 0 {
 		t.Fatal("neither engine found the mutant at n=2")
 	}
-	if d.Runs >= l.Runs {
-		t.Errorf("n=2 mutant: DPOR executed %d runs, not fewer than enum's %d", d.Runs, l.Runs)
-	}
-	t.Logf("n=2: identical %d violating configs; dpor %d runs vs enum %d", len(dk), d.Runs, l.Runs)
+	t.Logf("n=2: identical %d violating configs; source %d runs vs classic %d", len(sk), s.Runs, c.Runs)
 
-	for _, engine := range []Engine{EngineDPOR, EngineEnum} {
-		res := brokenSweep(3, engine)
-		if len(res.Violations) == 0 {
-			t.Fatalf("n=3: engine %v missed the mutant", engine)
+	res := brokenSweep(3, EngineSource)
+	if len(res.Violations) == 0 {
+		t.Fatalf("n=3: source-DPOR missed the mutant (%d runs)", res.Runs)
+	}
+	for _, v := range res.Violations {
+		if v.Property != "agreement" {
+			t.Errorf("n=3: unexpected property %q", v.Property)
 		}
-		for _, v := range res.Violations {
-			if v.Property != "agreement" {
-				t.Errorf("n=3 %v: unexpected property %q", engine, v.Property)
-			}
-			if int64(v.ShrunkSteps) >= v.Steps {
-				t.Errorf("n=3 %v: shrinker made no progress (%d -> %d)", engine, v.Steps, v.ShrunkSteps)
-			}
+		if int64(v.ShrunkSteps) >= v.Steps {
+			t.Errorf("n=3: shrinker made no progress (%d -> %d)", v.Steps, v.ShrunkSteps)
 		}
 	}
+	t.Logf("n=3: %d violations in %d runs; first %v", len(res.Violations), res.Runs, res.Violations[0])
 }

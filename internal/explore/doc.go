@@ -15,8 +15,8 @@
 //
 // # Engines
 //
-// Three engines enumerate the schedule space; all close every run with a
-// fair round-robin tail inside the step budget, and all share the same
+// Two engines enumerate the schedule space; both close every run with a
+// fair round-robin tail inside the step budget, and both share the same
 // dependence relation, built on the access-recording seam of
 // internal/memory: every Direct* accessor reports its (object, read|write)
 // events to the run's sim.AccessLog, so each step carries its exact
@@ -92,33 +92,33 @@
 // kept as the differential anchor for the source engine — same dependence
 // relation, independently implemented search.
 //
-// For both partial-order engines, Config.MaxDepth bounds where backtrack
-// points may be inserted: the search is exhaustive up to commutativity over
-// *every* schedule — arbitrarily many context switches — whose branching
-// lies in the first MaxDepth steps. Terminating protocols at small n afford
-// full depth (MaxDepth = budget); the non-terminating extraction and the
-// compositions use a finite horizon. Reduction soundness needs step
-// behaviour to be independent of a step's global time *up to what the
-// access sets record*. Crash times are fixed by the pattern, and detector
-// queries — the one time-dependent operation — are first-class accesses
-// since PR 5: every query routes through the run's query seam
-// (sim.QuerySeam) and is recorded as a read of a virtual per-history
-// object, every pre-stabilization output switch ("flip") of an unstable
-// history is recorded as a write of that object at its global time, and the
-// step one before a flip carries a boundary-guard read, so no commutation
-// the reduction performs can move a query across a flip. With stable-from-0
-// histories the object is never written and the search is the PR-4 one,
-// run for run.
+// For both engines, Config.MaxDepth bounds where backtrack points may be
+// inserted: the search is exhaustive up to commutativity over *every*
+// schedule — arbitrarily many context switches — whose branching lies in
+// the first MaxDepth steps, and every run ends under the fair tail beyond.
+// That tail is what makes a budget exhaustion a liveness failure rather
+// than a starved run, so fleet.Spec.Config (behind `fdlab explore` and
+// `fdlab fleet`) refuses full depth (MaxDepth = budget) for systems that
+// check termination-of-correct. The non-terminating extraction and the
+// compositions need a finite horizon anyway, to stay tractable.
 //
-// EngineEnum is the PR-3 enumerator, kept for differential testing: a
-// schedule is a sequence of adversarial "blocks" (block (p, ℓ) grants up to
-// ℓ consecutive steps to p) followed by the fair tail — exactly the
-// context-switch-bounded exploration of Musuvathi & Qadeer's CHESS, with
-// stutter pruning on cut-short blocks and canonical decomposition of solo
-// spans. The differential suites (differential_test.go, source_test.go, CI)
-// assert all engines find the identical violation set on the standard n ≤ 3
-// suite and on killable mutants, with source executing strictly fewer runs
-// than classic, and classic strictly fewer than the enumerator.
+// Reduction soundness needs step behaviour to be independent of a step's
+// global time *up to what the access sets record*. Crash times are fixed by
+// the pattern, and detector queries — the one time-dependent operation — are
+// first-class accesses since PR 5: every query routes through the run's
+// query seam (sim.QuerySeam) and is recorded as a read of a virtual
+// per-history object, every pre-stabilization output switch ("flip") of an
+// unstable history is recorded as a write of that object at its global time,
+// and the step one before a flip carries a boundary-guard read, so no
+// commutation the reduction performs can move a query across a flip. With
+// stable-from-0 histories the object is never written and the search is the
+// PR-4 one, run for run.
+//
+// The differential suite (source_test.go, run by CI) requires both engines,
+// and the source engine with and without joins, to find the identical
+// violation set on killable mutants, and pins each variant's exact run
+// count on the standard n ≤ 3 suite: source executes strictly fewer runs
+// than classic, and joins never change which schedules are visited.
 //
 // # What is enumerated
 //

@@ -7,17 +7,17 @@ import (
 )
 
 // Dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005) over the
-// step-machine engine — the explorer's default engine since PR 4.
+// step-machine engine: EngineDPOR, the classic engine, kept as the
+// independently implemented differential anchor of the default source
+// engine (source.go).
 //
-// The legacy enumerator (EngineEnum, explore.go) bounds the *number of
-// context switches*; DPOR instead bounds nothing and prunes by
-// *commutativity*: two steps of different processes are independent when
-// their shared-object access sets (recorded by sim.AccessLog through the
-// instrumented memory.Direct* accessors) do not conflict, and schedules that
-// differ only by reordering independent adjacent steps are equivalent —
-// they produce identical shared state and identical local results. DPOR
-// explores at least one representative of every equivalence class
-// (Mazurkiewicz trace) of the full-depth schedule space:
+// DPOR prunes by *commutativity*: two steps of different processes are
+// independent when their shared-object access sets (recorded by
+// sim.AccessLog through the instrumented memory.Direct* accessors) do not
+// conflict, and schedules that differ only by reordering independent
+// adjacent steps are equivalent — they produce identical shared state and
+// identical local results. DPOR explores at least one representative of
+// every equivalence class (Mazurkiewicz trace) of the schedule space:
 //
 //   - Each completed run is analyzed with per-process and per-object vector
 //     clocks. A pair of conflicting accesses by different processes that is
@@ -59,15 +59,15 @@ import (
 // under commutation, so a class straddling the window boundary may be
 // checked on an unsettled (vacuously passing) representative. The sweep
 // surfaces Result.SettledRuns so a settledness collapse is visible, and
-// the legacy enumerator — which executes every bounded schedule rather
-// than one per class — remains the reference lens for that property.
+// TestSwitchBudgetOneSuiteCounts pins the extraction's settled runs exactly.
 //
-// Non-terminating systems (the Figure 3 extraction, whose runs always cost
-// the full budget) additionally need Config.MaxDepth: backtrack points are
-// only inserted at depths below it, giving bounded-depth DPOR — exhaustive
-// up to commutativity over every prefix of that depth, with the fair tail
-// beyond. Terminating protocols leave MaxDepth at the default (the step
-// budget), which makes the search genuinely full-depth.
+// Config.MaxDepth bounds the search: backtrack points are only inserted at
+// depths below it, giving bounded-depth DPOR — exhaustive up to
+// commutativity over every prefix of that depth, with the fair tail beyond.
+// The Figure 3 extraction, whose runs always cost the full budget, needs
+// the bound to stay tractable. Systems that check termination-of-correct
+// need it too: only the fair tail makes a budget exhaustion a liveness
+// failure rather than a starved run.
 
 // dporMaxProcs bounds the vector-clock width. The CLI caps exploration at
 // n = 4; fixed-size clock arrays keep the analysis allocation-light.

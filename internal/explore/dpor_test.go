@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"testing"
 
 	"weakestfd/internal/memory"
@@ -96,50 +98,111 @@ func (propAlwaysHolds) Check(*Run) error { return nil }
 
 // TestDPORDisjointSingleRun: when every step of one process commutes with
 // every step of the other, the whole schedule space is one Mazurkiewicz
-// trace and DPOR must execute exactly one run.
+// trace and each engine must execute exactly one run.
 func TestDPORDisjointSingleRun(t *testing.T) {
-	res := Explore(Config{
-		System: toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}},
-	})
-	if res.Runs != 1 {
-		t.Fatalf("disjoint toy explored %d runs, want exactly 1", res.Runs)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("unexpected violations: %v", res.Violations)
+	for _, engine := range []Engine{EngineSource, EngineDPOR} {
+		res := Explore(Config{
+			System: toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}},
+			Engine: engine,
+		})
+		if res.Runs != 1 {
+			t.Errorf("%v: disjoint toy explored %d runs, want exactly 1", engine, res.Runs)
+		}
+		if len(res.Violations) != 0 {
+			t.Errorf("%v: unexpected violations: %v", engine, res.Violations)
+		}
 	}
 }
 
 // TestDPORFindsRaceReversal: the lost-update violation exists only in the
-// interleavings where both reads precede both writes. DPOR must reach one
-// via backtracking from the races it observes, within the 6 raw
+// interleavings where both reads precede both writes. Each engine must
+// reach one via backtracking from the races it observes, within the 6 raw
 // interleavings of the 2+2-step space (classic DPOR with sleep sets is
 // sound but not optimal: on this 4-class space it may execute all 6).
 func TestDPORFindsRaceReversal(t *testing.T) {
-	res := Explore(Config{
-		System: toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
-	})
-	if len(res.Violations) == 0 {
-		t.Fatalf("DPOR missed the lost-update interleaving (%d runs)", res.Runs)
+	for _, engine := range []Engine{EngineSource, EngineDPOR} {
+		res := Explore(Config{
+			System: toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
+			Engine: engine,
+		})
+		if len(res.Violations) == 0 {
+			t.Errorf("%v: missed the lost-update interleaving (%d runs)", engine, res.Runs)
+			continue
+		}
+		if res.Runs > 6 {
+			t.Errorf("%v: executed %d runs; the whole raw space is 6 interleavings", engine, res.Runs)
+		}
+		t.Logf("%v: lost update found in %d runs (%d pruned): %v", engine, res.Runs, res.Pruned, res.Violations[0])
 	}
-	if res.Runs > 6 {
-		t.Errorf("DPOR executed %d runs; the whole raw space is 6 interleavings", res.Runs)
-	}
-	t.Logf("lost update found in %d runs (%d pruned): %v", res.Runs, res.Pruned, res.Violations[0])
 }
 
-// TestDPORAgreesWithEnumOnToy: both engines judge the toy systems
-// identically (violation present/absent).
+// TestDPORAgreesWithEnumOnToy: both reducing engines judge the toy systems
+// exactly as an exhaustive enumeration of their raw interleavings does —
+// the same violated properties, in no more runs than there are
+// interleavings. The enumeration itself is checked against the hand count:
+// the lost update happens in the 4 of 6 interleavings where both reads
+// precede both writes.
 func TestDPORAgreesWithEnumOnToy(t *testing.T) {
-	for _, sys := range []toySystem{
-		{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
-		{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}},
+	for _, tc := range []struct {
+		sys       toySystem
+		violating int
+	}{
+		{toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}}, 4},
+		{toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}}, 0},
 	} {
-		d := Explore(Config{System: sys})
-		l := Explore(Config{System: sys, Engine: EngineEnum, MaxBlocks: 3, MaxBlock: 8})
-		if (len(d.Violations) == 0) != (len(l.Violations) == 0) {
-			t.Fatalf("%s: engines disagree: dpor %d violations, enum %d", sys.name, len(d.Violations), len(l.Violations))
+		schedules := toyInterleavings()
+		want := map[string]bool{}
+		violating := 0
+		for _, schedule := range schedules {
+			run := execute(tc.sys, sim.FailFree(2), OracleChoice{Name: "-"}, sim.NewFixedSchedule(schedule), 16, nil, nil)
+			if run.Err != nil {
+				t.Fatalf("%s %v: %v", tc.sys.name, schedule, run.Err)
+			}
+			bad := false
+			for _, prop := range tc.sys.props {
+				if prop.Check(run) != nil {
+					want[prop.Name()], bad = true, true
+				}
+			}
+			if bad {
+				violating++
+			}
+		}
+		if violating != tc.violating {
+			t.Fatalf("%s: %d of %d interleavings violate, want %d", tc.sys.name, violating, len(schedules), tc.violating)
+		}
+		for _, engine := range []Engine{EngineSource, EngineDPOR} {
+			res := Explore(Config{System: tc.sys, Engine: engine})
+			got := map[string]bool{}
+			for _, v := range res.Violations {
+				got[v.Property] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%s %v: violated properties %v, enumeration %v", tc.sys.name, engine, got, want)
+			}
+			if res.Runs > int64(len(schedules)) {
+				t.Errorf("%s %v: %d runs, more than the %d raw interleavings", tc.sys.name, engine, res.Runs, len(schedules))
+			}
 		}
 	}
+}
+
+// toyInterleavings lists the 6 raw interleavings of the toys' two 2-step
+// processes as grant sequences: every 4-bit word with two bits set, bit i
+// naming the process granted step i.
+func toyInterleavings() [][]sim.PID {
+	var out [][]sim.PID
+	for word := uint(0); word < 16; word++ {
+		if bits.OnesCount(word) != 2 {
+			continue
+		}
+		schedule := make([]sim.PID, 4)
+		for i := range schedule {
+			schedule[i] = sim.PID(word >> i & 1)
+		}
+		out = append(out, schedule)
+	}
+	return out
 }
 
 // TestDPORTaskMachines: the explorer drives multi-task systems

@@ -16,21 +16,17 @@ type Engine uint8
 
 const (
 	// EngineSource — the default — is source-DPOR with wakeup sequences
-	// (source.go, wakeup.go): full-depth exploration of one representative
-	// per commutativity class, with race reversals gated on source sets and
-	// forced by wakeup sequences, plus the state-hash join layer (hash.go)
-	// that shares post-horizon tails between runs reaching the same state.
+	// (source.go, wakeup.go): exploration of one representative per
+	// commutativity class within the branch horizon, with race reversals
+	// gated on source sets and forced by wakeup sequences, plus the
+	// state-hash join layer (hash.go) that shares post-horizon tails between
+	// runs reaching the same state.
 	EngineSource Engine = iota
 	// EngineDPOR is the classic Flanagan–Godefroid DPOR of PR 4 (dpor.go):
 	// bare backtrack points plus sleep sets, kept as the reduction-quality
 	// baseline the source engine is differentially tested and benchmarked
 	// against.
 	EngineDPOR
-	// EngineEnum is the context-switch-bounded block enumerator of PR 3,
-	// kept as the differential-testing reference: the reducing engines and
-	// the enumerator must find the identical violation set on the standard
-	// suites.
-	EngineEnum
 )
 
 // String implements fmt.Stringer.
@@ -40,8 +36,6 @@ func (e Engine) String() string {
 		return "source"
 	case EngineDPOR:
 		return "classic"
-	case EngineEnum:
-		return "legacy"
 	default:
 		return fmt.Sprintf("engine(%d)", uint8(e))
 	}
@@ -72,27 +66,21 @@ type Config struct {
 	// new states are no longer admitted (Result.StateCapped) but cached ones
 	// keep joining. Default 16384. EngineSource only.
 	MaxStates int
-	// MaxBlocks bounds the number of adversarial blocks per schedule (the
-	// context-switch bound); the fair round-robin tail after the last block
-	// is free. Default 2. EngineEnum only.
-	MaxBlocks int
-	// MaxBlock bounds the length of one adversarial block. Default 48.
-	// EngineEnum only.
-	MaxBlock int
 	// Budget caps every run's total step count. Default 4096.
 	Budget int64
-	// MaxDepth bounds the step depth at which the DPOR engines insert
-	// backtrack points; beyond it runs continue under the fair tail without
-	// branching. 0 means the step budget — genuinely full-depth for
-	// terminating protocols. Non-terminating systems (the extraction, the
-	// compositions' reduction tasks) need a finite bound to keep the
-	// branching frontier tractable. EngineSource and EngineDPOR; under
+	// MaxDepth bounds the step depth at which the engines insert backtrack
+	// points; beyond it runs continue under the fair round-robin tail
+	// without branching. 0 means the step budget: full depth, which leaves
+	// no fair tail, so a run may starve an enabled process until the budget
+	// runs out. Systems that check termination-of-correct therefore need a
+	// horizon below Budget (fleet.Spec.Config refuses any other), and
+	// non-terminating systems (the extraction, the compositions' reduction
+	// tasks) need one to keep the branching frontier tractable. Under
 	// EngineSource it is also the state-hash join horizon (hash.go).
 	MaxDepth int
-	// MaxRuns caps the number of runs one configuration's DPOR search may
+	// MaxRuns caps the number of runs one configuration's search may
 	// execute (0 = unlimited); hitting the cap marks the Result Truncated,
-	// which voids the exhaustiveness claim for that sweep. EngineSource and
-	// EngineDPOR.
+	// which voids the exhaustiveness claim for that sweep.
 	MaxRuns int64
 	// MaxFaults overrides the system's environment E_f (0 keeps it).
 	MaxFaults int
@@ -104,10 +92,8 @@ type Config struct {
 	// histories — exactly the PR-4 schedule space; b >= 1 additionally
 	// enumerates, per stable value, every schedule of at most b flips with
 	// phase outputs from the detector's range and flip times from FlipTimes.
-	// Honored by both engines: the block enumerator executes explicit
-	// schedules and makes no independence assumptions, and DPOR stays sound
-	// because the query seam records queries and flips as conflicting
-	// accesses of the history object.
+	// Both engines stay sound under flips because the query seam records
+	// queries and flips as conflicting accesses of the history object.
 	SwitchBudget int
 	// FlipTimes is the global-time grid flips are drawn from when
 	// SwitchBudget > 0. Default {2, 14}: one flip before the protocols'
@@ -140,12 +126,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBlocks == 0 {
-		c.MaxBlocks = 2
-	}
-	if c.MaxBlock == 0 {
-		c.MaxBlock = 48
-	}
 	if c.Budget == 0 {
 		c.Budget = 4096
 	}
@@ -155,16 +135,21 @@ func (c Config) withDefaults() Config {
 	if c.MaxFaults <= 0 || c.MaxFaults > c.System.MaxFaults() {
 		c.MaxFaults = c.System.MaxFaults()
 	}
+	// The crash grid is a set of candidate times: a duplicate would
+	// enumerate the same patterns twice under one label, and the job order
+	// follows the grid's order, so it is sorted and deduplicated like the
+	// flip grid below.
+	c.CrashTimes = sortedTimes(c.CrashTimes, 0)
 	if len(c.CrashTimes) == 0 {
 		c.CrashTimes = []sim.Time{0, 3}
 	}
-	// FlipTimes is a set of candidate times; flipVariants builds strictly
-	// increasing phase tuples by walking it in order, and fd.NewUnstable
-	// panics on an unordered tuple — normalize rather than crash mid-sweep.
-	// Normalization runs before the default so that a grid of entirely
-	// unobservable times (all < 2) falls back to the default grid instead
-	// of silently degenerating a SwitchBudget>0 sweep to stable-from-0.
-	c.FlipTimes = sortedTimes(c.FlipTimes)
+	// flipVariants builds strictly increasing phase tuples by walking the
+	// flip grid in order, and fd.NewUnstable panics on an unordered tuple —
+	// normalize rather than crash mid-sweep. Normalization runs before the
+	// default so that a grid of entirely unobservable times (all < 2) falls
+	// back to the default grid instead of silently degenerating a
+	// SwitchBudget>0 sweep to stable-from-0.
+	c.FlipTimes = sortedTimes(c.FlipTimes, 2)
 	if c.SwitchBudget > 0 && len(c.FlipTimes) == 0 {
 		c.FlipTimes = []sim.Time{2, 14}
 	}
@@ -178,6 +163,13 @@ func (c Config) withDefaults() Config {
 		c.ShrinkBudget = 2000
 	}
 	return c
+}
+
+// FullDepth reports whether the branch horizon reaches the step budget once
+// defaults apply, which leaves runs no fair tail (see MaxDepth).
+func (c Config) FullDepth() bool {
+	c = c.withDefaults()
+	return int64(c.MaxDepth) >= c.Budget
 }
 
 // Violation is one property failure, with its shrunk replayable artifact.
@@ -233,10 +225,8 @@ type Result struct {
 	Configs int `json:"configs"`
 	// Runs is the number of schedules executed (shrinking replays excluded).
 	Runs int64 `json:"runs"`
-	// Pruned counts the schedules a reducing engine proved redundant without
-	// executing them (sleep-set and source-set skips); always 0 for
-	// EngineEnum, whose stutter pruning cuts length scans rather than whole
-	// schedules.
+	// Pruned counts the schedules the engine proved redundant without
+	// executing them (sleep-set and source-set skips).
 	Pruned int64 `json:"pruned"`
 	// Joined counts the runs the source engine stopped at the branch horizon
 	// because a state-hash join let them reuse an already-executed tail.
@@ -264,52 +254,6 @@ type Result struct {
 	// ElapsedMS is the exploration wall-clock time; a merged Result sums the
 	// shards' compute time instead.
 	ElapsedMS int64 `json:"elapsed_ms"`
-}
-
-// block is one adversarial schedule segment: up to n consecutive steps of
-// pid (fewer if pid returns or crashes first).
-type block struct {
-	pid sim.PID
-	n   int
-}
-
-// blockSchedule plays a block sequence then a fair round-robin tail,
-// recording the granted sequence and per-block grant counts.
-type blockSchedule struct {
-	blocks  []block
-	bi      int
-	left    int
-	tail    sim.Schedule
-	granted []sim.PID
-	counts  []int
-}
-
-func newBlockSchedule(blocks []block) *blockSchedule {
-	s := &blockSchedule{blocks: blocks, tail: sim.RoundRobin(), counts: make([]int, len(blocks))}
-	if len(blocks) > 0 {
-		s.left = blocks[0].n
-	}
-	return s
-}
-
-// Next implements sim.Schedule.
-func (s *blockSchedule) Next(t sim.Time, enabled sim.Set) sim.PID {
-	for s.bi < len(s.blocks) {
-		b := s.blocks[s.bi]
-		if s.left > 0 && enabled.Has(b.pid) {
-			s.left--
-			s.counts[s.bi]++
-			s.granted = append(s.granted, b.pid)
-			return b.pid
-		}
-		s.bi++
-		if s.bi < len(s.blocks) {
-			s.left = s.blocks[s.bi].n
-		}
-	}
-	p := s.tail.Next(t, enabled)
-	s.granted = append(s.granted, p)
-	return p
 }
 
 // Job is one (pattern × oracle) cell of a sweep's configuration space — the
@@ -499,10 +443,8 @@ func ParseEngine(name string) (Engine, error) {
 		return EngineSource, nil
 	case "classic", "dpor":
 		return EngineDPOR, nil
-	case "legacy", "enum":
-		return EngineEnum, nil
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want source, classic or legacy)", name)
+		return 0, fmt.Errorf("unknown engine %q (want source or classic)", name)
 	}
 }
 
@@ -536,82 +478,9 @@ func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (viol
 			e.truncated.Store(true)
 		}
 		return d.violations, d.runs
-	case EngineEnum:
-		c := &configRun{e: e, pattern: pattern, oracle: oracle}
-		// Root: the pure fair schedule, no adversarial blocks.
-		root, _ := c.run(nil)
-		c.violations += e.check(root, pattern, oracle)
-		c.dfs(nil)
-		return c.violations, c.runs
 	default:
 		panic(fmt.Sprintf("explore: unknown engine %v", e.cfg.Engine))
 	}
-}
-
-// configRun is the per-configuration DFS state.
-type configRun struct {
-	e          *explorer
-	pattern    sim.Pattern
-	oracle     OracleChoice
-	runs       int64
-	violations int64
-}
-
-// dfs extends the block prefix one block at a time. The length scan for a
-// given owner stops as soon as a run cut the block short (every longer
-// length is stutter-equivalent). Consecutive blocks share an owner only
-// when the previous block ran its full MaxBlock length: a partial-then-same
-// chain would duplicate the single longer block already scanned, while
-// full-block chaining is the canonical decomposition of uninterrupted solo
-// spans beyond MaxBlock — so one process can run up to MaxBlocks·MaxBlock
-// consecutive steps, each span costing ⌈span/MaxBlock⌉ of the block budget.
-func (c *configRun) dfs(blocks []block) {
-	e := c.e
-	if len(blocks) >= e.cfg.MaxBlocks || e.stopped() {
-		return
-	}
-	n := e.cfg.System.N()
-	last := sim.PID(-1)
-	lastFull := false
-	if len(blocks) > 0 {
-		last = blocks[len(blocks)-1].pid
-		lastFull = blocks[len(blocks)-1].n == e.cfg.MaxBlock
-	}
-	for p := 0; p < n; p++ {
-		if sim.PID(p) == last && !lastFull {
-			continue
-		}
-		for length := 1; length <= e.cfg.MaxBlock; length++ {
-			if e.stopped() {
-				return
-			}
-			child := append(append([]block(nil), blocks...), block{pid: sim.PID(p), n: length})
-			run, counts := c.run(child)
-			if counts[len(child)-1] < length {
-				// The block ended early (pid returned/crashed or the run
-				// finished): this run equals the previous length's run, and
-				// so would every longer one. Stutter-prune the scan.
-				break
-			}
-			c.violations += e.check(run, c.pattern, c.oracle)
-			c.dfs(child)
-		}
-	}
-}
-
-// run executes one schedule (blocks + fair tail) on fresh state.
-func (c *configRun) run(blocks []block) (*Run, []int) {
-	e := c.e
-	sched := newBlockSchedule(blocks)
-	run := execute(e.cfg.System, c.pattern, c.oracle, sched, e.cfg.Budget, nil, nil)
-	run.Schedule = sched.granted
-	c.runs++
-	e.runs.Add(1)
-	if run.OutputsSettled {
-		e.settled.Add(1)
-	}
-	bumpMax(&e.maxSteps, run.Report.Steps)
-	return run, sched.counts
 }
 
 // bumpMax raises the atomic maximum m to v.

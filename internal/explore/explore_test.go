@@ -36,43 +36,16 @@ func TestFullSweepRealProtocols(t *testing.T) {
 // same schedules (replay is cloning, so this must hold for counterexamples
 // to be reproducible) — checked for both engines.
 func TestExploreDeterministic(t *testing.T) {
-	for _, engine := range []Engine{EngineDPOR, EngineEnum} {
+	for _, engine := range []Engine{EngineDPOR, EngineSource} {
 		run := func() *Result {
 			return Explore(Config{System: Fig1System(2), Engine: engine, MaxDepth: 20,
-				MaxBlocks: 3, MaxBlock: 16, Budget: 1024, Symmetry: true})
+				Budget: 1024, Symmetry: true})
 		}
 		a, b := run(), run()
 		if a.Runs != b.Runs || a.Configs != b.Configs || a.MaxSteps != b.MaxSteps || a.Pruned != b.Pruned {
 			t.Fatalf("%v sweeps differ: (%d runs, %d configs, %d max, %d pruned) vs (%d, %d, %d, %d)",
 				engine, a.Runs, a.Configs, a.MaxSteps, a.Pruned, b.Runs, b.Configs, b.MaxSteps, b.Pruned)
 		}
-	}
-}
-
-func TestBlockScheduleSemantics(t *testing.T) {
-	s := newBlockSchedule([]block{{pid: 1, n: 2}, {pid: 0, n: 3}})
-	enabled := sim.SetOf(0, 1, 2)
-	var got []sim.PID
-	for i := 0; i < 8; i++ {
-		got = append(got, s.Next(sim.Time(i+1), enabled))
-	}
-	want := []sim.PID{1, 1, 0, 0, 0 /* tail round-robin (fresh, from p1): */, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: got %v, want %v (full %v)", i, got[i], want[i], got)
-		}
-	}
-	if s.counts[0] != 2 || s.counts[1] != 3 {
-		t.Fatalf("block counts %v, want [2 3]", s.counts)
-	}
-
-	// A block whose owner is disabled is skipped entirely (counted 0).
-	s = newBlockSchedule([]block{{pid: 2, n: 5}, {pid: 0, n: 1}})
-	if p := s.Next(1, sim.SetOf(0, 1)); p != 0 {
-		t.Fatalf("disabled block owner: got %v, want p1", p)
-	}
-	if s.counts[0] != 0 || s.counts[1] != 1 {
-		t.Fatalf("block counts %v, want [0 1]", s.counts)
 	}
 }
 

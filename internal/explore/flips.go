@@ -20,10 +20,9 @@ import (
 // schedule of at most SwitchBudget pre-stabilization output switches, with
 // phase outputs drawn from the detector's range and flip times from a small
 // global-time grid (Config.FlipTimes), exactly like the crash-time grid.
-// Each choice is one more configuration; within it, DPOR (or the block
-// enumerator) still quantifies over every schedule, so "process p queried
-// just before the flip, q just after" is reached whenever any interleaving
-// reaches it.
+// Each choice is one more configuration; within it, either DPOR engine still
+// quantifies over every schedule, so "process p queried just before the
+// flip, q just after" is reached whenever any interleaving reaches it.
 
 // FlipPhase is one pre-stabilization phase of an explored history: the
 // history outputs Out (uniformly, at every process) while t < Until. A
@@ -47,17 +46,18 @@ type SwitchPlan struct {
 	Times  []sim.Time
 }
 
-// sortedTimes normalizes a flip-time grid into the form flipVariants
-// assumes: strictly increasing, all >= 2. A phase's output applies to
-// t < its end time and the first step runs at t=1, so a flip at time <= 1
-// is unobservable — its variant would duplicate the stable-from-0 base
+// sortedTimes normalizes a time grid to strictly increasing entries, all
+// >= lo: entries below lo and duplicates are dropped, and an
+// already-normalized grid is returned as-is. Crash grids use lo 0. Flip
+// grids use lo 2, the form flipVariants assumes: a phase's output applies
+// to t < its end time and the first step runs at t=1, so a flip at time
+// <= 1 is unobservable — its variant would duplicate the stable-from-0 base
 // while the flip write still conflicted with every time-1 query under
-// DPOR. Unobservable and duplicate entries are dropped; an
-// already-normalized grid is returned as-is.
-func sortedTimes(grid []sim.Time) []sim.Time {
+// DPOR.
+func sortedTimes(grid []sim.Time, lo sim.Time) []sim.Time {
 	ok := true
 	for i, t := range grid {
-		if t < 2 || (i > 0 && t <= grid[i-1]) {
+		if t < lo || (i > 0 && t <= grid[i-1]) {
 			ok = false
 			break
 		}
@@ -67,7 +67,7 @@ func sortedTimes(grid []sim.Time) []sim.Time {
 	}
 	out := make([]sim.Time, 0, len(grid))
 	for _, t := range grid {
-		if t >= 2 {
+		if t >= lo {
 			out = append(out, t)
 		}
 	}

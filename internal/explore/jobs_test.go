@@ -150,7 +150,6 @@ func TestParseEngine(t *testing.T) {
 	cases := map[string]Engine{
 		"": EngineSource, "source": EngineSource,
 		"classic": EngineDPOR, "dpor": EngineDPOR,
-		"legacy": EngineEnum, "enum": EngineEnum,
 	}
 	for name, want := range cases {
 		got, err := ParseEngine(name)
@@ -158,7 +157,11 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine name")
+	// "legacy" and "enum" named the deleted block enumerator; they must not
+	// select some other engine.
+	for _, name := range []string{"legacy", "enum", "quantum"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine accepted the unknown engine name %q", name)
+		}
 	}
 }

@@ -85,9 +85,11 @@ func (Validity) Check(r *Run) error {
 }
 
 // TerminationOfCorrect: every correct process decided within the budget.
-// The schedules the explorer closes runs with are fair, so a budget
-// exhaustion under an adequate budget is a genuine liveness failure, not a
-// starved run.
+// It presumes the fair round-robin tail the explorer closes runs with past
+// Config.MaxDepth: with that tail, a budget exhaustion under an adequate
+// budget is a genuine liveness failure, not a starved run. A horizon at the
+// budget leaves no tail, so fleet.Spec.Config refuses it for systems that
+// check this property.
 type TerminationOfCorrect struct{}
 
 // Name implements Property.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,8 +10,19 @@ import (
 )
 
 // Differential testing of the source-DPOR engine against the classic engine:
-// identical verdicts, fewer executions. CI's explore-smoke matrix runs these
+// identical verdicts, fewer executions. CI's explore-smoke job runs these
 // explicitly.
+
+// violationKeys returns the sorted (pattern, oracle, property) triples of a
+// result's violations.
+func violationKeys(r *Result) []string {
+	var out []string
+	for _, v := range r.Violations {
+		out = append(out, violationKey(v))
+	}
+	sort.Strings(out)
+	return out
+}
 
 // TestSourceVsClassicDifferential compares the three reduction variants —
 // classic DPOR, pure source-DPOR (NoHash), and source-DPOR with state-hash
@@ -63,7 +75,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				continue
 			}
 			delete(pins, label)
-			c, s, h := exploreEngines(cfg)
+			c, s, h := cleanSuiteSweep(cfg)
 			checkCleanSweep(t, label, c, s, h, want)
 			if c.System == "extract-omega" {
 				// Settledness is the one non-trace-invariant margin (see
@@ -111,10 +123,13 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		// race (full wakeup sequences), a flip-schedule kill (flip-anchored
 		// wakeup sequences under an unstable history), and a flips-plus-joins
 		// extraction kill (MaxDepth 1 < Budget keeps the hash layer active on
-		// a violating sweep — joins must not eat violations).
+		// a violating sweep — joins must not eat violations). Each case pins
+		// the exact number of violating configurations all three variants
+		// must find.
 		cases := []struct {
-			name string
-			cfg  Config
+			name      string
+			cfg       Config
+			violating int
 		}{
 			{"fig1-broken-adopt", Config{
 				System:        BrokenFig1System(2),
@@ -122,20 +137,8 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				Budget:        2048,
 				MaxViolations: 1 << 20,
 				Workers:       1,
-			}},
-			{"fig1-skip-on-change", Config{
-				System:       SkipOnChangeFig1System(2),
-				SwitchBudget: 1,
-				FlipTimes:    []sim.Time{14},
-				CrashTimes:   []sim.Time{0},
-				MaxDepth:     31,
-				Budget:       2048,
-				// The mutant has exactly two violating configurations on
-				// this grid (see TestDifferentialSwitchMutant); capping
-				// there keeps the three full-depth sweeps CI-affordable.
-				MaxViolations: 2,
-				Workers:       1,
-			}},
+			}, 2},
+			{"fig1-skip-on-change", skipOnChangeGrid(), 2},
 			{"extract-stale-leader", Config{
 				System:        mustSystem("extract-stale-leader", 2, 1),
 				SwitchBudget:  1,
@@ -146,11 +149,11 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				Budget:        768,
 				MaxViolations: 1 << 20,
 				Workers:       1,
-			}},
+			}, 2},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				c, s, h := exploreEngines(tc.cfg)
+				c, s, h := exploreEnginesOnce(tc.name, tc.cfg)
 				ck, sk, hk := violationKeys(c), violationKeys(s), violationKeys(h)
 				if strings.Join(ck, "\n") != strings.Join(sk, "\n") {
 					t.Fatalf("violation sets differ:\nclassic (%d):\n%s\nsource (%d):\n%s",
@@ -160,8 +163,9 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 					t.Fatalf("violation sets differ:\nclassic (%d):\n%s\nsource+hash (%d):\n%s",
 						len(ck), strings.Join(ck, "\n"), len(hk), strings.Join(hk, "\n"))
 				}
-				if len(ck) == 0 {
-					t.Fatal("no engine killed the mutant")
+				if len(ck) != tc.violating {
+					t.Fatalf("found %d violating configs, want %d:\n%s",
+						len(ck), tc.violating, strings.Join(ck, "\n"))
 				}
 				t.Logf("identical %d violating configs; classic %d runs vs source %d vs source+hash %d (%d joined)",
 					len(ck), c.Runs, s.Runs, h.Runs, h.Joined)
@@ -187,6 +191,50 @@ func exploreEngines(cfg Config) (classic, source, hash *Result) {
 	cfg.NoHash = false
 	hash = Explore(cfg)
 	return classic, source, hash
+}
+
+// sweepCache holds exploreEnginesOnce's results by name.
+var sweepCache = map[string][3]*Result{}
+
+// exploreEnginesOnce is exploreEngines memoized under name, which must
+// identify cfg. The Differential tests and TestSourceVsClassicDifferential
+// make different assertions about the same multi-second sweeps; each runs
+// once per test binary. Top-level tests run one at a time, so the cache
+// needs no lock.
+func exploreEnginesOnce(name string, cfg Config) (classic, source, hash *Result) {
+	r, ok := sweepCache[name]
+	if !ok {
+		classic, source, hash = exploreEngines(cfg)
+		r = [3]*Result{classic, source, hash}
+		sweepCache[name] = r
+	}
+	return r[0], r[1], r[2]
+}
+
+// cleanSuiteSweep is the three-variant sweep of one DefaultSweep entry.
+func cleanSuiteSweep(cfg Config) (classic, source, hash *Result) {
+	return exploreEnginesOnce("clean-suite/"+sweepLabel(cfg), cfg)
+}
+
+// skipOnChangeGrid is the switch-budget-1 grid on which the skip-on-change
+// fig1 mutant at n=2 has exactly two violating configurations, one per
+// stable set.
+func skipOnChangeGrid() Config {
+	return Config{
+		System:       SkipOnChangeFig1System(2),
+		SwitchBudget: 1,
+		FlipTimes:    []sim.Time{14},
+		CrashTimes:   []sim.Time{0},
+		// 31 contains the witness's last race: the laggard's round-2
+		// decision poll against the skipper's write, near depth 29.
+		MaxDepth: 31,
+		Budget:   2048,
+		// Capping at the two violating configurations keeps the sweeps
+		// CI-affordable: uncapped, every clean flip-variant config is
+		// searched to depth 31.
+		MaxViolations: 2,
+		Workers:       1,
+	}
 }
 
 // checkCleanSweep requires the three variants of a clean protocol's sweep to

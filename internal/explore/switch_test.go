@@ -36,12 +36,10 @@ func switchSweep(engine Engine, budget int) *Result {
 		CrashTimes:   []sim.Time{0},
 		MaxDepth:     36,
 		MaxRuns:      400_000,
-		MaxBlocks:    3,
-		MaxBlock:     36,
 		Budget:       2048,
 		// One witness is all these tests need; the first violation stops the
-		// sweep (the full-enumeration comparison lives in
-		// TestDifferentialSwitchMutant).
+		// sweep (the engine comparison over both violating configurations
+		// lives in TestDifferentialSwitchMutant).
 		MaxViolations: 1,
 	})
 }
@@ -54,7 +52,7 @@ func TestSwitchMutantCleanAtBudgetZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	for _, engine := range []Engine{EngineDPOR, EngineEnum} {
+	for _, engine := range []Engine{EngineDPOR, EngineSource} {
 		res := switchSweep(engine, 0)
 		if len(res.Violations) != 0 {
 			t.Fatalf("%v: SwitchBudget=0 sweep found violations on the stable-history-correct mutant: %v",
@@ -193,56 +191,29 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDifferentialSwitchMutant: the legacy block enumerator executes
-// explicit schedules and makes no independence assumptions, so it honors
-// switch budgets soundly — but a flip-gated witness needs at least four
-// preemption blocks (interleaved round-1 converge, the skipper's solo run,
-// the laggard's decision), beyond the enumerator's usual 3-block bound.
-// At MaxBlocks=4 both engines must find the identical violating
-// (pattern, oracle, property) configurations at SwitchBudget=1 — which is
-// also why the fdlab CLI rejects -switch-budget > 0 under -engine legacy: at
-// the default 3-block bound the enumerator's pass would be vacuous.
+// TestDifferentialSwitchMutant: on the skip-on-change grid at
+// SwitchBudget=1 (skipOnChangeGrid) source-DPOR and classic DPOR must find
+// the identical violating (pattern, oracle, property) configurations: the
+// mutant's two, one per stable set. The mutant is clean at SwitchBudget=0
+// (TestSwitchMutantCleanAtBudgetZero), so both witnesses need a detector
+// switch: the comparison covers both engines' flip-anchored search, not
+// only their scheduling races.
 func TestDifferentialSwitchMutant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	full := func(engine Engine) *Result {
-		cfg := Config{
-			System:       SkipOnChangeFig1System(2),
-			Engine:       engine,
-			SwitchBudget: 1,
-			FlipTimes:    []sim.Time{14},
-			CrashTimes:   []sim.Time{0},
-			// 31 comfortably contains the witness's last race (the laggard's
-			// round-2 decision poll against the skipper's write, ~depth 29)
-			// and keeps the clean flip-variant configs' full-depth DFS
-			// CI-affordable.
-			MaxDepth:  31,
-			MaxBlocks: 4,
-			MaxBlock:  14,
-			Budget:    2048,
-			// The mutant has exactly two violating configurations on this
-			// grid (one per stable set, symmetric); capping there lets both
-			// sweeps stop once they have them instead of exhausting every
-			// clean config at full depth (a ~9M-run, minutes-long pass that
-			// found nothing more when run uncapped).
-			MaxViolations: 2,
-			Workers:       1,
-		}
-		return Explore(cfg)
+	c, _, s := exploreEnginesOnce("fig1-skip-on-change", skipOnChangeGrid())
+	ck, sk := violationKeys(c), violationKeys(s)
+	if strings.Join(sk, "\n") != strings.Join(ck, "\n") {
+		t.Fatalf("violation sets differ at SwitchBudget=1:\nsource (%d):\n%s\nclassic (%d):\n%s",
+			len(sk), strings.Join(sk, "\n"), len(ck), strings.Join(ck, "\n"))
 	}
-	d, l := full(EngineDPOR), full(EngineEnum)
-	dk, lk := violationKeys(d), violationKeys(l)
-	if strings.Join(dk, "\n") != strings.Join(lk, "\n") {
-		t.Fatalf("violation sets differ at SwitchBudget=1:\nDPOR (%d):\n%s\nenum (%d):\n%s",
-			len(dk), strings.Join(dk, "\n"), len(lk), strings.Join(lk, "\n"))
-	}
-	if len(dk) != 2 {
+	if len(sk) != 2 {
 		t.Fatalf("found %d violating configs at SwitchBudget=1, want the mutant's 2:\n%s",
-			len(dk), strings.Join(dk, "\n"))
+			len(sk), strings.Join(sk, "\n"))
 	}
-	t.Logf("identical %d violating configs; dpor %d runs (%d pruned) vs enum %d runs",
-		len(dk), d.Runs, d.Pruned, l.Runs)
+	t.Logf("identical %d violating configs; source %d runs (%d pruned) vs classic %d runs",
+		len(sk), s.Runs, s.Pruned, c.Runs)
 }
 
 // TestSwitchMutantEscapesRandomTesting: 500 seeded-random schedules over
@@ -281,6 +252,7 @@ func TestSwitchMutantEscapesRandomTesting(t *testing.T) {
 // be normalized, not crash the sweep — flipVariants assumes a strictly
 // increasing grid and fd.NewUnstable panics on an unordered phase tuple.
 // Unobservable times (a phase ending at t <= 1 covers no step) are dropped.
+// The crash-time grid is normalized the same way, with lower bound 0.
 func TestFlipTimesNormalization(t *testing.T) {
 	got := Config{System: Fig1System(2), SwitchBudget: 1,
 		FlipTimes: []sim.Time{14, 2, 2, 1, 0}}.withDefaults().FlipTimes
@@ -294,6 +266,23 @@ func TestFlipTimesNormalization(t *testing.T) {
 		FlipTimes: []sim.Time{1}}.withDefaults().FlipTimes
 	if len(got) != 2 || got[0] != 2 || got[1] != 14 {
 		t.Fatalf("all-unobservable grid normalized to %v, want the {2,14} default", got)
+	}
+	// A duplicated crash time used to enumerate every pattern it built
+	// twice (fig1 n=2: 10 configurations instead of 6), and an unsorted
+	// grid reordered the jobs.
+	labels := func(grid ...sim.Time) string {
+		var out []string
+		for _, j := range EnumerateJobs(Config{System: Fig1System(2), CrashTimes: grid}) {
+			out = append(out, j.Label())
+		}
+		return strings.Join(out, "\n")
+	}
+	want0, want03 := labels(0), labels(0, 3)
+	if got := labels(0, 0); got != want0 {
+		t.Errorf("crash grid {0,0} enumerates\n%s\nwant the {0} grid's\n%s", got, want0)
+	}
+	if got := labels(3, 0, 3); got != want03 {
+		t.Errorf("crash grid {3,0,3} enumerates\n%s\nwant the {0,3} grid's\n%s", got, want03)
 	}
 	// End-to-end regression: the unsorted grid used to panic inside a worker
 	// at Instantiate (building the Unstable history). Truncation is fine —

@@ -11,8 +11,10 @@ import (
 
 // CheckpointSchema versions the checkpoint file format. Bump it whenever a
 // field changes meaning; Load refuses other schemas loudly rather than
-// resuming a sweep it would silently mis-merge.
-const CheckpointSchema = 1
+// resuming a sweep it would silently mis-merge. Schema 2 dropped the block
+// enumerator's max_blocks and max_block spec fields and normalized crash
+// grids, which can reorder a sweep's jobs.
+const CheckpointSchema = 2
 
 // ShardRecord is one completed shard: the job span it covered and the full
 // explore.Result for exactly those jobs (counters, flags and shrunk

@@ -67,6 +67,19 @@ func TestCheckpointSpecKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// schema1Checkpoint is a checkpoint in the schema-1 format, as `fdlab fleet
+// -system fig1 -n 2 -max-depth 12 -crash-times 0 -procs 1` wrote it before
+// the block enumerator was removed.
+const schema1Checkpoint = `{
+  "schema": 1,
+  "spec": {"system": "fig1", "n": 2, "f": 1, "engine": "source", "max_blocks": 3, "max_block": 24,
+    "max_depth": 12, "budget": 4096, "crash_times": [0], "flip_times": [2, 14], "max_violations": 4, "workers": 2},
+  "spec_key": "{\"system\":\"fig1\",\"n\":2,\"f\":1,\"engine\":\"source\",\"max_blocks\":3,\"max_block\":24,\"max_depth\":12,\"budget\":4096,\"crash_times\":[0],\"flip_times\":[2,14],\"max_violations\":4}",
+  "jobs": 6,
+  "shards": [{"id": 0, "lo": 0, "hi": 1, "result": {"system": "fig1", "engine": "source+hash", "configs": 1,
+    "runs": 13, "pruned": 12, "joined": 0, "depth_limited": true, "max_steps": 37, "settled_runs": 0, "elapsed_ms": 0}}]
+}`
+
 // TestCheckpointRejectsLoudly drives every structural failure mode through
 // LoadCheckpoint and demands an error naming the problem.
 func TestCheckpointRejectsLoudly(t *testing.T) {
@@ -106,6 +119,15 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 	})
 	t.Run("stale-schema", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Schema = CheckpointSchema + 1 }), "schema")
+	})
+	t.Run("schema-1-with-block-fields", func(t *testing.T) {
+		// Every schema-1 checkpoint carries the block enumerator's bounds,
+		// copied from the CLI flag defaults. Without the schema check this
+		// file would fail spec_key verification and be misdiagnosed as
+		// hand-edited.
+		path := filepath.Join(dir, "schema1.json")
+		os.WriteFile(path, []byte(schema1Checkpoint), 0o644)
+		expectErr(t, path, "checkpoint schema 1, this build reads schema 2")
 	})
 	t.Run("spec-key-mismatch", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Spec.MaxDepth = 99 }), "spec_key")

@@ -27,8 +27,6 @@ type Spec struct {
 	// name; zero values take explore's defaults.
 	NoHash        bool    `json:"no_hash,omitempty"`
 	MaxStates     int     `json:"max_states,omitempty"`
-	MaxBlocks     int     `json:"max_blocks,omitempty"`
-	MaxBlock      int     `json:"max_block,omitempty"`
 	MaxDepth      int     `json:"max_depth,omitempty"`
 	MaxRuns       int64   `json:"max_runs,omitempty"`
 	Budget        int64   `json:"budget,omitempty"`
@@ -58,7 +56,10 @@ func (s Spec) Key() string {
 }
 
 // Config instantiates the spec into an explore.Config, validating the
-// named system and engine.
+// named system and engine. It refuses a full-depth horizon for systems that
+// check termination-of-correct: that property presumes the fair tail after
+// the horizon, and without one the search reaches runs that starve an
+// enabled process until the budget runs out.
 func (s Spec) Config() (explore.Config, error) {
 	f := s.F
 	if f == 0 {
@@ -72,13 +73,11 @@ func (s Spec) Config() (explore.Config, error) {
 	if err != nil {
 		return explore.Config{}, fmt.Errorf("fleet: %w", err)
 	}
-	return explore.Config{
+	cfg := explore.Config{
 		System:        sys,
 		Engine:        engine,
 		NoHash:        s.NoHash,
 		MaxStates:     s.MaxStates,
-		MaxBlocks:     s.MaxBlocks,
-		MaxBlock:      s.MaxBlock,
 		MaxDepth:      s.MaxDepth,
 		MaxRuns:       s.MaxRuns,
 		Budget:        s.Budget,
@@ -90,7 +89,22 @@ func (s Spec) Config() (explore.Config, error) {
 		MaxViolations: s.MaxViolations,
 		ShrinkBudget:  s.ShrinkBudget,
 		Workers:       s.Workers,
-	}, nil
+	}
+	if cfg.FullDepth() && checksTermination(sys) {
+		return explore.Config{}, fmt.Errorf("fleet: %s checks termination-of-correct, which needs a fair tail after the branch horizon, "+
+			"but -max-depth %d leaves none (0, or at least the step budget, means full depth): set -max-depth below -budget", s.System, s.MaxDepth)
+	}
+	return cfg, nil
+}
+
+// checksTermination reports whether sys checks termination-of-correct.
+func checksTermination(sys explore.System) bool {
+	for _, p := range sys.Properties() {
+		if _, ok := p.(explore.TerminationOfCorrect); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func toTimes(ts []int64) []sim.Time {

@@ -38,15 +38,6 @@ func WaitFree() PatternSpec {
 	}}
 }
 
-// LateCrash crashes one process long after typical decision times,
-// exercising the case where the failure pattern changes under an
-// already-stable detector.
-func LateCrash() PatternSpec {
-	return PatternSpec{"late-crash", func(n int) map[int]int64 {
-		return map[int]int64{n - 1: 5_000}
-	}}
-}
-
 // Wave crashes processes 1..n-1 in waves of the given size, one wave every
 // gap steps starting at step gap. Small sizes with large gaps model slow
 // cascading failures; large sizes with small gaps approach WaitFree.

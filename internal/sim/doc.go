@@ -19,9 +19,10 @@
 //     crashes).
 //   - Schedule is the asynchronous adversary: it chooses, at every step,
 //     which enabled process moves. RoundRobin and NewRandom are the fair
-//     schedules; Priority, Starve, Script and EventuallySynchronous build
-//     the proofs' constructed runs (solo executions, starvation
-//     indistinguishable from crashes, partial synchrony after a GST).
+//     schedules; Priority, Starve and EventuallySynchronous build the
+//     proofs' constructed runs (solo executions, starvation
+//     indistinguishable from crashes, partial synchrony after a GST), and
+//     FixedSchedule replays a recorded grant sequence.
 //   - Oracle is a failure detector history H: a function from (process,
 //     time) to the detector's output range, sampled by a process's step
 //     (the paper's "query the failure detector module").

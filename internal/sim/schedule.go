@@ -88,18 +88,6 @@ func Priority(order ...PID) Schedule {
 	})
 }
 
-// Alternate returns a schedule that interleaves two schedules: the first for
-// steps at even times, the second at odd times. Useful for mixing a targeted
-// adversary with background fairness.
-func Alternate(even, odd Schedule) Schedule {
-	return Func(func(t Time, enabled Set) PID {
-		if t%2 == 0 {
-			return even.Next(t, enabled)
-		}
-		return odd.Next(t, enabled)
-	})
-}
-
 // EventuallySynchronous models partial synchrony (Dwork–Lynch–Stockmeyer,
 // the paper's [10]): before the global stabilization time gst the schedule
 // is arbitrary (seeded random, possibly starving processes for long
@@ -159,101 +147,3 @@ func Starve(victim PID, fallback Schedule) Schedule {
 		return fallback.Next(t, rest)
 	})
 }
-
-// Phase is one directive of a scripted schedule.
-type Phase struct {
-	// Pick chooses the process to run while the phase is active; nil means
-	// round-robin over enabled.
-	Pick func(t Time, enabled Set) PID
-	// Done reports that the phase is over and the script should advance
-	// (checked before each step). A nil Done with Steps == 0 never ends.
-	Done func(t Time) bool
-	// Steps, if positive, bounds the phase length in steps.
-	Steps int64
-}
-
-// Solo returns a phase that runs only p (when enabled) for the given number
-// of steps. If p is not enabled the phase falls back to the lowest enabled
-// PID, which only happens if p crashed or returned.
-func Solo(p PID, steps int64) Phase {
-	return Phase{
-		Pick: func(_ Time, enabled Set) PID {
-			if enabled.Has(p) {
-				return p
-			}
-			return enabled.Min()
-		},
-		Steps: steps,
-	}
-}
-
-// EachOnce returns a phase in which every process present at its start takes
-// exactly one step (in PID order), mirroring the proofs' "every process
-// takes exactly one step" interludes.
-func EachOnce() Phase {
-	var pending Set
-	started := false
-	return Phase{
-		Pick: func(_ Time, enabled Set) PID {
-			if !started {
-				pending = enabled
-				started = true
-			}
-			togo := pending.Intersect(enabled)
-			if togo.IsEmpty() {
-				return enabled.Min()
-			}
-			p := togo.Min()
-			pending = pending.Remove(p)
-			return p
-		},
-		Done: func(_ Time) bool {
-			return started && pending.IsEmpty()
-		},
-	}
-}
-
-// Script runs a sequence of phases, then behaves as fallback (round-robin if
-// nil). Scripts drive the Theorem 1 / Theorem 5 adversary constructions.
-type Script struct {
-	phases   []Phase
-	idx      int
-	taken    int64
-	fallback Schedule
-}
-
-// NewScript builds a scripted schedule.
-func NewScript(fallback Schedule, phases ...Phase) *Script {
-	if fallback == nil {
-		fallback = RoundRobin()
-	}
-	return &Script{phases: phases, fallback: fallback}
-}
-
-// Append adds phases to the end of the script; legal even mid-run, which
-// lets adversaries extend the script based on what the algorithm did.
-func (s *Script) Append(phases ...Phase) { s.phases = append(s.phases, phases...) }
-
-// PhaseIndex returns the index of the current phase (== number of finished
-// phases; len(phases) when the script is exhausted).
-func (s *Script) PhaseIndex() int { return s.idx }
-
-// Next implements Schedule.
-func (s *Script) Next(t Time, enabled Set) PID {
-	for s.idx < len(s.phases) {
-		ph := &s.phases[s.idx]
-		if (ph.Steps > 0 && s.taken >= ph.Steps) || (ph.Done != nil && ph.Done(t)) {
-			s.idx++
-			s.taken = 0
-			continue
-		}
-		s.taken++
-		if ph.Pick == nil {
-			return s.fallback.Next(t, enabled)
-		}
-		return ph.Pick(t, enabled)
-	}
-	return s.fallback.Next(t, enabled)
-}
-
-var _ Schedule = (*Script)(nil)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -157,16 +156,6 @@ func counts(ks ...int) []StepMachine {
 		out[i] = &countdownMachine{steps: k, val: Value(i), decides: true}
 	}
 	return out
-}
-
-// recording wraps s and appends every granted process to *order: the
-// runner consults its schedule exactly once per step.
-func recording(s Schedule, order *[]PID) Schedule {
-	return Func(func(t Time, enabled Set) PID {
-		p := s.Next(t, enabled)
-		*order = append(*order, p)
-		return p
-	})
 }
 
 func TestRunAllDecide(t *testing.T) {
@@ -378,69 +367,6 @@ func TestPriorityDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Priority(1, 1)
-}
-
-func TestScriptSoloAndEachOnce(t *testing.T) {
-	var order []PID
-	sched := NewScript(RoundRobin(),
-		Solo(2, 3),
-		EachOnce(),
-		Solo(0, 2),
-	)
-	_, err := RunMachines(Config{
-		Pattern:  FailFree(3),
-		Schedule: recording(sched, &order),
-		Budget:   8,
-	}, counts(100, 100, 100))
-	if err == nil {
-		t.Fatal("expected exhaustion")
-	}
-	want := []PID{2, 2, 2, 0, 1, 2, 0, 0}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-}
-
-func TestScriptAppendMidRun(t *testing.T) {
-	sched := NewScript(RoundRobin(), Solo(1, 2))
-	appended := false
-	var order []PID
-	_, err := RunMachines(Config{
-		Pattern:  FailFree(2),
-		Schedule: recording(sched, &order),
-		Budget:   6,
-		StopWhen: func(t Time) bool {
-			if t == 2 && !appended {
-				appended = true
-				sched.Append(Solo(0, 3))
-			}
-			return false
-		},
-	}, counts(100, 100))
-	if err == nil {
-		t.Fatal("expected exhaustion")
-	}
-	want := []PID{1, 1, 0, 0, 0, 0}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-}
-
-func TestAlternateSchedule(t *testing.T) {
-	var order []PID
-	_, err := RunMachines(Config{
-		Pattern:  FailFree(2),
-		Schedule: recording(Alternate(Priority(0), Priority(1)), &order),
-		Budget:   6,
-	}, counts(100, 100))
-	if err == nil {
-		t.Fatal("expected exhaustion")
-	}
-	// Times start at 1 (odd): priority(1) first.
-	want := []PID{1, 0, 1, 0, 1, 0}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
 }
 
 func TestFullSetBounds(t *testing.T) {
