@@ -22,7 +22,6 @@ type sweepFlags struct {
 	system       *string
 	n            *int
 	f            *int
-	engineName   *string
 	noHash       *bool
 	maxStates    *int
 	maxDepth     *int
@@ -40,9 +39,8 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		system:       fs.String("system", "fig1", "system under exploration: "+strings.Join(explore.SystemNames(), "|")),
 		n:            fs.Int("n", 3, "number of processes (2..5)"),
 		f:            fs.Int("f", 0, "resilience for fig2 (default n-1)"),
-		engineName:   fs.String("engine", "source", "exploration engine: source (source-DPOR with wakeup sequences and state-hash joins) or classic (Flanagan-Godefroid DPOR)"),
-		noHash:       fs.Bool("no-hash", false, "disable the source engine's state-hash join layer (pure source-DPOR)"),
-		maxStates:    fs.Int("max-states", 0, "cap the source engine's join cache entries per configuration (0 = default 16384)"),
+		noHash:       fs.Bool("no-hash", false, "disable the state-hash join layer (pure source-DPOR)"),
+		maxStates:    fs.Int("max-states", 0, "cap the join cache entries per configuration (0 = default 16384)"),
 		maxDepth:     fs.Int("max-depth", 0, "branch-depth horizon; runs finish under a fair round-robin tail past it (0 = the step budget: full depth, no fair tail, refused for systems that check termination-of-correct)"),
 		maxRuns:      fs.Int64("max-runs", 0, "cap runs per configuration, 0 = unlimited (hitting it voids exhaustiveness and exits 3)"),
 		budget:       fs.Int64("budget", 4096, "step budget per run"),
@@ -57,9 +55,6 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // spec validates the parsed flags and builds the fleet.Spec they describe,
 // exiting fatally on any inconsistency.
 func (sf *sweepFlags) spec() fleet.Spec {
-	if _, err := explore.ParseEngine(*sf.engineName); err != nil {
-		log.Fatalf("-engine %v", err)
-	}
 	if *sf.n < 2 || *sf.n > 5 {
 		log.Fatalf("-n %d out of the explorable range [2,5] (the schedule space explodes beyond n=5)", *sf.n)
 	}
@@ -99,7 +94,6 @@ func (sf *sweepFlags) spec() fleet.Spec {
 		System:        *sf.system,
 		N:             *sf.n,
 		F:             ff,
-		Engine:        *sf.engineName,
 		NoHash:        *sf.noHash,
 		MaxStates:     *sf.maxStates,
 		MaxDepth:      *sf.maxDepth,

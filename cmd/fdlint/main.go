@@ -1,6 +1,6 @@
 // fdlint is the repository's soundness linter: a go vet -vettool binary
-// bundling the four fdlint analyzers (accesscheck, seamcheck, determinism,
-// enginecase). See internal/analysis for what each rule protects.
+// bundling the three fdlint analyzers (accesscheck, seamcheck,
+// determinism). See internal/analysis for what each rule protects.
 //
 // Usage:
 //
@@ -34,7 +34,6 @@ import (
 	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/accesscheck"
 	"weakestfd/internal/analysis/determinism"
-	"weakestfd/internal/analysis/enginecase"
 	"weakestfd/internal/analysis/seamcheck"
 )
 
@@ -42,7 +41,6 @@ var analyzers = []*analysis.Analyzer{
 	accesscheck.Analyzer,
 	seamcheck.Analyzer,
 	determinism.Analyzer,
-	enginecase.Analyzer,
 }
 
 // vetConfig is the part of the go command's per-package vet config that

@@ -22,7 +22,6 @@ import (
 	"weakestfd/internal/analysis"
 	"weakestfd/internal/analysis/accesscheck"
 	"weakestfd/internal/analysis/determinism"
-	"weakestfd/internal/analysis/enginecase"
 	"weakestfd/internal/analysis/seamcheck"
 )
 
@@ -81,7 +80,7 @@ var (
 // none on the lines a //lint:fdlint directive covers.
 func TestFDLintReportsTestdataFindings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds fdlint and vets four modules; skipped under -short")
+		t.Skip("builds fdlint and vets three modules; skipped under -short")
 	}
 	tool, err := buildFDLint()
 	if err != nil {
@@ -94,7 +93,6 @@ func TestFDLintReportsTestdataFindings(t *testing.T) {
 		{accesscheck.Analyzer, 5},
 		{seamcheck.Analyzer, 2},
 		{determinism.Analyzer, 7},
-		{enginecase.Analyzer, 2},
 	} {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
 			mod := testdataModule(t, filepath.Join(tc.analyzer.Name, "testdata", "src"))

@@ -24,9 +24,9 @@ func f() { // 4
 	_ = 5 // 10
 	//lint:fdlint accesscheck,seamcheck -- comma-separated list
 	_ = 6 // 12
-	//lint:fdlint	determinism	enginecase -- tab-separated list
+	//lint:fdlint	determinism	seamcheck -- tab-separated list
 	_ = 7 // 14
-	//lint:fdlint enginecase -- seamcheck accesscheck are justification, not names
+	//lint:fdlint determinism -- seamcheck accesscheck are justification, not names
 	_ = 8 // 16
 	//lint:fdlintfoo accesscheck -- not a directive: no separator after the marker
 	_ = 9 // 18
@@ -68,8 +68,8 @@ func TestSuppressed(t *testing.T) {
 		{"comma list, first name", "accesscheck", 12, true},
 		{"comma list, second name", "seamcheck", 12, true},
 		{"tab list, first name", "determinism", 14, true},
-		{"tab list, second name", "enginecase", 14, true},
-		{"name before --", "enginecase", 16, true},
+		{"tab list, second name", "seamcheck", 14, true},
+		{"name before --", "determinism", 16, true},
 		{"name after -- (seamcheck)", "seamcheck", 16, false},
 		{"name after -- (accesscheck)", "accesscheck", 16, false},
 		{"//lint:fdlintfoo", "accesscheck", 18, false},

@@ -13,20 +13,20 @@
 // schedule, so replay *is* cloning), and checks declarative Property values
 // against every completed run.
 //
-// # Engines
+// # The engine
 //
-// Two engines enumerate the schedule space; both close every run with a
-// fair round-robin tail inside the step budget, and both share the same
-// dependence relation, built on the access-recording seam of
-// internal/memory: every Direct* accessor reports its (object, read|write)
-// events to the run's sim.AccessLog, so each step carries its exact
-// shared-object footprint. Two steps of different processes are independent
-// when their access sets do not conflict (no common object with at least
-// one write); schedules that differ only by reordering independent adjacent
-// steps are equivalent, and a partial-order engine executes at least one
-// representative per equivalence class (Mazurkiewicz trace).
+// The engine enumerates the schedule space over one dependence relation,
+// built on the access-recording seam of internal/memory: every Direct*
+// accessor reports its (object, read|write) events to the run's
+// sim.AccessLog, so each step carries its exact shared-object footprint. Two
+// steps of different processes are independent when their access sets do
+// not conflict (no common object with at least one write); schedules that
+// differ only by reordering independent adjacent steps are equivalent, and
+// a partial-order engine executes at least one representative per
+// equivalence class (Mazurkiewicz trace). Every run closes with a fair
+// round-robin tail inside the step budget.
 //
-// EngineSource (default) is source-DPOR with wakeup sequences in the
+// The engine is source-DPOR with wakeup sequences in the
 // Abdulla–Aronis–Jonsson–Sagonas style (POPL 2014), plus a state-hash join
 // layer at the branching horizon:
 //
@@ -59,8 +59,9 @@
 //     bare single-initial insertion — classic DPOR's per-race insertion,
 //     still gated by the covered/sleep checks. Flip-free configurations skip
 //     anchoring entirely: the stable-from-0 search is unchanged run for run.
-//   - Sleep sets carry fully-explored siblings down the tree exactly as in
-//     the classic engine; sleep-set skips count as Result.Pruned.
+//   - Sleep sets carry fully-explored siblings down the tree: a sibling
+//     stays asleep along independent steps and is woken by the first
+//     conflicting one. Sleep-set skips count as Result.Pruned.
 //   - State-hash joins: when MaxDepth < Budget, every step of every run
 //     beyond the horizon is pure round-robin, so two runs that reach the
 //     horizon in the same joint state run identical tails. Each run's state
@@ -82,43 +83,74 @@
 //     merely equivalent, and the first visitor's property verdict covers
 //     the joined run. A sound key never changes the search, only who executes
 //     each tail: the hash variant visits exactly the pure-source schedules
-//     (pinned by the differential suite). The cache is capped
+//     (pinned by TestSourceVsClassicDifferential). The cache is capped
 //     (Config.MaxStates); hitting the cap only disables new insertions and
 //     is reported as Result.StateCapped.
 //
-// EngineDPOR is classic dynamic partial-order reduction in the
-// Flanagan–Godefroid style (POPL 2005): per-race backtrack points with the
-// conservative add-all-enabled fallback, plus the same sleep sets. It is
-// kept as the differential anchor for the source engine — same dependence
-// relation, independently implemented search.
+// Config.MaxDepth bounds where backtrack points may be inserted, giving
+// bounded-depth DPOR. The intended claim is exhaustiveness up to
+// commutativity over *every* schedule — arbitrarily many context switches —
+// whose branching lies in the first MaxDepth steps, with every run ending
+// under the fair tail beyond. That tail is what makes a budget exhaustion a
+// liveness failure rather than a starved run, so fleet.Spec.Config (behind
+// `fdlab explore` and `fdlab fleet`) refuses full depth (MaxDepth = budget)
+// for systems that check termination-of-correct. The non-terminating
+// extraction and the compositions need a finite horizon anyway, to stay
+// tractable.
 //
-// For both engines, Config.MaxDepth bounds where backtrack points may be
-// inserted: the search is exhaustive up to commutativity over *every*
-// schedule — arbitrarily many context switches — whose branching lies in
-// the first MaxDepth steps, and every run ends under the fair tail beyond.
-// That tail is what makes a budget exhaustion a liveness failure rather
-// than a starved run, so fleet.Spec.Config (behind `fdlab explore` and
-// `fdlab fleet`) refuses full depth (MaxDepth = budget) for systems that
-// check termination-of-correct. The non-terminating extraction and the
-// compositions need a finite horizon anyway, to stay tractable.
+// # Soundness, and where it falls short
 //
-// Reduction soundness needs step behaviour to be independent of a step's
-// global time *up to what the access sets record*. Crash times are fixed by
-// the pattern, and detector queries — the one time-dependent operation — are
-// first-class accesses since PR 5: every query routes through the run's
-// query seam (sim.QuerySeam) and is recorded as a read of a virtual
-// per-history object, every pre-stabilization output switch ("flip") of an
-// unstable history is recorded as a write of that object at its global time,
-// and the step one before a flip carries a boundary-guard read, so no
-// commutation the reduction performs can move a query across a flip. With
-// stable-from-0 histories the object is never written and the search is the
-// PR-4 one, run for run.
+// Reduction soundness relies on two properties of the explored
+// configurations. First, a machine's step behaviour must not depend on the
+// global time of the step in any way the access sets do not capture, since
+// commuting two adjacent steps shifts both their times by one. Detector
+// queries — the one time-dependent operation of the machines — are
+// first-class accesses: every query routes through the run's query seam
+// (sim.QuerySeam, registered by execute for every instance history) and is
+// recorded as a read of a virtual per-history object, every
+// pre-stabilization output switch ("flip") of an unstable history is
+// recorded as a write of that object at its global time, and the step one
+// before a flip carries a boundary-guard read, so no commutation the
+// reduction performs can move a query across a flip. With stable-from-0
+// histories the object is never written. Second, the checked properties
+// must be trace-invariant — equal on every member of an equivalence class —
+// so that checking the one executed representative decides the class.
+// Properties over decisions (agreement, validity, termination-of-correct)
+// are functions of the final state and qualify. The extraction's
+// upsilon-sanity is the known exception at its margin: whether outputs count
+// as "settled" compares the global time of the last output change against a
+// stability window, and that time is not invariant under commutation, so a
+// class straddling the window boundary may be checked on an unsettled
+// (vacuously passing) representative. The sweep surfaces Result.SettledRuns
+// so a settledness collapse is visible, and TestSwitchBudgetOneSuiteCounts
+// pins the extraction's settled runs exactly.
 //
-// The differential suite (source_test.go, run by CI) requires both engines,
-// and the source engine with and without joins, to find the identical
-// violation set on killable mutants, and pins each variant's exact run
-// count on the standard n ≤ 3 suite: source executes strictly fewer runs
-// than classic, and joins never change which schedules are visited.
+// Crash times are fixed by the pattern, but that does not make them
+// time-independent in the sense above, and the claim has two known gaps.
+// The ground-truth oracle (oracle_test.go) measures both: on small instances
+// it runs every enabled-PID prefix of MaxDepth steps under the fair tail,
+// and testdata/oracle-gaps.txt lists every outcome pure source-DPOR misses.
+//
+//   - Crash-time disabling. A process that crashes at time t > 0 takes its
+//     last pre-crash step only if it is scheduled before t. Scheduling
+//     another process first can push that step past t, so it never runs —
+//     and no race in any explored run points at a step that never ran, so
+//     the search never looks for it. On fig1 at n = 3 with p1 crashing at
+//     time 3, the prefix p1 p1 p2 p2 p2 p2 p2 makes p2 and p3 decide p1's
+//     proposal; no source-DPOR run reaches that outcome, not even at
+//     MaxDepth 24.
+//   - The horizon boundary. A source-DPOR run restarts the fair tail where
+//     its forced prefix ends, which may be before MaxDepth, so a schedule
+//     that branches at every one of the first MaxDepth steps and then runs
+//     the fair tail is not always among its runs. Its outcomes are reached
+//     at a deeper horizon.
+//
+// The oracle also requires both source-DPOR variants to report every
+// violation the brute force finds (or a listed miss to explain it), and
+// no configuration to take more runs than the brute force has leaves.
+// TestSourceVsClassicDifferential and TestSwitchBudgetOneSuiteCounts pin
+// the exact run counts of the standard suite and the flip grids, with and
+// without joins.
 //
 // # What is enumerated
 //

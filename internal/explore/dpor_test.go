@@ -2,15 +2,14 @@ package explore
 
 import (
 	"fmt"
-	"maps"
-	"math/bits"
+	"strings"
 	"testing"
 
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
 
-// The toy systems below validate the DPOR engine against ground truth small
+// The toy systems below validate source-DPOR against ground truth small
 // enough to reason about by hand: two processes, two operations each.
 
 // toyMachine reads a register, then writes source+1 to another register and
@@ -96,113 +95,76 @@ type propAlwaysHolds struct{}
 func (propAlwaysHolds) Name() string     { return "always-holds" }
 func (propAlwaysHolds) Check(*Run) error { return nil }
 
+// toyOracle runs the ground-truth oracle over a toy system at full depth:
+// the brute force enumerates its 6 raw interleavings.
+func toyOracle(t *testing.T, sys toySystem) *oracleReport {
+	t.Helper()
+	rep := runOracle(t, oracleCase{name: sys.name, cfg: Config{System: sys}})
+	if rep.leaves != 6 {
+		t.Errorf("%s: brute force ran %d interleavings, want the 2+2-step space's 6", sys.name, rep.leaves)
+	}
+	return rep
+}
+
 // TestDPORDisjointSingleRun: when every step of one process commutes with
 // every step of the other, the whole schedule space is one Mazurkiewicz
-// trace and each engine must execute exactly one run.
+// trace: source-DPOR, with and without joins, must execute exactly one run,
+// and that run reaches the outcome of all 6 interleavings (runOracle).
 func TestDPORDisjointSingleRun(t *testing.T) {
-	for _, engine := range []Engine{EngineSource, EngineDPOR} {
-		res := Explore(Config{
-			System: toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}},
-			Engine: engine,
-		})
+	rep := toyOracle(t, toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}})
+	for _, res := range []*Result{rep.source, rep.hash} {
 		if res.Runs != 1 {
-			t.Errorf("%v: disjoint toy explored %d runs, want exactly 1", engine, res.Runs)
+			t.Errorf("%s: disjoint toy explored %d runs, want exactly 1", res.Engine, res.Runs)
 		}
 		if len(res.Violations) != 0 {
-			t.Errorf("%v: unexpected violations: %v", engine, res.Violations)
+			t.Errorf("%s: unexpected violations: %v", res.Engine, res.Violations)
 		}
 	}
 }
 
 // TestDPORFindsRaceReversal: the lost-update violation exists only in the
-// interleavings where both reads precede both writes. Each engine must
-// reach one via backtracking from the races it observes, within the 6 raw
-// interleavings of the 2+2-step space (classic DPOR with sleep sets is
-// sound but not optimal: on this 4-class space it may execute all 6).
+// interleavings where both reads precede both writes, which the first run
+// is not. Source-DPOR must reach one by reversing the races it observes,
+// within the 6 raw interleavings the brute force runs.
 func TestDPORFindsRaceReversal(t *testing.T) {
-	for _, engine := range []Engine{EngineSource, EngineDPOR} {
-		res := Explore(Config{
-			System: toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
-			Engine: engine,
-		})
+	rep := toyOracle(t, toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}})
+	for _, res := range []*Result{rep.source, rep.hash} {
 		if len(res.Violations) == 0 {
-			t.Errorf("%v: missed the lost-update interleaving (%d runs)", engine, res.Runs)
+			t.Errorf("%s: missed the lost-update interleaving (%d runs)", res.Engine, res.Runs)
 			continue
 		}
-		if res.Runs > 6 {
-			t.Errorf("%v: executed %d runs; the whole raw space is 6 interleavings", engine, res.Runs)
+		if res.Runs > rep.leaves {
+			t.Errorf("%s: executed %d runs; the whole raw space is %d interleavings", res.Engine, res.Runs, rep.leaves)
 		}
-		t.Logf("%v: lost update found in %d runs (%d pruned): %v", engine, res.Runs, res.Pruned, res.Violations[0])
+		t.Logf("%s: lost update found in %d runs (%d pruned): %v", res.Engine, res.Runs, res.Pruned, res.Violations[0])
 	}
 }
 
-// TestDPORAgreesWithEnumOnToy: both reducing engines judge the toy systems
-// exactly as an exhaustive enumeration of their raw interleavings does —
-// the same violated properties, in no more runs than there are
-// interleavings. The enumeration itself is checked against the hand count:
+// TestDPORAgreesWithEnumOnToy: source-DPOR, with and without joins, judges
+// the toy systems exactly as the brute force over their raw interleavings
+// does — the same violated properties, in no more runs than there are
+// interleavings. The brute force itself is checked against the hand count:
 // the lost update happens in the 4 of 6 interleavings where both reads
 // precede both writes.
 func TestDPORAgreesWithEnumOnToy(t *testing.T) {
 	for _, tc := range []struct {
 		sys       toySystem
-		violating int
+		violating int64
 	}{
 		{toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}}, 4},
 		{toySystem{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}}, 0},
 	} {
-		schedules := toyInterleavings()
-		want := map[string]bool{}
-		violating := 0
-		for _, schedule := range schedules {
-			run := execute(tc.sys, sim.FailFree(2), OracleChoice{Name: "-"}, sim.NewFixedSchedule(schedule), 16, nil, nil)
-			if run.Err != nil {
-				t.Fatalf("%s %v: %v", tc.sys.name, schedule, run.Err)
-			}
-			bad := false
-			for _, prop := range tc.sys.props {
-				if prop.Check(run) != nil {
-					want[prop.Name()], bad = true, true
-				}
-			}
-			if bad {
-				violating++
-			}
+		rep := toyOracle(t, tc.sys)
+		if rep.violatingLeaves != tc.violating {
+			t.Fatalf("%s: %d of %d interleavings violate, want %d", tc.sys.name, rep.violatingLeaves, rep.leaves, tc.violating)
 		}
-		if violating != tc.violating {
-			t.Fatalf("%s: %d of %d interleavings violate, want %d", tc.sys.name, violating, len(schedules), tc.violating)
-		}
-		for _, engine := range []Engine{EngineSource, EngineDPOR} {
-			res := Explore(Config{System: tc.sys, Engine: engine})
-			got := map[string]bool{}
-			for _, v := range res.Violations {
-				got[v.Property] = true
-			}
-			if !maps.Equal(got, want) {
-				t.Errorf("%s %v: violated properties %v, enumeration %v", tc.sys.name, engine, got, want)
-			}
-			if res.Runs > int64(len(schedules)) {
-				t.Errorf("%s %v: %d runs, more than the %d raw interleavings", tc.sys.name, engine, res.Runs, len(schedules))
+		want := strings.Join(rep.violating, "\n")
+		for _, res := range []*Result{rep.source, rep.hash} {
+			if got := strings.Join(violationKeys(res), "\n"); got != want {
+				t.Errorf("%s %s: violations %q, brute force %q", tc.sys.name, res.Engine, got, want)
 			}
 		}
 	}
-}
-
-// toyInterleavings lists the 6 raw interleavings of the toys' two 2-step
-// processes as grant sequences: every 4-bit word with two bits set, bit i
-// naming the process granted step i.
-func toyInterleavings() [][]sim.PID {
-	var out [][]sim.PID
-	for word := uint(0); word < 16; word++ {
-		if bits.OnesCount(word) != 2 {
-			continue
-		}
-		schedule := make([]sim.PID, 4)
-		for i := range schedule {
-			schedule[i] = sim.PID(word >> i & 1)
-		}
-		out = append(out, schedule)
-	}
-	return out
 }
 
 // TestDPORTaskMachines: the explorer drives multi-task systems

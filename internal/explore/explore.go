@@ -11,43 +11,13 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// Engine selects the exploration algorithm.
-type Engine uint8
-
-const (
-	// EngineSource — the default — is source-DPOR with wakeup sequences
-	// (source.go, wakeup.go): exploration of one representative per
-	// commutativity class within the branch horizon, with race reversals
-	// gated on source sets and forced by wakeup sequences, plus the
-	// state-hash join layer (hash.go) that shares post-horizon tails between
-	// runs reaching the same state.
-	EngineSource Engine = iota
-	// EngineDPOR is the classic Flanagan–Godefroid DPOR of PR 4 (dpor.go):
-	// bare backtrack points plus sleep sets, kept as the reduction-quality
-	// baseline the source engine is differentially tested and benchmarked
-	// against.
-	EngineDPOR
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineSource:
-		return "source"
-	case EngineDPOR:
-		return "classic"
-	default:
-		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
-}
-
-// engineLabel names the engine as configured: the source engine with the
-// join layer on reports "source+hash".
+// engineLabel names the engine as configured: source-DPOR, with the join
+// layer on reported as "source+hash".
 func engineLabel(c Config) string {
-	if c.Engine == EngineSource && !c.NoHash {
-		return "source+hash"
+	if c.NoHash {
+		return "source"
 	}
-	return c.Engine.String()
+	return "source+hash"
 }
 
 // Config bounds one exploration. The zero value of every field has a usable
@@ -55,28 +25,25 @@ func engineLabel(c Config) string {
 type Config struct {
 	// System is the protocol under exploration.
 	System System
-	// Engine selects the exploration algorithm; the zero value is
-	// EngineSource.
-	Engine Engine
-	// NoHash disables the source engine's state-hash join layer, making it
-	// pure source-DPOR — the differential-testing lens for the join
-	// soundness argument. EngineSource only.
+	// NoHash disables the state-hash join layer, making the search pure
+	// source-DPOR — the differential-testing lens for the join soundness
+	// argument.
 	NoHash bool
 	// MaxStates caps the join cache's entries per configuration; once full,
 	// new states are no longer admitted (Result.StateCapped) but cached ones
-	// keep joining. Default 16384. EngineSource only.
+	// keep joining. Default 16384.
 	MaxStates int
 	// Budget caps every run's total step count. Default 4096.
 	Budget int64
-	// MaxDepth bounds the step depth at which the engines insert backtrack
+	// MaxDepth bounds the step depth at which the engine inserts backtrack
 	// points; beyond it runs continue under the fair round-robin tail
 	// without branching. 0 means the step budget: full depth, which leaves
 	// no fair tail, so a run may starve an enabled process until the budget
 	// runs out. Systems that check termination-of-correct therefore need a
 	// horizon below Budget (fleet.Spec.Config refuses any other), and
 	// non-terminating systems (the extraction, the compositions' reduction
-	// tasks) need one to keep the branching frontier tractable. Under
-	// EngineSource it is also the state-hash join horizon (hash.go).
+	// tasks) need one to keep the branching frontier tractable. It is also
+	// the state-hash join horizon (hash.go).
 	MaxDepth int
 	// MaxRuns caps the number of runs one configuration's search may
 	// execute (0 = unlimited); hitting the cap marks the Result Truncated,
@@ -92,7 +59,7 @@ type Config struct {
 	// histories — exactly the PR-4 schedule space; b >= 1 additionally
 	// enumerates, per stable value, every schedule of at most b flips with
 	// phase outputs from the detector's range and flip times from FlipTimes.
-	// Both engines stay sound under flips because the query seam records
+	// The engine stays sound under flips because the query seam records
 	// queries and flips as conflicting accesses of the history object.
 	SwitchBudget int
 	// FlipTimes is the global-time grid flips are drawn from when
@@ -219,7 +186,8 @@ func (v *Violation) String() string {
 type Result struct {
 	// System is the explored system's name.
 	System string `json:"system"`
-	// Engine names the exploration algorithm that produced the result.
+	// Engine names the search that produced the result: "source+hash", or
+	// "source" under Config.NoHash.
 	Engine string `json:"engine"`
 	// Configs is the number of (pattern × oracle) configurations.
 	Configs int `json:"configs"`
@@ -434,53 +402,27 @@ func MergeResults(results []*Result) (*Result, error) {
 	return out, nil
 }
 
-// ParseEngine maps a CLI engine name to its Engine, accepting the names
-// Engine.String prints plus common aliases. The empty string selects the
-// default engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "source":
-		return EngineSource, nil
-	case "classic", "dpor":
-		return EngineDPOR, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want source or classic)", name)
-	}
-}
-
 // stopped reports that the violation budget is spent and exploration should
 // wind down.
 func (e *explorer) stopped() bool {
 	return e.violations.Load() >= int64(e.cfg.MaxViolations)
 }
 
-// exploreConfig runs the configured engine's DFS for one (pattern, oracle)
+// exploreConfig runs the source-DPOR search for one (pattern, oracle)
 // configuration and returns how many distinct violations it contributed and
 // how many runs it executed. Configurations explore concurrently on the lab
 // pool, so the per-config run count is tracked locally, not read off the
 // shared counter.
 func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (violations, runs int64) {
-	switch e.cfg.Engine {
-	case EngineSource:
-		s := e.sourceConfig(pattern, oracle)
-		e.pruned.Add(s.pruned)
-		if s.truncated {
-			e.truncated.Store(true)
-		}
-		if s.joins != nil && s.joins.capped {
-			e.stateCapped.Store(true)
-		}
-		return s.violations, s.runs
-	case EngineDPOR:
-		d := e.dporConfig(pattern, oracle)
-		e.pruned.Add(d.pruned)
-		if d.truncated {
-			e.truncated.Store(true)
-		}
-		return d.violations, d.runs
-	default:
-		panic(fmt.Sprintf("explore: unknown engine %v", e.cfg.Engine))
+	s := e.sourceConfig(pattern, oracle)
+	e.pruned.Add(s.pruned)
+	if s.truncated {
+		e.truncated.Store(true)
 	}
+	if s.joins != nil && s.joins.capped {
+		e.stateCapped.Store(true)
+	}
+	return s.violations, s.runs
 }
 
 // bumpMax raises the atomic maximum m to v.

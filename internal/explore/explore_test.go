@@ -34,17 +34,17 @@ func TestFullSweepRealProtocols(t *testing.T) {
 
 // TestExploreDeterministic: two sweeps of the same configuration visit the
 // same schedules (replay is cloning, so this must hold for counterexamples
-// to be reproducible) — checked for both engines.
+// to be reproducible) — checked with and without state-hash joins.
 func TestExploreDeterministic(t *testing.T) {
-	for _, engine := range []Engine{EngineDPOR, EngineSource} {
+	for _, noHash := range []bool{true, false} {
 		run := func() *Result {
-			return Explore(Config{System: Fig1System(2), Engine: engine, MaxDepth: 20,
+			return Explore(Config{System: Fig1System(2), NoHash: noHash, MaxDepth: 20,
 				Budget: 1024, Symmetry: true})
 		}
 		a, b := run(), run()
-		if a.Runs != b.Runs || a.Configs != b.Configs || a.MaxSteps != b.MaxSteps || a.Pruned != b.Pruned {
-			t.Fatalf("%v sweeps differ: (%d runs, %d configs, %d max, %d pruned) vs (%d, %d, %d, %d)",
-				engine, a.Runs, a.Configs, a.MaxSteps, a.Pruned, b.Runs, b.Configs, b.MaxSteps, b.Pruned)
+		if a.Runs != b.Runs || a.Configs != b.Configs || a.MaxSteps != b.MaxSteps || a.Pruned != b.Pruned || a.Joined != b.Joined {
+			t.Fatalf("%s sweeps differ: (%d runs, %d configs, %d max, %d pruned, %d joined) vs (%d, %d, %d, %d, %d)",
+				a.Engine, a.Runs, a.Configs, a.MaxSteps, a.Pruned, a.Joined, b.Runs, b.Configs, b.MaxSteps, b.Pruned, b.Joined)
 		}
 	}
 }

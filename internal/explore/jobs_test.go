@@ -140,28 +140,8 @@ func TestMergeResultsRejectsMixedSweeps(t *testing.T) {
 	if _, err := MergeResults([]*Result{a, b}); err == nil {
 		t.Error("MergeResults across systems succeeded, want error")
 	}
-	c := &Result{System: "fig1", Engine: "classic"}
+	c := &Result{System: "fig1", Engine: "source"}
 	if _, err := MergeResults([]*Result{a, c}); err == nil {
-		t.Error("MergeResults across engines succeeded, want error")
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	cases := map[string]Engine{
-		"": EngineSource, "source": EngineSource,
-		"classic": EngineDPOR, "dpor": EngineDPOR,
-	}
-	for name, want := range cases {
-		got, err := ParseEngine(name)
-		if err != nil || got != want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	// "legacy" and "enum" named the deleted block enumerator; they must not
-	// select some other engine.
-	for _, name := range []string{"legacy", "enum", "quantum"} {
-		if _, err := ParseEngine(name); err == nil {
-			t.Errorf("ParseEngine accepted the unknown engine name %q", name)
-		}
+		t.Error("MergeResults across join settings succeeded, want error")
 	}
 }

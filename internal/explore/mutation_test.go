@@ -2,6 +2,7 @@ package explore
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"weakestfd/internal/check"
@@ -11,14 +12,13 @@ import (
 )
 
 // brokenSweep runs the calibration sweep against the wrong-adopt fig1
-// mutant at the given size, with the given engine. The branch horizon of 24
-// comfortably contains the mutant's minimal witnesses (17 steps at n=2, 22
-// at n=3); the per-config run cap only bounds the violation-free
-// configurations the DFS would otherwise exhaust.
-func brokenSweep(n int, engine Engine) *Result {
+// mutant at the given size. The branch horizon of 24 comfortably contains
+// the mutant's minimal witnesses (17 steps at n=2, 22 at n=3); the
+// per-config run cap only bounds the violation-free configurations the DFS
+// would otherwise exhaust.
+func brokenSweep(n int) *Result {
 	return Explore(Config{
 		System:   BrokenFig1System(n),
-		Engine:   engine,
 		MaxDepth: 24,
 		MaxRuns:  150_000,
 		Budget:   2048,
@@ -31,15 +31,24 @@ func brokenSweep(n int, engine Engine) *Result {
 // Agreement under an interleaving the explorer finds, shrinks, and emits as
 // a replayable artifact — while TestMutationEscapesRandomTesting shows the
 // same mutant sails through seeded-random testing of the kind every other
-// suite in this repository performs.
+// suite in this repository performs. At n=2 the sweep must also report every
+// violating configuration the ground-truth oracle finds.
 func TestMutationBrokenFig1Caught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
 	for _, n := range []int{2, 3} {
-		res := brokenSweep(n, EngineDPOR)
+		res := brokenSweep(n)
 		if len(res.Violations) == 0 {
 			t.Fatalf("n=%d: explorer missed the wrong-adopt mutant (%d runs)", n, res.Runs)
+		}
+		if n == 2 {
+			found := violationKeys(res)
+			for _, key := range runOracle(t, brokenAdoptOracle()).violating {
+				if !slices.Contains(found, key) {
+					t.Errorf("n=2: the sweep misses the brute-force violation %s; it found %v", key, found)
+				}
+			}
 		}
 		// Every violation, not just the first: the mutant breaks agreement
 		// only, and each witness must shrink.
@@ -61,7 +70,7 @@ func TestMutationBrokenFig1Caught(t *testing.T) {
 // reads it back, and replays it: the violation must reproduce
 // deterministically, twice.
 func TestMutationArtifactRoundTrip(t *testing.T) {
-	res := brokenSweep(2, EngineDPOR)
+	res := brokenSweep(2)
 	if len(res.Violations) == 0 {
 		t.Fatal("no violation to round-trip")
 	}

@@ -7,28 +7,36 @@ import (
 )
 
 // Source-DPOR with wakeup sequences and state-hash joins — the explorer's
-// default engine (EngineSource).
+// engine.
 //
-// The classic engine (dpor.go) reacts to a race between steps b < c by
-// inserting a bare backtrack alternative at node b and letting the fair tail
-// find the reversal; sibling subtrees that turn out equivalent are only
-// culled after the fact by sleep sets, each cull costing the run that
-// discovered it. This engine applies the source-set insight (Abdulla,
-// Aronis, Jonsson, Sagonas, POPL 2014): the race analysis computes the
-// wakeup sequence of the reversal (wakeup.go) and its *initials* — the
-// exact set of first-steps whose exploration from node b covers the
-// reversal. A race whose initials intersect the node's explored
+// Classic dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005)
+// reacts to a race between steps b < c by inserting a bare backtrack
+// alternative at node b and letting the fair tail find the reversal; sibling
+// subtrees that turn out equivalent are only culled after the fact by sleep
+// sets, each cull costing the run that discovered it. This engine applies the
+// source-set insight (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014): the race
+// analysis computes the wakeup sequence of the reversal (wakeup.go) and its
+// *initials* — the exact set of first-steps whose exploration from node b
+// covers the reversal. A race whose initials intersect the node's explored
 // alternatives, pending wakeup heads, or sleep set needs no new run at all;
 // otherwise the full wakeup sequence is queued and the next run is *forced*
 // into the reversal rather than left to wander. Under non-empty flip
 // schedules the window is flip-anchored first (wakeup.go): steps whose
 // history queries would cross an output flip on the leftward shift are
 // excluded from the sequence, so forced runs replay deterministically even
-// while the detector environment is still changing its mind. Classic DPOR's conservative
-// "add every enabled process" fallback disappears entirely — in this
-// simulator enabledness is monotone (crashes fire at absolute times,
+// while the detector environment is still changing its mind. Classic DPOR's
+// conservative "add every enabled process" fallback disappears entirely — in
+// this simulator enabledness is monotone (crashes fire at absolute times,
 // returning is forever), so the racing process is always enabled at the
 // insertion node and a single targeted alternative suffices.
+//
+// Each completed run is analyzed with per-process and per-object vector
+// clocks, and the DFS re-executes the chosen prefix (runs are deterministic
+// in the schedule, so re-execution is state restoration) and closes each run
+// with the fair round-robin tail. Sleep sets kill redundant siblings: a
+// fully-explored child process goes to sleep carrying its first step's
+// access set, stays asleep along independent steps, is woken by the first
+// conflicting one, and is never re-explored while asleep.
 //
 // On top of the source-set search sits the state-hash join layer (hash.go):
 // with a finite branch horizon (Config.MaxDepth < Budget) every run's tail
@@ -41,6 +49,85 @@ import (
 // counts the spliced runs; Config.NoHash disables the layer for
 // differential testing.
 
+// dporMaxProcs bounds the vector-clock width. The CLI caps exploration at
+// n = 4; fixed-size clock arrays keep the analysis allocation-light.
+const dporMaxProcs = 8
+
+// vclock is a vector clock: entry q counts the steps of process q known to
+// happen before the clock's owner.
+type vclock [dporMaxProcs]int32
+
+func (a vclock) join(b vclock) vclock {
+	for i := range a {
+		if b[i] > a[i] {
+			a[i] = b[i]
+		}
+	}
+	return a
+}
+
+// sleeper is one sleep-set entry: a process whose subtree is fully explored
+// at this point, together with its next step's access set (known from that
+// exploration), so later steps can wake it exactly when they conflict.
+type sleeper struct {
+	p   sim.PID
+	acc []sim.Access
+}
+
+func sleepContains(sleep []sleeper, p sim.PID) bool {
+	for _, s := range sleep {
+		if s.p == p {
+			return true
+		}
+	}
+	return false
+}
+
+// runRecord is the schedule of the engine's runs and their scheduling
+// transcript at once: a sim.FixedSchedule replays the forced prefix and
+// closes the run with its fresh round-robin tail, and the record keeps the
+// grant and enabled set of every step for the post-run dependency analysis.
+// One record serves every run of a configuration; reset rewinds it, keeping
+// its buffers. The join key's rotation component relies on the tail's
+// rotation starting fresh on every run.
+type runRecord struct {
+	sched   sim.FixedSchedule
+	granted []sim.PID
+	enabled []sim.Set
+}
+
+// reset starts the next run, forced into prefix.
+func (r *runRecord) reset(prefix []sim.PID) {
+	r.sched = sim.FixedSchedule{Prefix: prefix}
+	r.granted = r.granted[:0]
+	r.enabled = r.enabled[:0]
+}
+
+// Next implements sim.Schedule.
+func (r *runRecord) Next(t sim.Time, enabled sim.Set) sim.PID {
+	pick := r.sched.Next(t, enabled)
+	r.granted = append(r.granted, pick)
+	r.enabled = append(r.enabled, enabled)
+	return pick
+}
+
+// objAccess tracks, per shared object, the most recent write and the most
+// recent read of each process, with the accessor's vector clock at that
+// step — the state the race detection and happens-before joins consume.
+// Entries live in srcSearch.objs across runs; gen stamps which run an
+// entry was last touched in, so stale entries are reset in place instead
+// of reallocating the table on every run.
+type objAccess struct {
+	gen  int32
+	wIdx int32 // step index of the last write; -1 when none
+	wPID int8
+	wSC  int32 // the writer's per-process step count at that write
+	wClk vclock
+	rIdx [dporMaxProcs]int32 // last read per process; -1 when none
+	rSC  [dporMaxProcs]int32
+	rClk [dporMaxProcs]vclock
+}
+
 // srcNode is one level of the source-DPOR search stack: the state reached by
 // executing chosen[0..depth-1], with its scheduling alternatives.
 type srcNode struct {
@@ -48,8 +135,8 @@ type srcNode struct {
 	chosen   sim.PID
 	accesses []sim.Access // the chosen step's access set (owned copy)
 	// covered holds the alternatives already explored (or pruned) at this
-	// node — the classic engine's done set; wut the pending wakeup
-	// sequences, each beginning with the alternative it would explore.
+	// node; wut the pending wakeup sequences, each beginning with the
+	// alternative it would explore.
 	covered sim.Set
 	wut     [][]sim.PID
 	sleep   []sleeper // inherited sleep set at entry to this node
@@ -65,8 +152,11 @@ type srcSearch struct {
 	log     *sim.AccessLog
 	stack   []srcNode
 
-	// objs/gen: generation-stamped per-object analysis state, as in the
-	// classic engine.
+	// objs is the per-object analysis state, indexed by ObjID (IDs are
+	// dense and stable across the runs of one search because the log's
+	// intern table survives Reset). Entries are generation-stamped and
+	// lazily reset per run, so the hot analysis loop allocates nothing
+	// after warm-up.
 	objs []objAccess
 	gen  int32
 	// stepClk[k] is step k's post-step vector clock in the current run;
@@ -227,15 +317,17 @@ func (s *srcSearch) extend(rec *runRecord) {
 		}
 		nd.covered = sim.EmptySet.Add(nd.chosen)
 		if i > 0 {
-			nd.sleep = inheritSleepSrc(&s.stack[i-1])
+			nd.sleep = inheritSleep(&s.stack[i-1])
 		}
 		s.stack = append(s.stack, nd)
 	}
 }
 
-// inheritSleepSrc filters the parent's sleep entries through the parent's
-// executed step, exactly as the classic engine's inheritSleep.
-func inheritSleepSrc(parent *srcNode) []sleeper {
+// inheritSleep filters the parent's sleep entries (inherited and local)
+// through the parent's executed step: an entry survives while it commutes
+// with every step taken since it fell asleep and is woken — dropped — by
+// the first conflicting step (or by its own execution).
+func inheritSleep(parent *srcNode) []sleeper {
 	var out []sleeper
 	keep := func(sl sleeper) {
 		if sl.p != parent.chosen && !sim.AccessesConflict(parent.accesses, sl.acc) {
@@ -251,11 +343,14 @@ func inheritSleepSrc(parent *srcNode) []sleeper {
 	return out
 }
 
-// analyze walks the completed run maintaining the happens-before relation
-// with vector clocks — the same immediate-predecessor scheme as the classic
-// engine — but hands each race to raceReversal, which builds the wakeup
-// sequence instead of a bare backtrack point. Per-step clocks are kept for
-// the notdep computation.
+// analyze walks the completed run, maintains the happens-before relation
+// with vector clocks, and hands every race — a pair of conflicting accesses
+// by different processes not ordered by the rest of the relation — to
+// raceReversal, which builds its wakeup sequence. Immediate conflicting
+// predecessors suffice: for a read, the last write; for a write, the last
+// write and every process's last read since it (older accesses are ordered
+// transitively through those). Per-step clocks are kept for the notdep
+// computation.
 func (s *srcSearch) analyze() {
 	steps := s.log.Steps()
 	s.gen++
@@ -319,8 +414,9 @@ func (s *srcSearch) analyze() {
 	}
 }
 
-// obj returns the analysis entry for id in the current run, sharing the
-// classic engine's generation-stamped table layout.
+// obj returns the analysis entry for id in the current run (generation),
+// growing the table on first sight of an ID and resetting entries left
+// over from earlier runs.
 func (s *srcSearch) obj(id sim.ObjID) *objAccess {
 	for int(id) >= len(s.objs) {
 		s.objs = append(s.objs, objAccess{})

@@ -9,8 +9,8 @@ import (
 	"weakestfd/internal/sim"
 )
 
-// Differential testing of the source-DPOR engine against the classic engine:
-// identical verdicts, fewer executions. CI's explore-smoke job runs these
+// Differential testing of source-DPOR with and without state-hash joins:
+// identical verdicts, pinned executions. CI's explore-smoke job runs these
 // explicitly.
 
 // violationKeys returns the sorted (pattern, oracle, property) triples of a
@@ -24,13 +24,14 @@ func violationKeys(r *Result) []string {
 	return out
 }
 
-// TestSourceVsClassicDifferential compares the three reduction variants —
-// classic DPOR, pure source-DPOR (NoHash), and source-DPOR with state-hash
-// joins (the default) — on the toy ground truth, the full standard suite,
-// the pinned fig1 n=3 sweep and three zoo mutants. On the clean sweeps it
-// pins every variant's exact run count: a reduction fault that drops or adds
-// schedules changes them even where the violation sets, empty on the real
-// protocols, cannot show it.
+// TestSourceVsClassicDifferential compares the two reduction variants — pure
+// source-DPOR (NoHash) and source-DPOR with state-hash joins (the default) —
+// on the toy ground truth, the full standard suite, the pinned fig1 sweeps
+// and three zoo mutants. On the clean sweeps it pins both variants' exact run
+// counts: a reduction fault that drops or adds schedules changes them even
+// where the violation sets, empty on the real protocols, cannot show it. The
+// ground-truth oracle (oracle_test.go) checks the same engine against an
+// unreduced enumeration.
 func TestSourceVsClassicDifferential(t *testing.T) {
 	if testing.Short() {
 		// The engine-equivalence sweep is the slowest test in the package
@@ -41,8 +42,8 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 	t.Run("toy-optimal", func(t *testing.T) {
 		// The 2×(read;write) shared-counter space has 6 raw interleavings in
 		// 4 Mazurkiewicz classes. Classic DPOR is sound but not optimal here
-		// (sleep sets cull siblings only after paying a run); the source
-		// engine must execute exactly one run per class.
+		// (sleep sets cull siblings only after paying a run); source-DPOR
+		// must execute exactly one run per class.
 		res := Explore(Config{
 			System: toySystem{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
 		})
@@ -55,18 +56,18 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 	})
 
 	t.Run("clean-suite", func(t *testing.T) {
-		// The standard suite's exact explored space per system: the ~13.7×
-		// reduction of the README, classic 273,092 runs against source's
-		// 19,946 (9,453 of them joined), stays a fact of this test.
+		// The standard suite's exact explored space per system: 19,946 source
+		// runs, 9,453 of them joined.
 		pins := map[string]runPin{
-			"fig1/n=2/f=1":           {24477, 242, 242, 0},
-			"fig1/n=3/f=2":           {94158, 8610, 8610, 4356},
-			"fig2/n=3/f=1":           {35520, 1938, 1938, 684},
-			"fig2/n=3/f=2":           {94158, 8610, 8610, 4356},
-			"extract-omega/n=3/f=2":  {16225, 416, 416, 57},
-			"composed/n=2/f=1":       {4731, 62, 62, 0},
-			"timed-composed/n=2/f=1": {3823, 68, 68, 0},
+			"fig1/n=2/f=1":           {242, 242, 0},
+			"fig1/n=3/f=2":           {8610, 8610, 4356},
+			"fig2/n=3/f=1":           {1938, 1938, 684},
+			"fig2/n=3/f=2":           {8610, 8610, 4356},
+			"extract-omega/n=3/f=2":  {416, 416, 57},
+			"composed/n=2/f=1":       {62, 62, 0},
+			"timed-composed/n=2/f=1": {68, 68, 0},
 		}
+		var pruned int64
 		for _, cfg := range DefaultSweep() {
 			label := sweepLabel(cfg)
 			want, ok := pins[label]
@@ -75,12 +76,13 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				continue
 			}
 			delete(pins, label)
-			c, s, h := cleanSuiteSweep(cfg)
-			checkCleanSweep(t, label, c, s, h, want)
-			if c.System == "extract-omega" {
+			s, h := exploreVariants(cfg)
+			checkCleanSweep(t, label, s, h, want)
+			pruned += s.Pruned
+			if s.System == "extract-omega" {
 				// Settledness is the one non-trace-invariant margin (see
-				// dpor.go); guard against a silent collapse under either
-				// source variant.
+				// doc.go); guard against a silent collapse under either
+				// variant.
 				if s.SettledRuns == 0 || h.SettledRuns == 0 {
 					t.Errorf("extract-omega: settled runs source=%d source+hash=%d; the sanity property was never exercised",
 						s.SettledRuns, h.SettledRuns)
@@ -90,32 +92,31 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		for label := range pins {
 			t.Errorf("%s: pinned system missing from DefaultSweep", label)
 		}
+		if pruned == 0 {
+			t.Error("sleep and source sets pruned nothing across the whole suite")
+		}
 	})
 
-	// The pinned fig1 n=3 sweep the reduction headlines are quoted on: one
-	// crash time, branch horizon 12. Classic over source is 88,620/7,710 =
-	// 11.5× with stable histories and 1,318,020/176,838 = 7.5× under one
-	// detector switch — before flip anchoring, source degraded to
-	// single-initial insertion there and the margin collapsed.
+	// The pinned fig1 sweeps: one crash time, branch horizon 12.
 	pinnedSweep := func(t *testing.T, n, switchBudget int, want runPin) {
 		t.Helper()
-		c, s, h := exploreEngines(Config{
+		s, h := exploreVariants(Config{
 			System:       Fig1System(n),
 			SwitchBudget: switchBudget,
 			CrashTimes:   []sim.Time{0},
 			MaxDepth:     12,
 			Budget:       2048,
 		})
-		checkCleanSweep(t, fmt.Sprintf("fig1 n=%d switch-budget %d", n, switchBudget), c, s, h, want)
+		checkCleanSweep(t, fmt.Sprintf("fig1 n=%d switch-budget %d", n, switchBudget), s, h, want)
 	}
 	t.Run("budget0", func(t *testing.T) {
-		pinnedSweep(t, 3, 0, runPin{88620, 7710, 7710, 4176})
+		pinnedSweep(t, 3, 0, runPin{7710, 7710, 4176})
 	})
 	t.Run("budget1", func(t *testing.T) {
 		// The regime the flip-anchored wakeup sequences (wakeup.go) were
 		// built for.
-		pinnedSweep(t, 2, 1, runPin{1298, 250, 250, 96})
-		pinnedSweep(t, 3, 1, runPin{1318020, 176838, 176838, 127944})
+		pinnedSweep(t, 2, 1, runPin{250, 250, 96})
+		pinnedSweep(t, 3, 1, runPin{176838, 176838, 127944})
 	})
 
 	t.Run("mutants", func(t *testing.T) {
@@ -124,8 +125,8 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		// wakeup sequences under an unstable history), and a flips-plus-joins
 		// extraction kill (MaxDepth 1 < Budget keeps the hash layer active on
 		// a violating sweep — joins must not eat violations). Each case pins
-		// the exact number of violating configurations all three variants
-		// must find.
+		// the exact number of violating configurations both variants must
+		// find.
 		cases := []struct {
 			name      string
 			cfg       Config
@@ -153,67 +154,36 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				c, s, h := exploreEnginesOnce(tc.name, tc.cfg)
-				ck, sk, hk := violationKeys(c), violationKeys(s), violationKeys(h)
-				if strings.Join(ck, "\n") != strings.Join(sk, "\n") {
-					t.Fatalf("violation sets differ:\nclassic (%d):\n%s\nsource (%d):\n%s",
-						len(ck), strings.Join(ck, "\n"), len(sk), strings.Join(sk, "\n"))
+				s, h := exploreVariants(tc.cfg)
+				sk, hk := violationKeys(s), violationKeys(h)
+				if strings.Join(sk, "\n") != strings.Join(hk, "\n") {
+					t.Fatalf("violation sets differ:\nsource (%d):\n%s\nsource+hash (%d):\n%s",
+						len(sk), strings.Join(sk, "\n"), len(hk), strings.Join(hk, "\n"))
 				}
-				if strings.Join(ck, "\n") != strings.Join(hk, "\n") {
-					t.Fatalf("violation sets differ:\nclassic (%d):\n%s\nsource+hash (%d):\n%s",
-						len(ck), strings.Join(ck, "\n"), len(hk), strings.Join(hk, "\n"))
-				}
-				if len(ck) != tc.violating {
+				if len(sk) != tc.violating {
 					t.Fatalf("found %d violating configs, want %d:\n%s",
-						len(ck), tc.violating, strings.Join(ck, "\n"))
+						len(sk), tc.violating, strings.Join(sk, "\n"))
 				}
-				t.Logf("identical %d violating configs; classic %d runs vs source %d vs source+hash %d (%d joined)",
-					len(ck), c.Runs, s.Runs, h.Runs, h.Joined)
+				t.Logf("identical %d violating configs; source %d runs vs source+hash %d (%d joined)",
+					len(sk), s.Runs, h.Runs, h.Joined)
 			})
 		}
 	})
 }
 
 // runPin is the exact explored space of one clean sweep: the executed runs
-// of classic DPOR, pure source-DPOR and source-DPOR with state-hash joins,
-// and the joined runs of the last.
-type runPin struct{ classic, source, hash, joined int64 }
+// of pure source-DPOR and of source-DPOR with state-hash joins, and the
+// joined runs of the latter.
+type runPin struct{ source, hash, joined int64 }
 
-// exploreEngines sweeps cfg under the three reduction variants: classic
-// DPOR, pure source-DPOR (NoHash) and source-DPOR with state-hash joins (the
-// default).
-func exploreEngines(cfg Config) (classic, source, hash *Result) {
-	cfg.Engine = EngineDPOR
-	classic = Explore(cfg)
-	cfg.Engine = EngineSource
+// exploreVariants sweeps cfg as pure source-DPOR (NoHash) and with
+// state-hash joins (the default).
+func exploreVariants(cfg Config) (source, hash *Result) {
 	cfg.NoHash = true
 	source = Explore(cfg)
 	cfg.NoHash = false
 	hash = Explore(cfg)
-	return classic, source, hash
-}
-
-// sweepCache holds exploreEnginesOnce's results by name.
-var sweepCache = map[string][3]*Result{}
-
-// exploreEnginesOnce is exploreEngines memoized under name, which must
-// identify cfg. The Differential tests and TestSourceVsClassicDifferential
-// make different assertions about the same multi-second sweeps; each runs
-// once per test binary. Top-level tests run one at a time, so the cache
-// needs no lock.
-func exploreEnginesOnce(name string, cfg Config) (classic, source, hash *Result) {
-	r, ok := sweepCache[name]
-	if !ok {
-		classic, source, hash = exploreEngines(cfg)
-		r = [3]*Result{classic, source, hash}
-		sweepCache[name] = r
-	}
-	return r[0], r[1], r[2]
-}
-
-// cleanSuiteSweep is the three-variant sweep of one DefaultSweep entry.
-func cleanSuiteSweep(cfg Config) (classic, source, hash *Result) {
-	return exploreEnginesOnce("clean-suite/"+sweepLabel(cfg), cfg)
+	return source, hash
 }
 
 // skipOnChangeGrid is the switch-budget-1 grid on which the skip-on-change
@@ -237,38 +207,34 @@ func skipOnChangeGrid() Config {
 	}
 }
 
-// checkCleanSweep requires the three variants of a clean protocol's sweep to
-// find no violation, run untruncated over the same configurations, and
-// execute exactly the pinned runs. Source never runs more than classic, and
-// a sound join key never changes the search, only who executes each tail:
-// the hash variant visits exactly the pure-source schedules (an earlier key
-// that ignored forced grants pending past the horizon merged real
-// schedules). The pins imply both; they are checked apart so a re-pin
-// cannot hide a broken invariant.
-func checkCleanSweep(t *testing.T, label string, c, s, h *Result, want runPin) {
+// checkCleanSweep requires both variants of a clean protocol's sweep to find
+// no violation, run untruncated over the same configurations, and execute
+// exactly the pinned runs. A sound join key never changes the search, only
+// who executes each tail: the hash variant visits exactly the pure-source
+// schedules (an earlier key that ignored forced grants pending past the
+// horizon merged real schedules). The pins imply it; it is checked apart so
+// a re-pin cannot hide a broken invariant.
+func checkCleanSweep(t *testing.T, label string, s, h *Result, want runPin) {
 	t.Helper()
-	for _, r := range []*Result{c, s, h} {
+	for _, r := range []*Result{s, h} {
 		if len(r.Violations) != 0 {
-			t.Errorf("%s: engine %s found violations on the real protocol: %v", label, r.Engine, r.Violations)
+			t.Errorf("%s: %s found violations on the real protocol: %v", label, r.Engine, r.Violations)
 		}
 		if r.Truncated {
-			t.Errorf("%s: engine %s truncated — exhaustiveness claim void", label, r.Engine)
+			t.Errorf("%s: %s truncated — exhaustiveness claim void", label, r.Engine)
 		}
 	}
-	if c.Configs != s.Configs || c.Configs != h.Configs {
-		t.Errorf("%s: engines explored different config counts: %d vs %d vs %d", label, c.Configs, s.Configs, h.Configs)
-	}
-	if s.Runs > c.Runs {
-		t.Errorf("%s: source executed %d runs, more than classic's %d", label, s.Runs, c.Runs)
+	if s.Configs != h.Configs {
+		t.Errorf("%s: variants explored different config counts: %d vs %d", label, s.Configs, h.Configs)
 	}
 	if h.Runs != s.Runs {
 		t.Errorf("%s: source+hash executed %d runs vs pure source's %d; the join key is altering the search", label, h.Runs, s.Runs)
 	}
-	if got := (runPin{c.Runs, s.Runs, h.Runs, h.Joined}); got != want {
-		t.Errorf("%s: runs classic/source/source+hash and joined = %v, want %v", label, got, want)
+	if got := (runPin{s.Runs, h.Runs, h.Joined}); got != want {
+		t.Errorf("%s: runs source/source+hash and joined = %v, want %v", label, got, want)
 	}
-	t.Logf("%s: classic %d runs vs source %d (%d pruned) vs source+hash %d (%d joined)",
-		label, c.Runs, s.Runs, s.Pruned, h.Runs, h.Joined)
+	t.Logf("%s: source %d runs (%d pruned) vs source+hash %d (%d joined)",
+		label, s.Runs, s.Pruned, h.Runs, h.Joined)
 }
 
 // sweepLabel names a sweep's system as system/n=/f=.

@@ -18,8 +18,8 @@ import (
 // random testing must pass, and only a SwitchBudget>=1 sweep may (and must)
 // find it.
 
-// switchSweep sweeps the skip-on-change mutant at n=2 with the given engine
-// and switch budget. The branch horizon must contain the minimal witness's
+// switchSweep sweeps the skip-on-change mutant at n=2 with the given switch
+// budget. The branch horizon must contain the minimal witness's
 // second context switch (the skipping process resumes after the laggard's
 // solo decision, around depth 30); 36 leaves headroom. The crash grid is
 // trimmed to crash-at-0 and the flip grid to the productive mid-cycle time —
@@ -27,10 +27,9 @@ import (
 // test fast; the CI smoke job runs the mutant through `fdlab explore` with
 // the same trimmed grids (the full-default mutant sweep is a multi-minute
 // pass; the default grids are CI-covered by the clean fig1 n=3 sweep).
-func switchSweep(engine Engine, budget int) *Result {
+func switchSweep(budget int) *Result {
 	return Explore(Config{
 		System:       SkipOnChangeFig1System(2),
-		Engine:       engine,
 		SwitchBudget: budget,
 		FlipTimes:    []sim.Time{14},
 		CrashTimes:   []sim.Time{0},
@@ -38,29 +37,26 @@ func switchSweep(engine Engine, budget int) *Result {
 		MaxRuns:      400_000,
 		Budget:       2048,
 		// One witness is all these tests need; the first violation stops the
-		// sweep (the engine comparison over both violating configurations
-		// lives in TestDifferentialSwitchMutant).
+		// sweep (the ground-truth comparison over both violating
+		// configurations lives in TestDifferentialSwitchMutant).
 		MaxViolations: 1,
 	})
 }
 
 // TestSwitchMutantCleanAtBudgetZero: with SwitchBudget=0 the mutant is
-// indistinguishable from the real protocol — the sweep must be violation-free
-// under both engines, proving the violation found at budget 1 is reachable
-// only through an unstable prefix.
+// indistinguishable from the real protocol — the sweep must be
+// violation-free, proving the violation found at budget 1 is reachable only
+// through an unstable prefix.
 func TestSwitchMutantCleanAtBudgetZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	for _, engine := range []Engine{EngineDPOR, EngineSource} {
-		res := switchSweep(engine, 0)
-		if len(res.Violations) != 0 {
-			t.Fatalf("%v: SwitchBudget=0 sweep found violations on the stable-history-correct mutant: %v",
-				engine, res.Violations)
-		}
-		if res.Truncated {
-			t.Errorf("%v: budget-0 sweep truncated", engine)
-		}
+	res := switchSweep(0)
+	if len(res.Violations) != 0 {
+		t.Fatalf("SwitchBudget=0 sweep found violations on the stable-history-correct mutant: %v", res.Violations)
+	}
+	if res.Truncated {
+		t.Error("budget-0 sweep truncated")
 	}
 }
 
@@ -71,7 +67,7 @@ func TestSwitchMutantCaughtAtBudgetOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	res := switchSweep(EngineDPOR, 1)
+	res := switchSweep(1)
 	if len(res.Violations) == 0 {
 		t.Fatalf("SwitchBudget=1 sweep missed the skip-on-change mutant (%d runs)", res.Runs)
 	}
@@ -109,7 +105,7 @@ func TestSwitchMutantArtifactRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	res := switchSweep(EngineDPOR, 1)
+	res := switchSweep(1)
 	if len(res.Violations) == 0 {
 		t.Fatal("no violation to round-trip")
 	}
@@ -146,7 +142,7 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	res := switchSweep(EngineDPOR, 1)
+	res := switchSweep(1)
 	if len(res.Violations) == 0 {
 		t.Fatal("no violation to corrupt")
 	}
@@ -191,29 +187,37 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDifferentialSwitchMutant: on the skip-on-change grid at
-// SwitchBudget=1 (skipOnChangeGrid) source-DPOR and classic DPOR must find
-// the identical violating (pattern, oracle, property) configurations: the
-// mutant's two, one per stable set. The mutant is clean at SwitchBudget=0
-// (TestSwitchMutantCleanAtBudgetZero), so both witnesses need a detector
-// switch: the comparison covers both engines' flip-anchored search, not
-// only their scheduling races.
+// TestDifferentialSwitchMutant holds source-DPOR to the ground-truth oracle
+// on the two skip-on-change mutants at SwitchBudget=1. Both are clean at
+// SwitchBudget=0 (TestSwitchMutantCleanAtBudgetZero), so every witness needs
+// a detector switch: the comparison covers the flip-anchored search, not
+// only scheduling races.
+//
+//   - fig1-skip-on-change on the skipOnChangeGrid grids at depth 14: the
+//     brute force and both source-DPOR variants find the identical two
+//     violating configurations, one per stable set.
+//   - fig2-skip-on-change at depth 10: the brute force finds both stable
+//     sets violating, but source-DPOR at the same horizon reports only one.
+//     The other is a listed horizon miss that depth 24 reaches.
 func TestDifferentialSwitchMutant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	c, _, s := exploreEnginesOnce("fig1-skip-on-change", skipOnChangeGrid())
-	ck, sk := violationKeys(c), violationKeys(s)
-	if strings.Join(sk, "\n") != strings.Join(ck, "\n") {
-		t.Fatalf("violation sets differ at SwitchBudget=1:\nsource (%d):\n%s\nclassic (%d):\n%s",
-			len(sk), strings.Join(sk, "\n"), len(ck), strings.Join(ck, "\n"))
+	grid := skipOnChangeGrid()
+	grid.MaxDepth = 14
+	checkIdenticalViolations(t, runOracle(t, oracleCase{name: "fig1-skip-on-change n=2 sb=1 d=14", cfg: grid}), 2)
+
+	rep := runOracle(t, oracleCase{name: "fig2-skip-on-change n=2 sb=1 d=10", deeper: 24, cfg: Config{
+		System:       mustSystem("fig2-skip-on-change", 2, 1),
+		SwitchBudget: 1,
+		FlipTimes:    []sim.Time{24},
+		CrashTimes:   []sim.Time{0},
+		MaxDepth:     10,
+		Budget:       2048,
+	}})
+	if len(rep.violating) != 2 || len(rep.source.Violations) != 1 {
+		t.Errorf("fig2-skip-on-change: brute force violates %v, source-DPOR reports %v; want 2 and 1", rep.violating, violationKeys(rep.source))
 	}
-	if len(sk) != 2 {
-		t.Fatalf("found %d violating configs at SwitchBudget=1, want the mutant's 2:\n%s",
-			len(sk), strings.Join(sk, "\n"))
-	}
-	t.Logf("identical %d violating configs; source %d runs (%d pruned) vs classic %d runs",
-		len(sk), s.Runs, s.Pruned, c.Runs)
 }
 
 // TestSwitchMutantEscapesRandomTesting: 500 seeded-random schedules over

@@ -13,8 +13,10 @@ import (
 // field changes meaning; Load refuses other schemas loudly rather than
 // resuming a sweep it would silently mis-merge. Schema 2 dropped the block
 // enumerator's max_blocks and max_block spec fields and normalized crash
-// grids, which can reorder a sweep's jobs.
-const CheckpointSchema = 2
+// grids, which can reorder a sweep's jobs. Schema 3 dropped the engine spec
+// field: JSON decoding ignores unknown fields, so without the bump a schema-2
+// checkpoint of a classic-DPOR sweep would resume as a source-DPOR one.
+const CheckpointSchema = 3
 
 // ShardRecord is one completed shard: the job span it covered and the full
 // explore.Result for exactly those jobs (counters, flags and shrunk

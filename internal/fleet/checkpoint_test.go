@@ -80,6 +80,19 @@ const schema1Checkpoint = `{
     "runs": 13, "pruned": 12, "joined": 0, "depth_limited": true, "max_steps": 37, "settled_runs": 0, "elapsed_ms": 0}}]
 }`
 
+// schema2Checkpoint is a checkpoint in the schema-2 format, as `fdlab fleet`
+// wrote it for a classic-DPOR sweep of fig1 at n=2 (max depth 12, crash
+// times {0}, one worker process) before classic DPOR was removed.
+const schema2Checkpoint = `{
+  "schema": 2,
+  "spec": {"system": "fig1", "n": 2, "f": 1, "engine": "classic",
+    "max_depth": 12, "budget": 4096, "crash_times": [0], "flip_times": [2, 14], "max_violations": 4, "workers": 2},
+  "spec_key": "{\"system\":\"fig1\",\"n\":2,\"f\":1,\"engine\":\"classic\",\"max_depth\":12,\"budget\":4096,\"crash_times\":[0],\"flip_times\":[2,14],\"max_violations\":4}",
+  "jobs": 6,
+  "shards": [{"id": 0, "lo": 0, "hi": 1, "result": {"system": "fig1", "engine": "classic", "configs": 1,
+    "runs": 121, "pruned": 12, "joined": 0, "depth_limited": true, "max_steps": 37, "settled_runs": 0, "elapsed_ms": 1}}]
+}`
+
 // TestCheckpointRejectsLoudly drives every structural failure mode through
 // LoadCheckpoint and demands an error naming the problem.
 func TestCheckpointRejectsLoudly(t *testing.T) {
@@ -127,7 +140,15 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 		// hand-edited.
 		path := filepath.Join(dir, "schema1.json")
 		os.WriteFile(path, []byte(schema1Checkpoint), 0o644)
-		expectErr(t, path, "checkpoint schema 1, this build reads schema 2")
+		expectErr(t, path, "checkpoint schema 1, this build reads schema 3")
+	})
+	t.Run("schema-2-classic-spec", func(t *testing.T) {
+		// A schema-2 checkpoint of a classic-DPOR sweep. JSON decoding drops
+		// the unknown engine field, so only the schema check stops it from
+		// resuming as a source-DPOR sweep.
+		path := filepath.Join(dir, "schema2.json")
+		os.WriteFile(path, []byte(schema2Checkpoint), 0o644)
+		expectErr(t, path, "checkpoint schema 2, this build reads schema 3")
 	})
 	t.Run("spec-key-mismatch", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Spec.MaxDepth = 99 }), "spec_key")

@@ -144,7 +144,7 @@ func TestFleetEqualsSingleProcess(t *testing.T) {
 
 // TestFleetFullGridEqualsSingleProcess is the acceptance sweep: the fig1
 // n=4 full-E_3 grid under -procs 8 must produce the identical violation
-// set, run count and joined count as single-process EngineSource Explore.
+// set, run count and joined count as single-process Explore.
 func TestFleetFullGridEqualsSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second n=4 full-grid sweep skipped under -short; the full lane runs it")

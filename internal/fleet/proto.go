@@ -12,11 +12,13 @@ import (
 )
 
 // The coordinator and its workers speak length-delimited JSON over the
-// worker's stdin/stdout: each frame is a header line "fdfleet1 <payload
+// worker's stdin/stdout: each frame is a header line "fdfleet2 <payload
 // bytes>\n", the JSON payload, and a trailing newline. The magic doubles
 // as the protocol version — a worker built from a different protocol
 // revision fails the very first frame instead of misparsing mid-sweep.
-const protoMagic = "fdfleet1"
+// Revision 2 dropped the spec's engine field, which a revision-2 worker
+// would otherwise ignore and sweep with source-DPOR.
+const protoMagic = "fdfleet2"
 
 // maxFrame bounds one frame's payload. Shard results carry shrunk
 // counterexample artifacts, which run to a few tens of KB each; 256 MiB is

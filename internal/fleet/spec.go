@@ -10,8 +10,8 @@ import (
 
 // Spec is the primitive, process-portable description of one sweep: every
 // knob of explore.Config that shapes the configuration space or the
-// per-configuration search, expressed in serializable terms (system and
-// engine by name, times as integers). The coordinator ships it to workers
+// per-configuration search, expressed in serializable terms (system by name,
+// times as integers). The coordinator ships it to workers
 // verbatim and stamps its Key into checkpoints, so both sides — and a
 // resumed run — provably rebuild the identical job list.
 type Spec struct {
@@ -20,9 +20,6 @@ type Spec struct {
 	// N is the process count; F the resilience (explore.NewSystem).
 	N int `json:"n"`
 	F int `json:"f"`
-	// Engine names the exploration engine (explore.ParseEngine); "" means
-	// the default.
-	Engine string `json:"engine,omitempty"`
 	// The remaining fields mirror the explore.Config fields of the same
 	// name; zero values take explore's defaults.
 	NoHash        bool    `json:"no_hash,omitempty"`
@@ -56,7 +53,7 @@ func (s Spec) Key() string {
 }
 
 // Config instantiates the spec into an explore.Config, validating the
-// named system and engine. It refuses a full-depth horizon for systems that
+// named system. It refuses a full-depth horizon for systems that
 // check termination-of-correct: that property presumes the fair tail after
 // the horizon, and without one the search reaches runs that starve an
 // enabled process until the budget runs out.
@@ -69,13 +66,8 @@ func (s Spec) Config() (explore.Config, error) {
 	if err != nil {
 		return explore.Config{}, fmt.Errorf("fleet: %w", err)
 	}
-	engine, err := explore.ParseEngine(s.Engine)
-	if err != nil {
-		return explore.Config{}, fmt.Errorf("fleet: %w", err)
-	}
 	cfg := explore.Config{
 		System:        sys,
-		Engine:        engine,
 		NoHash:        s.NoHash,
 		MaxStates:     s.MaxStates,
 		MaxDepth:      s.MaxDepth,
