@@ -1,6 +1,6 @@
 package weakestfd_test
 
-// Benchmarks, one family per experiment table of `paperbench -tables`
+// Benchmarks, one family per experiment table of `fdlab tables`
 // (E1–E11, and hence per figure/theorem of the paper). Each op is one full
 // simulated run, so ns/op measures the wall cost of regenerating a data
 // point; the simulated step counts — the model-level metric the tables
@@ -10,7 +10,7 @@ package weakestfd_test
 // Regenerate every table with:
 //
 //	go test -bench=. -benchmem
-//	go run ./cmd/paperbench
+//	go run ./cmd/fdlab tables
 
 import (
 	"errors"

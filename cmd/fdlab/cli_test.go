@@ -1,4 +1,4 @@
-package cli
+package main
 
 import "testing"
 
@@ -20,44 +20,44 @@ func TestParseCrashes(t *testing.T) {
 		{"0:1,0:2", nil, true},
 	}
 	for _, tt := range tests {
-		got, err := ParseCrashes(tt.in)
+		got, err := parseCrashes(tt.in)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseCrashes(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
+			t.Errorf("parseCrashes(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
 			continue
 		}
 		if err != nil {
 			continue
 		}
 		if len(got) != len(tt.want) {
-			t.Errorf("ParseCrashes(%q) = %v, want %v", tt.in, got, tt.want)
+			t.Errorf("parseCrashes(%q) = %v, want %v", tt.in, got, tt.want)
 			continue
 		}
 		for k, v := range tt.want {
 			if got[k] != v {
-				t.Errorf("ParseCrashes(%q)[%d] = %d, want %d", tt.in, k, got[k], v)
+				t.Errorf("parseCrashes(%q)[%d] = %d, want %d", tt.in, k, got[k], v)
 			}
 		}
 	}
 }
 
 func TestParseProposals(t *testing.T) {
-	got, err := ParseProposals("10, 20,30")
+	got, err := parseProposals("10, 20,30")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("got %v", got)
 	}
-	if v, err := ParseProposals(""); err != nil || v != nil {
+	if v, err := parseProposals(""); err != nil || v != nil {
 		t.Errorf("empty should be nil, got %v/%v", v, err)
 	}
-	if _, err := ParseProposals("1,x"); err == nil {
+	if _, err := parseProposals("1,x"); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestDefaultProposals(t *testing.T) {
-	got := DefaultProposals(3)
+	got := defaultProposals(3)
 	if len(got) != 3 || got[0] != 100 || got[2] != 102 {
 		t.Fatalf("got %v", got)
 	}

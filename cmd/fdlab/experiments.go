@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 
 	"weakestfd"
@@ -26,7 +27,7 @@ func runFamily(m lab.Matrix, workers int) []lab.ScenarioSummary {
 func atoi(s string) int {
 	n, err := strconv.Atoi(s)
 	if err != nil {
-		panic(fmt.Sprintf("paperbench: non-numeric axis value %q", s))
+		panic(fmt.Sprintf("fdlab: non-numeric axis value %q", s))
 	}
 	return n
 }
@@ -34,7 +35,7 @@ func atoi(s string) int {
 // runE1 sweeps the Figure 1 protocol — system size × failure pattern × Υ
 // stabilization time × schedule — through the lab engine, reporting step
 // counts and the number of distinct decisions (the paper's bound: ≤ n).
-func runE1(w *tableWriter, seeds, workers int) {
+func runE1(w *table, seeds, workers int) {
 	w.setHeader("n+1", "pattern", "Υ stabilize", "schedule", "p50 steps", "p99 steps", "max distinct", "bound", "ok")
 	for _, s := range runFamily(scenarios.Fig1(seeds), workers) {
 		n := atoi(s.Params["n"])
@@ -49,7 +50,7 @@ func runE1(w *tableWriter, seeds, workers int) {
 
 // runE2 sweeps the Figure 2 protocol over the resilience grid through the
 // lab engine.
-func runE2(w *tableWriter, seeds, workers int) {
+func runE2(w *table, seeds, workers int) {
 	w.setHeader("n+1", "f", "crashes", "p50 steps", "max distinct", "bound", "ok")
 	for _, s := range runFamily(scenarios.Fig2(seeds), workers) {
 		f := atoi(s.Params["f"])
@@ -62,7 +63,7 @@ func runE2(w *tableWriter, seeds, workers int) {
 
 // runE3 extracts Υ^f from each stable detector through the lab engine and
 // reports the extraction's stabilization point.
-func runE3(w *tableWriter, seeds, workers int) {
+func runE3(w *table, seeds, workers int) {
 	w.setHeader("source D", "pattern", "stable-set size", "p50 stabilized-at", "legal")
 	for _, s := range runFamily(scenarios.Extraction(seeds), workers) {
 		w.addRow(s.Params["source"], s.Params["pattern"], int(s.Metric("stable-size").Max),
@@ -72,7 +73,7 @@ func runE3(w *tableWriter, seeds, workers int) {
 }
 
 // runE4 runs the Theorem 1 adversary against every candidate extractor.
-func runE4(w *tableWriter, _, _ int) {
+func runE4(w *table, _, _ int) {
 	w.setHeader("n+1", "candidate", "forced switches", "stuck", "violation witness", "falsified")
 	for _, n := range []int{4, 6, 8} {
 		for _, ext := range core.AllExtractors() {
@@ -92,7 +93,7 @@ func runE4(w *tableWriter, _, _ int) {
 
 // runE5 is the f-resilient generalization of E4, driven as the lab engine's
 // adversary family.
-func runE5(w *tableWriter, _, workers int) {
+func runE5(w *table, _, workers int) {
 	w.setHeader("candidate", "n+1", "resilience", "forced switches", "stuck", "falsified")
 	for _, s := range runFamily(scenarios.Adversary(), workers) {
 		w.addRow(s.Params["candidate"], s.Params["n"], s.Params["resilience"],
@@ -103,7 +104,7 @@ func runE5(w *tableWriter, _, workers int) {
 }
 
 // runE6 checks the two-process equivalence Υ ≡ Ω in both directions.
-func runE6(w *tableWriter, seeds, _ int) {
+func runE6(w *table, seeds, _ int) {
 	w.setHeader("direction", "pattern", "seeds ok", "stable output example")
 	patterns := []struct {
 		name string
@@ -137,7 +138,7 @@ func runE6(w *tableWriter, seeds, _ int) {
 }
 
 // runE7 runs the Υ¹ → Ω reduction in E_1.
-func runE7(w *tableWriter, seeds, _ int) {
+func runE7(w *table, seeds, _ int) {
 	w.setHeader("pattern", "Υ¹ stable set", "elected leader", "leader correct", "ok/seeds")
 	n := 4
 	cases := []struct {
@@ -189,7 +190,7 @@ func runE7(w *tableWriter, seeds, _ int) {
 }
 
 // runE8 assembles the Corollary 3/4 separation table.
-func runE8(w *tableWriter, seeds, _ int) {
+func runE8(w *table, seeds, _ int) {
 	w.setHeader("claim", "evidence", "holds")
 	// (a) Ωn → Υ works (complement reduction, spec-checked).
 	n := 5
@@ -208,7 +209,7 @@ func runE8(w *tableWriter, seeds, _ int) {
 	okB := 0
 	for seed := 0; seed < seeds; seed++ {
 		res, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-			N: n, Proposals: proposals(n),
+			N: n, Proposals: defaultProposals(n),
 			CrashAt: map[int]int64{1: 20, 3: 35}, StabilizeAt: 150,
 			Seed: int64(seed), Budget: 1 << 22,
 		})
@@ -235,7 +236,7 @@ func runE8(w *tableWriter, seeds, _ int) {
 	okD := 0
 	for seed := 0; seed < seeds; seed++ {
 		res, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-			N: n, Algorithm: weakestfd.OmegaNBoosted, Proposals: proposals(n),
+			N: n, Algorithm: weakestfd.OmegaNBoosted, Proposals: defaultProposals(n),
 			CrashAt: map[int]int64{1: 20}, StabilizeAt: 150,
 			Seed: int64(seed), Budget: 1 << 22,
 		})
@@ -250,7 +251,7 @@ func runE8(w *tableWriter, seeds, _ int) {
 	okE := 0
 	for seed := 0; seed < seeds; seed++ {
 		res, err := weakestfd.SolveWithStableDetector(weakestfd.ComposeConfig{
-			N: n, From: weakestfd.StableEvPerfect, Proposals: proposals(n),
+			N: n, From: weakestfd.StableEvPerfect, Proposals: defaultProposals(n),
 			CrashAt: map[int]int64{1: 30}, StabilizeAt: 120, Seed: int64(seed),
 		})
 		if err == nil && len(res.Distinct) <= n-1 {
@@ -263,13 +264,13 @@ func runE8(w *tableWriter, seeds, _ int) {
 }
 
 // runE9 demonstrates the impossibility baselines.
-func runE9(w *tableWriter, _, _ int) {
+func runE9(w *table, _, _ int) {
 	w.setHeader("configuration", "schedule", "budget", "decided", "matches theory")
 	budget := int64(50_000)
 
 	// FD-free attempt under lockstep: livelock.
 	_, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-		N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: proposals(4),
+		N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: defaultProposals(4),
 		Schedule: weakestfd.RoundRobinSchedule, Budget: budget,
 	})
 	w.addRow("no detector, 4 distinct values", "lockstep", budget, err == nil,
@@ -278,7 +279,7 @@ func runE9(w *tableWriter, _, _ int) {
 	// FD-free attempt under a solo-friendly schedule: may decide (the
 	// impossibility quantifies over *some* run).
 	res, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-		N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: proposals(4),
+		N: 4, Algorithm: weakestfd.AsyncAttempt, Proposals: defaultProposals(4),
 		Seed: 3, Budget: budget,
 	})
 	w.addRow("no detector, 4 distinct values", "random", budget, err == nil, err == nil && len(res.Distinct) <= 3)
@@ -297,7 +298,7 @@ func runE9(w *tableWriter, _, _ int) {
 
 	// Control: legal Υ, same schedule: decides.
 	res3, err3 := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-		N: n, Proposals: proposals(n),
+		N: n, Proposals: defaultProposals(n),
 		Schedule: weakestfd.RoundRobinSchedule, Seed: 1, Budget: budget,
 	})
 	w.addRow("Fig 1, legal Υ (control)", "lockstep", budget, err3 == nil, err3 == nil && len(res3.Distinct) <= n-1)
@@ -305,14 +306,14 @@ func runE9(w *tableWriter, _, _ int) {
 }
 
 // runE10 reports the ablations.
-func runE10(w *tableWriter, seeds, _ int) {
+func runE10(w *table, seeds, _ int) {
 	w.setHeader("ablation", "configuration", "median steps", "ratio")
 	// (a) snapshot implementation inside Figure 1.
 	var atomicSteps, afekSteps stats
 	for seed := 0; seed < seeds; seed++ {
 		for _, reg := range []bool{false, true} {
 			res, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-				N: 4, Proposals: proposals(4), CrashAt: map[int]int64{1: 30},
+				N: 4, Proposals: defaultProposals(4), CrashAt: map[int]int64{1: 30},
 				StabilizeAt: 100, Seed: int64(seed),
 				RegistersOnly: reg, Budget: 1 << 23,
 			})
@@ -362,7 +363,7 @@ func runE10(w *tableWriter, seeds, _ int) {
 		var st stats
 		for seed := 0; seed < seeds; seed++ {
 			res, err := weakestfd.SolveSetAgreement(weakestfd.SetAgreementConfig{
-				N: 5, Algorithm: alg, Proposals: proposals(5),
+				N: 5, Algorithm: alg, Proposals: defaultProposals(5),
 				CrashAt: map[int]int64{2: 25}, StabilizeAt: 120,
 				Seed: int64(seed), Budget: 1 << 22,
 			})
@@ -377,24 +378,24 @@ func runE10(w *tableWriter, seeds, _ int) {
 	w.note("decision latency tracks the detector's stabilization time under lockstep")
 }
 
-func proposals(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(100 + i)
-	}
-	return out
-}
+// stats summarizes a sample of measurements (used by the tables that do not
+// route through internal/lab).
+type stats struct{ vals []int64 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+func (s *stats) add(v int64) { s.vals = append(s.vals, v) }
+
+func (s *stats) median() int64 {
+	if len(s.vals) == 0 {
+		return 0
 	}
-	return b
+	vs := append([]int64(nil), s.vals...)
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	return vs[len(vs)/2]
 }
 
 // runE11 implements Υ from heartbeats under partial synchrony, solves set
 // agreement with it, and shows pure asynchrony defeating the implementation.
-func runE11(w *tableWriter, seeds, _ int) {
+func runE11(w *table, seeds, _ int) {
 	w.setHeader("configuration", "schedule", "outcome", "matches theory")
 
 	// (a) Heartbeat Υ + Figure 1 under eventual synchrony: decides.
@@ -402,7 +403,7 @@ func runE11(w *tableWriter, seeds, _ int) {
 	var st stats
 	for seed := 0; seed < seeds; seed++ {
 		res, err := weakestfd.SolveWithTimingAssumptions(weakestfd.TimedConfig{
-			N: 5, Proposals: proposals(5), CrashAt: map[int]int64{1: 400},
+			N: 5, Proposals: defaultProposals(5), CrashAt: map[int]int64{1: 400},
 			GST: 1_000, Bound: 8, Seed: int64(seed),
 		})
 		if err == nil && len(res.Distinct) <= 4 {

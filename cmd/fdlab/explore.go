@@ -8,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"weakestfd/internal/cli"
 	"weakestfd/internal/explore"
 	"weakestfd/internal/sim"
 )
@@ -26,8 +25,8 @@ func runExplore(args []string) {
 		workers    = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		progress   = fs.Bool("progress", false, "print one line per finished configuration")
 		outDir     = fs.String("out", ".", "directory for counterexample artifacts")
-		cpuprofile = fs.String("cpuprofile", "", cli.CPUProfileUsage)
-		memprofile = fs.String("memprofile", "", cli.MemProfileUsage)
+		cpuprofile = fs.String("cpuprofile", "", cpuProfileUsage)
+		memprofile = fs.String("memprofile", "", memProfileUsage)
 	)
 	_ = fs.Parse(args)
 	validatePool(*workers, 1)
@@ -37,7 +36,7 @@ func runExplore(args []string) {
 		log.Fatal(err)
 	}
 	cfg.Workers = *workers
-	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
 	}

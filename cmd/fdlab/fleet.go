@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 
-	"weakestfd/internal/cli"
 	"weakestfd/internal/fleet"
 )
 
@@ -28,8 +27,8 @@ func runFleet(args []string) {
 		workerCmd  = fs.String("worker-cmd", "", "exec template launching one worker (space-separated argv; default: this binary's hidden fleet-worker subcommand)")
 		progress   = fs.Bool("progress", false, "print fleet events (shards, steals, finished configurations)")
 		outDir     = fs.String("out", ".", "directory for counterexample artifacts")
-		cpuprofile = fs.String("cpuprofile", "", cli.CPUProfileUsage+" (coordinator process only)")
-		memprofile = fs.String("memprofile", "", cli.MemProfileUsage+" (coordinator process only)")
+		cpuprofile = fs.String("cpuprofile", "", cpuProfileUsage+" (coordinator process only)")
+		memprofile = fs.String("memprofile", "", memProfileUsage+" (coordinator process only)")
 	)
 	_ = fs.Parse(args)
 	if *procs < 1 {
@@ -72,7 +71,7 @@ func runFleet(args []string) {
 		// no extra serialization is needed here.
 		opts.OnProgress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
-	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,13 @@
-// Command fdlab explores the failure detector reductions of the paper:
+// Command fdlab is the reproduction's command-line tool:
 //
+//	fdlab solve     — run one set-agreement instance and print its outcome
 //	fdlab extract   — Figure 3: extract Υ^f from a stable detector
 //	fdlab falsify   — Theorems 1/5: the adversary against Ω^f extractors
 //	fdlab matrix    — run scenario families through the internal/lab engine
+//	fdlab tables    — the per-theorem experiment tables E1..E11
 //	fdlab explore   — bounded-exhaustive schedule-space sweep with property
 //	                  checking and counterexample shrinking
+//	fdlab suite     — the standard sweep over every real protocol at n ≤ 3
 //	fdlab fleet     — the same sweep sharded across worker processes, with a
 //	                  resumable checkpoint (fleet-worker is its hidden
 //	                  subprocess entry point)
@@ -12,11 +15,14 @@
 //
 // Examples:
 //
+//	fdlab solve -n 5 -alg fig2 -f 2 -crash 0:10,1:30 -stabilize 200 -seed 7
 //	fdlab extract -n 5 -from omega -stabilize 200 -crash 2:500
 //	fdlab extract -n 5 -from omegaF -f 2 -seed 3
 //	fdlab falsify -n 5 -f 4 -candidate staleness -switches 30
 //	fdlab matrix -family waves -seeds 5 -workers 8 -json waves.json
+//	fdlab tables -run E4
 //	fdlab explore -system fig1 -n 3 -max-depth 12
+//	fdlab suite -switch-budget 1
 //	fdlab fleet -system fig1 -n 4 -max-depth 11 -procs 4 -checkpoint fleet.json
 //	fdlab replay -in counterexample-fig1-1.json -trace
 package main
@@ -29,7 +35,6 @@ import (
 	"strings"
 
 	"weakestfd"
-	"weakestfd/internal/cli"
 	"weakestfd/internal/lab"
 	"weakestfd/internal/lab/scenarios"
 )
@@ -41,14 +46,20 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
+	case "solve":
+		runSolve(os.Args[2:])
 	case "extract":
 		runExtract(os.Args[2:])
 	case "falsify":
 		runFalsify(os.Args[2:])
 	case "matrix":
 		runMatrix(os.Args[2:])
+	case "tables":
+		runTables(os.Args[2:])
 	case "explore":
 		runExplore(os.Args[2:])
+	case "suite":
+		runSuite(os.Args[2:])
 	case "fleet":
 		runFleet(os.Args[2:])
 	case "fleet-worker":
@@ -62,15 +73,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: fdlab <extract|falsify|matrix|explore|fleet|replay> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: fdlab <solve|extract|falsify|matrix|tables|explore|suite|fleet|replay> [flags]")
 	os.Exit(2)
-}
-
-// validatePool applies the shared pool-flag validation, fatally.
-func validatePool(workers, seeds int) {
-	if err := cli.ValidatePool(workers, seeds); err != nil {
-		log.Fatal(err)
-	}
 }
 
 func runMatrix(args []string) {
@@ -128,7 +132,7 @@ func runExtract(args []string) {
 	if !ok {
 		log.Fatalf("unknown -from %q", *from)
 	}
-	crashAt, err := cli.ParseCrashes(*crash)
+	crashAt, err := parseCrashes(*crash)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"weakestfd/internal/cli"
 	"weakestfd/internal/explore"
 	"weakestfd/internal/fleet"
 )
@@ -77,11 +76,11 @@ func (sf *sweepFlags) spec() fleet.Spec {
 	if ff < 1 || ff > *sf.n-1 {
 		log.Fatalf("-f %d out of range [1,%d] for n=%d", *sf.f, *sf.n-1, *sf.n)
 	}
-	grid, err := cli.ParseTimes("-crash-times", *sf.crashTimes)
+	grid, err := parseTimes("-crash-times", *sf.crashTimes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fgrid, err := cli.ParseTimes("-flip-times", *sf.flipTimes)
+	fgrid, err := parseTimes("-flip-times", *sf.flipTimes)
 	if err != nil {
 		log.Fatal(err)
 	}

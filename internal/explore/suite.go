@@ -2,11 +2,11 @@ package explore
 
 // DefaultSweep returns the standard exhaustive sweep over the real
 // protocols at n ≤ 3 (plus the n = 2 compositions): the configuration CI's
-// explore-smoke job (and `paperbench -explore`) must complete with zero
-// violations. The differential suite runs the identical sweep under both
-// engines and pins each one's exact run counts.
+// explore-smoke job (and `fdlab suite`) must complete with zero
+// violations. TestSourceVsClassicDifferential pins each system's exact run
+// counts, with and without state-hash joins, and its join count.
 //
-// Each engine covers every schedule — arbitrarily many context switches —
+// The engine covers every schedule — arbitrarily many context switches —
 // whose branching lies in the first MaxDepth steps, up to commutativity of
 // independent steps, with the fair tail beyond the branch horizon. MaxDepth
 // values are tuned so the whole suite finishes well under the CI limit on

@@ -100,64 +100,74 @@ type System interface {
 	Properties() []Property
 }
 
+// registry lists every system NewSystem resolves, in -system help order:
+// the real systems first, then each protocol family's mutants (the core.Mut*
+// constants document each mutation, and the zoo in mutants.go pairs every
+// mutant with its expected killing configuration and failure pattern). Each
+// entry holds its system with size and resilience left zero: NewSystem sizes
+// a copy, and every Name() looks its system up by that unsized form, so each
+// registry name is spelled here and nowhere else.
+var registry = []struct {
+	name  string
+	proto sizable
+}{
+	{"fig1", fig1System{}},
+	{"fig2", fig2System{}},
+	{"extract-omega", extractSystem{}},
+	{"composed", composedSystem{}},
+	{"timed-composed", timedComposedSystem{}},
+	{"fig1-broken-adopt", fig1System{mut: core.MutWrongAdopt}},
+	{"fig1-skip-on-change", fig1System{mut: core.MutSkipOnChange}},
+	{"fig1-garbled-decide", fig1System{mut: core.MutGarbledDecide}},
+	{"fig1-garbled-echo", fig1System{mut: core.MutGarbledEcho}},
+	{"fig2-broken-adopt", fig2System{mut: core.MutF2WrongAdopt}},
+	{"fig2-skip-on-change", fig2System{mut: core.MutF2SkipOnChange}},
+	{"fig2-starved-wait", fig2System{mut: core.MutF2StarvedWait}},
+	{"extract-full-output", extractSystem{mut: core.MutExFullOutput}},
+	{"extract-empty-output", extractSystem{mut: core.MutExEmptyOutput}},
+	{"extract-stale-leader", extractSystem{mut: core.MutExStaleLeader}},
+	{"composed-broken-adopt", composedSystem{mut: core.MutWrongAdopt}},
+	{"composed-garbled-echo", composedSystem{mut: core.MutGarbledEcho}},
+	{"composed-garbled-decide", composedSystem{mut: core.MutGarbledDecide}},
+}
+
+// sizable is a registered system type: sized returns a copy with n
+// processes and resilience f (types without a resilience parameter ignore
+// f).
+type sizable interface {
+	System
+	sized(n, f int) System
+}
+
 // NewSystem builds a registered system by name — the registry `fdlab
 // explore -system` and artifact replay resolve against. f is the resilience
 // where the system has one (fig2); others ignore it.
 func NewSystem(name string, n, f int) (System, error) {
-	switch name {
-	case "fig1":
-		return Fig1System(n), nil
-	case "fig1-broken-adopt":
-		return BrokenFig1System(n), nil
-	case "fig1-skip-on-change":
-		return SkipOnChangeFig1System(n), nil
-	case "fig1-garbled-decide":
-		return GarbledFig1System(n), nil
-	case "fig1-garbled-echo":
-		return GarbledEchoFig1System(n), nil
-	case "fig2":
-		return Fig2System(n, f), nil
-	case "fig2-broken-adopt":
-		return BrokenAdoptFig2System(n, f), nil
-	case "fig2-skip-on-change":
-		return SkipOnChangeFig2System(n, f), nil
-	case "fig2-starved-wait":
-		return StarvedWaitFig2System(n, f), nil
-	case "extract-omega":
-		return ExtractOmegaSystem(n), nil
-	case "extract-full-output":
-		return FullOutputExtractSystem(n), nil
-	case "extract-empty-output":
-		return EmptyOutputExtractSystem(n), nil
-	case "extract-stale-leader":
-		return StaleLeaderExtractSystem(n), nil
-	case "composed":
-		return ComposedSystem(n), nil
-	case "composed-broken-adopt":
-		return BrokenAdoptComposedSystem(n), nil
-	case "composed-garbled-echo":
-		return GarbledEchoComposedSystem(n), nil
-	case "composed-garbled-decide":
-		return GarbledComposedSystem(n), nil
-	case "timed-composed":
-		return TimedComposedSystem(n), nil
-	default:
-		return nil, fmt.Errorf("explore: unknown system %q (want %s)", name, strings.Join(SystemNames(), "|"))
+	for _, e := range registry {
+		if e.name == name {
+			return e.proto.sized(n, f), nil
+		}
 	}
+	return nil, fmt.Errorf("explore: unknown system %q (want %s)", name, strings.Join(SystemNames(), "|"))
 }
 
-// SystemNames lists the registry, for CLI help: the real systems first,
-// then each protocol family's mutants (the zoo in mutants.go pairs every
-// mutant with its expected killing configuration and failure pattern).
+// SystemNames lists the registry names in -system help order.
 func SystemNames() []string {
-	return []string{
-		"fig1", "fig2", "extract-omega", "composed", "timed-composed",
-		"fig1-broken-adopt", "fig1-skip-on-change", "fig1-garbled-decide",
-		"fig1-garbled-echo",
-		"fig2-broken-adopt", "fig2-skip-on-change", "fig2-starved-wait",
-		"extract-full-output", "extract-empty-output", "extract-stale-leader",
-		"composed-broken-adopt", "composed-garbled-echo", "composed-garbled-decide",
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
+	return names
+}
+
+// registryName returns the registry name of an unsized system.
+func registryName(unsized System) string {
+	for _, e := range registry {
+		if e.proto == unsized {
+			return e.name
+		}
+	}
+	panic(fmt.Sprintf("explore: unregistered system %#v", unsized))
 }
 
 // canonicalProposals returns the explorer's fixed inputs 100..100+n−1:
@@ -262,29 +272,10 @@ func SkipOnChangeFig1System(n int) System { return fig1System{n: n, mut: core.Mu
 // the zoo, pinning the validity property end to end.
 func GarbledFig1System(n int) System { return fig1System{n: n, mut: core.MutGarbledDecide} }
 
-// GarbledEchoFig1System is Figure 1 with the citizen echo corrupted
-// (core.MutGarbledEcho): dead code under stable output Π, but any stable
-// Υ output that excludes a live process turns that process into a citizen
-// whose poisoned D[r] echo everyone leaving the round adopts — the oracle
-// enumeration alone (no schedule branching) reaches the kill.
-func GarbledEchoFig1System(n int) System { return fig1System{n: n, mut: core.MutGarbledEcho} }
-
-func (s fig1System) Name() string {
-	switch s.mut {
-	case core.MutWrongAdopt:
-		return "fig1-broken-adopt"
-	case core.MutSkipOnChange:
-		return "fig1-skip-on-change"
-	case core.MutGarbledDecide:
-		return "fig1-garbled-decide"
-	case core.MutGarbledEcho:
-		return "fig1-garbled-echo"
-	}
-	return "fig1"
-}
-
-func (s fig1System) N() int         { return s.n }
-func (s fig1System) MaxFaults() int { return s.n - 1 }
+func (s fig1System) Name() string          { return registryName(s.sized(0, 0)) }
+func (s fig1System) sized(n, _ int) System { s.n = n; return s }
+func (s fig1System) N() int                { return s.n }
+func (s fig1System) MaxFaults() int        { return s.n - 1 }
 
 func (s fig1System) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice {
 	spec := core.Upsilon(s.n)
@@ -327,45 +318,10 @@ type fig2System struct {
 // n processes in E_f.
 func Fig2System(n, f int) System { return fig2System{n: n, f: f} }
 
-// BrokenAdoptFig2System is Figure 2 with the converge adopt rule broken
-// (core.MutF2WrongAdopt): the top-level (f)-converge race yields two solo
-// commits of different values, violating f-set Agreement — the same shape
-// as fig1-broken-adopt, proving the explorer's reach extends to Figure 2.
-func BrokenAdoptFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2WrongAdopt}
-}
-
-// SkipOnChangeFig2System is Figure 2 with the detector-change escape
-// broken (core.MutF2SkipOnChange): a gladiator observing a Υ^f change at a
-// re-query skips two rounds with its current value instead of writing
-// Stable[r] and adopting D[r]. Dead code under stable-from-0 histories —
-// only a SwitchBudget sweep reaches it, mirroring fig1-skip-on-change.
-func SkipOnChangeFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2SkipOnChange}
-}
-
-// StarvedWaitFig2System is Figure 2 with the gladiator scan threshold
-// raised to all n entries (core.MutF2StarvedWait): one crashed gladiator
-// parks every correct one in the lines 17-19 wait loop forever — a
-// termination failure whose witness crash is load-bearing.
-func StarvedWaitFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2StarvedWait}
-}
-
-func (s fig2System) Name() string {
-	switch s.mut {
-	case core.MutF2WrongAdopt:
-		return "fig2-broken-adopt"
-	case core.MutF2SkipOnChange:
-		return "fig2-skip-on-change"
-	case core.MutF2StarvedWait:
-		return "fig2-starved-wait"
-	}
-	return "fig2"
-}
-
-func (s fig2System) N() int         { return s.n }
-func (s fig2System) MaxFaults() int { return s.f }
+func (s fig2System) Name() string          { return registryName(s.sized(0, 0)) }
+func (s fig2System) sized(n, f int) System { s.n, s.f = n, f; return s }
+func (s fig2System) N() int                { return s.n }
+func (s fig2System) MaxFaults() int        { return s.f }
 
 func (s fig2System) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice {
 	spec := core.UpsilonF(s.n, s.f)
@@ -410,44 +366,10 @@ type extractSystem struct {
 // value for the pattern (in particular, not the correct set).
 func ExtractOmegaSystem(n int) System { return extractSystem{n: n} }
 
-// FullOutputExtractSystem is the extraction writing Π instead of φ_D's set
-// at the output switch (core.MutExFullOutput): under a failure-free pattern
-// the outputs settle on Π = correct, the one value Υ may never settle on.
-func FullOutputExtractSystem(n int) System {
-	return extractSystem{n: n, mut: core.MutExFullOutput}
-}
-
-// EmptyOutputExtractSystem is the extraction writing ∅ at the output switch
-// (core.MutExEmptyOutput): the settled output violates Υ's range in every
-// pattern.
-func EmptyOutputExtractSystem(n int) System {
-	return extractSystem{n: n, mut: core.MutExEmptyOutput}
-}
-
-// StaleLeaderExtractSystem is the extraction that latches its first
-// detector query forever (core.MutExStaleLeader): one pre-stabilization
-// flip of the Ω source — outputting a crashed process until the first query
-// — makes it settle on complement({crashed}) = correct. Both the flip and
-// the crash are load-bearing, making this the SwitchBudget calibration
-// mutant of the extraction family.
-func StaleLeaderExtractSystem(n int) System {
-	return extractSystem{n: n, mut: core.MutExStaleLeader}
-}
-
-func (s extractSystem) Name() string {
-	switch s.mut {
-	case core.MutExFullOutput:
-		return "extract-full-output"
-	case core.MutExEmptyOutput:
-		return "extract-empty-output"
-	case core.MutExStaleLeader:
-		return "extract-stale-leader"
-	}
-	return "extract-omega"
-}
-
-func (s extractSystem) N() int         { return s.n }
-func (s extractSystem) MaxFaults() int { return s.n - 1 }
+func (s extractSystem) Name() string          { return registryName(s.sized(0, 0)) }
+func (s extractSystem) sized(n, _ int) System { s.n = n; return s }
+func (s extractSystem) N() int                { return s.n }
+func (s extractSystem) MaxFaults() int        { return s.n - 1 }
 
 func (s extractSystem) LegalFlipOut(out sim.Set) error { return omegaFlipOut(s.n, out) }
 
@@ -514,48 +436,10 @@ type composedSystem struct {
 // (a bounded adversarial run cannot refute it).
 func ComposedSystem(n int) System { return composedSystem{n: n} }
 
-// BrokenAdoptComposedSystem is the composition with the protocol task's
-// converge adopt rule broken (core.MutWrongAdopt): the fig1 agreement race
-// must stay reachable through the task interleaving, under the emulated
-// detector.
-func BrokenAdoptComposedSystem(n int) System {
-	return composedSystem{n: n, mut: core.MutWrongAdopt}
-}
-
-// GarbledEchoComposedSystem is the composition with the protocol task's
-// citizen echo corrupted (core.MutGarbledEcho). The emulated Υ settles on
-// the complement of the Ω leader's singleton, so the leader itself is a
-// live citizen of every later round: its poisoned D[r] echo is adopted by
-// the gladiator and decided — a root-run Validity kill that exercises the
-// one protocol branch only a proper-subset detector output can reach.
-// (MutSkipOnChange is deliberately not composed: the emulated output only
-// changes pre-settle, before any decision, so the armed skip renumbers
-// rounds without breaking Agreement — see core.MutantMachineTaskSets.)
-func GarbledEchoComposedSystem(n int) System {
-	return composedSystem{n: n, mut: core.MutGarbledEcho}
-}
-
-// GarbledComposedSystem is the composition with the protocol task's commit
-// path corrupted (core.MutGarbledDecide): the root fair run already decides
-// an unproposed value.
-func GarbledComposedSystem(n int) System {
-	return composedSystem{n: n, mut: core.MutGarbledDecide}
-}
-
-func (s composedSystem) Name() string {
-	switch s.mut {
-	case core.MutWrongAdopt:
-		return "composed-broken-adopt"
-	case core.MutGarbledEcho:
-		return "composed-garbled-echo"
-	case core.MutGarbledDecide:
-		return "composed-garbled-decide"
-	}
-	return "composed"
-}
-
-func (s composedSystem) N() int         { return s.n }
-func (s composedSystem) MaxFaults() int { return s.n - 1 }
+func (s composedSystem) Name() string          { return registryName(s.sized(0, 0)) }
+func (s composedSystem) sized(n, _ int) System { s.n = n; return s }
+func (s composedSystem) N() int                { return s.n }
+func (s composedSystem) MaxFaults() int        { return s.n - 1 }
 
 func (s composedSystem) LegalFlipOut(out sim.Set) error { return omegaFlipOut(s.n, out) }
 
@@ -605,9 +489,10 @@ const timedComposedThreshold = 2
 // may produce more than n−1 decisions or an unproposed decision.
 func TimedComposedSystem(n int) System { return timedComposedSystem{n: n} }
 
-func (s timedComposedSystem) Name() string   { return "timed-composed" }
-func (s timedComposedSystem) N() int         { return s.n }
-func (s timedComposedSystem) MaxFaults() int { return s.n - 1 }
+func (s timedComposedSystem) Name() string          { return registryName(s.sized(0, 0)) }
+func (s timedComposedSystem) sized(n, _ int) System { s.n = n; return s }
+func (s timedComposedSystem) N() int                { return s.n }
+func (s timedComposedSystem) MaxFaults() int        { return s.n - 1 }
 
 // Oracles returns the single trivial choice: the system consumes no oracle
 // (its detector is implemented, not assumed), so there is no history to
@@ -617,7 +502,7 @@ func (s timedComposedSystem) Oracles(sim.Pattern, SwitchPlan) []OracleChoice {
 }
 
 func (s timedComposedSystem) LegalFlipOut(sim.Set) error {
-	return fmt.Errorf("system timed-composed consumes no detector history: no flip schedule is legal")
+	return fmt.Errorf("system %s consumes no detector history: no flip schedule is legal", s.Name())
 }
 
 func (s timedComposedSystem) Instantiate(pattern sim.Pattern, _ OracleChoice) Instance {

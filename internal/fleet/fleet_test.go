@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weakestfd/internal/explore"
@@ -423,6 +424,34 @@ func TestProtoRoundTrip(t *testing.T) {
 		t.Error("readFrame accepted a frame with the wrong magic")
 	}
 	_ = sim.Time(0)
+}
+
+// TestReadFrameRejectsMalformed feeds readFrame one corrupt frame per
+// framing rule: each must fail with an error that names what is wrong.
+func TestReadFrameRejectsMalformed(t *testing.T) {
+	tests := []struct {
+		name, frame, want string
+	}{
+		{"header without length", protoMagic + "\n{}\n", "bad frame header"},
+		{"empty length", protoMagic + " \n{}\n", `bad frame length ""`},
+		{"non-numeric length", protoMagic + " two\n{}\n", `bad frame length "two"`},
+		{"negative length", protoMagic + " -2\n{}\n", `bad frame length "-2"`},
+		{"length over maxFrame", fmt.Sprintf("%s %d\n{}\n", protoMagic, maxFrame+1), fmt.Sprintf(`bad frame length "%d"`, maxFrame+1)},
+		{"payload shorter than declared", protoMagic + " 10\n{}\n", "reading 10-byte frame: unexpected EOF"},
+		{"missing newline terminator", protoMagic + " 2\n{}X", "not newline-terminated"},
+		{"non-JSON payload", protoMagic + " 5\nhello\n", "decoding frame"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m, err := readFrame(bufio.NewReader(strings.NewReader(tt.frame)))
+			if err == nil {
+				t.Fatalf("readFrame accepted %q as %+v", tt.frame, m)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("readFrame(%q) = %q, want an error containing %q", tt.frame, err, tt.want)
+			}
+		})
+	}
 }
 
 // fakePipe is an in-memory io.ReadWriter for protocol tests.

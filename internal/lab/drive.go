@@ -6,8 +6,8 @@ import (
 	"os"
 )
 
-// DriveConfig configures Drive, the shared command-line front end of the
-// engine (cmd/paperbench and cmd/fdlab both route through it).
+// DriveConfig configures Drive, the command-line front end of the engine
+// (`fdlab matrix`).
 type DriveConfig struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int

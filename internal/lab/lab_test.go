@@ -266,3 +266,22 @@ func TestFamilies(t *testing.T) {
 		t.Fatalf("families %v", fams)
 	}
 }
+
+// TestRenderAlignedCountsRunes pins rune-count padding: Υ, → and Ω take two
+// or three bytes in UTF-8, so byte-count padding would start the next
+// column early on that row.
+func TestRenderAlignedCountsRunes(t *testing.T) {
+	var buf bytes.Buffer
+	RenderAligned(&buf, [][]string{
+		{"detector", "ok"},
+		{"Υ → Ω", "true"},
+		{"plain", "false"},
+	})
+	want := "  detector  ok\n" +
+		"  --------  -----\n" +
+		"  Υ → Ω     true\n" +
+		"  plain     false\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -374,7 +374,7 @@ func b2f(b bool) float64 {
 }
 
 // All returns the full scenario matrix set: the seed families plus the
-// three new ones. cmd/paperbench runs this by default.
+// three new ones. `fdlab matrix` runs this by default.
 func All(seeds int) []lab.Matrix {
 	return []lab.Matrix{
 		Fig1(seeds),

@@ -61,8 +61,7 @@ func (r *Report) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WriteJSON writes the report as indented JSON (`paperbench -json`,
-// `fdlab matrix -json`).
+// WriteJSON writes the report as indented JSON (`fdlab matrix -json`).
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

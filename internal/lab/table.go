@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // RenderFamily writes one family's summaries as an aligned text table: one
@@ -37,7 +38,7 @@ func RenderFamily(w io.Writer, sums []ScenarioSummary) {
 		}
 		rows = append(rows, row)
 	}
-	renderAligned(w, rows)
+	RenderAligned(w, rows)
 	for _, s := range sums {
 		for _, e := range s.Errors {
 			fmt.Fprintf(w, "  ! %s: %s\n", s.Name, e)
@@ -57,23 +58,25 @@ func axisOrder(name string) []string {
 	return axes
 }
 
-// renderAligned prints rows with columns padded to their widest cell.
-func renderAligned(w io.Writer, rows [][]string) {
+// RenderAligned prints rows as a table: the first row is the header, a
+// dashed rule follows it, and every column is padded to its widest cell.
+// Widths count runes, not bytes, so cells holding Υ, Ω or → line up.
+func RenderAligned(w io.Writer, rows [][]string) {
 	if len(rows) == 0 {
 		return
 	}
 	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
 	line := func(cells []string) {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
-			parts[i] = c + strings.Repeat(" ", widths[i]-len(c))
+			parts[i] = c + strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c))
 		}
 		fmt.Fprintln(w, "  "+strings.TrimRight(strings.Join(parts, "  "), " "))
 	}

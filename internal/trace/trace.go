@@ -3,7 +3,7 @@
 // reads the run's sim.AccessLog, so a traced run is an ordinary machine run
 // with a log attached — plus, for detector queries to show up as reads of
 // the history object, a sim.QuerySeam with the run's histories registered.
-// It powers the -trace flag of cmd/setagree and white-box tests that assert
+// It powers the -trace flag of `fdlab solve` and white-box tests that assert
 // protocols take the *kinds* of steps the paper's pseudocode prescribes.
 package trace
 

@@ -160,7 +160,7 @@ func TestRunnerEquivalenceTiming(t *testing.T) {
 
 // TestRunnerEquivalenceLabFingerprint pins the full scenario matrix (every
 // family, the adversary's included) at two seeds on one worker: the same
-// fingerprint `paperbench -seeds 2 -workers 1 -fingerprint` prints.
+// fingerprint `fdlab matrix -seeds 2 -workers 1 -fingerprint` prints.
 func TestRunnerEquivalenceLabFingerprint(t *testing.T) {
 	scs, err := lab.ExpandAll(scenarios.All(2))
 	if err != nil {
