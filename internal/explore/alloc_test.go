@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -137,15 +138,17 @@ func TestOutputTraceObserveAllocBound(t *testing.T) {
 	}), 0)
 }
 
-// TestJoinSpliceAllocBound: caching a tail copies it into the join cache's
-// arenas, at less than one allocation per cached tail once amortized over
-// the arenas' and the map's growth, and once the arenas hold a tail,
-// splicing it into a joined run's log and grant buffer allocates nothing.
-func TestJoinSpliceAllocBound(t *testing.T) {
-	const horizon = 4
+// tailLog records a 12-step run of three processes for the join cache
+// tests: even steps read a and write b, odd steps only read a. It returns
+// the log, the run's grants and each process's last step index.
+func tailLog() (*sim.AccessLog, []sim.PID, [dporMaxProcs]int32) {
 	log := sim.NewAccessLog()
 	a, b := log.Intern(sim.KeyOf("a")), log.Intern(sim.KeyOf("b"))
 	var granted []sim.PID
+	var last [dporMaxProcs]int32
+	for p := range last {
+		last[p] = -1
+	}
 	for i := 0; i < 12; i++ {
 		p := sim.PID(i % 3)
 		log.BeginStep()
@@ -155,43 +158,111 @@ func TestJoinSpliceAllocBound(t *testing.T) {
 		}
 		log.EndStep(p)
 		granted = append(granted, p)
+		last[p] = int32(i)
 	}
+	return log, granted, last
+}
+
+// TestJoinSpliceAllocBound: caching a tail copies it into the join cache's
+// arenas, at less than one allocation per cached tail once amortized over
+// the arenas' and the map's growth, and once the arenas hold a tail,
+// reading it step by step into a joined run's log, as the race analysis
+// does, allocates nothing.
+func TestJoinSpliceAllocBound(t *testing.T) {
+	const horizon = 4
+	log, granted, last := tailLog()
 	c := newJoinCache(1 << 20)
+	defer c.release()
 	key := joinKey{digest: 1, rr: -1}
-	if !c.put(key, log, granted, horizon, 12, false) {
+	if !c.put(key, log, &last, horizon, 12, false) {
 		t.Fatal("put refused the first entry")
 	}
 	next := key
 	allocBound(t, "caching a tail", testing.AllocsPerRun(200, func() {
 		next.digest++
-		c.put(next, log, granted, horizon, 12, false)
+		c.put(next, log, &last, horizon, 12, false)
 	}), 1)
 	ent, ok := c.get(key)
 	if !ok {
 		t.Fatal("get missed the entry just put")
 	}
+	if want := [dporMaxProcs]int32{9, 10, 11, -1, -1, -1, -1, -1}; ent.last != want {
+		t.Errorf("entry's last steps = %v, want %v", ent.last, want)
+	}
 	want := log.Steps()
-	buf := make([]sim.PID, 0, 16)
-	splice := func() {
+	read := func() {
 		log.Reset()
 		for i := 0; i < horizon; i++ {
 			log.BeginStep()
 			log.EndStep(granted[i])
 		}
-		buf = c.splice(ent, log, append(buf[:0], granted[:horizon]...))
-	}
-	splice()
-	allocBound(t, "join splice", testing.AllocsPerRun(100, splice), 0)
-	if log.Steps() != want || len(buf) != len(granted) {
-		t.Fatalf("spliced run has %d steps and %d grants, want %d and %d", log.Steps(), len(buf), want, len(granted))
-	}
-	for i := horizon; i < want; i++ {
-		// Even steps read a and write b, odd steps only read a.
-		p, accs := log.Step(i)
-		if p != granted[i] || len(accs) != 2-i%2 {
-			t.Fatalf("spliced step %d = %v %v", i, p, accs)
+		for k := 0; k < want-horizon; k++ {
+			c.readStep(&ent, k, log)
 		}
 	}
+	read()
+	allocBound(t, "reading a cached tail", testing.AllocsPerRun(100, read), 0)
+	if log.Steps() != want {
+		t.Fatalf("joined run has %d steps, want %d", log.Steps(), want)
+	}
+	for i := horizon; i < want; i++ {
+		p, accs := log.Step(i)
+		if p != granted[i] || len(accs) != 2-i%2 {
+			t.Fatalf("tail step %d = %v %v", i, p, accs)
+		}
+	}
+}
+
+// TestJoinCacheRecycled: a cache back from the pool holds no entry of the
+// search it served before and is not capped, and caching the same tails
+// into it again allocates nothing.
+func TestJoinCacheRecycled(t *testing.T) {
+	// The pool hands a cache back to the P that released it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const horizon = 4
+	log, _, last := tailLog()
+	keys := make([]joinKey, 8)
+	for i := range keys {
+		keys[i] = joinKey{digest: uint64(i + 1), rr: -1}
+	}
+	fill := func(c *joinCache) {
+		for _, k := range keys {
+			c.put(k, log, &last, horizon, 12, false)
+		}
+	}
+	var c *joinCache
+	for attempt := 0; ; attempt++ {
+		used := newJoinCache(len(keys) - 1)
+		fill(used)
+		if !used.capped {
+			t.Fatal("a cache refusing an entry is not capped")
+		}
+		used.release()
+		if c = newJoinCache(1 << 20); c == used {
+			break
+		}
+		// Under the race detector the pool drops a share of what it is given.
+		c.release()
+		if attempt == 100 {
+			t.Fatal("the pool never handed a released cache back")
+		}
+	}
+	for _, k := range keys {
+		if _, ok := c.get(k); ok {
+			t.Errorf("recycled cache still holds key %v", k)
+		}
+	}
+	if c.capped || len(c.tailPID) != 0 || len(c.tailAccEnd) != 0 || len(c.accs) != 0 {
+		t.Errorf("recycled cache: capped=%v, arenas %d/%d/%d long; want uncapped and empty",
+			c.capped, len(c.tailPID), len(c.tailAccEnd), len(c.accs))
+	}
+	fill(c)
+	c.release()
+	allocBound(t, "caching the same tails into a recycled cache", testing.AllocsPerRun(20, func() {
+		c := newJoinCache(1 << 20)
+		fill(c)
+		c.release()
+	}), 0)
 }
 
 // TestRecordedRunAllocBound bounds what one recorded explorer run allocates
@@ -202,15 +273,7 @@ func TestJoinSpliceAllocBound(t *testing.T) {
 func TestRecordedRunAllocBound(t *testing.T) {
 	const label = "failure-free(n=3)/U={p1,p3} pre[{p1}<14]"
 	cfg := Config{System: Fig1System(3), MaxDepth: 12, Budget: 2048, SwitchBudget: 1}.withDefaults()
-	var job Job
-	for _, j := range enumerateJobs(cfg) {
-		if j.Label() == label {
-			job = j
-		}
-	}
-	if job.Label() != label {
-		t.Fatalf("no configuration %s", label)
-	}
+	job := configJob(t, cfg, label)
 	e := &explorer{cfg: cfg, seen: make(map[string]bool)}
 	var runs int64
 	allocs := testing.AllocsPerRun(2, func() {

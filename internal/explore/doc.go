@@ -62,6 +62,13 @@
 //   - Sleep sets carry fully-explored siblings down the tree: a sibling
 //     stays asleep along independent steps and is woken by the first
 //     conflicting one. Sleep-set skips count as Result.Pruned.
+//   - The race analysis of a run stops at happens-before saturation: once
+//     every process that steps again has a vector clock dominating the
+//     per-process step counts of the branch nodes (the steps within
+//     MaxDepth), no later step can race with a branch node, and races
+//     whose earlier step lies past the branch nodes insert nothing anyway.
+//     The cutoff loses no race and adds none; it only skips the walk of
+//     the rest of the run.
 //   - State-hash joins: when MaxDepth < Budget, every step of every run
 //     beyond the horizon is pure round-robin, so two runs that reach the
 //     horizon in the same joint state run identical tails. Each run's state
@@ -72,7 +79,8 @@
 //     horizon. The digest covers the detector environment too: each flip
 //     writes its history object with the post-flip output's fingerprint
 //     (sim.QuerySeam.OnStep). A later run hitting a seen key stops at the
-//     horizon and splices the recorded tail, counted in Result.Joined.
+//     horizon, counted in Result.Joined, and its race analysis reads the
+//     recorded tail step by step as far as it walks.
 //     Soundness: crashes and flips fire at *absolute* times — the flips
 //     still pending at the horizon are the same for every run of a
 //     configuration — and machines consult time only through the query

@@ -419,8 +419,11 @@ func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (viol
 	if s.truncated {
 		e.truncated.Store(true)
 	}
-	if s.joins != nil && s.joins.capped {
-		e.stateCapped.Store(true)
+	if s.joins != nil {
+		if s.joins.capped {
+			e.stateCapped.Store(true)
+		}
+		s.joins.release()
 	}
 	return s.violations, s.runs
 }

@@ -1,6 +1,10 @@
 package explore
 
-import "weakestfd/internal/sim"
+import (
+	"sync"
+
+	"weakestfd/internal/sim"
+)
 
 // State-hash join cache for the source-DPOR engine: when two explored
 // prefixes of one (pattern, oracle) configuration commute into the same
@@ -38,16 +42,25 @@ import "weakestfd/internal/sim"
 // after h fire at absolute times fixed by the configuration — the same for
 // every run sharing the cache — so equal keys imply the continuations are
 // *identical runs*, step for step — not merely equivalent. The joiner
-// therefore stops executing at h, splices the cached tail's access trace
-// into its log (so the race analysis that drives further branching sees the
-// complete run), counts the cached tail's step/settledness facts, and skips
-// property checking: the first visitor checked the identical run, and the
-// explorer deduplicates violations per (pattern, oracle, property), so a
-// joiner's checks can contribute nothing the first visitor's did not.
+// therefore stops executing at h, counts the cached tail's step and
+// settledness facts, and skips property checking: the first visitor checked
+// the identical run, and the explorer deduplicates violations per (pattern,
+// oracle, property), so a joiner's checks can contribute nothing the first
+// visitor's did not. Its race analysis reads the cached tail's access trace
+// into the log one step at a time, and stops where the saturation rule of
+// source.go shows that no later race reaches a branch node: every process
+// that steps again has a vector clock dominating the branch nodes' steps.
+// Each entry keeps every process's last step index in its tail for that
+// rule. No tail grant is ever read — the stack ends at the horizon, and only
+// executed runs hand their schedule to the shrinker — so the cache keeps
+// none.
 //
 // The cache is bounded by Config.MaxStates entries per configuration; once
 // full it stops admitting new states (Result.StateCapped) but keeps probing
-// existing ones — joins degrade, coverage does not.
+// existing ones — joins degrade, coverage does not. Caches are recycled
+// across configurations through a sync.Pool: an extract-omega configuration
+// caches ~75 tails of ~750 steps, and a recycled cache keeps its map's and
+// arenas' capacity.
 
 // joinKey identifies a state at the branch horizon.
 type joinKey struct {
@@ -67,14 +80,16 @@ func pidSeqFP(pids []sim.PID) uint64 {
 }
 
 // joinEntry is the reusable continuation of a state: where its tail's
-// grants and access trace sit in the cache's arenas, and the run facts the
-// joiner reports instead of measuring.
+// access trace sits in the cache's arenas, and the run facts the joiner
+// reports instead of measuring.
 type joinEntry struct {
-	grants, grantsEnd int32 // the tail's grants: joinCache.grants[grants:grantsEnd]
-	tail, tailEnd     int32 // the tail's steps: tailPID/tailAccEnd[tail:tailEnd]
-	accs              int32 // where the first tail step's accesses start
-	steps             int64
-	settled           bool
+	tail, tailEnd int32 // the tail's steps: tailPID/tailAccEnd[tail:tailEnd]
+	accs          int32 // where the first tail step's accesses start
+	// last[p] is the run's index of p's last step in the tail, -1 when p
+	// takes none there.
+	last    [dporMaxProcs]int32
+	steps   int64
+	settled bool
 }
 
 // joinCache maps horizon states to their continuations for one
@@ -88,14 +103,30 @@ type joinCache struct {
 	m      map[joinKey]joinEntry
 	capped bool
 
-	grants     []sim.PID
 	tailPID    []sim.PID
 	tailAccEnd []int32
 	accs       []sim.Access
 }
 
+// joinCaches holds the caches of finished searches for the next ones.
+var joinCaches = sync.Pool{New: func() any {
+	return &joinCache{m: make(map[joinKey]joinEntry)}
+}}
+
+// newJoinCache returns an empty cache admitting max entries, recycled from
+// an earlier search when the pool has one.
 func newJoinCache(max int) *joinCache {
-	return &joinCache{max: max, m: make(map[joinKey]joinEntry)}
+	c := joinCaches.Get().(*joinCache)
+	clear(c.m)
+	c.max, c.capped = max, false
+	c.tailPID, c.tailAccEnd, c.accs = c.tailPID[:0], c.tailAccEnd[:0], c.accs[:0]
+	return c
+}
+
+// release hands the cache back to the pool once its search has ended; the
+// caller must not use it afterwards.
+func (c *joinCache) release() {
+	joinCaches.Put(c)
 }
 
 // get returns the cached continuation for key, reporting whether it exists.
@@ -105,22 +136,25 @@ func (c *joinCache) get(key joinKey) (joinEntry, bool) {
 }
 
 // put records a continuation: the tail portion of the log (steps from
-// horizon on) and of the grant sequence, copied into the arenas. Returns
-// false when the entry cap is hit (the state is not admitted).
-func (c *joinCache) put(key joinKey, log *sim.AccessLog, granted []sim.PID, horizon int, steps int64, settled bool) bool {
+// horizon on), copied into the arenas, and from last, each process's last
+// step index where it lies in the tail. Returns false when the entry cap is
+// hit (the state is not admitted).
+func (c *joinCache) put(key joinKey, log *sim.AccessLog, last *[dporMaxProcs]int32, horizon int, steps int64, settled bool) bool {
 	if len(c.m) >= c.max {
 		c.capped = true
 		return false
 	}
 	ent := joinEntry{
-		grants:  int32(len(c.grants)),
 		tail:    int32(len(c.tailPID)),
 		accs:    int32(len(c.accs)),
 		steps:   steps,
 		settled: settled,
 	}
-	if horizon < len(granted) {
-		c.grants = append(c.grants, granted[horizon:]...)
+	for p, l := range last {
+		ent.last[p] = -1
+		if int(l) >= horizon {
+			ent.last[p] = l
+		}
 	}
 	for i := horizon; i < log.Steps(); i++ {
 		p, acc := log.Step(i)
@@ -128,20 +162,18 @@ func (c *joinCache) put(key joinKey, log *sim.AccessLog, granted []sim.PID, hori
 		c.accs = append(c.accs, acc...)
 		c.tailAccEnd = append(c.tailAccEnd, int32(len(c.accs)))
 	}
-	ent.grantsEnd = int32(len(c.grants))
 	ent.tailEnd = int32(len(c.tailPID))
 	c.m[key] = ent
 	return true
 }
 
-// splice appends the entry's tail to a joined run: its steps to log and its
-// grants to granted, which it returns extended.
-func (c *joinCache) splice(ent joinEntry, log *sim.AccessLog, granted []sim.PID) []sim.PID {
+// readStep appends step k (0-based) of the entry's tail to a joined run's
+// log.
+func (c *joinCache) readStep(ent *joinEntry, k int, log *sim.AccessLog) {
+	i := ent.tail + int32(k)
 	start := ent.accs
-	for i := ent.tail; i < ent.tailEnd; i++ {
-		end := c.tailAccEnd[i]
-		log.AppendStep(c.tailPID[i], c.accs[start:end])
-		start = end
+	if k > 0 {
+		start = c.tailAccEnd[i-1]
 	}
-	return append(granted, c.grants[ent.grants:ent.grantsEnd]...)
+	log.AppendStep(c.tailPID[i], c.accs[start:c.tailAccEnd[i]])
 }

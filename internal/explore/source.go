@@ -38,15 +38,29 @@ import (
 // access set, stays asleep along independent steps, is woken by the first
 // conflicting one, and is never re-explored while asleep.
 //
+// The analysis of a run stops where no race can reach the search any more.
+// Let h be the stack depth after the run (the steps that are branch nodes)
+// and F[r] the number of process r's steps among the first h. A race check
+// at a later step compares the stepping process's pre-step clock with the
+// step count of the earlier step's process at that step; when the earlier
+// step is a branch node that count is at most F of its process, and when it
+// is not, raceReversal discards the race at its first line. Clocks only
+// grow, so once every process that steps again has a clock dominating F no
+// later check can fire, and the per-step clocks the wakeup construction
+// reads never lie past a race's later step: analyze returns after the first
+// step at or past h-1 where that holds, and every race it hands on is one
+// the complete walk would have found, in the same order.
+//
 // On top of the source-set search sits the state-hash join layer (hash.go):
 // with a finite branch horizon (Config.MaxDepth < Budget) every run's tail
 // beyond the horizon is a deterministic fair round-robin, so runs whose
 // prefixes commute into the same horizon state share their tail. The first
 // run to reach a state executes and caches the tail; later runs stop at the
-// horizon, splice the cached tail into their access log (race analysis
-// still sees complete runs) and skip re-checking properties the first
-// visitor already checked on the identical continuation. Result.Joined
-// counts the spliced runs; Config.NoHash disables the layer for
+// horizon, and the race analysis reads the cached tail into their access
+// log one step at a time as its walk reaches it, so the part past the
+// cutoff above is never copied. Joined runs skip re-checking properties the
+// first visitor already checked on the identical continuation.
+// Result.Joined counts them; Config.NoHash disables the layer for
 // differential testing.
 
 // dporMaxProcs bounds the vector-clock width. The CLI caps exploration at
@@ -64,6 +78,16 @@ func (a vclock) join(b vclock) vclock {
 		}
 	}
 	return a
+}
+
+// covers reports whether a dominates b entry by entry.
+func (a vclock) covers(b vclock) bool {
+	for i := range a {
+		if a[i] < b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // sleeper is one sleep-set entry: a process whose subtree is fully explored
@@ -86,14 +110,17 @@ func sleepContains(sleep []sleeper, p sim.PID) bool {
 // runRecord is the schedule of the engine's runs and their scheduling
 // transcript at once: a sim.FixedSchedule replays the forced prefix and
 // closes the run with its fresh round-robin tail, and the record keeps the
-// grant and enabled set of every step for the post-run dependency analysis.
-// One record serves every run of a configuration; reset rewinds it, keeping
-// its buffers. The join key's rotation component relies on the tail's
-// rotation starting fresh on every run.
+// grant and enabled set of every step for the post-run dependency analysis,
+// and each process's last step for the analysis's cutoff. One record serves
+// every run of a configuration; reset rewinds it, keeping its buffers. The
+// join key's rotation component relies on the tail's rotation starting
+// fresh on every run.
 type runRecord struct {
 	sched   sim.FixedSchedule
 	granted []sim.PID
 	enabled []sim.Set
+	// last[p] is the index of p's last step, -1 while p has not stepped.
+	last [dporMaxProcs]int32
 }
 
 // reset starts the next run, forced into prefix.
@@ -101,11 +128,15 @@ func (r *runRecord) reset(prefix []sim.PID) {
 	r.sched = sim.FixedSchedule{Prefix: prefix}
 	r.granted = r.granted[:0]
 	r.enabled = r.enabled[:0]
+	for p := range r.last {
+		r.last[p] = -1
+	}
 }
 
 // Next implements sim.Schedule.
 func (r *runRecord) Next(t sim.Time, enabled sim.Set) sim.PID {
 	pick := r.sched.Next(t, enabled)
+	r.last[pick] = int32(len(r.granted))
 	r.granted = append(r.granted, pick)
 	r.enabled = append(r.enabled, enabled)
 	return pick
@@ -178,6 +209,13 @@ type srcSearch struct {
 	// probe depth (Config.MaxDepth), 0 when hashing is off.
 	joins   *joinCache
 	horizon int
+	// rec is the schedule and transcript of the current run. A joined run's
+	// log stops at the horizon: tailed is set, tail is the cached
+	// continuation analyze reads on demand, and rec.last already counts the
+	// tail's steps.
+	rec    runRecord
+	tail   joinEntry
+	tailed bool
 
 	runs       int64
 	violations int64
@@ -189,6 +227,13 @@ type srcSearch struct {
 // sourceConfig runs the source-DPOR DFS for one (pattern, oracle)
 // configuration.
 func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSearch {
+	return e.search(pattern, oracle, func(s *srcSearch) { s.analyze(len(s.stack)) })
+}
+
+// search is sourceConfig with the race analysis of each run passed in: the
+// seam through which a test checks analyze's cutoff against a walk of every
+// complete run.
+func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func(*srcSearch)) *srcSearch {
 	n := e.cfg.System.N()
 	if n > dporMaxProcs {
 		panic(fmt.Sprintf("explore: source-DPOR supports n <= %d, got %d", dporMaxProcs, n))
@@ -206,9 +251,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 	// the whole configuration, and so is the run record — both sit on the
 	// per-run hot path.
 	var prefix []sim.PID
-	rec := &runRecord{}
-	var hit joinEntry
-	var joined, probed bool
+	rec := &s.rec
+	var probed bool
 	var probeKey joinKey
 	var stop func(sim.Time) bool
 	if s.horizon > 0 {
@@ -226,8 +270,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 				// they agree on the pending suffix too.
 				probeKey.pending = pidSeqFP(prefix[s.horizon:])
 			}
-			hit, joined = s.joins.get(probeKey)
-			return joined
+			s.tail, s.tailed = s.joins.get(probeKey)
+			return s.tailed
 		}
 	}
 	for {
@@ -240,25 +284,28 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 		}
 		rec.reset(prefix)
 		s.log.Reset()
-		joined, probed = false, false
+		s.tailed, probed = false, false
 
 		run := execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, s.log, stop)
 		s.seam = run.seam
 		s.hasFlips = s.seam.FlipsRemaining(0) > 0
 		s.runs++
 		e.runs.Add(1)
-		if joined {
-			// Joined run: splice the cached tail so the race analysis sees
-			// the complete run, and account the first visitor's facts. The
-			// first visitor also checked the identical continuation, so no
-			// property check here.
-			rec.granted = s.joins.splice(hit, s.log, rec.granted)
+		if s.tailed {
+			// Joined run: the race analysis reads the cached tail, and the
+			// run reports the first visitor's facts. The first visitor also
+			// checked the identical continuation, so no property check here.
+			for p, l := range s.tail.last {
+				if l >= 0 {
+					rec.last[p] = l
+				}
+			}
 			s.joined++
 			e.joined.Add(1)
-			if hit.settled {
+			if s.tail.settled {
 				e.settled.Add(1)
 			}
-			bumpMax(&e.maxSteps, hit.steps)
+			bumpMax(&e.maxSteps, s.tail.steps)
 		} else {
 			// The schedule aliases the record's buffer, valid until the
 			// next run: everything that keeps it (the shrinker) copies it.
@@ -269,7 +316,7 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			bumpMax(&e.maxSteps, run.Report.Steps)
 			s.violations += e.check(run, pattern, oracle)
 			if probed {
-				s.joins.put(probeKey, s.log, rec.granted, s.horizon, run.Report.Steps, run.OutputsSettled)
+				s.joins.put(probeKey, s.log, &rec.last, s.horizon, run.Report.Steps, run.OutputsSettled)
 			}
 		}
 		if rec.sched.Diverged() {
@@ -282,8 +329,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			panic(fmt.Sprintf("explore: source-DPOR prefix diverged on %s under %s, %s (non-deterministic system?)",
 				e.cfg.System.Name(), patternLabel(pattern), oracle.Name))
 		}
-		s.extend(rec)
-		s.analyze()
+		s.extend()
+		analyze(s)
 		var ok bool
 		prefix, ok = s.nextPrefix(prefix)
 		if !ok {
@@ -297,7 +344,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 // steps beyond the current stack (up to MaxDepth) — which include the forced
 // wakeup tail, each node seeded with its executed step as the first covered
 // alternative.
-func (s *srcSearch) extend(rec *runRecord) {
+func (s *srcSearch) extend() {
+	rec := &s.rec
 	steps := s.log.Steps()
 	if k := len(s.stack); k > 0 {
 		nd := &s.stack[k-1]
@@ -351,8 +399,15 @@ func inheritSleep(parent *srcNode) []sleeper {
 // write and every process's last read since it (older accesses are ordered
 // transitively through those). Per-step clocks are kept for the notdep
 // computation.
-func (s *srcSearch) analyze() {
-	steps := s.log.Steps()
+//
+// The walk stops after the first step i >= h-1 at which every process that
+// steps again after i has a clock dominating F, each process's step count
+// over the first h steps (the saturation rule in the header above); the
+// search passes its stack depth for h. A joined run's cached tail is read
+// into the log step by step as the walk reaches it. analyze returns the
+// number of steps it walked.
+func (s *srcSearch) analyze(h int) int {
+	steps := s.steps()
 	s.gen++
 	if cap(s.stepClk) < steps {
 		s.stepClk = make([]vclock, steps)
@@ -361,8 +416,12 @@ func (s *srcSearch) analyze() {
 	s.stepClk = s.stepClk[:steps]
 	s.stepSC = s.stepSC[:steps]
 	var clk [dporMaxProcs]vclock
-	var scount [dporMaxProcs]int32
+	var scount, frontier vclock
+	var sat sim.Set // processes whose clock dominates frontier
 	for i := 0; i < steps; i++ {
+		if i == s.log.Steps() {
+			s.joins.readStep(&s.tail, i-s.horizon, s.log)
+		}
 		pid, accs := s.log.Step(i)
 		p := int(pid)
 		// 1. Race detection against the pre-step clock.
@@ -411,7 +470,45 @@ func (s *srcSearch) analyze() {
 				o.rIdx[p], o.rSC[p], o.rClk[p] = int32(i), scount[p], c
 			}
 		}
+		// 4. Stop once no later race check can fire.
+		switch {
+		case i < h-1:
+			continue
+		case i == h-1:
+			frontier = scount
+			for q := 0; q < s.n; q++ {
+				if clk[q].covers(frontier) {
+					sat = sat.Add(sim.PID(q))
+				}
+			}
+		case !sat.Has(pid) && c.covers(frontier):
+			sat = sat.Add(pid)
+		}
+		if s.saturated(i, sat) {
+			return i + 1
+		}
 	}
+	return steps
+}
+
+// steps is the length of the run under analysis: the log's, or for a joined
+// run the horizon plus the cached tail's.
+func (s *srcSearch) steps() int {
+	if s.tailed {
+		return s.horizon + int(s.tail.tailEnd-s.tail.tail)
+	}
+	return s.log.Steps()
+}
+
+// saturated reports whether every process that steps after step i is in
+// sat.
+func (s *srcSearch) saturated(i int, sat sim.Set) bool {
+	for q := 0; q < s.n; q++ {
+		if int(s.rec.last[q]) > i && !sat.Has(sim.PID(q)) {
+			return false
+		}
+	}
+	return true
 }
 
 // obj returns the analysis entry for id in the current run (generation),

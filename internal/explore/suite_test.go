@@ -8,11 +8,9 @@ import "testing"
 // untruncated sweep. A reduction fault that drops (or adds) schedules
 // changes these counts even when the violation sets — empty on the real
 // protocols — cannot show it; an off-by-one in the flip-anchoring rule, for
-// one, loses 11.6% of the extraction's runs. The two n=3 systems of 192,966
-// runs each are pinned by the benchmark's suitePins instead: CI's
-// explore-smoke job runs one unit of its suite-sb1 workload (`bash
-// perfbench/run.sh --workload suite-sb1 --seed 1 --seconds 1 --trace 0`),
-// which exits 1 when any system's count drifts.
+// one, loses 11.6% of the extraction's runs. All seven systems are pinned,
+// 463,666 runs in all, the same counts the benchmark's suite-sb1 workload
+// pins.
 func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("switch-budget-1 suite skipped under -short")
@@ -24,7 +22,9 @@ func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	}
 	pins := map[string]pin{
 		"fig1/n=2/f=1":           {50, 4602, 1996, 8378, 69, 0},
+		"fig1/n=3/f=2":           {1482, 192966, 134388, 396006, 64, 0},
 		"fig2/n=3/f=1":           {147, 28812, 19107, 56436, 106, 0},
+		"fig2/n=3/f=2":           {1482, 192966, 134388, 396006, 70, 0},
 		"extract-omega/n=3/f=2":  {135, 43734, 33577, 63300, 768, 43734},
 		"composed/n=2/f=1":       {18, 518, 242, 594, 175, 0},
 		"timed-composed/n=2/f=1": {5, 68, 0, 89, 126, 0},
@@ -52,5 +52,26 @@ func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	}
 	if seen != len(pins) {
 		t.Fatalf("DefaultSweep covered %d of the %d pinned systems", seen, len(pins))
+	}
+}
+
+// TestJoinCachesAcrossWorkers sweeps the fig1 n=2 system of DefaultSweep at
+// switch budget 1 with one lab worker and with four: the pooled join caches
+// pass between the configurations' searches, on as many goroutines as there
+// are workers, and the result must not depend on it. CI's race job runs it
+// ten times under the race detector.
+func TestJoinCachesAcrossWorkers(t *testing.T) {
+	cfg := DefaultSweep()[0]
+	if label := sweepLabel(cfg); label != "fig1/n=2/f=1" {
+		t.Fatalf("DefaultSweep()[0] is %s, want fig1/n=2/f=1", label)
+	}
+	cfg.SwitchBudget = 1
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		res := Explore(cfg)
+		got := [4]int64{int64(res.Configs), res.Runs, res.Joined, res.Pruned}
+		if want := [4]int64{50, 4602, 1996, 8378}; got != want {
+			t.Errorf("%d workers: configs/runs/joined/pruned = %v, want %v", workers, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -30,14 +31,15 @@ func TestMain(m *testing.M) {
 	case "die-now":
 		os.Exit(1)
 	case "die-once":
-		// Crash the first process to reach the marker, behave on respawn:
-		// the deterministic worker-death recovery scenario.
+		// Crash the first worker right after its first progress frame,
+		// while it holds a shard, and behave on respawn: the deterministic
+		// worker-death recovery scenario.
 		marker := os.Getenv("WEAKESTFD_FLEET_TEST_MARKER")
+		var out io.Writer = os.Stdout
 		if _, err := os.Stat(marker); err != nil {
-			os.WriteFile(marker, []byte("died"), 0o644)
-			os.Exit(1)
+			out = dieAfterProgress{w: os.Stdout, marker: marker}
 		}
-		if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+		if err := WorkerMain(os.Stdin, out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -46,6 +48,25 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, "unknown WEAKESTFD_FLEET_TEST_MODE")
 		os.Exit(2)
 	}
+}
+
+// dieAfterProgress passes a worker's output through to w and, once a
+// progress frame has been written in full, writes the marker file and exits
+// the process. The coordinator then still reads the frame, and the worker
+// dies holding the frame's shard. The worker flushes every frame in one
+// write.
+type dieAfterProgress struct {
+	w      io.Writer
+	marker string
+}
+
+func (d dieAfterProgress) Write(p []byte) (int, error) {
+	n, err := d.w.Write(p)
+	if err == nil && bytes.Contains(p, []byte(`"type":"progress"`)) {
+		os.WriteFile(d.marker, []byte("died"), 0o644)
+		os.Exit(1)
+	}
+	return n, err
 }
 
 // workerCmd re-execs this test binary in the given worker mode.
@@ -268,18 +289,21 @@ func TestFleetResumeRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerDeathRecovery crashes the only worker once mid-sweep; the
-// coordinator must requeue its shard, respawn, and still converge to the
-// single-process result.
+// TestFleetWorkerDeathRecovery kills the only worker right after its first
+// progress frame reaches the coordinator, so the worker dies holding a
+// shard with a job finished; the coordinator must requeue the shard,
+// respawn, and still converge to the single-process result.
 func TestFleetWorkerDeathRecovery(t *testing.T) {
 	spec := garbledSpec()
 	single := singleProcess(t, spec)
 	marker := filepath.Join(t.TempDir(), "died")
 	t.Setenv("WEAKESTFD_FLEET_TEST_MARKER", marker)
+	var lines []string
 	sum, err := Run(Options{
-		Spec:      spec,
-		Procs:     1,
-		WorkerCmd: workerCmd(t, "die-once"),
+		Spec:       spec,
+		Procs:      1,
+		WorkerCmd:  workerCmd(t, "die-once"),
+		OnProgress: func(line string) { lines = append(lines, line) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +313,13 @@ func TestFleetWorkerDeathRecovery(t *testing.T) {
 	}
 	if sum.Workers < 2 {
 		t.Errorf("launched %d workers, want the dead one plus a respawn", sum.Workers)
+	}
+	requeued := false
+	for _, l := range lines {
+		requeued = requeued || strings.Contains(l, "requeued jobs")
+	}
+	if !requeued {
+		t.Errorf("no progress line reports requeued jobs; the worker died holding no shard:\n%s", strings.Join(lines, "\n"))
 	}
 	assertResultsEqual(t, sum.Result, single)
 }

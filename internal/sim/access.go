@@ -223,10 +223,12 @@ func (l *AccessLog) StateDigest() uint64 {
 }
 
 // AppendStep injects a step span that was not executed in this run — the
-// explorer's state-hash join replays the cached tail of an equivalent
-// earlier run into the log so the post-run race analysis sees a complete
-// trace. Digest state is deliberately not advanced: joins happen at the
-// branch horizon, after which no digest is taken. Nil-safe no-op.
+// explorer's race analysis reads the cached tail of an identical earlier
+// run into a joined run's log one step at a time, as far as its walk goes:
+// it stops once every process still to step is happens-after every
+// branch-node step, since no later race can reach the search. Digest state
+// is deliberately not advanced: joins happen at the branch horizon, after
+// which no digest is taken. Nil-safe no-op.
 func (l *AccessLog) AppendStep(p PID, accs []Access) {
 	if l == nil {
 		return
