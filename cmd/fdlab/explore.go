@@ -155,13 +155,11 @@ func replayArtifact(out io.Writer, in string, trace bool) int {
 		return 1
 	}
 	fmt.Fprintf(out, "violation reproduced: %v\n", violation)
-	// Classify the replayed run live — for schema-3 artifacts this
-	// cross-checks the recorded verdict, for older schemas it is the only
-	// classification the user sees.
+	// Classify the replayed run live to cross-check the recorded verdict.
 	fp := explore.Classify(run, a.Property)
 	fmt.Fprintf(out, "failure pattern: %s — %s\n", fp.Name, fp.Signature)
 	fmt.Fprintf(out, "  %s\n", fp.Narrative)
-	if a.PatternName != "" && a.PatternName != fp.Name {
+	if a.PatternName != fp.Name {
 		fmt.Fprintf(out, "WARNING: artifact records pattern %q but the replayed run classifies as %q (classifier drift?)\n",
 			a.PatternName, fp.Name)
 	}

@@ -63,7 +63,7 @@ func TestReplayTraceIncludesNarrative(t *testing.T) {
 // protocol: nothing violates, so the CLI must exit 1 and say so.
 func TestReplayNonReproductionExitsOne(t *testing.T) {
 	a := &explore.Artifact{
-		Schema:       1,
+		Schema:       3,
 		System:       "fig1",
 		N:            2,
 		F:            1,
@@ -73,6 +73,7 @@ func TestReplayNonReproductionExitsOne(t *testing.T) {
 		Schedule:     []int{0, 1, 0, 1},
 		Property:     "agreement",
 		Violation:    "hand-written: never reproduces against the correct protocol",
+		PatternName:  "wrong-adopt-order",
 	}
 	path := filepath.Join(t.TempDir(), "stale.json")
 	if err := a.WriteFile(path); err != nil {

@@ -29,7 +29,6 @@ type sweepFlags struct {
 	crashTimes   *string
 	switchBudget *int
 	flipTimes    *string
-	sym          *bool
 	maxViol      *int
 }
 
@@ -37,7 +36,7 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 	return &sweepFlags{
 		system:       fs.String("system", "fig1", "system under exploration: "+strings.Join(explore.SystemNames(), "|")),
 		n:            fs.Int("n", 3, "number of processes (2..5)"),
-		f:            fs.Int("f", 0, "resilience for fig2 (default n-1)"),
+		f:            fs.Int("f", 0, "resilience: the sweep explores E_f, crash patterns with at most f crashes, and fig2 solves f-set agreement (default n-1)"),
 		noHash:       fs.Bool("no-hash", false, "disable the state-hash join layer (pure source-DPOR)"),
 		maxStates:    fs.Int("max-states", 0, "cap the join cache entries per configuration (0 = default 16384)"),
 		maxDepth:     fs.Int("max-depth", 0, "branch-depth horizon; runs finish under a fair round-robin tail past it (0 = the step budget: full depth, no fair tail, refused for systems that check termination-of-correct)"),
@@ -46,7 +45,6 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		crashTimes:   fs.String("crash-times", "0,3", "crash-time grid, comma-separated"),
 		switchBudget: fs.Int("switch-budget", 0, "max pre-stabilization output switches per detector history (0 = stable-from-0 histories only)"),
 		flipTimes:    fs.String("flip-times", "2,14", "flip-time grid for -switch-budget > 0, comma-separated"),
-		sym:          fs.Bool("sym", false, "collapse crash sets up to process renaming (quick-scan heuristic, not a sound reduction)"),
 		maxViol:      fs.Int("max-violations", 4, "stop after this many distinct violations (per worker process under fdlab fleet)"),
 	}
 }
@@ -101,7 +99,6 @@ func (sf *sweepFlags) spec() fleet.Spec {
 		CrashTimes:    grid,
 		SwitchBudget:  *sf.switchBudget,
 		FlipTimes:     fgrid,
-		Symmetry:      *sf.sym,
 		MaxViolations: *sf.maxViol,
 	}
 }

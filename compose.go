@@ -27,8 +27,6 @@ type ComposeConfig struct {
 	StabilizeAt int64
 	// Seed drives noise and the random schedule.
 	Seed int64
-	// Schedule selects the adversary; default RandomSchedule.
-	Schedule ScheduleKind
 	// Budget caps the run. Default 2^22 (the composition pays for both the
 	// reduction's and the protocol's steps).
 	Budget int64
@@ -84,7 +82,7 @@ func SolveWithStableDetector(cfg ComposeConfig) (*SetAgreementResult, error) {
 	}
 	simCfg := sim.Config{
 		Pattern:  pattern,
-		Schedule: scheduleOf(cfg.Schedule, cfg.Seed),
+		Schedule: sim.NewRandom(cfg.Seed),
 		Budget:   budget,
 	}
 	rep, runErr := sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))

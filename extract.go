@@ -59,8 +59,6 @@ type ExtractConfig struct {
 	CrashAt map[int]int64
 	// Seed drives noise, stable choices and the random schedule.
 	Seed int64
-	// Schedule selects the adversary; default RandomSchedule.
-	Schedule ScheduleKind
 	// BatchSlack, if positive, replaces φ_Ω's w(σ) = 0 with this value,
 	// exercising the reduction's batch-counting path (Omega only).
 	BatchSlack int
@@ -139,7 +137,7 @@ func ExtractUpsilon(cfg ExtractConfig) (*ExtractResult, error) {
 	trace := check.NewOutputTrace[sim.Set](cfg.N, ex.OutputAt)
 	simCfg := sim.Config{
 		Pattern:  pattern,
-		Schedule: scheduleOf(cfg.Schedule, cfg.Seed),
+		Schedule: sim.NewRandom(cfg.Seed),
 		Budget:   budget,
 		StopWhen: trace.Hook(),
 	}

@@ -17,23 +17,59 @@ import (
 //	Agreement:   at most k distinct values were decided,
 //	Validity:    every decided value was proposed.
 func SetAgreement(rep *sim.Report, pattern sim.Pattern, k int, proposals []sim.Value) error {
-	for _, p := range pattern.Correct().Members() {
+	if err := TerminationOfCorrect(rep, pattern); err != nil {
+		return fmt.Errorf("check: termination violated: %w", err)
+	}
+	if err := AtMostK(rep, k); err != nil {
+		return fmt.Errorf("check: agreement violated: %w", err)
+	}
+	if err := Validity(rep, proposals); err != nil {
+		return fmt.Errorf("check: validity violated: %w", err)
+	}
+	return nil
+}
+
+// TerminationOfCorrect reports the lowest correct process that did not
+// decide.
+func TerminationOfCorrect(rep *sim.Report, pattern sim.Pattern) error {
+	for s := pattern.Correct(); s != 0; s &= s - 1 {
+		p := s.Min()
 		if _, ok := rep.Decided[p]; !ok {
-			return fmt.Errorf("check: termination violated: correct %v did not decide", p)
+			return fmt.Errorf("correct %v did not decide within %d steps", p, rep.Steps)
 		}
 	}
-	decided := rep.DecidedValues()
+	return nil
+}
+
+// AtMostK reports more than k distinct decided values — the Agreement
+// property of k-set agreement.
+func AtMostK(rep *sim.Report, k int) error {
+	var scratch [sim.MaxProcs]sim.Value
+	decided := rep.DecidedValuesAppend(scratch[:0])
 	if len(decided) > k {
-		return fmt.Errorf("check: agreement violated: %d > %d distinct decisions %v", len(decided), k, decided)
+		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(decided), decided, k)
 	}
+	return nil
+}
+
+// Validity reports the lowest process that decided a value nobody
+// proposed. Taking the minimum, not the first offender met, keeps the
+// message independent of map order: explorer artifacts record it and the
+// lab fingerprint hashes the facade's errors.
+func Validity(rep *sim.Report, proposals []sim.Value) error {
 	proposed := make(map[sim.Value]bool, len(proposals))
 	for _, v := range proposals {
 		proposed[v] = true
 	}
+	found := false
+	var first sim.PID
 	for p, v := range rep.Decided {
-		if !proposed[v] {
-			return fmt.Errorf("check: validity violated: %v decided unproposed value %d", p, v)
+		if !proposed[v] && (!found || p < first) {
+			first, found = p, true
 		}
+	}
+	if found {
+		return fmt.Errorf("%v decided unproposed value %d", first, rep.Decided[first])
 	}
 	return nil
 }

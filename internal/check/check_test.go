@@ -46,6 +46,25 @@ func TestSetAgreementValidity(t *testing.T) {
 	}
 }
 
+// TestSetAgreementValidityNamesLowestPID: with several unproposed deciders
+// the message must name the lowest one on every call, whatever order the
+// Decided map iterates in.
+func TestSetAgreementValidityNamesLowestPID(t *testing.T) {
+	pattern := sim.FailFree(4)
+	rep := reportWith(map[sim.PID]sim.Value{0: 10, 1: 91, 2: 92, 3: 93})
+	proposals := []sim.Value{10, 11, 12, 13}
+	msgs := make(map[string]int)
+	for i := 0; i < 200; i++ {
+		if err := SetAgreement(rep, pattern, 4, proposals); err != nil {
+			msgs[err.Error()]++
+		}
+	}
+	want := "check: validity violated: p2 decided unproposed value 91"
+	if len(msgs) != 1 || msgs[want] != 200 {
+		t.Fatalf("200 calls gave messages %v, want only %q", msgs, want)
+	}
+}
+
 func TestConsensusIsOneSetAgreement(t *testing.T) {
 	pattern := sim.FailFree(2)
 	rep := reportWith(map[sim.PID]sim.Value{0: 10, 1: 11})

@@ -24,12 +24,11 @@ type Artifact struct {
 	Proposals []int64 `json:"proposals,omitempty"`
 	// Crashes maps 0-based PIDs (as JSON object keys) to crash times.
 	Crashes map[string]int64 `json:"crashes,omitempty"`
-	// Oracle reconstructs the detector history: its stable set, seed, and
-	// (schema 2) the unstable prefix — the pre-stabilization phases, each
-	// output Out while t < Until.
+	// Oracle reconstructs the detector history: its stable set and the
+	// unstable prefix — the pre-stabilization phases, each output Out while
+	// t < Until.
 	OracleName   string         `json:"oracle"`
 	OracleStable []int          `json:"oracle_stable"`
-	OracleSeed   int64          `json:"oracle_seed,omitempty"`
 	OracleFlips  []ArtifactFlip `json:"oracle_flips,omitempty"`
 	// Budget is the step cap of the run.
 	Budget int64 `json:"budget"`
@@ -39,13 +38,18 @@ type Artifact struct {
 	// Property and Violation record what failed and how.
 	Property  string `json:"property"`
 	Violation string `json:"violation"`
-	// PatternName and Narrative (schema 3) record the named failure pattern
-	// the classifier assigned to the shrunk witness and its human-readable
+	// PatternName and Narrative record the named failure pattern the
+	// classifier assigned to the shrunk witness and its human-readable
 	// story; `fdlab replay` prints both, and the corpus regression tests
 	// assert the classification reproduces.
 	PatternName string `json:"pattern,omitempty"`
 	Narrative   string `json:"narrative,omitempty"`
 }
+
+// artifactSchema versions the artifact format. Schema 1 had no flips and
+// schema 2 no failure-pattern classification; nothing writes either any
+// more, and ReadArtifact refuses them.
+const artifactSchema = 3
 
 // ArtifactFlip is one recorded pre-stabilization phase: the history outputs
 // the set Out (0-based PIDs) while t < Until.
@@ -57,18 +61,14 @@ type ArtifactFlip struct {
 // newArtifact assembles the artifact for one shrunk violation. The recorded
 // configuration is the *witness* configuration — the shrinker may have
 // dropped crashes, shrunk the oracle, and dropped or delayed history flips
-// relative to the discovery run. Every newly emitted artifact is schema 3
-// (classification always present); ReadArtifact still accepts schema 1
-// (stable-from-0, unclassified) and 2 (flips, unclassified) files from
-// earlier explorer versions.
+// relative to the discovery run. F is the E_f the sweep explored.
 func newArtifact(cfg Config, run *Run, property string, w witness, fp FailurePattern) *Artifact {
 	a := &Artifact{
-		Schema:      3,
+		Schema:      artifactSchema,
 		System:      run.System,
 		N:           cfg.System.N(),
 		F:           cfg.System.MaxFaults(),
 		OracleName:  w.oracle.Name,
-		OracleSeed:  w.oracle.Seed,
 		Budget:      cfg.Budget,
 		Property:    property,
 		Violation:   w.message,
@@ -120,33 +120,16 @@ func ReadArtifact(path string) (*Artifact, error) {
 	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if a.Schema < 1 || a.Schema > 3 {
-		return nil, fmt.Errorf("%s: unsupported artifact schema %d", path, a.Schema)
+	if a.Schema != artifactSchema {
+		return nil, fmt.Errorf("%s: unsupported artifact schema %d (this build reads schema %d)", path, a.Schema, artifactSchema)
 	}
-	// The schema is the flip marker: a schema-1 file with flips would replay
-	// as a stable-from-0 history on a pre-flip reader (which drops the
-	// unknown field) and as an unstable one here — reject the divergence.
-	// Schema 3 carries the flip fields natively, so flips are optional there.
-	if a.Schema == 1 && len(a.OracleFlips) > 0 {
-		return nil, fmt.Errorf("%s: schema 1 artifact carries oracle_flips; unstable witnesses are schema 2", path)
+	// A file must name a pattern the library knows, or replay would print
+	// an unverifiable narrative.
+	if a.PatternName == "" {
+		return nil, fmt.Errorf("%s: artifact has no failure pattern", path)
 	}
-	if a.Schema == 2 && len(a.OracleFlips) == 0 {
-		return nil, fmt.Errorf("%s: schema 2 artifact has no oracle_flips; stable witnesses are schema 1", path)
-	}
-	// The schema is likewise the classification marker: pre-classifier
-	// readers would silently drop the pattern fields, so their presence
-	// pins the schema at 3 — and a schema-3 file must name a pattern the
-	// library knows, or replay would print an unverifiable narrative.
-	if a.Schema < 3 && (a.PatternName != "" || a.Narrative != "") {
-		return nil, fmt.Errorf("%s: schema %d artifact carries a failure-pattern classification; classified artifacts are schema 3", path, a.Schema)
-	}
-	if a.Schema == 3 {
-		if a.PatternName == "" {
-			return nil, fmt.Errorf("%s: schema 3 artifact has no failure pattern; unclassified artifacts are schema 1 or 2", path)
-		}
-		if _, ok := PatternByName(a.PatternName); !ok {
-			return nil, fmt.Errorf("%s: unknown failure pattern %q", path, a.PatternName)
-		}
+	if _, ok := PatternByName(a.PatternName); !ok {
+		return nil, fmt.Errorf("%s: unknown failure pattern %q", path, a.PatternName)
 	}
 	// Validate the flip schedule at load time: callers print flip lines
 	// straight from a loaded artifact, assuming ascending Until and
@@ -223,7 +206,7 @@ func (a *Artifact) Replay(hook func(idx int, t sim.Time, enabled sim.Set, chosen
 		}
 		stable = stable.Add(sim.PID(p))
 	}
-	oracle := OracleChoice{Name: a.OracleName, Stable: stable, Seed: a.OracleSeed}
+	oracle := OracleChoice{Name: a.OracleName, Stable: stable}
 	flips, err := a.flipPhases()
 	if err != nil {
 		return nil, nil, err

@@ -53,7 +53,7 @@ func TestDifferentialCleanSuite(t *testing.T) {
 // depth 17 contains the n=2 witnesses, so the brute force finds both
 // violating configurations.
 func brokenAdoptOracle() oracleCase {
-	return oracleCase{name: "fig1-broken-adopt n=2 d=17", cfg: Config{System: BrokenFig1System(2), MaxDepth: 17, Budget: 2048}}
+	return oracleCase{name: "fig1-broken-adopt n=2 d=17", cfg: Config{System: mustSystem("fig1-broken-adopt", 2, 1), MaxDepth: 17, Budget: 2048}}
 }
 
 // TestDifferentialMutantIdenticalViolations: the brute force, pure

@@ -162,12 +162,13 @@
 //
 // # What is enumerated
 //
-// Failure patterns. Every crash set of size ≤ f (the environment E_f) is
-// combined with every assignment of crash times from a small grid
-// (Config.CrashTimes). Config.Symmetry collapses crash sets up to process
-// renaming — a speed heuristic only: proposals are pinned to PIDs and the
-// protocols branch on value order, so renamed patterns are not
-// execution-equivalent. The standard suite keeps it off.
+// Failure patterns. Every crash set of size ≤ f (the environment E_f the
+// system was sized with, NewSystem's f) is combined with every assignment
+// of crash times from a small grid (Config.CrashTimes). Config.Symmetry
+// collapses crash sets up to process renaming — a speed heuristic only,
+// which the mutant zoo uses: proposals are pinned to PIDs and the protocols
+// branch on value order, so renamed patterns are not execution-equivalent.
+// The standard suite and the command line keep it off.
 //
 // Detector histories. For each pattern the system enumerates the legal
 // stable outputs of its failure detector (every legal Υ/Υ^f stable set,
@@ -201,8 +202,8 @@
 // FailurePattern with a one-line signature and a human-readable narrative
 // of how the interleaving broke the protocol. The result is emitted as a
 // JSON Artifact recording the witness configuration, flips included, plus
-// the pattern name and narrative (schema 3; schemas 1 and 2 from earlier
-// explorer versions still load). `fdlab replay` re-executes it
+// the pattern name and narrative (schema 3, the only schema ReadArtifact
+// accepts). `fdlab replay` re-executes it
 // deterministically, step for step, printing the detector flip events, the
 // reproduced violation and its classification and, with -trace, each
 // step's recorded access set — history-object reads and flip writes

@@ -49,8 +49,6 @@ type Config struct {
 	// execute (0 = unlimited); hitting the cap marks the Result Truncated,
 	// which voids the exhaustiveness claim for that sweep.
 	MaxRuns int64
-	// MaxFaults overrides the system's environment E_f (0 keeps it).
-	MaxFaults int
 	// CrashTimes is the crash-time grid per faulty process. Default {0, 3}:
 	// crashed-from-the-start and a mid-protocol crash.
 	CrashTimes []sim.Time
@@ -79,9 +77,6 @@ type Config struct {
 	// violations (they are deduplicated per configuration and property).
 	// Default 4.
 	MaxViolations int
-	// ShrinkBudget caps the number of candidate replays the shrinker spends
-	// per violation. Default 2000.
-	ShrinkBudget int
 	// OnConfig, when non-nil, receives a progress line per finished
 	// (pattern × oracle) configuration. Configurations explore concurrently
 	// on the lab worker pool, so OnConfig is invoked from multiple goroutines
@@ -90,7 +85,15 @@ type Config struct {
 	// produces itself (see `fdlab explore -progress` for the canonical
 	// mutex-guarded printer).
 	OnConfig func(name string, runs int64)
+
+	// shrinkBudget caps the candidate replays the shrinker spends per
+	// violation: shrinkReplays unless a package test sets it (negative
+	// disables shrinking).
+	shrinkBudget int
 }
+
+// shrinkReplays is the shrinker's per-violation replay budget.
+const shrinkReplays = 2000
 
 func (c Config) withDefaults() Config {
 	if c.Budget == 0 {
@@ -98,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDepth <= 0 || int64(c.MaxDepth) > c.Budget {
 		c.MaxDepth = int(c.Budget)
-	}
-	if c.MaxFaults <= 0 || c.MaxFaults > c.System.MaxFaults() {
-		c.MaxFaults = c.System.MaxFaults()
 	}
 	// The crash grid is a set of candidate times: a duplicate would
 	// enumerate the same patterns twice under one label, and the job order
@@ -126,8 +126,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxStates <= 0 {
 		c.MaxStates = 1 << 14
 	}
-	if c.ShrinkBudget == 0 {
-		c.ShrinkBudget = 2000
+	if c.shrinkBudget == 0 {
+		c.shrinkBudget = shrinkReplays
 	}
 	return c
 }
@@ -250,7 +250,7 @@ func enumerateJobs(cfg Config) []Job {
 	sys := cfg.System
 	plan := SwitchPlan{Budget: cfg.SwitchBudget, Times: cfg.FlipTimes}
 	var jobs []Job
-	for _, p := range patternsFor(sys.N(), cfg.MaxFaults, cfg.CrashTimes, cfg.Symmetry) {
+	for _, p := range patternsFor(sys.N(), sys.MaxFaults(), cfg.CrashTimes, cfg.Symmetry) {
 		for _, o := range sys.Oracles(p, plan) {
 			jobs = append(jobs, Job{Pattern: p, Oracle: o})
 		}

@@ -15,12 +15,12 @@ import (
 // sharded exploration is exactly equal to single-process.
 func garbledSweep() Config {
 	return Config{
-		System:        GarbledFig1System(2),
+		System:        mustSystem("fig1-garbled-decide", 2, 1),
 		CrashTimes:    []sim.Time{0},
 		MaxDepth:      12,
 		Budget:        1024,
 		MaxViolations: 1 << 20,
-		ShrinkBudget:  50,
+		shrinkBudget:  50,
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // would otherwise exhaust.
 func brokenSweep(n int) *Result {
 	return Explore(Config{
-		System:   BrokenFig1System(n),
+		System:   mustSystem("fig1-broken-adopt", n, n-1),
 		MaxDepth: 24,
 		MaxRuns:  150_000,
 		Budget:   2048,

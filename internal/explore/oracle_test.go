@@ -246,7 +246,7 @@ func (s *recordingSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Insta
 func oracleSweep(cfg Config, noHash bool) Config {
 	cfg.NoHash = noHash
 	cfg.MaxViolations = 1 << 20
-	cfg.ShrinkBudget = -1
+	cfg.shrinkBudget = -1
 	return cfg
 }
 

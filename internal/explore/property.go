@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 
+	"weakestfd/internal/check"
 	"weakestfd/internal/core"
 	"weakestfd/internal/sim"
 )
@@ -68,20 +69,7 @@ func (Validity) Check(r *Run) error {
 	if r.Report == nil {
 		return nil
 	}
-	proposed := make(map[sim.Value]bool, len(r.Proposals))
-	for _, v := range r.Proposals {
-		proposed[v] = true
-	}
-	// Iterate by PID, not over the Decided map: the returned message names
-	// the first offender, and it reaches violation artifacts, so the choice
-	// must not depend on map order.
-	for pid := range r.Report.StepsBy {
-		p := sim.PID(pid)
-		if v, ok := r.Report.Decided[p]; ok && !proposed[v] {
-			return fmt.Errorf("%v decided unproposed value %d", p, v)
-		}
-	}
-	return nil
+	return check.Validity(r.Report, r.Proposals)
 }
 
 // TerminationOfCorrect: every correct process decided within the budget.
@@ -100,13 +88,7 @@ func (TerminationOfCorrect) Check(r *Run) error {
 	if r.Report == nil {
 		return nil
 	}
-	for s := r.Pattern.Correct(); s != 0; s &= s - 1 {
-		p := s.Min()
-		if _, ok := r.Report.Decided[p]; !ok {
-			return fmt.Errorf("correct %v did not decide within %d steps", p, r.Report.Steps)
-		}
-	}
-	return nil
+	return check.TerminationOfCorrect(r.Report, r.Pattern)
 }
 
 // AtMostK: at most K distinct values were decided — the Agreement property
@@ -121,12 +103,7 @@ func (AtMostK) Check(r *Run) error {
 	if r.Report == nil || r.K <= 0 {
 		return nil
 	}
-	var scratch [sim.MaxProcs]sim.Value
-	decided := r.Report.DecidedValuesAppend(scratch[:0])
-	if len(decided) > r.K {
-		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(decided), decided, r.K)
-	}
-	return nil
+	return check.AtMostK(r.Report, r.K)
 }
 
 // UpsilonSanity: the extraction's settled output is a legal Υ^f value for

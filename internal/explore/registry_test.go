@@ -6,7 +6,8 @@ import "testing"
 // SystemNames advertises must resolve through NewSystem, and the resolved
 // system must report exactly that name — so CLI help, the mutant zoo, and
 // artifact replay (which rebuilds systems by recorded name) can never
-// disagree about what exists.
+// disagree about what exists. Every system is sized with the f it is given,
+// which must leave a correct process.
 func TestSystemRegistryRoundTrip(t *testing.T) {
 	names := SystemNames()
 	seen := make(map[string]bool, len(names))
@@ -23,8 +24,13 @@ func TestSystemRegistryRoundTrip(t *testing.T) {
 		if sys.Name() != name {
 			t.Errorf("NewSystem(%q).Name() = %q", name, sys.Name())
 		}
-		if sys.N() != 3 {
-			t.Errorf("NewSystem(%q, 3, 1).N() = %d", name, sys.N())
+		if sys.N() != 3 || sys.MaxFaults() != 1 {
+			t.Errorf("NewSystem(%q, 3, 1) has n=%d f=%d", name, sys.N(), sys.MaxFaults())
+		}
+		for _, f := range []int{0, 3} {
+			if _, err := NewSystem(name, 3, f); err == nil {
+				t.Errorf("NewSystem(%q, 3, %d) accepted f outside [1,2]", name, f)
+			}
 		}
 	}
 	if _, err := NewSystem("no-such-system", 2, 1); err == nil {

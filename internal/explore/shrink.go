@@ -38,7 +38,7 @@ type witness struct {
 //
 // A configuration change can make more of the schedule redundant, so a
 // successful pattern/oracle shrink re-runs the schedule pass. Replays are
-// capped by cfg.ShrinkBudget; the best witness so far is returned when it
+// capped by cfg.shrinkBudget; the best witness so far is returned when it
 // runs out. A witness with an empty message means the original run did not
 // reproduce under replay (which deterministic systems never hit).
 func shrink(cfg Config, run *Run, prop Property) witness {
@@ -47,7 +47,7 @@ func shrink(cfg Config, run *Run, prop Property) witness {
 		oracle:   run.Oracle,
 		schedule: append([]sim.PID(nil), run.Schedule...),
 	}
-	budget := cfg.ShrinkBudget
+	budget := cfg.shrinkBudget
 
 	violates := func(pat sim.Pattern, o OracleChoice, sched []sim.PID) (string, bool) {
 		if budget <= 0 {

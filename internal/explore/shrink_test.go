@@ -15,7 +15,7 @@ import (
 // (failure-free) configuration and still replay.
 func TestShrinkDropsIrrelevantCrash(t *testing.T) {
 	cfg := Config{
-		System:   BrokenFig1System(2),
+		System:   mustSystem("fig1-broken-adopt", 2, 1),
 		MaxDepth: 24,
 		Budget:   2048,
 	}.withDefaults()
@@ -24,7 +24,7 @@ func TestShrinkDropsIrrelevantCrash(t *testing.T) {
 	// p2 makes {p1} the correct set, so pick a violation whose oracle stays
 	// legal once the spurious crash is added (its stable set must differ
 	// from {p1}).
-	base := Explore(Config{System: BrokenFig1System(2), MaxDepth: 24, Budget: 2048, Workers: 1})
+	base := Explore(Config{System: mustSystem("fig1-broken-adopt", 2, 1), MaxDepth: 24, Budget: 2048, Workers: 1})
 	pattern := sim.CrashPattern(2, map[sim.PID]sim.Time{1: 100_000})
 	var schedule []sim.PID
 	var oracle OracleChoice
@@ -92,7 +92,7 @@ func (a *Artifact) oracleChoice() OracleChoice {
 	for _, p := range a.OracleStable {
 		stable = stable.Add(sim.PID(p))
 	}
-	return OracleChoice{Name: a.OracleName, Stable: stable, Seed: a.OracleSeed}
+	return OracleChoice{Name: a.OracleName, Stable: stable}
 }
 
 // TestShrinkHelpers covers the pattern/oracle helpers directly.

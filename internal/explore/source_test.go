@@ -133,7 +133,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 			violating int
 		}{
 			{"fig1-broken-adopt", Config{
-				System:        BrokenFig1System(2),
+				System:        mustSystem("fig1-broken-adopt", 2, 1),
 				MaxDepth:      24,
 				Budget:        2048,
 				MaxViolations: 1 << 20,
@@ -191,7 +191,7 @@ func exploreVariants(cfg Config) (source, hash *Result) {
 // stable set.
 func skipOnChangeGrid() Config {
 	return Config{
-		System:       SkipOnChangeFig1System(2),
+		System:       mustSystem("fig1-skip-on-change", 2, 1),
 		SwitchBudget: 1,
 		FlipTimes:    []sim.Time{14},
 		CrashTimes:   []sim.Time{0},
@@ -239,7 +239,7 @@ func checkCleanSweep(t *testing.T, label string, s, h *Result, want runPin) {
 
 // sweepLabel names a sweep's system as system/n=/f=.
 func sweepLabel(cfg Config) string {
-	return fmt.Sprintf("%s/n=%d/f=%d", cfg.System.Name(), cfg.System.N(), cfg.withDefaults().MaxFaults)
+	return fmt.Sprintf("%s/n=%d/f=%d", cfg.System.Name(), cfg.System.N(), cfg.System.MaxFaults())
 }
 
 // mustSystem resolves a registered system or fails the build of the test

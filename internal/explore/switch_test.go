@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ import (
 // pass; the default grids are CI-covered by the clean fig1 n=3 sweep).
 func switchSweep(budget int) *Result {
 	return Explore(Config{
-		System:       SkipOnChangeFig1System(2),
+		System:       mustSystem("fig1-skip-on-change", 2, 1),
 		SwitchBudget: budget,
 		FlipTimes:    []sim.Time{14},
 		CrashTimes:   []sim.Time{0},
@@ -135,9 +136,9 @@ func TestSwitchMutantArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactRejectsMalformed: the schema field must agree with the flip
-// payload (a schema-1 file with flips replays divergently on a pre-flip
-// reader), and an illegal stable set must be a clean error, not a panic.
+// TestArtifactRejectsMalformed: schemas other than 3 are refused by name, a
+// file must carry a known failure pattern, and an illegal stable set must be
+// a clean error, not a panic.
 func TestArtifactRejectsMalformed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
@@ -158,14 +159,11 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 	}
 
 	declassify := func(a *Artifact) { a.PatternName, a.Narrative = "", "" }
-	if _, err := ReadArtifact(write(func(a *Artifact) { a.Schema = 1; declassify(a) })); err == nil {
-		t.Error("schema-1 artifact with oracle_flips was accepted")
-	}
-	if _, err := ReadArtifact(write(func(a *Artifact) { a.Schema = 2; a.OracleFlips = nil; declassify(a) })); err == nil {
-		t.Error("schema-2 artifact without oracle_flips was accepted")
-	}
-	if _, err := ReadArtifact(write(func(a *Artifact) { a.Schema = 2 })); err == nil {
-		t.Error("schema-2 artifact carrying a classification was accepted")
+	for _, schema := range []int{1, 2} {
+		_, err := ReadArtifact(write(func(a *Artifact) { a.Schema = schema; declassify(a) }))
+		if want := fmt.Sprintf("schema %d", schema); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("schema-%d artifact: error %v, want a refusal naming %q", schema, err, want)
+		}
 	}
 	if _, err := ReadArtifact(write(declassify)); err == nil {
 		t.Error("schema-3 artifact without a failure pattern was accepted")

@@ -15,15 +15,13 @@ import (
 // enumerated family: an optional bounded unstable prefix (Flips), then a
 // stable value (a Υ/Υ^f set, or a singleton {leader} for Ω sources) output
 // permanently. Without flips the history is stable from time 0 — the PR-4
-// space. Seed feeds any remaining seeded choices a system makes.
+// space.
 type OracleChoice struct {
 	// Name is the display form, e.g. "U={p1,p3}" or
 	// "U={p1} pre[{p1,p2}<8]".
 	Name string
 	// Stable is the history's stable output as a process set.
 	Stable sim.Set
-	// Seed drives auxiliary seeded choices.
-	Seed int64
 	// Flips is the unstable prefix: the pre-stabilization phases, ordered by
 	// strictly increasing Until (empty = stable from time 0). Each flip is
 	// recorded by the query seam as a write of the history's virtual object.
@@ -104,9 +102,9 @@ type System interface {
 // the real systems first, then each protocol family's mutants (the core.Mut*
 // constants document each mutation, and the zoo in mutants.go pairs every
 // mutant with its expected killing configuration and failure pattern). Each
-// entry holds its system with size and resilience left zero: NewSystem sizes
-// a copy, and every Name() looks its system up by that unsized form, so each
-// registry name is spelled here and nowhere else.
+// entry holds its system with n and f left zero: NewSystem sizes a copy, and
+// every Name() looks its system up by that unsized form, so each registry
+// name is spelled here and nowhere else.
 var registry = []struct {
 	name  string
 	proto sizable
@@ -132,21 +130,32 @@ var registry = []struct {
 }
 
 // sizable is a registered system type: sized returns a copy with n
-// processes and resilience f (types without a resilience parameter ignore
-// f).
+// processes explored in E_f.
 type sizable interface {
 	System
 	sized(n, f int) System
 }
 
+// sizing is a system's process count n and the resilience f of the
+// environment E_f it is explored in: a sweep enumerates the failure
+// patterns with at most f crashes.
+type sizing struct{ n, f int }
+
+func (z sizing) N() int         { return z.n }
+func (z sizing) MaxFaults() int { return z.f }
+
 // NewSystem builds a registered system by name — the registry `fdlab
-// explore -system` and artifact replay resolve against. f is the resilience
-// where the system has one (fig2); others ignore it.
+// explore -system` and artifact replay resolve against — with n processes
+// in E_f. Figure 2 also takes f as its agreement parameter.
 func NewSystem(name string, n, f int) (System, error) {
 	for _, e := range registry {
-		if e.name == name {
-			return e.proto.sized(n, f), nil
+		if e.name != name {
+			continue
 		}
+		if f < 1 || f > n-1 {
+			return nil, fmt.Errorf("explore: %s f=%d out of range [1,%d] for n=%d", name, f, n-1, n)
+		}
+		return e.proto.sized(n, f), nil
 	}
 	return nil, fmt.Errorf("explore: unknown system %q (want %s)", name, strings.Join(SystemNames(), "|"))
 }
@@ -181,14 +190,9 @@ func canonicalProposals(n int) []sim.Value {
 	return out
 }
 
-// upsilonHistory builds the Υ^f history for one choice: the seeded
-// stable-from-0 history when the choice has no flips (the PR-4 path,
-// byte-identical behaviour), otherwise the flip-aware Unstable history the
-// query seam records writes for.
+// upsilonHistory builds the Υ^f history for one choice: the choice's flip
+// phases (none when it is stable from time 0), then its stable set.
 func upsilonHistory(spec core.UpsilonSpec, pattern sim.Pattern, o OracleChoice) sim.Oracle {
-	if len(o.Flips) == 0 {
-		return spec.HistoryWithStable(pattern, 0, o.Seed, o.Stable)
-	}
 	if err := spec.LegalStable(pattern, o.Stable); err != nil {
 		panic(fmt.Sprintf("explore: illegal Υ^f stable set: %v", err))
 	}
@@ -199,19 +203,15 @@ func upsilonHistory(spec core.UpsilonSpec, pattern sim.Pattern, o OracleChoice) 
 	return fd.NewUnstable(o.Stable, phases...)
 }
 
-// omegaHistory builds the Ω source history for one choice: a constant
-// correct leader without flips, otherwise the flip-aware history running
-// through the choice's pre-stabilization leaders.
+// omegaHistory builds the Ω source history for one choice: the choice's
+// pre-stabilization leaders (none when it is stable from time 0), then its
+// correct stable leader.
 func omegaHistory(o OracleChoice) sim.Oracle {
-	leader := o.Stable.Min()
-	if len(o.Flips) == 0 {
-		return &fd.Stabilizing[sim.PID]{Stable: leader}
-	}
 	phases := make([]fd.Phase[sim.PID], len(o.Flips))
 	for i, f := range o.Flips {
 		phases[i] = fd.Phase[sim.PID]{Until: f.Until, Out: f.Out.Min()}
 	}
-	return fd.NewUnstable(leader, phases...)
+	return fd.NewUnstable(o.Stable.Min(), phases...)
 }
 
 // omegaLeaderChoices enumerates every correct leader as an Ω source's stable
@@ -245,37 +245,16 @@ func legalStableSets(spec core.UpsilonSpec, pattern sim.Pattern) []OracleChoice 
 // Figure 1 (and its mutation-testing variant)
 
 type fig1System struct {
-	n   int
+	sizing
 	mut core.Fig1Mutation
 }
 
 // Fig1System explores the paper's Figure 1: Υ-based n−1-set agreement among
 // n processes, wait-free.
-func Fig1System(n int) System { return fig1System{n: n} }
-
-// BrokenFig1System is Figure 1 with the converge adopt rule broken
-// (core.MutWrongAdopt) — the intentionally wrong variant the mutation tests
-// use to prove the explorer catches what seeded-random testing misses.
-func BrokenFig1System(n int) System { return fig1System{n: n, mut: core.MutWrongAdopt} }
-
-// SkipOnChangeFig1System is Figure 1 with the detector-change escape broken
-// (core.MutSkipOnChange): provably correct under every stable-from-0
-// history — the mutated branch is dead code there — but agreement-violating
-// under an unstable prefix. It calibrates the SwitchBudget dimension: the
-// sweep must pass at SwitchBudget=0 and find (and shrink) the violation at
-// SwitchBudget>=1.
-func SkipOnChangeFig1System(n int) System { return fig1System{n: n, mut: core.MutSkipOnChange} }
-
-// GarbledFig1System is Figure 1 with the commit path corrupted
-// (core.MutGarbledDecide): every deciding run writes an unproposed value,
-// so the root fair run already violates Validity — the cheapest mutant in
-// the zoo, pinning the validity property end to end.
-func GarbledFig1System(n int) System { return fig1System{n: n, mut: core.MutGarbledDecide} }
+func Fig1System(n int) System { return fig1System{sizing: sizing{n, n - 1}} }
 
 func (s fig1System) Name() string          { return registryName(s.sized(0, 0)) }
-func (s fig1System) sized(n, _ int) System { s.n = n; return s }
-func (s fig1System) N() int                { return s.n }
-func (s fig1System) MaxFaults() int        { return s.n - 1 }
+func (s fig1System) sized(n, f int) System { s.sizing = sizing{n, f}; return s }
 
 func (s fig1System) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice {
 	spec := core.Upsilon(s.n)
@@ -310,18 +289,16 @@ func (s fig1System) Properties() []Property {
 // Figure 2
 
 type fig2System struct {
-	n, f int
-	mut  core.Fig2Mutation
+	sizing
+	mut core.Fig2Mutation
 }
 
 // Fig2System explores the paper's Figure 2: Υ^f-based f-set agreement among
 // n processes in E_f.
-func Fig2System(n, f int) System { return fig2System{n: n, f: f} }
+func Fig2System(n, f int) System { return fig2System{sizing: sizing{n, f}} }
 
 func (s fig2System) Name() string          { return registryName(s.sized(0, 0)) }
-func (s fig2System) sized(n, f int) System { s.n, s.f = n, f; return s }
-func (s fig2System) N() int                { return s.n }
-func (s fig2System) MaxFaults() int        { return s.f }
+func (s fig2System) sized(n, f int) System { s.sizing = sizing{n, f}; return s }
 
 func (s fig2System) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice {
 	spec := core.UpsilonF(s.n, s.f)
@@ -356,7 +333,7 @@ func (s fig2System) Properties() []Property {
 // Figure 3 extraction from Ω
 
 type extractSystem struct {
-	n   int
+	sizing
 	mut core.ExtractMutation
 }
 
@@ -364,12 +341,10 @@ type extractSystem struct {
 // stable Ω source: the checked property is Υ-output sanity — whenever the
 // emulated outputs settle within the run, the settled set must be a legal Υ
 // value for the pattern (in particular, not the correct set).
-func ExtractOmegaSystem(n int) System { return extractSystem{n: n} }
+func ExtractOmegaSystem(n int) System { return extractSystem{sizing: sizing{n, n - 1}} }
 
 func (s extractSystem) Name() string          { return registryName(s.sized(0, 0)) }
-func (s extractSystem) sized(n, _ int) System { s.n = n; return s }
-func (s extractSystem) N() int                { return s.n }
-func (s extractSystem) MaxFaults() int        { return s.n - 1 }
+func (s extractSystem) sized(n, f int) System { s.sizing = sizing{n, f}; return s }
 
 func (s extractSystem) LegalFlipOut(out sim.Set) error { return omegaFlipOut(s.n, out) }
 
@@ -422,7 +397,7 @@ func (s extractSystem) Properties() []Property {
 // Composed: Figure 3 extraction ∘ Figure 1 protocol (Corollary 11 pipeline)
 
 type composedSystem struct {
-	n   int
+	sizing
 	mut core.Fig1Mutation
 }
 
@@ -434,12 +409,10 @@ type composedSystem struct {
 // emulated detector has not yet converged; termination is an eventual
 // property of fair runs and is exercised by the lab experiments instead
 // (a bounded adversarial run cannot refute it).
-func ComposedSystem(n int) System { return composedSystem{n: n} }
+func ComposedSystem(n int) System { return composedSystem{sizing: sizing{n, n - 1}} }
 
 func (s composedSystem) Name() string          { return registryName(s.sized(0, 0)) }
-func (s composedSystem) sized(n, _ int) System { s.n = n; return s }
-func (s composedSystem) N() int                { return s.n }
-func (s composedSystem) MaxFaults() int        { return s.n - 1 }
+func (s composedSystem) sized(n, f int) System { s.sizing = sizing{n, f}; return s }
 
 func (s composedSystem) LegalFlipOut(out sim.Set) error { return omegaFlipOut(s.n, out) }
 
@@ -472,7 +445,7 @@ func (s composedSystem) Properties() []Property {
 // TimedComposed: heartbeat-implemented Υ ∘ Figure 1 protocol
 
 type timedComposedSystem struct {
-	n int
+	sizing
 }
 
 // timedComposedThreshold is the heartbeat implementation's initial
@@ -487,12 +460,10 @@ const timedComposedThreshold = 2
 // non-trivial detector in pure asynchrony), so only the safety properties
 // are checked: no schedule — however the emulated detector misbehaves —
 // may produce more than n−1 decisions or an unproposed decision.
-func TimedComposedSystem(n int) System { return timedComposedSystem{n: n} }
+func TimedComposedSystem(n int) System { return timedComposedSystem{sizing{n, n - 1}} }
 
 func (s timedComposedSystem) Name() string          { return registryName(s.sized(0, 0)) }
-func (s timedComposedSystem) sized(n, _ int) System { s.n = n; return s }
-func (s timedComposedSystem) N() int                { return s.n }
-func (s timedComposedSystem) MaxFaults() int        { return s.n - 1 }
+func (s timedComposedSystem) sized(n, f int) System { s.sizing = sizing{n, f}; return s }
 
 // Oracles returns the single trivial choice: the system consumes no oracle
 // (its detector is implemented, not assumed), so there is no history to

@@ -16,7 +16,10 @@ import (
 // grids, which can reorder a sweep's jobs. Schema 3 dropped the engine spec
 // field: JSON decoding ignores unknown fields, so without the bump a schema-2
 // checkpoint of a classic-DPOR sweep would resume as a source-DPOR one.
-const CheckpointSchema = 3
+// Schema 4 dropped the symmetry and shrink_budget spec fields; decoding drops
+// them too, so a schema-3 checkpoint that set one would otherwise fail its
+// spec_key check and be misreported as hand-edited rather than stale.
+const CheckpointSchema = 4
 
 // ShardRecord is one completed shard: the job span it covered and the full
 // explore.Result for exactly those jobs (counters, flags and shrunk

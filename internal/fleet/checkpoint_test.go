@@ -93,6 +93,19 @@ const schema2Checkpoint = `{
     "runs": 121, "pruned": 12, "joined": 0, "depth_limited": true, "max_steps": 37, "settled_runs": 0, "elapsed_ms": 1}}]
 }`
 
+// schema3Checkpoint is a checkpoint in the schema-3 format, as `fdlab fleet
+// -system fig1 -n 2 -max-depth 12 -crash-times 0 -sym -procs 1` wrote it
+// before the symmetry spec field was removed.
+const schema3Checkpoint = `{
+  "schema": 3,
+  "spec": {"system": "fig1", "n": 2, "f": 1, "max_depth": 12, "budget": 4096, "crash_times": [0],
+    "flip_times": [2, 14], "symmetry": true, "max_violations": 4, "workers": 2},
+  "spec_key": "{\"system\":\"fig1\",\"n\":2,\"f\":1,\"max_depth\":12,\"budget\":4096,\"crash_times\":[0],\"flip_times\":[2,14],\"symmetry\":true,\"max_violations\":4}",
+  "jobs": 4,
+  "shards": [{"id": 0, "lo": 0, "hi": 1, "result": {"system": "fig1", "engine": "source+hash", "configs": 1,
+    "runs": 13, "pruned": 12, "joined": 0, "depth_limited": true, "max_steps": 37, "settled_runs": 0, "elapsed_ms": 0}}]
+}`
+
 // TestCheckpointRejectsLoudly drives every structural failure mode through
 // LoadCheckpoint and demands an error naming the problem.
 func TestCheckpointRejectsLoudly(t *testing.T) {
@@ -140,7 +153,7 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 		// hand-edited.
 		path := filepath.Join(dir, "schema1.json")
 		os.WriteFile(path, []byte(schema1Checkpoint), 0o644)
-		expectErr(t, path, "checkpoint schema 1, this build reads schema 3")
+		expectErr(t, path, "checkpoint schema 1, this build reads schema 4")
 	})
 	t.Run("schema-2-classic-spec", func(t *testing.T) {
 		// A schema-2 checkpoint of a classic-DPOR sweep. JSON decoding drops
@@ -148,7 +161,15 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 		// resuming as a source-DPOR sweep.
 		path := filepath.Join(dir, "schema2.json")
 		os.WriteFile(path, []byte(schema2Checkpoint), 0o644)
-		expectErr(t, path, "checkpoint schema 2, this build reads schema 3")
+		expectErr(t, path, "checkpoint schema 2, this build reads schema 4")
+	})
+	t.Run("schema-3-symmetric-spec", func(t *testing.T) {
+		// A schema-3 checkpoint of a sweep over crash sets up to renaming.
+		// JSON decoding drops the unknown symmetry field, so without the
+		// schema check it would be misdiagnosed as hand-edited.
+		path := filepath.Join(dir, "schema3.json")
+		os.WriteFile(path, []byte(schema3Checkpoint), 0o644)
+		expectErr(t, path, "checkpoint schema 3, this build reads schema 4")
 	})
 	t.Run("spec-key-mismatch", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Spec.MaxDepth = 99 }), "spec_key")

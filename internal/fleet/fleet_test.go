@@ -88,7 +88,7 @@ func garbledSpec() Spec {
 	return Spec{
 		System: "fig1-garbled-decide", N: 2, F: 1,
 		CrashTimes: []int64{0}, MaxDepth: 12, Budget: 1024,
-		MaxViolations: 1 << 20, ShrinkBudget: 50, Workers: 2,
+		MaxViolations: 1 << 20, Workers: 2,
 	}
 }
 
@@ -166,7 +166,9 @@ func TestFleetEqualsSingleProcess(t *testing.T) {
 
 // TestFleetFullGridEqualsSingleProcess is the acceptance sweep: the fig1
 // n=4 full-E_3 grid under -procs 8 must produce the identical violation
-// set, run count and joined count as single-process Explore.
+// set, run count and joined count as single-process Explore, and both must
+// match the pinned counts of `fdlab explore -system fig1 -n 4 -max-depth 11
+// -crash-times 0,3`.
 func TestFleetFullGridEqualsSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second n=4 full-grid sweep skipped under -short; the full lane runs it")
@@ -177,6 +179,10 @@ func TestFleetFullGridEqualsSingleProcess(t *testing.T) {
 		MaxViolations: 1 << 20, Workers: 1,
 	}
 	single := singleProcess(t, spec)
+	got := [5]int64{int64(single.Configs), single.Runs, single.Joined, single.Pruned, single.MaxSteps}
+	if want := [5]int64{910, 161784, 72016, 409192, 80}; got != want {
+		t.Errorf("fig1 n=4 configs/runs/joined/pruned/longest run = %v, want %v", got, want)
+	}
 	sum, err := Run(Options{
 		Spec:      spec,
 		Procs:     8,
@@ -263,6 +269,68 @@ func TestFleetKillResume(t *testing.T) {
 		t.Errorf("complete checkpoint still executed %d jobs on %d workers", done.ExecutedJobs, done.Workers)
 	}
 	assertResultsEqual(t, done.Result, single)
+}
+
+// TestFleetResumeIgnoresTornCheckpoint simulates a coordinator killed
+// inside WriteCheckpoint, after its temp file was partly written and before
+// the rename: the intact checkpoint holds the older frontier, and a stray
+// .fleet-checkpoint-* file beside it holds a truncated newer one. Resume
+// must load the intact frontier, finish the sweep, and merge to the
+// single-process result.
+func TestFleetResumeIgnoresTornCheckpoint(t *testing.T) {
+	spec := garbledSpec()
+	single := singleProcess(t, spec)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.json")
+
+	var frontiers [][]byte
+	_, err := Run(Options{
+		Spec:           spec,
+		Procs:          2,
+		WorkerCmd:      workerCmd(t, "worker"),
+		CheckpointPath: path,
+		afterCheckpoint: func(completed int) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			frontiers = append(frontiers, data)
+			if completed >= 2 {
+				return fmt.Errorf("injected kill after %d shards", completed)
+			}
+			return nil
+		},
+	})
+	if err == nil || len(frontiers) != 2 {
+		t.Fatalf("injected kill: err %v after %d checkpoints, want an abort after 2", err, len(frontiers))
+	}
+	intact, newer := frontiers[0], frontiers[1]
+	if err := os.WriteFile(path, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ".fleet-checkpoint-1234567"), newer[:len(newer)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sum, err := Run(Options{
+		Spec:           spec,
+		Procs:          2,
+		WorkerCmd:      workerCmd(t, "worker"),
+		CheckpointPath: path,
+		Resume:         true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.ResumedJobs != cp.doneJobs() || sum.ExecutedJobs != sum.Jobs-cp.doneJobs() {
+		t.Errorf("resume credited %d and executed %d of %d jobs; the intact checkpoint covers %d",
+			sum.ResumedJobs, sum.ExecutedJobs, sum.Jobs, cp.doneJobs())
+	}
+	assertResultsEqual(t, sum.Result, single)
 }
 
 func TestFleetResumeRefusesForeignCheckpoint(t *testing.T) {
@@ -471,6 +539,7 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		{"payload shorter than declared", protoMagic + " 10\n{}\n", "reading 10-byte frame: unexpected EOF"},
 		{"missing newline terminator", protoMagic + " 2\n{}X", "not newline-terminated"},
 		{"non-JSON payload", protoMagic + " 5\nhello\n", "decoding frame"},
+		{"previous protocol revision", "fdfleet2 2\n{}\n", `bad frame header "fdfleet2 2" (want "fdfleet3"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 type Spec struct {
 	// System names the system under exploration (explore.NewSystem).
 	System string `json:"system"`
-	// N is the process count; F the resilience (explore.NewSystem).
+	// N is the process count and F the resilience of the environment E_f
+	// the sweep explores (explore.NewSystem); F = 0 means N−1.
 	N int `json:"n"`
 	F int `json:"f"`
 	// The remaining fields mirror the explore.Config fields of the same
@@ -30,9 +31,7 @@ type Spec struct {
 	CrashTimes    []int64 `json:"crash_times,omitempty"`
 	SwitchBudget  int     `json:"switch_budget,omitempty"`
 	FlipTimes     []int64 `json:"flip_times,omitempty"`
-	Symmetry      bool    `json:"symmetry,omitempty"`
 	MaxViolations int     `json:"max_violations,omitempty"`
-	ShrinkBudget  int     `json:"shrink_budget,omitempty"`
 	// Workers is the lab pool width per worker process. It shapes only how
 	// fast a worker explores, never what it explores, so Key ignores it: a
 	// checkpoint taken at one width resumes at any other.
@@ -73,13 +72,10 @@ func (s Spec) Config() (explore.Config, error) {
 		MaxDepth:      s.MaxDepth,
 		MaxRuns:       s.MaxRuns,
 		Budget:        s.Budget,
-		MaxFaults:     f,
 		CrashTimes:    toTimes(s.CrashTimes),
 		SwitchBudget:  s.SwitchBudget,
 		FlipTimes:     toTimes(s.FlipTimes),
-		Symmetry:      s.Symmetry,
 		MaxViolations: s.MaxViolations,
-		ShrinkBudget:  s.ShrinkBudget,
 		Workers:       s.Workers,
 	}
 	if cfg.FullDepth() && checksTermination(sys) {

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -12,10 +11,6 @@ import (
 type Options struct {
 	// Workers is the worker pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// OnScenario, when non-nil, is called once per completed scenario (all
-	// seeds done), in completion order, from a single collector goroutine.
-	// Useful for live progress output on long matrices.
-	OnScenario func(ScenarioSummary)
 }
 
 // DeriveSeed returns the seed for run index idx of the named scenario. Seeds
@@ -56,14 +51,12 @@ func Run(scenarios []Scenario, opts Options) *Report {
 	type job struct{ scenario, seed int }
 	var pending []job
 	slots := make([][]runOutcome, len(scenarios))
-	remaining := make([]atomic.Int64, len(scenarios))
 	for i, s := range scenarios {
 		seeds := s.Seeds
 		if seeds < 1 {
 			seeds = 1
 		}
 		slots[i] = make([]runOutcome, seeds)
-		remaining[i].Store(int64(seeds))
 		for j := 0; j < seeds; j++ {
 			pending = append(pending, job{i, j})
 		}
@@ -71,7 +64,6 @@ func Run(scenarios []Scenario, opts Options) *Report {
 
 	start := time.Now()
 	jobs := make(chan job)
-	done := make(chan int, len(scenarios))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -81,37 +73,18 @@ func Run(scenarios []Scenario, opts Options) *Report {
 				s := scenarios[jb.scenario]
 				m, err := s.Run(DeriveSeed(s.Name, jb.seed))
 				slots[jb.scenario][jb.seed] = runOutcome{metrics: m, err: err}
-				if remaining[jb.scenario].Add(-1) == 0 {
-					done <- jb.scenario
-				}
 			}
 		}()
 	}
-
-	// Collect per-scenario summaries as each scenario's last seed finishes.
-	sums := make([]ScenarioSummary, len(scenarios))
-	var collect sync.WaitGroup
-	collect.Add(1)
-	go func() {
-		defer collect.Done()
-		for idx := range done {
-			sums[idx] = summarize(scenarios[idx], slots[idx])
-			if opts.OnScenario != nil {
-				opts.OnScenario(sums[idx])
-			}
-		}
-	}()
-
 	for _, jb := range pending {
 		jobs <- jb
 	}
 	close(jobs)
 	wg.Wait()
-	close(done)
-	collect.Wait()
 
 	rep := &Report{Workers: workers}
-	for _, sum := range sums {
+	for i, s := range scenarios {
+		sum := summarize(s, slots[i])
 		rep.Runs += sum.Runs
 		rep.Failed += sum.Failed
 		rep.Scenarios = append(rep.Scenarios, sum)

@@ -185,20 +185,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOnScenarioFiresOncePerScenario(t *testing.T) {
-	scs := synthMatrix(3).Expand()
-	seen := make(map[string]int)
-	Run(scs, Options{Workers: 4, OnScenario: func(s ScenarioSummary) { seen[s.Name]++ }})
-	if len(seen) != len(scs) {
-		t.Fatalf("OnScenario fired for %d scenarios, want %d", len(seen), len(scs))
-	}
-	for name, n := range seen {
-		if n != 1 {
-			t.Fatalf("OnScenario fired %d times for %s", n, name)
-		}
-	}
-}
-
 func TestRenderFamily(t *testing.T) {
 	rep := Run(synthMatrix(2).Expand(), Options{Workers: 1})
 	var buf bytes.Buffer

@@ -28,14 +28,15 @@ type TimedConfig struct {
 	GST int64
 	// Bound is the post-GST step bound. Default 8.
 	Bound int64
-	// Threshold is the heartbeat monitor's initial patience (it doubles on
-	// every false suspicion). Default 4.
-	Threshold int64
 	// Seed drives the pre-GST scheduling noise.
 	Seed int64
 	// Budget caps the run. Default 2^22.
 	Budget int64
 }
+
+// heartbeatThreshold is the heartbeat monitor's initial patience, in
+// observer steps; it doubles on every false suspicion.
+const heartbeatThreshold = 4
 
 // SolveWithTimingAssumptions solves (N−1)-set agreement using only timing
 // assumptions: each process runs a heartbeat-based Υ implementation as one
@@ -60,16 +61,12 @@ func SolveWithTimingAssumptions(cfg TimedConfig) (*SetAgreementResult, error) {
 	if bound == 0 {
 		bound = 8
 	}
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = 4
-	}
 	budget := cfg.Budget
 	if budget == 0 {
 		budget = 1 << 22
 	}
 
-	c := core.NewTimedComposed(cfg.N, threshold, converge.UseAtomic)
+	c := core.NewTimedComposed(cfg.N, heartbeatThreshold, converge.UseAtomic)
 	proposals := make([]sim.Value, cfg.N)
 	for i, v := range cfg.Proposals {
 		proposals[i] = sim.Value(v)
