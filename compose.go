@@ -1,10 +1,8 @@
 package weakestfd
 
 import (
-	"errors"
 	"fmt"
 
-	"weakestfd/internal/check"
 	"weakestfd/internal/converge"
 	"weakestfd/internal/core"
 	"weakestfd/internal/fd"
@@ -76,24 +74,11 @@ func SolveWithStableDetector(cfg ComposeConfig) (*SetAgreementResult, error) {
 	}
 
 	c := core.NewComposed(cfg.N, oracle, phi, converge.UseAtomic)
-	proposals := make([]sim.Value, cfg.N)
-	for i, v := range cfg.Proposals {
-		proposals[i] = sim.Value(v)
-	}
+	proposals := proposalValues(cfg.Proposals)
 	simCfg := sim.Config{
 		Pattern:  pattern,
 		Schedule: sim.NewRandom(cfg.Seed),
 		Budget:   budget,
 	}
-	rep, runErr := sim.RunTaskMachines(simCfg, c.MachineTaskSets(proposals))
-	if runErr != nil {
-		if errors.Is(runErr, sim.ErrBudgetExhausted) {
-			return nil, fmt.Errorf("%w: %v", ErrNoTermination, runErr)
-		}
-		return nil, runErr
-	}
-	if err := check.SetAgreement(rep, pattern, c.K(), proposals); err != nil {
-		return nil, err
-	}
-	return newResult(rep, c.K()), nil
+	return solve(simCfg, sim.TaskMachines(c.MachineTaskSets(proposals)), c.K(), proposals)
 }

@@ -5,6 +5,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"weakestfd/internal/sim"
 )
@@ -47,7 +48,9 @@ func AtMostK(rep *sim.Report, k int) error {
 	var scratch [sim.MaxProcs]sim.Value
 	decided := rep.DecidedValuesAppend(scratch[:0])
 	if len(decided) > k {
-		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(decided), decided, k)
+		// Format a copy: handing Errorf the scratch slice itself would move
+		// the array to the heap on every call, passing ones included.
+		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(decided), slices.Clone(decided), k)
 	}
 	return nil
 }

@@ -20,8 +20,8 @@ func runComposed(t *testing.T, pattern sim.Pattern, d sim.Oracle, phi Phi, sched
 	for i := range proposals {
 		proposals[i] = sim.Value(100 + i)
 	}
-	rep, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget},
-		c.MachineTaskSets(proposals))
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sched, Budget: budget},
+		sim.TaskMachines(c.MachineTaskSets(proposals)))
 	if err != nil {
 		t.Fatalf("composed run failed: %v", err)
 	}
@@ -100,9 +100,9 @@ func TestComposedStepsSplitAcrossTasks(t *testing.T) {
 	omega := fd.NewOmega(pattern, 50, 7)
 	c := NewComposed(n, omega, PhiOmega(n), converge.UseAtomic)
 	proposals := []sim.Value{100, 101, 102, 103}
-	rep, err := sim.RunTaskMachines(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern: pattern, Schedule: sim.NewRandom(11), Budget: 1 << 21,
-	}, c.MachineTaskSets(proposals))
+	}, sim.TaskMachines(c.MachineTaskSets(proposals)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func (m *yieldMachine) Step(sim.Time) sim.MachineStatus {
 func (m *yieldMachine) Decision() sim.Value { return m.v }
 
 func TestRunTasksMultiTaskSemantics(t *testing.T) {
-	// Direct RunTaskMachines checks: a process with a deciding task and a
+	// Direct TaskMachines checks: a process with a deciding task and a
 	// forever task decides; crash kills both tasks; fairness rotates tasks.
 	n := 2
 	pattern := sim.CrashPattern(n, map[sim.PID]sim.Time{1: 7})
@@ -157,7 +157,7 @@ func TestRunTasksMultiTaskSemantics(t *testing.T) {
 			&yieldMachine{steps: -1, onStep: func() { foreverSteps++ }},
 		}
 	}
-	rep, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 16}, sets)
+	rep, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin(), Budget: 1 << 16}, sim.TaskMachines(sets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunTasksMultiTaskSemantics(t *testing.T) {
 }
 
 func TestRunTasksSingleTaskMatchesRun(t *testing.T) {
-	// RunTaskMachines with one task per process behaves like RunMachines.
+	// A task set of one task runs exactly as its task alone.
 	double := func(me sim.PID) sim.Value { return sim.Value(me) * 2 }
 	pattern := sim.FailFree(3)
 	machines := make([]sim.StepMachine, 3)
@@ -189,7 +189,7 @@ func TestRunTasksSingleTaskMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunTaskMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, sets)
+	b, err := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.RoundRobin()}, sim.TaskMachines(sets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRunTasksSingleTaskMatchesRun(t *testing.T) {
 
 func TestRunTasksValidation(t *testing.T) {
 	for name, sets := range map[string][]sim.MachineTaskSet{
-		"wrong count": {{}},
+		"wrong count": {{&yieldMachine{steps: -1}}},
 		"empty tasks": {{}, {}},
 	} {
 		func() {
@@ -214,7 +214,7 @@ func TestRunTasksValidation(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			_, _ = sim.RunTaskMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()}, sets)
+			_, _ = sim.RunMachines(sim.Config{Pattern: sim.FailFree(2), Schedule: sim.RoundRobin()}, sim.TaskMachines(sets))
 		}()
 	}
 }

@@ -198,11 +198,11 @@ func TestTimedComposedSolvesSetAgreement(t *testing.T) {
 				for i := range proposals {
 					proposals[i] = sim.Value(100 + i)
 				}
-				rep, err := sim.RunTaskMachines(sim.Config{
+				rep, err := sim.RunMachines(sim.Config{
 					Pattern:  tc.pattern,
 					Schedule: sim.EventuallySynchronous(1_000, 8, seed),
 					Budget:   1 << 22,
-				}, c.MachineTaskSets(proposals))
+				}, sim.TaskMachines(c.MachineTaskSets(proposals)))
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -224,11 +224,11 @@ func TestTimedComposedSafetyUnderPureAsynchrony(t *testing.T) {
 	pattern := sim.FailFree(n)
 	c := NewTimedComposed(n, 4, converge.UseAtomic)
 	proposals := []sim.Value{100, 101, 102, 103}
-	rep, err := sim.RunTaskMachines(sim.Config{
+	rep, err := sim.RunMachines(sim.Config{
 		Pattern:  pattern,
 		Schedule: sim.Starve(3, sim.RoundRobin()),
 		Budget:   1 << 20,
-	}, c.MachineTaskSets(proposals))
+	}, sim.TaskMachines(c.MachineTaskSets(proposals)))
 	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func TestMachineEquivalenceExtraction(t *testing.T) {
 }
 
 // TestMachineEquivalenceComposed pins the two-task composition (Figure 3
-// reduction + Figure 1 protocol) on RunTaskMachines, covering the
+// reduction + Figure 1 protocol) run as sim.TaskMachines, covering the
 // task-rotation logic.
 func TestMachineEquivalenceComposed(t *testing.T) {
 	const n = 5
@@ -238,7 +238,7 @@ func TestMachineEquivalenceComposed(t *testing.T) {
 					oracle := fd.NewOmega(pat.p, 120, seed)
 					c := NewComposed(n, oracle, PhiOmega(n), converge.UseAtomic)
 					cfg := sim.Config{Pattern: pat.p, Schedule: sf.mk(seed), Budget: 1 << 22}
-					rep, err := sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
+					rep, err := sim.RunMachines(cfg, sim.TaskMachines(c.MachineTaskSets(proposalsFor(n))))
 					pin.add(t, rep, err)
 				})
 			}
@@ -266,7 +266,7 @@ func TestMachineEquivalenceTimed(t *testing.T) {
 					Schedule: sim.EventuallySynchronous(800, 8, seed),
 					Budget:   1 << 22,
 				}
-				rep, err := sim.RunTaskMachines(cfg, c.MachineTaskSets(proposalsFor(n)))
+				rep, err := sim.RunMachines(cfg, sim.TaskMachines(c.MachineTaskSets(proposalsFor(n))))
 				pin.add(t, rep, err)
 			})
 		}

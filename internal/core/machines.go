@@ -734,7 +734,7 @@ func (m *heartbeatMachine) Step(_ sim.Time) sim.MachineStatus {
 // Compositions
 
 // MachineTaskSets returns the two tasks of every process for
-// sim.RunTaskMachines: the reduction machine, then the agreement machine
+// sim.TaskMachines: the reduction machine, then the agreement machine
 // proposing the given value.
 func (c *Composed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 	out := make([]sim.MachineTaskSet, len(proposals))
@@ -748,7 +748,7 @@ func (c *Composed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 }
 
 // MachineTaskSets returns the two tasks of every process for
-// sim.RunTaskMachines: the heartbeat machine, then the Figure 1 machine.
+// sim.TaskMachines: the heartbeat machine, then the Figure 1 machine.
 func (c *TimedComposed) MachineTaskSets(proposals []sim.Value) []sim.MachineTaskSet {
 	out := make([]sim.MachineTaskSet, len(proposals))
 	for i := range out {

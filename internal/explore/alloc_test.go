@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"weakestfd/internal/check"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -136,6 +137,27 @@ func TestOutputTraceObserveAllocBound(t *testing.T) {
 			inst.Observe(tm)
 		}
 	}), 0)
+}
+
+// TestCheckAllocBound: the specification checks run on every explored run
+// allocate nothing when the report passes them.
+func TestCheckAllocBound(t *testing.T) {
+	pattern := sim.CrashPattern(3, map[sim.PID]sim.Time{2: 5})
+	proposals := canonicalProposals(3)
+	rep := &sim.Report{Decided: map[sim.PID]sim.Value{0: proposals[0], 1: proposals[1]}}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"AtMostK", func() error { return check.AtMostK(rep, 2) }},
+		{"Validity", func() error { return check.Validity(rep, proposals) }},
+		{"TerminationOfCorrect", func() error { return check.TerminationOfCorrect(rep, pattern) }},
+	} {
+		if err := c.run(); err != nil {
+			t.Fatalf("%s on a passing report: %v", c.name, err)
+		}
+		allocBound(t, c.name, testing.AllocsPerRun(100, func() { _ = c.run() }), 0)
+	}
 }
 
 // tailLog records a 12-step run of three processes for the join cache

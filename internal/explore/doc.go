@@ -8,10 +8,10 @@
 // experiment lab only samples a few hundred seeded-random schedules. The
 // explorer closes that gap for small configurations (n ≤ 4): it enumerates a
 // precisely-defined family of schedules × crash patterns, replays each one
-// through sim.RunMachines (or sim.RunTaskMachines for the multi-task
-// compositions) on fresh shared state (runs are deterministic in the
-// schedule, so replay *is* cloning), and checks declarative Property values
-// against every completed run.
+// through sim.RunMachines (the multi-task compositions as sim.TaskMachines)
+// on fresh shared state (runs are deterministic in the schedule, so replay
+// *is* cloning), and checks declarative Property values against every
+// completed run.
 //
 // # The engine
 //

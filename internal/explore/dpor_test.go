@@ -168,7 +168,7 @@ func TestDPORAgreesWithEnumOnToy(t *testing.T) {
 }
 
 // TestDPORTaskMachines: the explorer drives multi-task systems
-// (Instance.Tasks → sim.RunTaskMachines) through the same DPOR lens; a
+// (Instance.Tasks → sim.TaskMachines) through the same DPOR lens; a
 // composed n=2 sweep over one configuration must be deterministic and
 // violation-free.
 func TestDPORTaskMachines(t *testing.T) {

@@ -249,9 +249,16 @@ func EnumerateJobs(cfg Config) []Job {
 func enumerateJobs(cfg Config) []Job {
 	sys := cfg.System
 	plan := SwitchPlan{Budget: cfg.SwitchBudget, Times: cfg.FlipTimes}
-	var jobs []Job
-	for _, p := range patternsFor(sys.N(), sys.MaxFaults(), cfg.CrashTimes, cfg.Symmetry) {
-		for _, o := range sys.Oracles(p, plan) {
+	patterns := patternsFor(sys.N(), sys.MaxFaults(), cfg.CrashTimes, cfg.Symmetry)
+	oracles := make([][]OracleChoice, len(patterns))
+	total := 0
+	for i, p := range patterns {
+		oracles[i] = sys.Oracles(p, plan)
+		total += len(oracles[i])
+	}
+	jobs := make([]Job, 0, total)
+	for i, p := range patterns {
+		for _, o := range oracles[i] {
 			jobs = append(jobs, Job{Pattern: p, Oracle: o})
 		}
 	}
@@ -467,13 +474,11 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 			return stop != nil && stop(t)
 		}
 	}
-	var rep *sim.Report
-	var err error
+	machines := inst.Machines
 	if len(inst.Tasks) > 0 {
-		rep, err = sim.RunTaskMachines(simCfg, inst.Tasks)
-	} else {
-		rep, err = sim.RunMachines(simCfg, inst.Machines)
+		machines = sim.TaskMachines(inst.Tasks)
 	}
+	rep, err := sim.RunMachines(simCfg, machines)
 	run := &Run{
 		System:    sys.Name(),
 		Pattern:   pattern,

@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,6 +43,30 @@ func TestEnumerateJobsDeterministic(t *testing.T) {
 	res := Explore(small)
 	if n := len(EnumerateJobs(small)); n != res.Configs {
 		t.Errorf("EnumerateJobs produced %d jobs, Explore reported %d configs", n, res.Configs)
+	}
+}
+
+// TestEnumerateJobsSweepOrder pins DefaultSweep's jobs at switch budget 1:
+// their number and order, which fleet shards and checkpoints index into,
+// as a digest of the "<system>/<label>" lines. Each system's list must be
+// allocated once, at its final size.
+func TestEnumerateJobsSweepOrder(t *testing.T) {
+	const want = "f451d5afdd68399bba19ecf83db12f7242aa7a0ad242f01b5b74d2b8271d5f11"
+	h := sha256.New()
+	total := 0
+	for _, cfg := range DefaultSweep() {
+		cfg.SwitchBudget = 1
+		jobs := EnumerateJobs(cfg)
+		if cap(jobs) != len(jobs) {
+			t.Errorf("%s: %d jobs in a slice of capacity %d", sweepLabel(cfg), len(jobs), cap(jobs))
+		}
+		for _, j := range jobs {
+			fmt.Fprintf(h, "%s/%s\n", cfg.System.Name(), j.Label())
+		}
+		total += len(jobs)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); total != 3319 || got != want {
+		t.Errorf("DefaultSweep at switch budget 1: %d jobs, digest %s; want 3319 jobs, digest %s", total, got, want)
 	}
 }
 

@@ -24,7 +24,7 @@ func DefaultSweep() []Config {
 		// every interleaving of the first 18 steps.
 		{System: ExtractOmegaSystem(3), MaxDepth: 18, Budget: 768},
 		// The Corollary 11 pipeline (extraction ∘ protocol as parallel task
-		// sets, driven through sim.RunTaskMachines) and its oracle-free
+		// sets, run as sim.TaskMachines) and its oracle-free
 		// timing-based sibling, safety properties only — see
 		// ComposedSystem/TimedComposedSystem.
 		{System: ComposedSystem(2), MaxDepth: 24, Budget: 4096},

@@ -55,6 +55,35 @@ func TestSwitchBudgetOneSuiteCounts(t *testing.T) {
 	}
 }
 
+// TestComposedCountsN3 pins the exact explored space of both task-set
+// systems at n=3, beyond the suite's n=2 compositions: composed at switch
+// budget 1 and timed-composed (which consumes no oracle), both at the
+// default crash times, branch depth 14 and budget 4096.
+func TestComposedCountsN3(t *testing.T) {
+	type pin struct {
+		configs              int
+		runs, joined, pruned int64
+		maxSteps             int64
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want pin
+	}{
+		{Config{System: ComposedSystem(3), MaxDepth: 14, Budget: 4096, SwitchBudget: 1}, pin{135, 11761, 6908, 16969, 257}},
+		{Config{System: TimedComposedSystem(3), MaxDepth: 14, Budget: 4096}, pin{19, 536, 180, 904, 118}},
+	} {
+		res := Explore(tc.cfg)
+		label := sweepLabel(tc.cfg)
+		if len(res.Violations) != 0 || res.Truncated {
+			t.Errorf("%s: %d violations, truncated %v", label, len(res.Violations), res.Truncated)
+		}
+		got := pin{res.Configs, res.Runs, res.Joined, res.Pruned, res.MaxSteps}
+		if got != tc.want {
+			t.Errorf("%s: configs/runs/joined/pruned/max-steps = %v, want %v", label, got, tc.want)
+		}
+	}
+}
+
 // TestJoinCachesAcrossWorkers sweeps the fig1 n=2 system of DefaultSweep at
 // switch budget 1 with one lab worker and with four: the pooled join caches
 // pass between the configurations' searches, on as many goroutines as there

@@ -47,10 +47,10 @@ type Instance struct {
 	// systems set Machines; multi-task systems set Tasks instead.
 	Machines []sim.StepMachine
 	// Tasks are the per-process task sets of multi-task systems
-	// (Composed/TimedComposed): the explorer drives them through
-	// sim.RunTaskMachines, putting the extraction∘protocol pipeline of
-	// Corollary 11 under the same exhaustive lens as the single-task
-	// protocols. Exactly one of Machines and Tasks is non-nil.
+	// (Composed/TimedComposed): the explorer runs them as sim.TaskMachines,
+	// putting the extraction∘protocol pipeline of Corollary 11 under the
+	// same exhaustive lens as the single-task protocols. Exactly one of
+	// Machines and Tasks is non-nil.
 	Tasks []sim.MachineTaskSet
 	// Proposals are the input values (nil for extraction systems).
 	Proposals []sim.Value
@@ -403,8 +403,8 @@ type composedSystem struct {
 
 // ComposedSystem explores the Theorem 10 composition: each process runs the
 // Figure 3 reduction against a stable Ω source as one task and the Figure 1
-// protocol consuming the emulated Υ as a second, through
-// sim.RunTaskMachines. Checked properties are the safety half — Agreement
+// protocol consuming the emulated Υ as a second, run as sim.TaskMachines.
+// Checked properties are the safety half — Agreement
 // and Validity must hold under *every* schedule, even ones on which the
 // emulated detector has not yet converged; termination is an eventual
 // property of fair runs and is exercised by the lab experiments instead

@@ -60,7 +60,8 @@ const DefaultBudget int64 = 1 << 20
 type Report struct {
 	// Decided maps each process that decided to its decision value.
 	Decided map[PID]Value
-	// DecidedAt maps each deciding process to the time of its last step.
+	// DecidedAt maps each deciding process to the time of the step in which
+	// it decided.
 	DecidedAt map[PID]Time
 	// Halted is the set of processes that returned without deciding.
 	Halted Set

@@ -30,11 +30,12 @@
 //     each Step performs one atomic step against shared memory, with its
 //     control state held explicitly between steps; MachineContext carries
 //     its PID, the system size and the run's instrumentation.
-//   - RunMachines / RunTaskMachines execute a configuration ⟨A, H, F,
-//     schedule⟩ and produce a Report (decisions, steps, crashes) — one run R
-//     of the paper, cut off at a step budget since impossibility arguments
-//     reason about infinite runs the simulator cannot finish (see
-//     machine.go).
+//   - RunMachines executes a configuration ⟨A, H, F, schedule⟩ and
+//     produces a Report (decisions, steps, crashes) — one run R of the
+//     paper, cut off at a step budget since impossibility arguments reason
+//     about infinite runs the simulator cannot finish (see machine.go).
+//     TaskMachines turns a process of parallel tasks into one StepMachine
+//     with a fair local scheduler, so the same loop runs it.
 //
 // Set is the bitset of PIDs used for detector outputs (the range 2^Π of Υ)
 // and correct/faulty sets throughout.

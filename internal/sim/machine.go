@@ -19,6 +19,10 @@ const (
 	// MachineHalted means the machine returned without deciding (a
 	// non-participant).
 	MachineHalted
+	// MachineDecidedRunning means the machine decided during this step and
+	// keeps taking steps, as a process does whose other tasks run on; the
+	// value is available from Decision.
+	MachineDecidedRunning
 )
 
 // MachineContext carries the per-process identity and instrumentation the
@@ -56,28 +60,23 @@ type StepMachine interface {
 	// Step performs the machine's next atomic step at time t.
 	Step(t Time) MachineStatus
 	// Decision returns the decision value; valid only after Step returned
-	// MachineDecided.
+	// MachineDecided or MachineDecidedRunning.
 	Decision() Value
 }
-
-// machState is a machine's runner-side state: runnable, returned or dead.
-type machState uint8
-
-const (
-	machLive machState = iota
-	machReturned
-	machDead
-)
 
 // RunMachines executes one StepMachine per process under the given
 // configuration and returns the run report — one run R of the paper, cut off
 // at the step budget. It returns a *BudgetError, which wraps
-// ErrBudgetExhausted, if the budget ran out before every correct process
-// returned. A machine cannot return before its first step.
+// ErrBudgetExhausted, if the run ended before every correct process decided
+// or halted. A machine cannot return before its first step.
 //
 // At every time t = 1, 2, …, processes whose crash time has arrived are
 // crashed, the schedule picks one of the remaining live processes, and that
-// process's machine takes its step t. A panicking machine is a bug in the
+// process's machine takes its step t. A process decides once, with the first
+// decision its machine reports. The run ends when no process is live, or
+// when every correct process has decided and some decided process is still
+// running (a task set's reduction never returns); processes still live when
+// the run ends are reported crashed. A panicking machine is a bug in the
 // algorithm, not a property of the run; the panic propagates.
 func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 	n := cfg.Pattern.N()
@@ -92,7 +91,6 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		budget = DefaultBudget
 	}
 
-	states := make([]machState, n)
 	rep := &Report{
 		Decided:   make(map[PID]Value),
 		DecidedAt: make(map[PID]Time),
@@ -103,44 +101,34 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		machines[i].Init(MachineContext{ID: PID(i), N: n, Log: cfg.AccessLog, Queries: cfg.Queries})
 	}
 
-	// crashLive marks every still-live machine crashed when the run is cut
-	// off, which the report observes as membership in Crashed.
-	crashLive := func() {
-		for i := range states {
-			if states[i] == machLive {
-				states[i] = machDead
-				rep.Crashed = rep.Crashed.Add(PID(i))
-			}
-		}
-	}
-
+	// live holds the processes that have neither returned nor crashed; the
+	// decided ones among them are running.
+	live, decided := FullSet(n), EmptySet
+	correct := cfg.Pattern.Correct()
+	faulty := correct.Complement(n)
 	var t Time
 	for {
+		if running := live & decided; running != 0 && correct.SubsetOf(decided) {
+			break
+		}
 		next := t + 1
-		for i := range states {
-			if states[i] == machLive && cfg.Pattern.CrashAt(PID(i)) <= next {
-				states[i] = machDead
-				rep.Crashed = rep.Crashed.Add(PID(i))
+		for s := live & faulty; s != 0; s &= s - 1 {
+			if p := s.Min(); cfg.Pattern.CrashAt(p) <= next {
+				live = live.Remove(p)
+				rep.Crashed = rep.Crashed.Add(p)
 			}
 		}
-		var enabled Set
-		for i := range states {
-			if states[i] == machLive {
-				enabled = enabled.Add(PID(i))
-			}
-		}
-		if enabled.IsEmpty() {
+		if live.IsEmpty() {
 			break // every process returned or crashed
 		}
 		if rep.Steps >= budget {
 			rep.BudgetExhausted = true
-			crashLive()
 			break
 		}
 
-		pid := cfg.Schedule.Next(next, enabled)
-		if !enabled.Has(pid) {
-			panic(fmt.Sprintf("sim: schedule chose %v not in enabled %v", pid, enabled))
+		pid := cfg.Schedule.Next(next, live)
+		if !live.Has(pid) {
+			panic(fmt.Sprintf("sim: schedule chose %v not in enabled %v", pid, live))
 		}
 		t = next
 		cfg.AccessLog.BeginStep()
@@ -150,26 +138,29 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		rep.Steps++
 		rep.StepsBy[pid]++
 		switch status {
-		case MachineDecided:
-			states[pid] = machReturned
-			rep.Decided[pid] = machines[pid].Decision()
-			rep.DecidedAt[pid] = t
+		case MachineDecided, MachineDecidedRunning:
+			if !decided.Has(pid) {
+				decided = decided.Add(pid)
+				rep.Decided[pid] = machines[pid].Decision()
+				rep.DecidedAt[pid] = t
+			}
+			if status == MachineDecided {
+				live = live.Remove(pid)
+			}
 		case MachineHalted:
-			states[pid] = machReturned
+			live = live.Remove(pid)
 			rep.Halted = rep.Halted.Add(pid)
 		}
 
 		if cfg.StopWhen != nil && cfg.StopWhen(t) {
 			rep.Stopped = true
-			crashLive()
 			break
 		}
 	}
+	rep.Crashed = rep.Crashed.Union(live)
 
-	for _, pid := range cfg.Pattern.Correct().Members() {
-		if states[pid] != machReturned {
-			return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
-		}
+	if !correct.SubsetOf(decided.Union(rep.Halted)) {
+		return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
 	}
 	return rep, nil
 }
@@ -177,155 +168,77 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 // MachineTaskSet holds the machines of one logical process's parallel tasks.
 type MachineTaskSet []StepMachine
 
-// RunTaskMachines is RunMachines generalized to multi-task processes. The
+// TaskMachines turns each multi-task process into one step machine. The
 // paper's Figure 3 algorithm explicitly runs "two parallel tasks" inside
 // each process; composing a reduction with an algorithm that consumes the
-// emulated detector likewise puts two automata inside one process. All tasks
-// of process i share identity PID i (and its failure fate), every atomic
-// step belongs to exactly one task, the schedule decides which *process*
-// steps and the runner rotates fairly among that process's live tasks,
-// modelling a fair local task scheduler. Report fields are per logical
-// process (StepsBy sums a process's tasks).
+// emulated detector likewise puts two automata inside one process. A process
+// made of several automata is itself one automaton with an explicit local
+// scheduler: all tasks of process i share identity PID i (and its failure
+// fate), every atomic step belongs to exactly one task, the schedule decides
+// which *process* steps and the process's machine rotates fairly among its
+// live tasks. Report fields are per logical process (StepsBy sums a
+// process's tasks).
 //
-// A process decides when any of its tasks returns a decision; its other
-// tasks may keep running (reductions never return). The run ends
-// successfully as soon as every correct process has decided; otherwise it
-// ends on budget exhaustion or StopWhen.
-func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
-	n := cfg.Pattern.N()
-	if len(tasks) != n {
-		panic(fmt.Sprintf("sim: %d task sets for %d processes", len(tasks), n))
-	}
-	if cfg.Schedule == nil {
-		panic("sim: nil Schedule")
-	}
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-
-	type slot struct {
-		pid   PID
-		m     StepMachine
-		state machState
-	}
-	var slots []slot
-	taskIdx := make([][]int, n) // taskIdx[pid] lists slot indices
-	for i := 0; i < n; i++ {
-		if len(tasks[i]) == 0 {
+// A process decides with its first deciding task; its other tasks keep
+// running (reductions never return), so RunMachines ends the run once every
+// correct process has decided. A process halts when all its tasks returned
+// and none decided.
+func TaskMachines(sets []MachineTaskSet) []StepMachine {
+	out := make([]StepMachine, len(sets))
+	for i, tasks := range sets {
+		if len(tasks) == 0 {
 			panic(fmt.Sprintf("sim: process %d has no tasks", i))
 		}
-		taskIdx[i] = make([]int, len(tasks[i]))
-		for k, m := range tasks[i] {
-			m.Init(MachineContext{ID: PID(i), N: n, Log: cfg.AccessLog, Queries: cfg.Queries})
-			taskIdx[i][k] = len(slots)
-			slots = append(slots, slot{pid: PID(i), m: m, state: machLive})
-		}
+		out[i] = &taskMachine{tasks: tasks, done: make([]bool, len(tasks)), live: len(tasks)}
 	}
-
-	rep := &Report{
-		Decided:   make(map[PID]Value),
-		DecidedAt: make(map[PID]Time),
-		StepsBy:   make([]int64, n),
-		Accesses:  cfg.AccessLog,
-	}
-	rotate := make([]int, n) // last-granted task index per process
-
-	crashLive := func() {
-		for i := range slots {
-			if slots[i].state == machLive {
-				slots[i].state = machDead
-				rep.Crashed = rep.Crashed.Add(slots[i].pid)
-			}
-		}
-	}
-	correct := cfg.Pattern.Correct()
-	allCorrectDecided := func() bool {
-		// Checked once per step: iterate the bitset directly, no allocation.
-		for s := correct; s != 0; s &= s - 1 {
-			if _, ok := rep.Decided[s.Min()]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-
-	var t Time
-	for {
-		if allCorrectDecided() {
-			crashLive()
-			break
-		}
-		next := t + 1
-		for i := range slots {
-			if slots[i].state == machLive && cfg.Pattern.CrashAt(slots[i].pid) <= next {
-				slots[i].state = machDead
-				rep.Crashed = rep.Crashed.Add(slots[i].pid)
-			}
-		}
-		var enabled Set
-		for i := range slots {
-			if slots[i].state == machLive {
-				enabled = enabled.Add(slots[i].pid)
-			}
-		}
-		if enabled.IsEmpty() {
-			break
-		}
-		if rep.Steps >= budget {
-			rep.BudgetExhausted = true
-			crashLive()
-			break
-		}
-
-		pid := cfg.Schedule.Next(next, enabled)
-		if !enabled.Has(pid) {
-			panic(fmt.Sprintf("sim: schedule chose %v not in enabled %v", pid, enabled))
-		}
-		procTasks := taskIdx[pid]
-		chosen := -1
-		for k := 1; k <= len(procTasks); k++ {
-			cand := (rotate[pid] + k) % len(procTasks)
-			if slots[procTasks[cand]].state == machLive {
-				chosen = cand
-				break
-			}
-		}
-		if chosen < 0 {
-			panic("sim: enabled process has no live task")
-		}
-		rotate[pid] = chosen
-		s := &slots[procTasks[chosen]]
-		t = next
-		cfg.AccessLog.BeginStep()
-		cfg.Queries.OnStep(t)
-		status := s.m.Step(t)
-		cfg.AccessLog.EndStep(pid)
-		rep.Steps++
-		rep.StepsBy[pid]++
-		switch status {
-		case MachineDecided:
-			s.state = machReturned
-			if _, dup := rep.Decided[pid]; !dup {
-				rep.Decided[pid] = s.m.Decision()
-				rep.DecidedAt[pid] = t
-			}
-		case MachineHalted:
-			s.state = machReturned
-			if !rep.Halted.Has(pid) {
-				rep.Halted = rep.Halted.Add(pid)
-			}
-		}
-
-		if cfg.StopWhen != nil && cfg.StopWhen(t) {
-			rep.Stopped = true
-			crashLive()
-			break
-		}
-	}
-
-	if !allCorrectDecided() {
-		return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
-	}
-	return rep, nil
+	return out
 }
+
+// taskMachine is one process's task set run as a single machine.
+type taskMachine struct {
+	tasks   MachineTaskSet
+	done    []bool // done[k]: task k returned
+	live    int    // tasks not yet returned
+	last    int    // the task stepped last
+	decided bool
+	value   Value
+}
+
+// Init initializes every task, in order, with the process's context.
+func (m *taskMachine) Init(ctx MachineContext) {
+	for _, task := range m.tasks {
+		task.Init(ctx)
+	}
+}
+
+// Step grants the step to the next live task after the one stepped last, so
+// the first step goes to the second task.
+func (m *taskMachine) Step(t Time) MachineStatus {
+	k := (m.last + 1) % len(m.tasks)
+	for m.done[k] {
+		k = (k + 1) % len(m.tasks)
+	}
+	m.last = k
+	status := m.tasks[k].Step(t)
+	if status == MachineRunning {
+		return MachineRunning
+	}
+	m.done[k] = true
+	m.live--
+	first := status == MachineDecided && !m.decided
+	if first {
+		m.decided, m.value = true, m.tasks[k].Decision()
+	}
+	switch {
+	case m.live > 0 && first:
+		return MachineDecidedRunning
+	case m.live > 0:
+		return MachineRunning
+	case m.decided:
+		return MachineDecided
+	}
+	return MachineHalted
+}
+
+// Decision returns the first deciding task's decision.
+func (m *taskMachine) Decision() Value { return m.value }

@@ -171,8 +171,9 @@ func requireReport(t *testing.T, rep *Report, err error, want string) {
 	}
 }
 
-// TestRunTaskMachinesRotation pins the fair local task rotation: two spin
-// tasks plus one decider per process, under both schedules.
+// TestRunTaskMachinesRotation pins the fair local task rotation of
+// TaskMachines, one spin task plus one decider per process under both
+// schedules, to Reports recorded on the goroutine-per-process runner.
 func TestRunTaskMachinesRotation(t *testing.T) {
 	pattern := CrashPattern(3, map[PID]Time{2: 9})
 	mkMachines := func() []MachineTaskSet {
@@ -197,8 +198,39 @@ func TestRunTaskMachinesRotation(t *testing.T) {
 				}
 				return RoundRobin()
 			}
-			rep, err := RunTaskMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, mkMachines())
+			rep, err := RunMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, TaskMachines(mkMachines()))
 			requireReport(t, rep, err, want[sched])
+		})
+	}
+}
+
+// TestRunMachinesStopRule pins where a run ends under one crash pattern and
+// schedule, once with single machines and once with task sets. The
+// single-machine run keeps stepping the live, undecided, faulty p2 until it
+// crashes; the task-set run ends as soon as its one correct process has
+// decided, and both processes, still live, are reported crashed.
+func TestRunMachinesStopRule(t *testing.T) {
+	pattern := CrashPattern(2, map[PID]Time{1: 20})
+	decider := func() StepMachine { return &countdownMachine{steps: 3, val: 10, decides: true} }
+	for _, tc := range []struct {
+		name     string
+		machines []StepMachine
+		want     string
+	}{
+		{
+			name:     "single",
+			machines: []StepMachine{decider(), spinMachine{}},
+			want:     `{"Decided":{"0":10},"DecidedAt":{"0":5},"Halted":0,"Crashed":2,"Steps":19,"StepsBy":[3,16],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+		},
+		{
+			name:     "task-sets",
+			machines: TaskMachines([]MachineTaskSet{{decider(), spinMachine{}}, {spinMachine{}, spinMachine{}}}),
+			want:     `{"Decided":{"0":10},"DecidedAt":{"0":11},"Halted":0,"Crashed":3,"Steps":11,"StepsBy":[6,5],"Stopped":false,"BudgetExhausted":false,"Accesses":null}`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunMachines(Config{Pattern: pattern, Schedule: RoundRobin()}, tc.machines)
+			requireReport(t, rep, err, tc.want)
 		})
 	}
 }

@@ -12,10 +12,10 @@ func (m tickMachine) Step(Time) MachineStatus { *m.n++; return MachineRunning }
 func TestRunTasksBasics(t *testing.T) {
 	// One deciding task and one spinning task per process: the run ends as
 	// soon as every correct process has decided, with the spinners crashed.
-	rep, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin()}, []MachineTaskSet{
+	rep, err := RunMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin()}, TaskMachines([]MachineTaskSet{
 		{&countdownMachine{steps: 3, val: 10, decides: true}, spinMachine{}},
 		{&countdownMachine{steps: 3, val: 11, decides: true}, spinMachine{}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestRunTasksBasics(t *testing.T) {
 func TestRunTasksFairRotation(t *testing.T) {
 	// With two spinning tasks per process, both must get steps.
 	counts := make([]int64, 4) // (pid, task) flattened
-	_, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 400},
-		[]MachineTaskSet{{tickMachine{&counts[0]}, tickMachine{&counts[1]}}, {tickMachine{&counts[2]}, tickMachine{&counts[3]}}})
+	_, err := RunMachines(Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: 400},
+		TaskMachines([]MachineTaskSet{{tickMachine{&counts[0]}, tickMachine{&counts[1]}}, {tickMachine{&counts[2]}, tickMachine{&counts[3]}}}))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -41,10 +41,10 @@ func TestRunTasksFairRotation(t *testing.T) {
 
 func TestRunTasksCrashKillsAllTasks(t *testing.T) {
 	pattern := CrashPattern(2, map[PID]Time{1: 5})
-	rep, err := RunTaskMachines(Config{Pattern: pattern, Schedule: RoundRobin(), Budget: 1000}, []MachineTaskSet{
+	rep, err := RunMachines(Config{Pattern: pattern, Schedule: RoundRobin(), Budget: 1000}, TaskMachines([]MachineTaskSet{
 		{&countdownMachine{steps: 1, val: 7, decides: true}, spinMachine{}},
 		{spinMachine{}, spinMachine{}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestRunTasksCrashKillsAllTasks(t *testing.T) {
 }
 
 func TestRunTasksStopWhen(t *testing.T) {
-	rep, err := RunTaskMachines(Config{
+	rep, err := RunMachines(Config{
 		Pattern:  FailFree(1),
 		Schedule: RoundRobin(),
 		StopWhen: func(t Time) bool { return t >= 5 },
-	}, []MachineTaskSet{{spinMachine{}, spinMachine{}}})
+	}, TaskMachines([]MachineTaskSet{{spinMachine{}, spinMachine{}}}))
 	if err == nil {
 		t.Fatal("stopped run without decisions must error")
 	}
@@ -71,16 +71,18 @@ func TestRunTasksStopWhen(t *testing.T) {
 }
 
 func TestRunTasksHaltedTask(t *testing.T) {
-	rep, err := RunTaskMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []MachineTaskSet{{
+	rep, err := RunMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, TaskMachines([]MachineTaskSet{{
 		&countdownMachine{steps: 1, decides: false},
 		// Slower than the halting task, which must finish first.
 		&countdownMachine{steps: 4, val: 3, decides: true},
-	}})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Halted.Has(0) {
-		t.Error("halted task not recorded")
+	// Halted holds the processes that returned without deciding; a halted
+	// task of a process that decided leaves it out.
+	if rep.Halted.Has(0) {
+		t.Error("process that decided recorded as halted")
 	}
 	if rep.Decided[0] != 3 {
 		t.Errorf("decision %v", rep.Decided)
@@ -89,10 +91,10 @@ func TestRunTasksHaltedTask(t *testing.T) {
 
 func TestRunTasksFirstDecisionWins(t *testing.T) {
 	// Two deciding tasks in one process: the first decision is recorded.
-	rep, err := RunTaskMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, []MachineTaskSet{{
+	rep, err := RunMachines(Config{Pattern: FailFree(1), Schedule: RoundRobin()}, TaskMachines([]MachineTaskSet{{
 		&countdownMachine{steps: 10, val: 2, decides: true}, // slow
 		&countdownMachine{steps: 1, val: 1, decides: true},  // fast
-	}})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +104,8 @@ func TestRunTasksFirstDecisionWins(t *testing.T) {
 }
 
 func TestRunTasksBudget(t *testing.T) {
-	rep, err := RunTaskMachines(Config{Pattern: FailFree(2), Schedule: NewRandom(1), Budget: 64},
-		[]MachineTaskSet{{spinMachine{}}, {spinMachine{}, spinMachine{}}})
+	rep, err := RunMachines(Config{Pattern: FailFree(2), Schedule: NewRandom(1), Budget: 64},
+		TaskMachines([]MachineTaskSet{{spinMachine{}}, {spinMachine{}, spinMachine{}}}))
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}

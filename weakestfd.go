@@ -171,6 +171,7 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 	if budget == 0 {
 		budget = 1 << 21
 	}
+	proposals := proposalValues(cfg.Proposals)
 
 	// machineOf builds process i's automaton; hist is the detector history
 	// the algorithm queries (nil for AsyncAttempt), registered under hname
@@ -187,7 +188,7 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		hist, hname = core.Upsilon(cfg.N).History(pattern, ts, cfg.Seed), "H(Υ)"
 		g := core.NewFig1(cfg.N, hist, impl)
 		k = g.K()
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	case UpsilonFFig2:
 		if cfg.F < 1 || cfg.F >= cfg.N {
 			return nil, fmt.Errorf("weakestfd: F=%d out of range [1,%d]", cfg.F, cfg.N-1)
@@ -198,26 +199,26 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 		hist, hname = core.UpsilonF(cfg.N, cfg.F).History(pattern, ts, cfg.Seed), "H(Υf)"
 		g := core.NewFig2(cfg.N, cfg.F, hist, impl)
 		k = g.K()
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	case OmegaNBaseline:
 		hist, hname = fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed), "H(Ωn)"
 		g := agreement.NewOmegaNSetAgreement(cfg.N, hist, impl)
 		k = g.K()
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	case OmegaConsensus:
 		hist, hname = fd.NewOmega(pattern, ts, cfg.Seed), "H(Ω)"
 		g := agreement.NewOmegaConsensus(cfg.N, hist, impl)
 		k = 1
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	case AsyncAttempt:
 		g := agreement.NewAsyncAttempt(cfg.N, impl)
 		k = cfg.N - 1
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	case OmegaNBoosted:
 		hist, hname = fd.NewOmegaF(pattern, cfg.N-1, ts, cfg.Seed), "H(Ωn)"
 		g := agreement.NewBoostedConsensus(cfg.N, hist, impl)
 		k = 1
-		machineOf = func(i int) sim.StepMachine { return g.Machine(sim.Value(cfg.Proposals[i])) }
+		machineOf = func(i int) sim.StepMachine { return g.Machine(proposals[i]) }
 	default:
 		return nil, fmt.Errorf("weakestfd: unknown algorithm %v", cfg.Algorithm)
 	}
@@ -236,26 +237,38 @@ func SolveSetAgreement(cfg SetAgreementConfig) (*SetAgreementResult, error) {
 	for i := range machines {
 		machines[i] = machineOf(i)
 	}
-	rep, runErr := sim.RunMachines(simCfg, machines)
-	if runErr != nil {
-		if errors.Is(runErr, sim.ErrBudgetExhausted) {
-			return nil, fmt.Errorf("%w: %v", ErrNoTermination, runErr)
-		}
-		return nil, runErr
-	}
-
-	proposals := make([]sim.Value, cfg.N)
-	for i, v := range cfg.Proposals {
-		proposals[i] = sim.Value(v)
-	}
-	if err := check.SetAgreement(rep, pattern, k, proposals); err != nil {
+	res, err := solve(simCfg, machines, k, proposals)
+	if err != nil {
 		return nil, err
 	}
-	res := newResult(rep, k)
 	if cfg.Trace {
 		res.Trace = trace.Summarize(simCfg.AccessLog, cfg.N).String()
 	}
 	return res, nil
+}
+
+// solve runs one process machine per proposal under cfg and checks the run
+// against k-set agreement: the tail every set-agreement solver shares.
+func solve(cfg sim.Config, machines []sim.StepMachine, k int, proposals []sim.Value) (*SetAgreementResult, error) {
+	rep, err := sim.RunMachines(cfg, machines)
+	if err != nil {
+		if errors.Is(err, sim.ErrBudgetExhausted) {
+			return nil, fmt.Errorf("%w: %v", ErrNoTermination, err)
+		}
+		return nil, err
+	}
+	if err := check.SetAgreement(rep, cfg.Pattern, k, proposals); err != nil {
+		return nil, err
+	}
+	return newResult(rep, k), nil
+}
+
+func proposalValues(proposals []int64) []sim.Value {
+	out := make([]sim.Value, len(proposals))
+	for i, v := range proposals {
+		out[i] = sim.Value(v)
+	}
+	return out
 }
 
 func newResult(rep *sim.Report, k int) *SetAgreementResult {
