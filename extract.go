@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"weakestfd/internal/check"
 	"weakestfd/internal/core"
 	"weakestfd/internal/fd"
 	"weakestfd/internal/sim"
@@ -134,12 +133,10 @@ func ExtractUpsilon(cfg ExtractConfig) (*ExtractResult, error) {
 	}
 
 	ex := core.NewExtraction(cfg.N, oracle, phi)
-	trace := check.NewOutputTrace[sim.Set](cfg.N, ex.OutputAt)
 	simCfg := sim.Config{
 		Pattern:  pattern,
 		Schedule: sim.NewRandom(cfg.Seed),
 		Budget:   budget,
-		StopWhen: trace.Hook(),
 	}
 	machines := make([]sim.StepMachine, cfg.N)
 	for i := range machines {
@@ -150,7 +147,7 @@ func ExtractUpsilon(cfg ExtractConfig) (*ExtractResult, error) {
 		return nil, runErr
 	}
 
-	stable, from, err := trace.StableFrom(pattern.Correct())
+	stable, from, err := ex.StableFrom(pattern.Correct(), rep.Steps)
 	if err != nil {
 		return nil, fmt.Errorf("weakestfd: extracted outputs did not agree: %w", err)
 	}

@@ -4,6 +4,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -82,11 +83,20 @@ func Consensus(rep *sim.Report, pattern sim.Pattern, proposals []sim.Value) erro
 	return SetAgreement(rep, pattern, 1, proposals)
 }
 
+// ErrNoSamples is OutputTrace.StableFrom's error for a trace that never
+// sampled: the run took no step.
+var ErrNoSamples = errors.New("check: no samples recorded")
+
 // OutputTrace records the evolution of per-process emulated detector
-// outputs across a run. Observe, plugged into sim.Config.StopWhen (which the
-// runner calls on quiescent shared state after every step), reads each
-// process's current output through a per-process reader and compares it in
-// place with the last one recorded, so observing a step allocates nothing.
+// outputs across a run by polling them. Observe, plugged into
+// sim.Config.StopWhen (which the runner calls on quiescent shared state
+// after every step), reads each process's current output through a
+// per-process reader and compares it in place with the last one recorded,
+// so observing a step allocates nothing. The reductions whose runs are
+// tested this way are polled only in tests and experiments; the Figure 3
+// extraction records its output changes where it writes them instead
+// (core.Extraction.StableFrom), since a per-step poll of every output
+// would dominate its runs.
 type OutputTrace[T comparable] struct {
 	n          int
 	read       func(i sim.PID) T
@@ -137,23 +147,33 @@ func (o *OutputTrace[T]) Final() []T { return o.last }
 // outputs changed, and the common final value; it errors if the outputs of
 // those processes disagree at the end of the trace.
 func (o *OutputTrace[T]) StableFrom(procs sim.Set) (T, sim.Time, error) {
-	var zero T
 	if !o.sampled {
-		return zero, 0, fmt.Errorf("check: no samples recorded")
+		var zero T
+		return zero, 0, ErrNoSamples
 	}
-	members := procs.Members()
-	if len(members) == 0 {
+	return Settled(o.last, o.lastChange, procs)
+}
+
+// Settled returns the common final output of procs and the latest of their
+// last-change times, from final[p], process p's output at the end of a run,
+// and changed[p], the time p's output last changed; it errors if procs is
+// empty or their final outputs disagree.
+func Settled[T comparable](final []T, changed []sim.Time, procs sim.Set) (T, sim.Time, error) {
+	var zero T
+	if procs.IsEmpty() {
 		return zero, 0, fmt.Errorf("check: empty process set")
 	}
-	ref := o.last[members[0]]
+	first := procs.Min()
+	ref := final[first]
 	var from sim.Time
-	for _, p := range members {
-		if o.last[p] != ref {
+	for s := procs; s != 0; s &= s - 1 {
+		p := s.Min()
+		if final[p] != ref {
 			return zero, 0, fmt.Errorf("check: outputs disagree: %v has %v, %v has %v",
-				members[0], ref, p, o.last[p])
+				first, ref, p, final[p])
 		}
-		if o.lastChange[p] > from {
-			from = o.lastChange[p]
+		if changed[p] > from {
+			from = changed[p]
 		}
 	}
 	return ref, from, nil

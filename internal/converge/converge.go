@@ -25,6 +25,7 @@ package converge
 
 import (
 	"fmt"
+	"slices"
 
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
@@ -33,9 +34,17 @@ import (
 // ValueSet is a sorted set of distinct values.
 type ValueSet []sim.Value
 
-// NewValueSet collects the distinct present values of a snapshot scan.
+// NewValueSet collects the distinct present values of a snapshot scan. It
+// counts the present values first, so the set takes one allocation and
+// each value is inserted in place.
 func NewValueSet(scan []memory.Opt[sim.Value]) ValueSet {
-	var vs ValueSet
+	present := 0
+	for _, c := range scan {
+		if c.OK {
+			present++
+		}
+	}
+	vs := make(ValueSet, 0, present)
 	for _, c := range scan {
 		if c.OK {
 			vs = vs.add(c.V)
@@ -44,24 +53,14 @@ func NewValueSet(scan []memory.Opt[sim.Value]) ValueSet {
 	return vs
 }
 
+// add inserts v in order unless it is present, in place when vs has the
+// capacity.
 func (vs ValueSet) add(v sim.Value) ValueSet {
-	lo, hi := 0, len(vs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if vs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(vs) && vs[lo] == v {
+	i, found := slices.BinarySearch(vs, v)
+	if found {
 		return vs
 	}
-	out := make(ValueSet, 0, len(vs)+1)
-	out = append(out, vs[:lo]...)
-	out = append(out, v)
-	out = append(out, vs[lo:]...)
-	return out
+	return slices.Insert(vs, i, v)
 }
 
 // Min returns the smallest value; it panics on an empty set.

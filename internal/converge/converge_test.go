@@ -2,6 +2,7 @@ package converge
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -307,6 +308,25 @@ func TestNewValueSetFromScan(t *testing.T) {
 	vs := NewValueSet(scan)
 	if len(vs) != 2 || vs[0] != 1 || vs[1] != 3 {
 		t.Fatalf("NewValueSet = %v", vs)
+	}
+}
+
+// TestNewValueSetAllocatesOnce: the distinct values of a scan go into one
+// allocation, however many there are.
+func TestNewValueSetAllocatesOnce(t *testing.T) {
+	scan := []memory.Opt[sim.Value]{
+		memory.Some[sim.Value](7),
+		memory.Some[sim.Value](3),
+		memory.None[sim.Value](),
+		memory.Some[sim.Value](5),
+		memory.Some[sim.Value](3),
+	}
+	if vs := NewValueSet(scan); !slices.Equal(vs, ValueSet{3, 5, 7}) {
+		t.Fatalf("NewValueSet = %v, want [3 5 7]", vs)
+	}
+	var vs ValueSet
+	if allocs := testing.AllocsPerRun(100, func() { vs = NewValueSet(scan) }); allocs != 1 {
+		t.Errorf("NewValueSet of 3 distinct values allocated %.1f objects into %v; want 1", allocs, vs)
 	}
 }
 

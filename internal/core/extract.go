@@ -1,6 +1,7 @@
 package core
 
 import (
+	"weakestfd/internal/check"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -51,6 +52,11 @@ type Extraction struct {
 	// out is the emulated Υ^f output, one register per process.
 	out    *memory.Array[sim.Set]
 	rounds *extractRounds
+	// changedAt[i] is the time of the last step in which process i changed
+	// its output (0 before its first change). Each output register has one
+	// writer, which records the change as it writes (writeOutput), so no
+	// one polls the registers.
+	changedAt []sim.Time
 }
 
 type report struct {
@@ -72,12 +78,13 @@ func NewExtraction(n int, d sim.Oracle, phi Phi) *Extraction {
 		panic("core: NewExtraction with nil Phi")
 	}
 	return &Extraction{
-		n:      n,
-		d:      d,
-		phi:    phi,
-		r:      memory.NewArray[report](keyReports, n),
-		out:    memory.NewArray[sim.Set](keyUpsilonOut, n),
-		rounds: newExtractRounds(n),
+		n:         n,
+		d:         d,
+		phi:       phi,
+		r:         memory.NewArray[report](keyReports, n),
+		out:       memory.NewArray[sim.Set](keyUpsilonOut, n),
+		rounds:    newExtractRounds(n),
+		changedAt: make([]sim.Time, n),
 	}
 }
 
@@ -93,6 +100,36 @@ var (
 // OutputAt returns process i's current emulated Υ^f output; for inspection
 // between steps (schedules, stop predicates, post-run checks) only.
 func (e *Extraction) OutputAt(i sim.PID) sim.Set { return e.out.At(i).Inspect() }
+
+// Outputs returns every process's current emulated Υ^f output, indexed by
+// PID; for post-run inspection only.
+func (e *Extraction) Outputs() []sim.Set {
+	outs := make([]sim.Set, e.n)
+	for i := range outs {
+		outs[i] = e.OutputAt(sim.PID(i))
+	}
+	return outs
+}
+
+// StableFrom returns the common output of procs at the end of a run of the
+// given number of steps, and the time after which none of them changed it.
+// It reports what a check.OutputTrace sampling the outputs after every step
+// would, errors included: the trace's first sample, at time 1, stamps every
+// process, so the time is at least 1, and a run of no steps has no samples.
+func (e *Extraction) StableFrom(procs sim.Set, steps int64) (sim.Set, sim.Time, error) {
+	if steps == 0 {
+		return sim.EmptySet, 0, check.ErrNoSamples
+	}
+	var outs [sim.MaxProcs]sim.Set
+	for i := range e.n {
+		outs[i] = e.OutputAt(sim.PID(i))
+	}
+	stable, from, err := check.Settled(outs[:e.n], e.changedAt, procs)
+	if err != nil {
+		return stable, from, err
+	}
+	return stable, max(from, 1), nil
+}
 
 // extractRounds lazily allocates the per-round shared flags of Figure 3:
 // Changed[r] (a differing report was seen; advance) and Exited[r][j] (the

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"weakestfd/internal/check"
@@ -289,4 +290,90 @@ func TestPhiTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	PhiOmega(3)("not a pid")
+}
+
+// TestOutputRecordMatchesPoll: the extraction's record of output changes,
+// kept by each output register's writer, reports what a check.OutputTrace
+// polling every output after every step reports — the same final outputs,
+// the same common value and stabilization time, and byte-identical errors —
+// over every source detector ExtractUpsilon extracts from, failure-free,
+// with a late crash and with a crash at time 0, for the real reduction and
+// every output mutant.
+func TestOutputRecordMatchesPoll(t *testing.T) {
+	const budget = 3000
+	sources := []struct {
+		name   string
+		oracle func(p sim.Pattern, seed int64) sim.Oracle
+		phi    func(n int) Phi
+	}{
+		{"omega", func(p sim.Pattern, seed int64) sim.Oracle { return fd.NewOmega(p, 200, seed) }, PhiOmega},
+		{"omegaN", func(p sim.Pattern, seed int64) sim.Oracle { return fd.NewOmegaF(p, p.N()-1, 200, seed) }, PhiOmegaF},
+		{"omegaF2", func(p sim.Pattern, seed int64) sim.Oracle { return fd.NewOmegaF(p, 2, 200, seed) }, PhiOmegaF},
+		{"stable-evP", func(p sim.Pattern, seed int64) sim.Oracle { return fd.NewStableEvPerfect(p, 200, seed) }, PhiStableEvPerfect},
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	runs := 0
+	for _, src := range sources {
+		for _, n := range []int{3, 5} {
+			for seed := int64(1); seed <= 20; seed++ {
+				victim := sim.PID(seed % int64(n))
+				patterns := []sim.Pattern{
+					sim.FailFree(n),
+					sim.CrashPattern(n, map[sim.PID]sim.Time{victim: 500}),
+					sim.CrashPattern(n, map[sim.PID]sim.Time{victim: 0}),
+				}
+				for _, pattern := range patterns {
+					for _, mut := range []ExtractMutation{MutExNone, MutExFullOutput, MutExEmptyOutput, MutExStaleLeader} {
+						ex := NewExtraction(n, src.oracle(pattern, seed), src.phi(n))
+						machines := make([]sim.StepMachine, n)
+						for i := range machines {
+							machines[i] = ex.MutantMachine(mut)
+						}
+						trace := check.NewOutputTrace[sim.Set](n, ex.OutputAt)
+						rep, err := sim.RunMachines(sim.Config{
+							Pattern:  pattern,
+							Schedule: sim.NewRandom(seed),
+							Budget:   budget,
+							StopWhen: trace.Hook(),
+						}, machines)
+						if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
+							t.Fatalf("extraction run: %v", err)
+						}
+						name := fmt.Sprintf("%s n=%d seed=%d %v %v", src.name, n, seed, pattern, mut)
+						if got, want := ex.Outputs(), trace.Final(); !slices.Equal(got, want) {
+							t.Fatalf("%s: final outputs %v, poll %v", name, got, want)
+						}
+						// {victim} alone, crashed at 0, never changes its
+						// output: the poll's first sample still stamps it.
+						for _, procs := range []sim.Set{pattern.Correct(), sim.FullSet(n), sim.SetOf(victim), sim.EmptySet} {
+							gs, gf, gerr := ex.StableFrom(procs, rep.Steps)
+							ws, wf, werr := trace.StableFrom(procs)
+							if gs != ws || gf != wf || errText(gerr) != errText(werr) {
+								t.Fatalf("%s over %v: record (%v, %d, %s), poll (%v, %d, %s)",
+									name, procs, gs, gf, errText(gerr), ws, wf, errText(werr))
+							}
+						}
+						runs++
+					}
+				}
+			}
+		}
+	}
+	if runs != 4*2*20*3*4 {
+		t.Fatalf("compared %d runs", runs)
+	}
+
+	// A run of no steps has no samples.
+	ex := NewExtraction(3, fd.NewOmega(sim.FailFree(3), 0, 1), PhiOmega(3))
+	trace := check.NewOutputTrace[sim.Set](3, ex.OutputAt)
+	_, _, gerr := ex.StableFrom(sim.FullSet(3), 0)
+	_, _, werr := trace.StableFrom(sim.FullSet(3))
+	if errText(gerr) != errText(werr) || gerr == nil {
+		t.Fatalf("no steps: record error %s, poll error %s", errText(gerr), errText(werr))
+	}
 }

@@ -444,6 +444,9 @@ type extractionMachine struct {
 	log     *sim.AccessLog
 	seam    *sim.QuerySeam
 	pc      uint8
+	// wrote is the output this process wrote last (the register's initial
+	// zero value before its first write).
+	wrote sim.Set
 
 	// mut perturbs the output writes and re-query sites (see mutant.go);
 	// MutExNone is the real reduction.
@@ -496,6 +499,17 @@ func (m *extractionMachine) afterExited() {
 	}
 }
 
+// writeOutput writes the process's emulated output at step t. The register
+// has no other writer, so its value changes exactly when v differs from the
+// value written last, and the writer records t as the change.
+func (m *extractionMachine) writeOutput(t sim.Time, v sim.Set) {
+	m.e.out.DirectWrite(m.log, m.me, v)
+	if v != m.wrote {
+		m.wrote = v
+		m.e.changedAt[m.me] = t
+	}
+}
+
 func (m *extractionMachine) Step(t sim.Time) sim.MachineStatus {
 	e := m.e
 	switch m.pc {
@@ -508,7 +522,7 @@ func (m *extractionMachine) Step(t sim.Time) sim.MachineStatus {
 		m.r = 1
 		m.pc = exRoundOut
 	case exRoundOut:
-		e.out.DirectWrite(m.log, m.me, m.full) // lines 7-10
+		m.writeOutput(t, m.full) // lines 7-10
 		m.s, m.w = e.phi(m.d)
 		m.changed, m.exited = e.rounds.at(m.r)
 		m.batches = 0
@@ -604,7 +618,7 @@ func (m *extractionMachine) Step(t sim.Time) sim.MachineStatus {
 		case MutExEmptyOutput:
 			out = sim.EmptySet
 		}
-		e.out.DirectWrite(m.log, m.me, out)
+		m.writeOutput(t, out)
 		m.sSet = true
 		m.pc = exChangedRead
 	case exExitQuery:

@@ -123,20 +123,66 @@ func TestInternAllocBound(t *testing.T) {
 	}
 }
 
-// TestOutputTraceObserveAllocBound: the extraction's output trace, which
-// observes every step of every extract-omega run, compares the outputs in
-// place.
-func TestOutputTraceObserveAllocBound(t *testing.T) {
+// TestExtractionRunAllocBound: an unrecorded extraction run allocates
+// nothing per step — each process records its output changes as it writes
+// them, and the random schedule draws in place — so a run of 6,000 steps,
+// its Finish included, allocates exactly what a run of 600 does.
+func TestExtractionRunAllocBound(t *testing.T) {
 	sys := ExtractOmegaSystem(3)
 	pattern := sim.FailFree(3)
-	inst := sys.Instantiate(pattern, sys.Oracles(pattern, SwitchPlan{})[0])
-	tm := sim.Time(0)
-	allocBound(t, "OutputTrace.Observe: 64 steps", testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			tm++
-			inst.Observe(tm)
+	oracle := sys.Oracles(pattern, SwitchPlan{})[0]
+	run := func(budget int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			inst := sys.Instantiate(pattern, oracle)
+			rep, _ := sim.RunMachines(sim.Config{Pattern: pattern, Schedule: sim.NewRandom(1), Budget: budget}, inst.Machines)
+			if rep.Steps != budget {
+				t.Fatalf("extraction run took %d steps; want its budget %d", rep.Steps, budget)
+			}
+			inst.Finish(&Run{Report: rep})
+		})
+	}
+	short, long := run(600), run(6000)
+	if raceEnabled {
+		t.Logf("extraction run: %.1f allocations at budget 600, %.1f at 6,000 (not compared under -race)", short, long)
+		return
+	}
+	if long != short {
+		t.Errorf("extraction run allocated %.1f objects at budget 6,000 and %.1f at 600; want equal", long, short)
+	}
+}
+
+// fpPair is a two-word register value with its own state fingerprint.
+type fpPair struct {
+	v  sim.Value
+	ts int64
+}
+
+func (p fpPair) StateFP() uint64 { return uint64(p.v)*0x100000001b3 ^ uint64(p.ts) }
+
+// TestStoppedDigestWriteAllocBound: fingerprinting a written value boxes it,
+// which costs a two-word struct an allocation, but once the join probe has
+// stopped the log's digest a register write records its access alone and
+// allocates nothing.
+func TestStoppedDigestWriteAllocBound(t *testing.T) {
+	log := sim.NewAccessLog()
+	log.EnableDigest()
+	reg := memory.NewRegister[fpPair](sim.KeyOf("R"))
+	write := func(stop bool) func() {
+		return func() {
+			log.Reset()
+			if stop {
+				log.StopDigest()
+			}
+			log.BeginStep()
+			reg.DirectWrite(log, fpPair{v: 7, ts: 9})
+			log.EndStep(0)
 		}
-	}), 0)
+	}
+	write(false)()
+	if on := testing.AllocsPerRun(100, write(false)); on == 0 && !raceEnabled {
+		t.Errorf("a digested two-word write allocated nothing; the bound below measures nothing")
+	}
+	allocBound(t, "register write after StopDigest", testing.AllocsPerRun(100, write(true)), 0)
 }
 
 // TestCheckAllocBound: the specification checks run on every explored run

@@ -72,15 +72,18 @@
 //   - State-hash joins: when MaxDepth < Budget, every step of every run
 //     beyond the horizon is pure round-robin, so two runs that reach the
 //     horizon in the same joint state run identical tails. Each run's state
-//     at the horizon is fingerprinted incrementally (sim.AccessLog's
-//     order-insensitive XOR of per-write value fingerprints — see
-//     StateDigest) and keyed together with the round-robin rotation point
-//     and a fingerprint of any forced-prefix grants still pending past the
-//     horizon. The digest covers the detector environment too: each flip
-//     writes its history object with the post-flip output's fingerprint
-//     (sim.QuerySeam.OnStep). A later run hitting a seen key stops at the
-//     horizon, counted in Result.Joined, and its race analysis reads the
-//     recorded tail step by step as far as it walks.
+//     at the horizon is fingerprinted incrementally (sim.AccessLog's fold
+//     of every object's current-value fingerprint and every process's
+//     observation hash — see StateDigest) and keyed together with the
+//     round-robin rotation point and a fingerprint of any forced-prefix
+//     grants still pending past the horizon. The digest covers the
+//     detector environment too: each flip writes its history object with
+//     the post-flip output's fingerprint (sim.QuerySeam.OnStep). The probe
+//     at the horizon is the digest's only reader, so the log stops
+//     maintaining it there (sim.AccessLog.StopDigest) until the next run's
+//     Reset. A later run hitting a seen key stops at the horizon, counted
+//     in Result.Joined, and its race analysis reads the recorded tail step
+//     by step as far as it walks.
 //     Soundness: crashes and flips fire at *absolute* times — the flips
 //     still pending at the horizon are the same for every run of a
 //     configuration — and machines consult time only through the query

@@ -451,12 +451,12 @@ func bumpMax(m *atomic.Int64, v int64) {
 // instance's detector histories are then registered with a query seam so
 // queries and history flips are part of those sets. An unrecorded run needs
 // no seam — flip schedules live in the oracle itself, so outputs are
-// identical either way. stop, when non-nil, is polled after every step (and
-// after the instance's observer) with the step count; a true return ends the
-// run early — the source engine's state-hash join probe.
+// identical either way. stop, when non-nil, is polled after every step with
+// the step count; a true return ends the run early — the source engine's
+// state-hash join probe.
 func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time) bool) *Run {
 	inst := sys.Instantiate(pattern, oracle)
-	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: budget, AccessLog: log}
+	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: budget, AccessLog: log, StopWhen: stop}
 	var seam *sim.QuerySeam
 	if log != nil && len(inst.Histories) > 0 {
 		seam = sim.NewQuerySeam(log)
@@ -464,15 +464,6 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 			seam.Register(h.Name, h.H)
 		}
 		simCfg.Queries = seam
-	}
-	if inst.Observe != nil || stop != nil {
-		observe := inst.Observe
-		simCfg.StopWhen = func(t sim.Time) bool {
-			if observe != nil {
-				observe(t)
-			}
-			return stop != nil && stop(t)
-		}
 	}
 	machines := inst.Machines
 	if len(inst.Tasks) > 0 {

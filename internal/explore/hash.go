@@ -37,6 +37,11 @@ import (
 //     fair tail, so two runs may join only when they agree on the pending
 //     grants too.
 //
+// The probe that takes the key is the digest's only reader: it runs once
+// per run, at t = h, and stops the log's digest maintenance
+// (sim.AccessLog.StopDigest) until the next run's Reset, so the steps past
+// the horizon record their accesses without fingerprinting their writes.
+//
 // Both runs are at the same global time (t = h: time advances one per step),
 // the crash pattern fires at absolute times, and the flips still pending
 // after h fire at absolute times fixed by the configuration — the same for

@@ -64,7 +64,7 @@ import (
 // differential testing.
 
 // dporMaxProcs bounds the vector-clock width. The CLI caps exploration at
-// n = 4; fixed-size clock arrays keep the analysis allocation-light.
+// n = 5; fixed-size clock arrays keep the analysis allocation-light.
 const dporMaxProcs = 8
 
 // vclock is a vector clock: entry q counts the steps of process q known to
@@ -247,9 +247,11 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 	// The join probe fires once per run, when the step count reaches the
 	// horizon: on a cache hit the run stops there and reuses the cached tail;
 	// on a miss the completed run's tail is inserted under the probed key.
-	// The closure (and the per-run probe state it captures) is built once for
-	// the whole configuration, and so is the run record — both sit on the
-	// per-run hot path.
+	// The probe is the digest's only reader, so the log stops maintaining
+	// the digest there until the next run's Reset. The closure (and the
+	// per-run probe state it captures) is built once for the whole
+	// configuration, and so is the run record — both sit on the per-run hot
+	// path.
 	var prefix []sim.PID
 	rec := &s.rec
 	var probed bool
@@ -262,6 +264,7 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 			}
 			probed = true
 			probeKey = joinKey{digest: s.log.StateDigest(), rr: -1}
+			s.log.StopDigest()
 			if s.horizon > len(prefix) {
 				probeKey.rr = int16(rec.granted[s.horizon-1])
 			} else if len(prefix) > s.horizon {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"weakestfd/internal/check"
 	"weakestfd/internal/converge"
 	"weakestfd/internal/core"
 	"weakestfd/internal/fd"
@@ -41,7 +40,10 @@ type NamedHistory struct {
 }
 
 // Instance is one run's freshly built shared state: the per-process
-// machines plus the hooks the explorer wires into the simulation.
+// machines, the detector histories the explorer registers with the query
+// seam, and a Finish hook run once the simulation is over. No hook runs
+// between steps: the only per-step callback of an explored run is the
+// explorer's own join probe.
 type Instance struct {
 	// Machines are the per-process automata (one per PID). Single-task
 	// systems set Machines; multi-task systems set Tasks instead.
@@ -56,11 +58,10 @@ type Instance struct {
 	Proposals []sim.Value
 	// K is the agreement bound (0 when not applicable).
 	K int
-	// Observe, when non-nil, is called after every settled step (wired into
-	// sim.Config.StopWhen); extraction systems use it to trace outputs.
-	Observe func(t sim.Time)
 	// Finish, when non-nil, runs after the simulation and may fill
-	// system-specific Run fields (e.g. Outputs/OutputsSettled).
+	// system-specific Run fields (e.g. Outputs/OutputsSettled): an
+	// extraction reads the output changes its machines recorded as they
+	// wrote them (core.Extraction.StableFrom).
 	Finish func(r *Run)
 	// Histories are the detector histories the machines query, registered
 	// with the run's query seam so every query is recorded as a read of the
@@ -362,15 +363,13 @@ func (s extractSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance
 	for i := range machines {
 		machines[i] = ex.MutantMachine(s.mut)
 	}
-	trace := check.NewOutputTrace[sim.Set](s.n, ex.OutputAt)
 	correct := pattern.Correct()
 	return Instance{
 		Machines:  machines,
 		Histories: []NamedHistory{{Name: "H(Ω)", H: oracle}},
-		Observe:   trace.Observe,
 		Finish: func(r *Run) {
-			r.Outputs = append([]sim.Set(nil), trace.Final()...)
-			stable, from, err := trace.StableFrom(correct)
+			r.Outputs = ex.Outputs()
+			stable, from, err := ex.StableFrom(correct, r.Report.Steps)
 			if err != nil {
 				return // outputs still disagree at the horizon: inconclusive
 			}
@@ -381,7 +380,7 @@ func (s extractSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance
 			if window < 64 {
 				window = 64
 			}
-			if int64(trace.Horizon()-from) >= window {
+			if r.Report.Steps-int64(from) >= window {
 				r.OutputsSettled = true
 				r.StableOutput = stable
 			}

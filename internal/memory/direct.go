@@ -45,10 +45,11 @@ func (r *Register[T]) DirectRead(l *sim.AccessLog) T {
 	return r.v
 }
 
-// DirectWrite sets the register's value; one atomic step. On a
-// digest-enabled log the write carries the new value's fingerprint, keeping
-// the log's state digest (sim.AccessLog.StateDigest) in sync with shared
-// memory without ever re-walking the registers.
+// DirectWrite sets the register's value; one atomic step. While the log
+// maintains its state digest (sim.AccessLog.DigestOn) the write carries the
+// new value's fingerprint, keeping the digest in sync with shared memory
+// without ever re-walking the registers; otherwise it records the access
+// alone.
 func (r *Register[T]) DirectWrite(l *sim.AccessLog, v T) {
 	if l != nil {
 		if id := r.logID(l); l.DigestOn() {

@@ -21,6 +21,13 @@ import "strings"
 // recording behind a single nil check — the lab/benchmark hot paths run with
 // instrumentation compiled in but disabled at zero allocation cost
 // (asserted by the zero-alloc tests in internal/sim and internal/memory).
+//
+// A log can also maintain a state digest (EnableDigest, StateDigest): the
+// fingerprint of every object's current value and of every process's
+// observations, which the explorer's join probe reads once per run, at the
+// branch horizon. The probe then stops the digest (StopDigest), so writes
+// past the horizon record their access without fingerprinting — and
+// boxing — the value; Reset maintains it again for the next run.
 
 // AccessKind distinguishes reads from writes of a shared object.
 type AccessKind uint8
@@ -83,10 +90,13 @@ type AccessLog struct {
 
 	// State-digest support (EnableDigest): the incremental machinery behind
 	// StateDigest, maintained only when digestOn — the plain recording path
-	// stays zero-allocation. objFP[id] fingerprints object id's *current*
-	// value (0 = still holding its initial value); fps parallels buf with
-	// the value fingerprint each access observed or installed; procH[p] is
-	// process p's rolling observation hash, folded once per step by EndStep.
+	// stays zero-allocation. digest records EnableDigest; digestOn holds
+	// from each Reset of such a log until StopDigest. objFP[id]
+	// fingerprints object id's *current* value (0 = still holding its
+	// initial value); fps parallels buf with the value fingerprint each
+	// access observed or installed; procH[p] is process p's rolling
+	// observation hash, folded once per step by EndStep.
+	digest   bool
 	digestOn bool
 	objFP    []uint64
 	fps      []uint64
@@ -183,16 +193,29 @@ func (l *AccessLog) objFPAt(obj ObjID) uint64 {
 }
 
 // EnableDigest switches on incremental state-digest maintenance for every
-// subsequent run recorded into the log (Reset keeps it on). The recording
-// hot path pays fingerprint folds only while enabled.
+// subsequent run recorded into the log: Reset turns it back on after a
+// StopDigest. The recording hot path pays fingerprint folds only while the
+// digest is maintained.
 func (l *AccessLog) EnableDigest() {
 	if l == nil {
 		return
 	}
+	l.digest = true
 	l.digestOn = true
 }
 
-// DigestOn reports whether the log maintains state digests; the
+// StopDigest stops digest maintenance until the next Reset, once the run's
+// last StateDigest has been taken: the explorer reads the digest once per
+// run, at the branch horizon, and the steps after it record their accesses
+// without fingerprinting the values they write. Nil-safe no-op.
+func (l *AccessLog) StopDigest() {
+	if l == nil {
+		return
+	}
+	l.digestOn = false
+}
+
+// DigestOn reports whether the log maintains its state digest now; the
 // instrumented write accessors consult it to decide between Record and
 // RecordValued.
 func (l *AccessLog) DigestOn() bool { return l != nil && l.digestOn }
@@ -205,8 +228,9 @@ func (l *AccessLog) DigestOn() bool { return l != nil && l.digestOn }
 // states — a machine's local state is a deterministic function of its
 // observation sequence, which procH hashes access by access, value by
 // value, with a per-step marker so even yield steps advance it (the
-// "per-process PC"). See internal/explore/hash.go for the join argument
-// built on top.
+// "per-process PC"). It is valid only while the digest is maintained: after
+// StopDigest it reads stale fingerprints until the next Reset. See
+// internal/explore/hash.go for the join argument built on top.
 func (l *AccessLog) StateDigest() uint64 {
 	h := fpSeed
 	for id, fp := range l.objFP {
@@ -228,7 +252,8 @@ func (l *AccessLog) StateDigest() uint64 {
 // it stops once every process still to step is happens-after every
 // branch-node step, since no later race can reach the search. Digest state
 // is deliberately not advanced: joins happen at the branch horizon, after
-// which no digest is taken. Nil-safe no-op.
+// which no digest is taken (the explorer has stopped it there). Nil-safe
+// no-op.
 func (l *AccessLog) AppendStep(p PID, accs []Access) {
 	if l == nil {
 		return
@@ -292,7 +317,8 @@ func (l *AccessLog) EndStep(p PID) {
 }
 
 // Reset clears the recorded steps, keeping the intern table (and hence ID
-// stability) for the next run. Nil-safe no-op.
+// stability) for the next run. On a log with EnableDigest it clears the
+// digest and maintains it again, after a StopDigest too. Nil-safe no-op.
 func (l *AccessLog) Reset() {
 	if l == nil {
 		return
@@ -301,15 +327,12 @@ func (l *AccessLog) Reset() {
 	l.spans = l.spans[:0]
 	l.start = 0
 	l.envEnd = 0
-	if l.digestOn {
-		for i := range l.objFP {
-			l.objFP[i] = 0
-		}
-		for i := range l.procH {
-			l.procH[i] = 0
-		}
+	if l.digest {
+		clear(l.objFP)
+		clear(l.procH)
 		l.fps = l.fps[:0]
 		l.unkWrites = 0
+		l.digestOn = true
 	}
 }
 

@@ -164,3 +164,43 @@ func TestObjKeyNames(t *testing.T) {
 		t.Error("keys of different kinds compare equal")
 	}
 }
+
+// TestDigestResumesAfterReset: a log whose digest was stopped partway
+// through one run digests the next run, after Reset, exactly as a fresh
+// digest-enabled log does.
+func TestDigestResumesAfterReset(t *testing.T) {
+	record := func(l *AccessLog, keys []string, steps int) {
+		for i := 0; i < steps; i++ {
+			l.BeginStep()
+			for k, key := range keys {
+				id := l.Intern(KeyOf(key))
+				if (i+k)%2 == 0 {
+					l.Record(id, AccessRead)
+				} else {
+					l.RecordValued(id, AccessWrite, uint64(i*7+k))
+				}
+			}
+			l.EndStep(PID(i % 3))
+		}
+	}
+	reused := NewAccessLog()
+	reused.EnableDigest()
+	record(reused, []string{"a", "b", "c"}, 5)
+	reused.StopDigest()
+	if reused.DigestOn() {
+		t.Fatal("DigestOn after StopDigest")
+	}
+	record(reused, []string{"a", "b", "c"}, 7)
+	reused.Reset()
+	if !reused.DigestOn() {
+		t.Fatal("Reset did not resume the digest")
+	}
+	record(reused, []string{"a", "b"}, 9)
+
+	fresh := NewAccessLog()
+	fresh.EnableDigest()
+	record(fresh, []string{"a", "b"}, 9)
+	if got, want := reused.StateDigest(), fresh.StateDigest(); got != want {
+		t.Errorf("digest after Reset = %#x, want a fresh log's %#x", got, want)
+	}
+}

@@ -51,11 +51,20 @@ func (r *roundRobin) Next(_ Time, enabled Set) PID {
 // probability 1 over any finite budget.
 func NewRandom(seed int64) Schedule {
 	//lint:fdlint determinism -- instance-local rng seeded by the caller: the schedule is a pure function of (seed, query sequence); replacing it with fd.Mix would invalidate every recorded schedule baseline
-	rng := rand.New(rand.NewSource(seed))
-	return Func(func(_ Time, enabled Set) PID {
-		//lint:fdlint determinism -- draws from the seed-determined instance rng above
-		return enabled.Nth(rng.Intn(enabled.Len()))
-	})
+	return &random{rng: rand.New(rand.NewSource(seed))}
+}
+
+// random is NewRandom's schedule.
+type random struct {
+	rng *rand.Rand
+}
+
+// Next implements Schedule. An enabled set has at most MaxProcs members, so
+// Int31n draws exactly what rng.Intn(enabled.Len()) would, without Intn's
+// range dispatch: the pick sequence of every seed is Intn's.
+func (r *random) Next(_ Time, enabled Set) PID {
+	//lint:fdlint determinism -- draws from the seed-determined instance rng NewRandom built
+	return enabled.Nth(int(r.rng.Int31n(int32(enabled.Len()))))
 }
 
 // Priority returns a schedule that always grants the first enabled process

@@ -119,19 +119,39 @@ func (s Set) MembersAppend(dst []PID) []PID {
 	return dst
 }
 
-// Nth returns the i-th smallest member of s (0-based). It panics if
-// i >= s.Len(). Schedules use it to pick a member by index without
-// materializing the member slice.
+// Nth returns the i-th smallest member of s (0-based). It panics unless
+// 0 <= i < s.Len(). Schedules use it to pick a member by index without
+// materializing the member slice. It walks s a byte at a time and looks the
+// member up in nthInByte, so a set of at most eight processes costs one
+// table read, whatever i is.
 func (s Set) Nth(i int) PID {
-	t := s
-	for ; i > 0; i-- {
-		t &= t - 1
-	}
-	if t == 0 {
+	if uint(i) >= uint(s.Len()) {
 		panic("sim: Set.Nth out of range")
 	}
-	return lowest(t)
+	for base := 0; ; base += 8 {
+		b := uint8(s >> base)
+		c := bits.OnesCount8(b)
+		if i < c {
+			return PID(base + int(nthInByte[b][i]))
+		}
+		i -= c
+	}
 }
+
+// nthInByte[b][k] is the position of the k-th lowest set bit of byte b;
+// entries past b's population count are unused.
+var nthInByte = func() (t [256][8]uint8) {
+	for b := range t {
+		k := 0
+		for bit := uint8(0); bit < 8; bit++ {
+			if b>>bit&1 != 0 {
+				t[b][k] = bit
+				k++
+			}
+		}
+	}
+	return t
+}()
 
 // Min returns the smallest PID in s. It panics on the empty set.
 func (s Set) Min() PID {
