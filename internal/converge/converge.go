@@ -34,25 +34,6 @@ import (
 // ValueSet is a sorted set of distinct values.
 type ValueSet []sim.Value
 
-// NewValueSet collects the distinct present values of a snapshot scan. It
-// counts the present values first, so the set takes one allocation and
-// each value is inserted in place.
-func NewValueSet(scan []memory.Opt[sim.Value]) ValueSet {
-	present := 0
-	for _, c := range scan {
-		if c.OK {
-			present++
-		}
-	}
-	vs := make(ValueSet, 0, present)
-	for _, c := range scan {
-		if c.OK {
-			vs = vs.add(c.V)
-		}
-	}
-	return vs
-}
-
 // add inserts v in order unless it is present, in place when vs has the
 // capacity.
 func (vs ValueSet) add(v sim.Value) ValueSet {
@@ -150,39 +131,34 @@ func (c *Instance) K() int { return c.k }
 // the paper indexes them: converge[r] and converge[r][k], with the instance's
 // convergence parameter part of the identity (so that processes with
 // divergent failure detector views, and hence divergent parameters, use
-// distinct objects). Instance [r][k] with parameter param is identified by
-// the key name[r][k]/param.
-type Series struct {
-	key  sim.ObjKey
-	n    int
-	impl Impl
-	// insts holds the instances created so far, in creation order. A run
-	// touches only a few rounds, so a short slice searched from its most
-	// recent end beats a map.
-	insts []seriesEntry
-}
-
-type seriesEntry struct {
-	r, k, param int
-	inst        *Instance
-}
+// distinct objects). Instance [r][k] with parameter param is At(r, k,
+// param), identified by the key name[r][k]/param; Reset keeps the instances
+// as spares for the next run.
+type Series = memory.Family[*Instance, seriesMaker]
 
 // NewSeries creates a converge-instance family for n processes whose
 // instances are named after name.
 func NewSeries(name sim.Name, n int, impl Impl) *Series {
-	return &Series{key: name.Key(sim.ObjConverge), n: n, impl: impl}
+	return memory.NewFamily[*Instance](name.Key(sim.ObjConverge), seriesMaker{n: n, impl: impl})
 }
 
-// At returns the param-converge instance with indices [r][k], creating it on
-// first use. The accessor takes no simulation steps; object creation is
-// bookkeeping, not shared-memory communication.
-func (s *Series) At(r, k, param int) *Instance {
-	for i := len(s.insts) - 1; i >= 0; i-- {
-		if e := &s.insts[i]; e.r == r && e.k == k && e.param == param {
-			return e.inst
-		}
+// seriesMaker makes a series' instances for n processes on impl.
+type seriesMaker struct {
+	n    int
+	impl Impl
+}
+
+func (b seriesMaker) Make(key sim.ObjKey, param int) *Instance {
+	return NewInstance(key, b.n, param, b.impl)
+}
+
+// Rearm empties c's snapshots for a new run and gives it key and parameter
+// k; see memory.Snapshot.Reset for the cached IDs.
+func (seriesMaker) Rearm(c *Instance, key sim.ObjKey, k int) {
+	if k < 0 {
+		panic(fmt.Sprintf("converge: negative k=%d", k))
 	}
-	inst := NewInstance(s.key.WithRound(r).WithSub(k, param), s.n, param, s.impl)
-	s.insts = append(s.insts, seriesEntry{r: r, k: k, param: param, inst: inst})
-	return inst
+	c.k = k
+	c.a.Reset(key.WithPart(0))
+	c.b.Reset(key.WithPart(1))
 }

@@ -298,6 +298,8 @@ func TestValueSet(t *testing.T) {
 	}
 }
 
+// TestNewValueSetFromScan: a machine's value set holds the distinct present
+// values of a scan, sorted.
 func TestNewValueSetFromScan(t *testing.T) {
 	scan := []memory.Opt[sim.Value]{
 		memory.Some[sim.Value](3),
@@ -305,14 +307,15 @@ func TestNewValueSetFromScan(t *testing.T) {
 		memory.Some[sim.Value](1),
 		memory.Some[sim.Value](3),
 	}
-	vs := NewValueSet(scan)
+	var m Machine
+	vs := m.valueSet(scan)
 	if len(vs) != 2 || vs[0] != 1 || vs[1] != 3 {
-		t.Fatalf("NewValueSet = %v", vs)
+		t.Fatalf("valueSet = %v", vs)
 	}
 }
 
-// TestNewValueSetAllocatesOnce: the distinct values of a scan go into one
-// allocation, however many there are.
+// TestNewValueSetAllocatesOnce: on a fresh machine, the distinct values of
+// a scan go into one allocation, however many there are.
 func TestNewValueSetAllocatesOnce(t *testing.T) {
 	scan := []memory.Opt[sim.Value]{
 		memory.Some[sim.Value](7),
@@ -321,12 +324,51 @@ func TestNewValueSetAllocatesOnce(t *testing.T) {
 		memory.Some[sim.Value](5),
 		memory.Some[sim.Value](3),
 	}
-	if vs := NewValueSet(scan); !slices.Equal(vs, ValueSet{3, 5, 7}) {
-		t.Fatalf("NewValueSet = %v, want [3 5 7]", vs)
+	var m Machine
+	if vs := m.valueSet(scan); !slices.Equal(vs, ValueSet{3, 5, 7}) {
+		t.Fatalf("valueSet = %v, want [3 5 7]", vs)
 	}
 	var vs ValueSet
-	if allocs := testing.AllocsPerRun(100, func() { vs = NewValueSet(scan) }); allocs != 1 {
-		t.Errorf("NewValueSet of 3 distinct values allocated %.1f objects into %v; want 1", allocs, vs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var fresh Machine
+		vs = fresh.valueSet(scan)
+	}); allocs != 1 {
+		t.Errorf("a fresh machine's value set of 3 distinct values allocated %.1f objects into %v; want 1", allocs, vs)
+	}
+}
+
+// TestValueSetReusesStorageAfterReset: the sets a machine publishes in one
+// run are carved one after another from its storage and never written
+// again, and after Reset the next run's sets are carved from that storage
+// without allocating.
+func TestValueSetReusesStorageAfterReset(t *testing.T) {
+	some := func(vs ...sim.Value) []memory.Opt[sim.Value] {
+		scan := []memory.Opt[sim.Value]{memory.None[sim.Value]()}
+		for _, v := range vs {
+			scan = append(scan, memory.Some(v))
+		}
+		return scan
+	}
+	var m Machine
+	first := m.valueSet(some(7, 3, 5, 3))
+	second := m.valueSet(some(2, 1))
+	if !slices.Equal(first, ValueSet{3, 5, 7}) || !slices.Equal(second, ValueSet{1, 2}) {
+		t.Fatalf("value sets = %v, %v; want [3 5 7], [1 2]", first, second)
+	}
+	if cap(first) != len(first) {
+		t.Errorf("published set has capacity %d past its %d values; an append could write its neighbour", cap(first), len(first))
+	}
+	scan := some(9, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		// The second set outgrew the first storage, so the machine
+		// carves from the storage it moved to.
+		if vs := m.valueSet(scan); &vs[0] != &second[0] || !slices.Equal(vs, ValueSet{8, 9}) {
+			t.Fatalf("set carved after Reset = %v at %p; want [8 9] at %p, where the last run's last set was", vs, &vs[0], &second[0])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a reset machine's value set allocated %.1f objects; want 0", allocs)
 	}
 }
 
@@ -407,5 +449,41 @@ func BenchmarkAblationConverge(b *testing.B) {
 				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 			})
 		}
+	}
+}
+
+// TestDigestedProposalUpdateAllocBound: a round-2 update records the
+// fingerprint of the proposal it writes without boxing it, so a digested
+// update allocates nothing, and the fingerprint the digest folds is the
+// boxed one.
+func TestDigestedProposalUpdateAllocBound(t *testing.T) {
+	p := proposal{set: ValueSet{100, 102}, commit: true}
+	digest := func(update func(*sim.AccessLog)) (uint64, float64) {
+		log := sim.NewAccessLog()
+		log.EnableDigest()
+		step := func() {
+			log.Reset()
+			log.BeginStep()
+			update(log)
+			log.EndStep(0)
+		}
+		step()
+		return log.StateDigest(), testing.AllocsPerRun(100, step)
+	}
+	snap := memory.NewAtomicSnapshot[proposal](keyC.WithPart(1), 3)
+	var op memory.SnapOp[proposal]
+	got, allocs := digest(func(l *sim.AccessLog) { snap.DirectUpdate(l, &op, 1, p) })
+	if allocs != 0 {
+		t.Errorf("digested proposal update allocated %.1f objects; want 0", allocs)
+	}
+	want, _ := digest(func(l *sim.AccessLog) {
+		// The snapshot interns every position on its first access.
+		for i := range 3 {
+			l.Intern(keyC.WithPart(1).WithCell(i))
+		}
+		l.RecordValued(l.Intern(keyC.WithPart(1).WithCell(1)), sim.AccessWrite, sim.StateFP(memory.Some(p)))
+	})
+	if got != want {
+		t.Errorf("digest after a proposal update = %#x, want %#x as with the boxed fingerprint", got, want)
 	}
 }

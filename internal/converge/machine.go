@@ -13,9 +13,11 @@ import (
 // between.
 //
 // One Machine is embedded per process automaton and reused across converge
-// instances (Start rebinds it); its scan buffers are reused so the only
-// allocation per converge call on the atomic snapshot is the value set that
-// escapes into the shared round-2 snapshot.
+// instances (Start rebinds it) and, through Reset, across runs. Its scan
+// buffers are reused, and the value set that escapes into the shared
+// round-2 snapshot is carved from storage the machine owns: a published set
+// is never written again, and Reset reclaims the storage only when the
+// whole run's shared state is reset with it.
 type Machine struct {
 	me   sim.PID
 	log  *sim.AccessLog
@@ -28,6 +30,8 @@ type Machine struct {
 	opB   memory.SnapOp[proposal]
 	scanA []memory.Opt[sim.Value]
 	scanB []memory.Opt[proposal]
+	// sets backs the value sets of this run's calls, one after another.
+	sets []sim.Value
 
 	// Picked and Committed hold the call's results once StepOp returned true
 	// (or Start returned true for a 0-converge).
@@ -41,6 +45,40 @@ type Machine struct {
 	// schedule-space explorer (internal/explore) proves it catches the broken
 	// protocol variant built on a wrong adopt rule. Protocols never set it.
 	Adopt func(in sim.Value, smallest ValueSet) sim.Value
+}
+
+// Reset returns the machine to its zero state for a new run, keeping its
+// scan buffers, its set storage and its Adopt hook; a snapshot operation a
+// run left in flight is dropped with its SnapOp. The value sets the machine
+// published are reclaimed, so the snapshots holding them must be reset too.
+func (m *Machine) Reset() {
+	*m = Machine{
+		scanA: m.scanA[:0],
+		scanB: m.scanB[:0],
+		sets:  m.sets[:0],
+		Adopt: m.Adopt,
+	}
+}
+
+// valueSet collects the distinct present values of a snapshot scan into a
+// sorted set carved from the machine's set storage. It counts the present
+// values first, so the set fits where it is carved and each value is
+// inserted in place; the storage grows by doubling, so a fresh machine's
+// first set takes one allocation and a reset machine's takes none.
+func (m *Machine) valueSet(scan []memory.Opt[sim.Value]) ValueSet {
+	present := memory.CountSome(scan)
+	if cap(m.sets)-len(m.sets) < present {
+		m.sets = make([]sim.Value, 0, max(2*cap(m.sets), present))
+	}
+	start := len(m.sets)
+	vs := ValueSet(m.sets[start : start : start+present])
+	for _, c := range scan {
+		if c.OK {
+			vs = vs.add(c.V)
+		}
+	}
+	m.sets = m.sets[:start+len(vs)]
+	return vs[:len(vs):len(vs)]
 }
 
 // Bind fixes the machine's process identity and the run's instrumentation
@@ -74,7 +112,7 @@ func (m *Machine) StepOp() (done bool) {
 		}
 	case 1: // round 1 scan
 		if m.scanA, done = a.DirectScan(m.log, &m.opA, m.scanA[:0]); done {
-			m.vs = NewValueSet(m.scanA)
+			m.vs = m.valueSet(m.scanA)
 			m.pc = 2
 		}
 	case 2: // round 2 update

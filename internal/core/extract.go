@@ -57,6 +57,8 @@ type Extraction struct {
 	// writer, which records the change as it writes (writeOutput), so no
 	// one polls the registers.
 	changedAt []sim.Time
+	// machines are the machines built from e, for Reset.
+	machines []*extractionMachine
 }
 
 type report struct {
@@ -85,6 +87,8 @@ func NewExtraction(n int, d sim.Oracle, phi Phi) *Extraction {
 		out:       memory.NewArray[sim.Set](keyUpsilonOut, n),
 		rounds:    newExtractRounds(n),
 		changedAt: make([]sim.Time, n),
+		// Callers build one machine per process.
+		machines: make([]*extractionMachine, 0, n),
 	}
 }
 
@@ -97,18 +101,32 @@ var (
 	keyExited     = sim.KeyOf("Exited")
 )
 
+// Reset returns the shared memory and every machine built from e to the
+// state NewExtraction and Machine left them in, keeping their storage, so
+// that one Extraction can serve run after run. The detector history is the
+// caller's to re-arm.
+func (e *Extraction) Reset() {
+	e.r.Reset()
+	e.out.Reset()
+	e.rounds.reset()
+	clear(e.changedAt)
+	for _, m := range e.machines {
+		m.reset()
+	}
+}
+
 // OutputAt returns process i's current emulated Υ^f output; for inspection
 // between steps (schedules, stop predicates, post-run checks) only.
 func (e *Extraction) OutputAt(i sim.PID) sim.Set { return e.out.At(i).Inspect() }
 
-// Outputs returns every process's current emulated Υ^f output, indexed by
-// PID; for post-run inspection only.
-func (e *Extraction) Outputs() []sim.Set {
-	outs := make([]sim.Set, e.n)
-	for i := range outs {
-		outs[i] = e.OutputAt(sim.PID(i))
+// Outputs appends every process's current emulated Υ^f output to dst,
+// indexed by PID, and returns the extended slice; for post-run inspection
+// only.
+func (e *Extraction) Outputs(dst []sim.Set) []sim.Set {
+	for i := range e.n {
+		dst = append(dst, e.OutputAt(sim.PID(i)))
 	}
-	return outs
+	return dst
 }
 
 // StableFrom returns the common output of procs at the end of a run of the
@@ -147,6 +165,16 @@ type extractRound struct {
 
 func newExtractRounds(n int) *extractRounds {
 	return &extractRounds{n: n}
+}
+
+// reset empties every round's flags; their keys and IDs stay.
+func (er *extractRounds) reset() {
+	for _, round := range er.rounds {
+		if round != nil {
+			round.changed.Reset()
+			round.exited.Reset()
+		}
+	}
 }
 
 func (er *extractRounds) at(r int) (*memory.Register[bool], *memory.Array[memory.Opt[any]]) {

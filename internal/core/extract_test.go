@@ -8,6 +8,7 @@ import (
 
 	"weakestfd/internal/check"
 	"weakestfd/internal/fd"
+	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
 
@@ -345,7 +346,7 @@ func TestOutputRecordMatchesPoll(t *testing.T) {
 							t.Fatalf("extraction run: %v", err)
 						}
 						name := fmt.Sprintf("%s n=%d seed=%d %v %v", src.name, n, seed, pattern, mut)
-						if got, want := ex.Outputs(), trace.Final(); !slices.Equal(got, want) {
+						if got, want := ex.Outputs(nil), trace.Final(); !slices.Equal(got, want) {
 							t.Fatalf("%s: final outputs %v, poll %v", name, got, want)
 						}
 						// {victim} alone, crashed at 0, never changes its
@@ -375,5 +376,35 @@ func TestOutputRecordMatchesPoll(t *testing.T) {
 	_, _, werr := trace.StableFrom(sim.FullSet(3))
 	if errText(gerr) != errText(werr) || gerr == nil {
 		t.Fatalf("no steps: record error %s, poll error %s", errText(gerr), errText(werr))
+	}
+}
+
+// TestDigestedReportWriteAllocBound: publishing a report records its
+// fingerprint without boxing it, so a digested write allocates nothing,
+// and the fingerprint the digest folds is the boxed one.
+func TestDigestedReportWriteAllocBound(t *testing.T) {
+	rep := report{val: sim.PID(1), ts: 7}
+	digest := func(write func(*sim.AccessLog)) (uint64, float64) {
+		log := sim.NewAccessLog()
+		log.EnableDigest()
+		step := func() {
+			log.Reset()
+			log.BeginStep()
+			write(log)
+			log.EndStep(0)
+		}
+		step()
+		return log.StateDigest(), testing.AllocsPerRun(100, step)
+	}
+	reports := memory.NewArray[report](keyReports, 3)
+	got, allocs := digest(func(l *sim.AccessLog) { reports.DirectWrite(l, 2, rep) })
+	if allocs != 0 {
+		t.Errorf("digested report write allocated %.1f objects; want 0", allocs)
+	}
+	want, _ := digest(func(l *sim.AccessLog) {
+		l.RecordValued(l.Intern(keyReports.WithCell(2)), sim.AccessWrite, sim.StateFP(rep))
+	})
+	if got != want {
+		t.Errorf("digest after a report write = %#x, want %#x as with the boxed fingerprint", got, want)
 	}
 }

@@ -33,7 +33,8 @@ import (
 // feeds D[r]).
 //
 // One Fig1 value holds the shared memory of one run; give each process a
-// machine from Machine.
+// machine from Machine. Reset re-arms the memory and those machines for
+// another run.
 type Fig1 struct {
 	n       int
 	upsilon sim.Oracle
@@ -41,6 +42,8 @@ type Fig1 struct {
 	sub     *converge.Series // (|U|−1)-converge[r][k]
 	d       *memory.Register[memory.Opt[sim.Value]]
 	rounds  *roundRegs
+	// machines are the machines built from g, for Reset.
+	machines []*fig1Machine
 }
 
 // NewFig1 builds the shared state for one run of the Figure 1 protocol for n
@@ -57,6 +60,8 @@ func NewFig1(n int, upsilon sim.Oracle, impl converge.Impl) *Fig1 {
 		sub:     converge.NewSeries(nameGConv, n, impl),
 		d:       memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		rounds:  newRoundRegs(n),
+		// Callers build one machine per process.
+		machines: make([]*fig1Machine, 0, n),
 	}
 }
 
@@ -77,6 +82,20 @@ var (
 // values, n−1 for n processes.
 func (g *Fig1) K() int { return g.n - 1 }
 
+// Reset returns the shared memory and every machine built from g to the
+// state NewFig1 and Machine left them in, keeping their storage, so that
+// one Fig1 can serve run after run. The Υ history is the caller's to
+// re-arm.
+func (g *Fig1) Reset() {
+	g.top.Reset()
+	g.sub.Reset()
+	g.d.Reset()
+	g.rounds.reset()
+	for _, m := range g.machines {
+		m.reset()
+	}
+}
+
 // Decision returns the decision register's current content; for post-run
 // inspection only.
 func (g *Fig1) Decision() memory.Opt[sim.Value] { return g.d.Inspect() }
@@ -96,6 +115,16 @@ type roundPair struct {
 
 func newRoundRegs(n int) *roundRegs {
 	return &roundRegs{n: n}
+}
+
+// reset empties every round's registers; their keys and IDs stay.
+func (rr *roundRegs) reset() {
+	for _, pair := range rr.pairs {
+		if pair != nil {
+			pair.dr.Reset()
+			pair.stable.Reset()
+		}
+	}
 }
 
 func (rr *roundRegs) at(r int) (*memory.Register[memory.Opt[sim.Value]], *memory.Register[bool]) {

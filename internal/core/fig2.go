@@ -38,7 +38,9 @@ type Fig2 struct {
 	sub     *converge.Series
 	d       *memory.Register[memory.Opt[sim.Value]]
 	rounds  *roundRegs
-	snaps   *snapSeries
+	snaps   *memory.Family[memory.Snapshot[sim.Value], gladiators]
+	// machines are the machines built from g, for Reset.
+	machines []*fig2Machine
 }
 
 // NewFig2 builds the shared state for one run of the Figure 2 protocol for n
@@ -59,12 +61,28 @@ func NewFig2(n, f int, upsilon sim.Oracle, impl converge.Impl) *Fig2 {
 		sub:     converge.NewSeries(nameGConv, n, impl),
 		d:       memory.NewRegister[memory.Opt[sim.Value]](keyD),
 		rounds:  newRoundRegs(n),
-		snaps:   newSnapSeries(n, impl),
+		snaps:   memory.NewFamily[memory.Snapshot[sim.Value]](keyGladiator, gladiators{n: n, impl: impl}),
+		// Callers build one machine per process.
+		machines: make([]*fig2Machine, 0, n),
 	}
 }
 
 // K returns the agreement parameter f: at most f distinct decisions.
 func (g *Fig2) K() int { return g.f }
+
+// Reset returns the shared memory and every machine built from g to the
+// state NewFig2 and Machine left them in, keeping their storage, as
+// Fig1.Reset does.
+func (g *Fig2) Reset() {
+	g.top.Reset()
+	g.sub.Reset()
+	g.d.Reset()
+	g.rounds.reset()
+	g.snaps.Reset()
+	for _, m := range g.machines {
+		m.reset()
+	}
+}
 
 // Decision returns the decision register's current content; for post-run
 // inspection only.
@@ -85,43 +103,23 @@ func minValue(scan []memory.Opt[sim.Value]) sim.Value {
 	return best
 }
 
-// snapSeries lazily allocates the atomic snapshot objects A[r][k]. Like
-// converge series, the identity includes the caller's |U| so that processes
-// with divergent Υ^f views use distinct objects: snapshot [r][k] for |U| = u
-// is identified by the key A[r][k]/u.
-type snapSeries struct {
+// gladiators makes the atomic snapshot objects A[r][k] of n processes on
+// impl. Like converge series, the identity includes the caller's |U| so that
+// processes with divergent Υ^f views use distinct objects: snapshot [r][k]
+// for |U| = u is At(r, k, u) of the family, identified by the key A[r][k]/u.
+type gladiators struct {
 	n    int
 	impl converge.Impl
-	// snaps holds the snapshots created so far; a run touches only a few
-	// rounds, so a short slice searched from its most recent end suffices.
-	snaps []snapEntry
 }
 
-type snapEntry struct {
-	r, k, usize int
-	snap        memory.Snapshot[sim.Value]
+func (b gladiators) Make(key sim.ObjKey, _ int) memory.Snapshot[sim.Value] {
+	if b.impl == converge.UseAfek {
+		return memory.NewAfekSnapshot[sim.Value](key, b.n)
+	}
+	return memory.NewAtomicSnapshot[sim.Value](key, b.n)
 }
+
+func (gladiators) Rearm(s memory.Snapshot[sim.Value], key sim.ObjKey, _ int) { s.Reset(key) }
 
 // keyGladiator names the gladiator snapshots A[r][k]/|U|.
 var keyGladiator = sim.NameOf("A").Key(sim.ObjGladiator)
-
-func newSnapSeries(n int, impl converge.Impl) *snapSeries {
-	return &snapSeries{n: n, impl: impl}
-}
-
-func (ss *snapSeries) at(r, k, usize int) memory.Snapshot[sim.Value] {
-	for i := len(ss.snaps) - 1; i >= 0; i-- {
-		if e := &ss.snaps[i]; e.r == r && e.k == k && e.usize == usize {
-			return e.snap
-		}
-	}
-	key := keyGladiator.WithRound(r).WithSub(k, usize)
-	var s memory.Snapshot[sim.Value]
-	if ss.impl == converge.UseAfek {
-		s = memory.NewAfekSnapshot[sim.Value](key, ss.n)
-	} else {
-		s = memory.NewAtomicSnapshot[sim.Value](key, ss.n)
-	}
-	ss.snaps = append(ss.snaps, snapEntry{r: r, k: k, usize: usize, snap: s})
-	return s
-}

@@ -39,12 +39,13 @@ const (
 )
 
 type fig1Machine struct {
-	g  *Fig1
-	me sim.PID
-	v  sim.Value
-	r  int
-	k  int
-	u  sim.Set
+	g     *Fig1
+	me    sim.PID
+	input sim.Value
+	v     sim.Value
+	r     int
+	k     int
+	u     sim.Set
 
 	dr     *memory.Register[memory.Opt[sim.Value]]
 	stable *memory.Register[bool]
@@ -70,7 +71,28 @@ type fig1Machine struct {
 
 // Machine returns the Figure 1 automaton proposing the given value.
 func (g *Fig1) Machine(input sim.Value) sim.StepMachine {
-	return &fig1Machine{g: g, v: input}
+	return g.newMachine(input)
+}
+
+// newMachine builds a machine proposing input and registers it for Reset.
+func (g *Fig1) newMachine(input sim.Value) *fig1Machine {
+	m := &fig1Machine{g: g, input: input, v: input}
+	g.machines = append(g.machines, m)
+	return m
+}
+
+// reset returns m to the state newMachine and its mutation left it in.
+func (m *fig1Machine) reset() {
+	m.conv.Reset()
+	*m = fig1Machine{
+		g:            m.g,
+		input:        m.input,
+		v:            m.input,
+		conv:         m.conv,
+		skipOnChange: m.skipOnChange,
+		garbleDecide: m.garbleDecide,
+		garbleEcho:   m.garbleEcho,
+	}
 }
 
 func (m *fig1Machine) Init(ctx sim.MachineContext) {
@@ -212,12 +234,13 @@ const (
 )
 
 type fig2Machine struct {
-	g  *Fig2
-	me sim.PID
-	v  sim.Value
-	r  int
-	k  int
-	u  sim.Set
+	g     *Fig2
+	me    sim.PID
+	input sim.Value
+	v     sim.Value
+	r     int
+	k     int
+	u     sim.Set
 
 	dr     *memory.Register[memory.Opt[sim.Value]]
 	stable *memory.Register[bool]
@@ -243,7 +266,30 @@ type fig2Machine struct {
 
 // Machine returns the Figure 2 automaton proposing the given value.
 func (g *Fig2) Machine(input sim.Value) sim.StepMachine {
-	return &fig2Machine{g: g, v: input, minEntries: g.n - g.f}
+	return g.newMachine(input)
+}
+
+// newMachine builds a machine proposing input and registers it for Reset.
+func (g *Fig2) newMachine(input sim.Value) *fig2Machine {
+	m := &fig2Machine{g: g, input: input, v: input, minEntries: g.n - g.f}
+	g.machines = append(g.machines, m)
+	return m
+}
+
+// reset returns m to the state newMachine and its mutation left it in,
+// keeping its buffers; a snapshot operation in flight is dropped with its
+// SnapOp.
+func (m *fig2Machine) reset() {
+	m.conv.Reset()
+	*m = fig2Machine{
+		g:            m.g,
+		input:        m.input,
+		v:            m.input,
+		scan:         m.scan[:0],
+		conv:         m.conv,
+		minEntries:   m.minEntries,
+		skipOnChange: m.skipOnChange,
+	}
 }
 
 func (m *fig2Machine) Init(ctx sim.MachineContext) {
@@ -304,7 +350,7 @@ func (m *fig2Machine) Step(t sim.Time) sim.MachineStatus {
 		} else if !m.u.Has(m.me) {
 			m.pc = f2CitizenWrite // line 11
 		} else {
-			m.snap = g.snaps.at(m.r, m.k, m.u.Len())
+			m.snap = g.snaps.At(m.r, m.k, m.u.Len())
 			m.pc = f2SnapUpdate
 		}
 	case f2CitizenWrite:
@@ -455,7 +501,23 @@ type extractionMachine struct {
 
 // Machine returns the Figure 3 reduction automaton; it never returns.
 func (e *Extraction) Machine() sim.StepMachine {
-	return &extractionMachine{e: e}
+	return e.newMachine(MutExNone)
+}
+
+// newMachine builds a machine with the given mutation and registers it for
+// Reset.
+func (e *Extraction) newMachine(mut ExtractMutation) *extractionMachine {
+	m := &extractionMachine{e: e, mut: mut}
+	e.machines = append(e.machines, m)
+	return m
+}
+
+// reset returns m to the state newMachine left it in, keeping the
+// per-process buffers Init allocated, zeroed.
+func (m *extractionMachine) reset() {
+	clear(m.last)
+	clear(m.fresh)
+	*m = extractionMachine{e: m.e, mut: m.mut, last: m.last, fresh: m.fresh}
 }
 
 func (m *extractionMachine) Init(ctx sim.MachineContext) {
@@ -463,8 +525,10 @@ func (m *extractionMachine) Init(ctx sim.MachineContext) {
 	m.log = ctx.Log
 	m.seam = ctx.Queries
 	m.full = sim.FullSet(m.e.n)
-	m.last = make([]int64, m.e.n)
-	m.fresh = make([]int, m.e.n)
+	if m.last == nil {
+		m.last = make([]int64, m.e.n)
+		m.fresh = make([]int, m.e.n)
+	}
 	m.pc = exInitQuery
 }
 

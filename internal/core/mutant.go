@@ -94,7 +94,7 @@ func (m Fig1Mutation) String() string {
 // MutantMachine returns the Figure 1 automaton with the given mutation
 // applied, proposing the given value. MutNone yields the correct machine.
 func (g *Fig1) MutantMachine(input sim.Value, mut Fig1Mutation) sim.StepMachine {
-	m := &fig1Machine{g: g, v: input}
+	m := g.newMachine(input)
 	switch mut {
 	case MutNone:
 	case MutWrongAdopt:
@@ -167,7 +167,7 @@ func (m Fig2Mutation) String() string {
 // MutantMachine returns the Figure 2 automaton with the given mutation
 // applied, proposing the given value. MutF2None yields the correct machine.
 func (g *Fig2) MutantMachine(input sim.Value, mut Fig2Mutation) sim.StepMachine {
-	m := &fig2Machine{g: g, v: input, minEntries: g.n - g.f}
+	m := g.newMachine(input)
 	switch mut {
 	case MutF2None:
 	case MutF2WrongAdopt:
@@ -232,7 +232,7 @@ func (m ExtractMutation) String() string {
 func (e *Extraction) MutantMachine(mut ExtractMutation) sim.StepMachine {
 	switch mut {
 	case MutExNone, MutExFullOutput, MutExEmptyOutput, MutExStaleLeader:
-		return &extractionMachine{e: e, mut: mut}
+		return e.newMachine(mut)
 	default:
 		panic(fmt.Sprintf("core: unknown ExtractMutation %d", int(mut)))
 	}

@@ -8,10 +8,16 @@
 // experiment lab only samples a few hundred seeded-random schedules. The
 // explorer closes that gap for small configurations (n ≤ 4): it enumerates a
 // precisely-defined family of schedules × crash patterns, replays each one
-// through sim.RunMachines (the multi-task compositions as sim.TaskMachines)
-// on fresh shared state (runs are deterministic in the schedule, so replay
-// *is* cloning), and checks declarative Property values against every
-// completed run.
+// through sim.RunMachines' loop (the multi-task compositions as
+// sim.TaskMachines) on shared state indistinguishable from fresh (runs are
+// deterministic in the schedule, so replay *is* cloning), and checks
+// declarative Property values against every completed run. Every run of a
+// configuration starts from the same initial configuration, so the
+// explorer restores it rather than rebuilding it: Instantiate re-arms a
+// world an earlier run released (world.go), each search records its runs
+// into one run store (the Run, a sim.Runner's Report and the query seam),
+// and each slot of the search stack reuses its own buffers — an explored
+// run allocates almost nothing (alloc_test.go bounds each layer).
 //
 // # The engine
 //

@@ -445,21 +445,38 @@ func bumpMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// execute runs one simulation of sys under the given schedule on fresh
-// shared state and returns the completed Run (properties not yet checked).
-// log, when non-nil, records every step's shared-object access set; the
-// instance's detector histories are then registered with a query seam so
-// queries and history flips are part of those sets. An unrecorded run needs
-// no seam — flip schedules live in the oracle itself, so outputs are
-// identical either way. stop, when non-nil, is polled after every step with
-// the step count; a true return ends the run early — the source engine's
-// state-hash join probe.
+// execute runs one simulation of sys under the given schedule and returns
+// the completed Run (properties not yet checked), recorded into storage of
+// its own. log, when non-nil, records every step's shared-object access
+// set; the instance's detector histories are then registered with a query
+// seam so queries and history flips are part of those sets. An unrecorded
+// run needs no seam — flip schedules live in the oracle itself, so outputs
+// are identical either way. stop, when non-nil, is polled after every step
+// with the step count; a true return ends the run early — the source
+// engine's state-hash join probe.
 func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time) bool) *Run {
+	st := &runStore{name: sys.Name()}
+	return st.execute(sys, pattern, oracle, sched, budget, log, stop)
+}
+
+// runStore is the storage a run is recorded into: the Run, its Report and
+// the query seam. The source search keeps one for all the runs of a
+// configuration, so a run it executes is valid until the next.
+type runStore struct {
+	name   string // the system's Name
+	run    Run
+	runner sim.Runner
+	seam   sim.QuerySeam
+}
+
+// execute is the package-level execute into st.
+func (st *runStore) execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time) bool) *Run {
 	inst := sys.Instantiate(pattern, oracle)
 	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: budget, AccessLog: log, StopWhen: stop}
 	var seam *sim.QuerySeam
 	if log != nil && len(inst.Histories) > 0 {
-		seam = sim.NewQuerySeam(log)
+		seam = &st.seam
+		seam.Reset(log)
 		for _, h := range inst.Histories {
 			seam.Register(h.Name, h.H)
 		}
@@ -469,9 +486,10 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 	if len(inst.Tasks) > 0 {
 		machines = sim.TaskMachines(inst.Tasks)
 	}
-	rep, err := sim.RunMachines(simCfg, machines)
-	run := &Run{
-		System:    sys.Name(),
+	rep, err := st.runner.Run(simCfg, machines)
+	run := &st.run
+	*run = Run{
+		System:    st.name,
 		Pattern:   pattern,
 		Oracle:    oracle,
 		Proposals: inst.Proposals,
@@ -479,6 +497,7 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 		Report:    rep,
 		Err:       err,
 		seam:      seam,
+		release:   inst.release,
 	}
 	if inst.Finish != nil {
 		inst.Finish(run)
@@ -486,11 +505,11 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 	return run
 }
 
-// check evaluates every property against the run; each violation is
-// deduplicated per (pattern, oracle, property), shrunk, and recorded.
-func (e *explorer) check(run *Run, pattern sim.Pattern, oracle OracleChoice) int64 {
+// check evaluates the system's properties against the run; each violation
+// is deduplicated per (pattern, oracle, property), shrunk, and recorded.
+func (e *explorer) check(run *Run, props []Property, pattern sim.Pattern, oracle OracleChoice) int64 {
 	var contributed int64
-	for _, prop := range e.cfg.System.Properties() {
+	for _, prop := range props {
 		err := prop.Check(run)
 		if err == nil {
 			continue

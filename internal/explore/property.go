@@ -44,6 +44,8 @@ type Run struct {
 	// engine's flip-anchored race analysis reads the registered histories'
 	// flip schedules from it.
 	seam *sim.QuerySeam
+	// release is the instance's (see Instance).
+	release func()
 }
 
 // Property is one checkable claim about a completed run — properties as

@@ -160,7 +160,12 @@ type objAccess struct {
 }
 
 // srcNode is one level of the source-DPOR search stack: the state reached by
-// executing chosen[0..depth-1], with its scheduling alternatives.
+// executing chosen[0..depth-1], with its scheduling alternatives. A node's
+// slices are its stack slot's own buffers: when the search pops the slot
+// and extend refills it, they are truncated and reused, so a search
+// allocates them once per depth, not once per run. Past their lengths, wut
+// and slept keep the buffers of earlier sequences and retired siblings for
+// reuse too.
 type srcNode struct {
 	enabled  sim.Set
 	chosen   sim.PID
@@ -171,7 +176,7 @@ type srcNode struct {
 	covered sim.Set
 	wut     [][]sim.PID
 	sleep   []sleeper // inherited sleep set at entry to this node
-	slept   []sleeper // earlier fully-explored siblings at this node
+	slept   []sleeper // earlier fully-explored siblings at this node, with copies of their access sets
 }
 
 // srcSearch is the per-configuration source-DPOR state.
@@ -182,6 +187,10 @@ type srcSearch struct {
 	n       int
 	log     *sim.AccessLog
 	stack   []srcNode
+	// store records every run of the search, and props are the system's
+	// properties, read once.
+	store runStore
+	props []Property
 
 	// objs is the per-object analysis state, indexed by ObjID (IDs are
 	// dense and stable across the runs of one search because the log's
@@ -239,6 +248,8 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 		panic(fmt.Sprintf("explore: source-DPOR supports n <= %d, got %d", dporMaxProcs, n))
 	}
 	s := &srcSearch{e: e, pattern: pattern, oracle: oracle, n: n, log: sim.NewAccessLog()}
+	s.store.name = e.cfg.System.Name()
+	s.props = e.cfg.System.Properties()
 	if !e.cfg.NoHash && e.cfg.MaxDepth < int(e.cfg.Budget) {
 		s.horizon = e.cfg.MaxDepth
 		s.joins = newJoinCache(e.cfg.MaxStates)
@@ -250,8 +261,8 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 	// The probe is the digest's only reader, so the log stops maintaining
 	// the digest there until the next run's Reset. The closure (and the
 	// per-run probe state it captures) is built once for the whole
-	// configuration, and so is the run record — both sit on the per-run hot
-	// path.
+	// configuration, and so are the run record and the run store — all sit
+	// on the per-run hot path.
 	var prefix []sim.PID
 	rec := &s.rec
 	var probed bool
@@ -289,7 +300,7 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 		s.log.Reset()
 		s.tailed, probed = false, false
 
-		run := execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, s.log, stop)
+		run := s.store.execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, s.log, stop)
 		s.seam = run.seam
 		s.hasFlips = s.seam.FlipsRemaining(0) > 0
 		s.runs++
@@ -317,7 +328,7 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 				e.settled.Add(1)
 			}
 			bumpMax(&e.maxSteps, run.Report.Steps)
-			s.violations += e.check(run, pattern, oracle)
+			s.violations += e.check(run, s.props, pattern, oracle)
 			if probed {
 				s.joins.put(probeKey, s.log, &rec.last, s.horizon, run.Report.Steps, run.OutputsSettled)
 			}
@@ -334,6 +345,11 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 		}
 		s.extend()
 		analyze(s)
+		// The run is checked, shrunk and analyzed: its world may serve the
+		// next Instantiate.
+		if run.release != nil {
+			run.release()
+		}
 		var ok bool
 		prefix, ok = s.nextPrefix(prefix)
 		if !ok {
@@ -343,10 +359,10 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 }
 
 // extend refills the branch node's access set from the re-executed run (its
-// alternative just ran for the first time) and appends stack nodes for the
-// steps beyond the current stack (up to MaxDepth) — which include the forced
-// wakeup tail, each node seeded with its executed step as the first covered
-// alternative.
+// alternative just ran for the first time) and refills stack slots for the
+// steps beyond the current stack (up to MaxDepth) — which include the
+// forced wakeup tail, each node seeded with its executed step as the first
+// covered alternative.
 func (s *srcSearch) extend() {
 	rec := &s.rec
 	steps := s.log.Steps()
@@ -360,29 +376,35 @@ func (s *srcSearch) extend() {
 		limit = s.e.cfg.MaxDepth
 	}
 	for i := len(s.stack); i < limit; i++ {
+		if i < cap(s.stack) {
+			s.stack = s.stack[:i+1]
+		} else {
+			s.stack = append(s.stack, srcNode{})
+		}
+		nd := &s.stack[i]
 		_, acc := s.log.Step(i)
-		nd := srcNode{
-			enabled:  rec.enabled[i],
-			chosen:   rec.granted[i],
-			accesses: append([]sim.Access(nil), acc...),
-		}
+		nd.enabled, nd.chosen = rec.enabled[i], rec.granted[i]
+		nd.accesses = append(nd.accesses[:0], acc...)
 		nd.covered = sim.EmptySet.Add(nd.chosen)
+		nd.wut = nd.wut[:0]
+		nd.slept = nd.slept[:0]
+		nd.sleep = nd.sleep[:0]
 		if i > 0 {
-			nd.sleep = inheritSleep(&s.stack[i-1])
+			nd.sleep = inheritSleep(nd.sleep, &s.stack[i-1])
 		}
-		s.stack = append(s.stack, nd)
 	}
 }
 
-// inheritSleep filters the parent's sleep entries (inherited and local)
-// through the parent's executed step: an entry survives while it commutes
-// with every step taken since it fell asleep and is woken — dropped — by
-// the first conflicting step (or by its own execution).
-func inheritSleep(parent *srcNode) []sleeper {
-	var out []sleeper
+// inheritSleep appends to dst the parent's sleep entries (inherited and
+// local) that survive the parent's executed step: an entry survives while
+// it commutes with every step taken since it fell asleep and is woken —
+// dropped — by the first conflicting step (or by its own execution). The
+// entries share their access sets with the ancestors they came from, which
+// outlive the child.
+func inheritSleep(dst []sleeper, parent *srcNode) []sleeper {
 	keep := func(sl sleeper) {
 		if sl.p != parent.chosen && !sim.AccessesConflict(parent.accesses, sl.acc) {
-			out = append(out, sl)
+			dst = append(dst, sl)
 		}
 	}
 	for _, sl := range parent.sleep {
@@ -391,7 +413,7 @@ func inheritSleep(parent *srcNode) []sleeper {
 	for _, sl := range parent.slept {
 		keep(sl)
 	}
-	return out
+	return dst
 }
 
 // analyze walks the completed run, maintains the happens-before relation
@@ -580,11 +602,15 @@ func (s *srcSearch) raceReversal(b, c int, p sim.PID, procB int, scB int32) {
 			return
 		}
 	}
+	// The sequence reuses the buffer of an earlier one past the end of wut,
+	// if any.
 	var seq []sim.PID
+	if k := len(nd.wut); k < cap(nd.wut) {
+		seq = nd.wut[:k+1][k][:0]
+	}
 	if okC {
 		// Full wakeup sequence: force the next run straight into the
 		// reversal.
-		seq = make([]sim.PID, 0, len(v))
 		for _, e := range v {
 			seq = append(seq, e.p)
 		}
@@ -597,7 +623,7 @@ func (s *srcSearch) raceReversal(b, c int, p sim.PID, procB int, scB int32) {
 		if !ini.Has(p) {
 			q = ini.Min()
 		}
-		seq = []sim.PID{q}
+		seq = append(seq, q)
 	}
 	if !nd.enabled.Has(seq[0]) {
 		return // unreachable given monotone enabledness; defensive
@@ -624,11 +650,18 @@ func (s *srcSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
 				s.pruned++
 				continue
 			}
-			// Retire the current child into the sleep set of q's subtree.
-			nd.slept = append(nd.slept, sleeper{p: nd.chosen, acc: nd.accesses})
+			// Retire the current child into the sleep set of q's subtree,
+			// with a copy of its access set: the node's access buffer serves
+			// q next. The copy reuses the buffer of an earlier sibling past
+			// the end of slept, if any.
+			var acc []sim.Access
+			if k := len(nd.slept); k < cap(nd.slept) {
+				acc = nd.slept[:k+1][k].acc[:0]
+			}
+			nd.slept = append(nd.slept, sleeper{p: nd.chosen, acc: append(acc, nd.accesses...)})
 			nd.covered = nd.covered.Add(q)
 			nd.chosen = q
-			nd.accesses = nil
+			nd.accesses = nd.accesses[:0]
 			s.stack = s.stack[:i+1]
 			out := prefix[:0]
 			for k := 0; k <= i; k++ {

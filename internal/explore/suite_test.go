@@ -104,3 +104,30 @@ func TestJoinCachesAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldsAcrossWorkers sweeps fig2 n=2 and extract-omega n=2 at switch
+// budget 1 with one lab worker and with four: the recycled worlds
+// (world.go) pass between the runs of every configuration's search, on as
+// many goroutines as there are workers, and the result must not depend on
+// it. The counts were pinned before worlds were recycled. CI's race job
+// runs it ten times under the race detector, beside
+// TestJoinCachesAcrossWorkers.
+func TestWorldsAcrossWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want [4]int64
+	}{
+		{Config{System: Fig2System(2, 1), MaxDepth: 20, Budget: 1024, SwitchBudget: 1}, [4]int64{50, 877, 289, 975}},
+		{Config{System: ExtractOmegaSystem(2), MaxDepth: 16, Budget: 512, SwitchBudget: 1}, [4]int64{18, 308, 118, 220}},
+	} {
+		for _, workers := range []int{1, 4} {
+			tc.cfg.Workers = workers
+			res := Explore(tc.cfg)
+			got := [4]int64{int64(res.Configs), res.Runs, res.Joined, res.Pruned}
+			if got != tc.want || len(res.Violations) != 0 {
+				t.Errorf("%s, %d workers: configs/runs/joined/pruned = %v with %d violations, want %v and none",
+					sweepLabel(tc.cfg), workers, got, len(res.Violations), tc.want)
+			}
+		}
+	}
+}

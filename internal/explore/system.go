@@ -39,11 +39,13 @@ type NamedHistory struct {
 	H    sim.Oracle
 }
 
-// Instance is one run's freshly built shared state: the per-process
-// machines, the detector histories the explorer registers with the query
-// seam, and a Finish hook run once the simulation is over. No hook runs
-// between steps: the only per-step callback of an explored run is the
-// explorer's own join probe.
+// Instance is one run's shared state, indistinguishable from freshly built:
+// the per-process machines, the detector histories the explorer registers
+// with the query seam, and a Finish hook run once the simulation is over.
+// No hook runs between steps: the only per-step callback of an explored run
+// is the explorer's own join probe. The Figure 1, Figure 2 and extraction
+// systems re-arm a recycled world (world.go): their instance's storage
+// backs a later Instantiate once the source search releases it.
 type Instance struct {
 	// Machines are the per-process automata (one per PID). Single-task
 	// systems set Machines; multi-task systems set Tasks instead.
@@ -69,11 +71,17 @@ type Instance struct {
 	// that consume no oracle (timed-composed) or whose detector is emulated
 	// from shared state already under access tracking.
 	Histories []NamedHistory
+
+	// release hands the instance's world back for a later Instantiate (nil
+	// for systems that build fresh state every time). Only the source
+	// search calls it, once it is done with the run.
+	release func()
 }
 
-// System is one protocol (or reduction) under exploration. Instantiate must
-// build completely fresh shared state on every call: the explorer replays
-// thousands of runs and two runs may never share memory.
+// System is one protocol (or reduction) under exploration. Instantiate
+// returns state indistinguishable from fresh on every call: the explorer
+// replays thousands of runs, and no run may observe another. Its storage
+// may back a later Instantiate once the explorer releases it.
 type System interface {
 	// Name is the registry name ("fig1", "fig2", …).
 	Name() string
@@ -93,7 +101,7 @@ type System interface {
 	// produces outputs that pass. Systems without an oracle reject every
 	// flip.
 	LegalFlipOut(out sim.Set) error
-	// Instantiate builds one run's machines and hooks.
+	// Instantiate returns one run's machines and hooks.
 	Instantiate(pattern sim.Pattern, o OracleChoice) Instance
 	// Properties are the claims checked on every completed run.
 	Properties() []Property
@@ -191,28 +199,19 @@ func canonicalProposals(n int) []sim.Value {
 	return out
 }
 
-// upsilonHistory builds the Υ^f history for one choice: the choice's flip
-// phases (none when it is stable from time 0), then its stable set.
-func upsilonHistory(spec core.UpsilonSpec, pattern sim.Pattern, o OracleChoice) sim.Oracle {
-	if err := spec.LegalStable(pattern, o.Stable); err != nil {
-		panic(fmt.Sprintf("explore: illegal Υ^f stable set: %v", err))
-	}
-	phases := make([]fd.Phase[sim.Set], len(o.Flips))
-	for i, f := range o.Flips {
-		phases[i] = fd.Phase[sim.Set]{Until: f.Until, Out: f.Out}
-	}
-	return fd.NewUnstable(o.Stable, phases...)
-}
-
 // omegaHistory builds the Ω source history for one choice: the choice's
 // pre-stabilization leaders (none when it is stable from time 0), then its
 // correct stable leader.
 func omegaHistory(o OracleChoice) sim.Oracle {
-	phases := make([]fd.Phase[sim.PID], len(o.Flips))
-	for i, f := range o.Flips {
-		phases[i] = fd.Phase[sim.PID]{Until: f.Until, Out: f.Out.Min()}
+	return fd.NewUnstable(o.Stable.Min(), omegaPhases(nil, o)...)
+}
+
+// omegaPhases appends the choice's pre-stabilization leader phases to dst.
+func omegaPhases(dst []fd.Phase[sim.PID], o OracleChoice) []fd.Phase[sim.PID] {
+	for _, f := range o.Flips {
+		dst = append(dst, fd.Phase[sim.PID]{Until: f.Until, Out: f.Out.Min()})
 	}
-	return fd.NewUnstable(o.Stable.Min(), phases...)
+	return dst
 }
 
 // omegaLeaderChoices enumerates every correct leader as an Ω source's stable
@@ -266,22 +265,6 @@ func (s fig1System) LegalFlipOut(out sim.Set) error {
 	return upsilonFlipOut(core.Upsilon(s.n), out)
 }
 
-func (s fig1System) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
-	h := upsilonHistory(core.Upsilon(s.n), pattern, o)
-	g := core.NewFig1(s.n, h, converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	machines := make([]sim.StepMachine, s.n)
-	for i := range machines {
-		machines[i] = g.MutantMachine(proposals[i], s.mut)
-	}
-	return Instance{
-		Machines:  machines,
-		Proposals: proposals,
-		K:         g.K(),
-		Histories: []NamedHistory{{Name: "H(U)", H: h}},
-	}
-}
-
 func (s fig1System) Properties() []Property {
 	return []Property{AtMostK{}, Validity{}, TerminationOfCorrect{}}
 }
@@ -308,22 +291,6 @@ func (s fig2System) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice
 
 func (s fig2System) LegalFlipOut(out sim.Set) error {
 	return upsilonFlipOut(core.UpsilonF(s.n, s.f), out)
-}
-
-func (s fig2System) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
-	h := upsilonHistory(core.UpsilonF(s.n, s.f), pattern, o)
-	g := core.NewFig2(s.n, s.f, h, converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	machines := make([]sim.StepMachine, s.n)
-	for i := range machines {
-		machines[i] = g.MutantMachine(proposals[i], s.mut)
-	}
-	return Instance{
-		Machines:  machines,
-		Proposals: proposals,
-		K:         g.K(),
-		Histories: []NamedHistory{{Name: "H(U)", H: h}},
-	}
 }
 
 func (s fig2System) Properties() []Property {
@@ -354,38 +321,6 @@ func (s extractSystem) LegalFlipOut(out sim.Set) error { return omegaFlipOut(s.n
 // schedules over arbitrary (possibly faulty) pre-stabilization leaders.
 func (s extractSystem) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleChoice {
 	return flipVariants(omegaLeaderChoices(pattern), omegaRange(s.n), plan)
-}
-
-func (s extractSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
-	oracle := omegaHistory(o)
-	ex := core.NewExtraction(s.n, oracle, core.PhiOmega(s.n))
-	machines := make([]sim.StepMachine, s.n)
-	for i := range machines {
-		machines[i] = ex.MutantMachine(s.mut)
-	}
-	correct := pattern.Correct()
-	return Instance{
-		Machines:  machines,
-		Histories: []NamedHistory{{Name: "H(Ω)", H: oracle}},
-		Finish: func(r *Run) {
-			r.Outputs = ex.Outputs()
-			stable, from, err := ex.StableFrom(correct, r.Report.Steps)
-			if err != nil {
-				return // outputs still disagree at the horizon: inconclusive
-			}
-			// Settled means the common output survived unchanged for a
-			// meaningful fraction of the run — the bounded-run reading of
-			// "eventually permanently output".
-			window := r.Report.Steps / 4
-			if window < 64 {
-				window = 64
-			}
-			if r.Report.Steps-int64(from) >= window {
-				r.OutputsSettled = true
-				r.StableOutput = stable
-			}
-		},
-	}
 }
 
 func (s extractSystem) Properties() []Property {

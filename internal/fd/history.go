@@ -32,17 +32,29 @@ type Phase[T any] struct {
 
 // Unstable is a history with a bounded unstable prefix: Phases (with
 // strictly increasing Until) followed by the permanent Stable output. An
-// empty phase list makes it stable from time 0, i.e. Constant(Stable).
+// empty phase list makes it stable from time 0, i.e. Constant(Stable). Build
+// one with NewUnstable and change it only through Reset.
 type Unstable[T any] struct {
 	// Phases are the pre-stabilization phases, ordered by strictly
 	// increasing Until.
 	Phases []Phase[T]
 	// Stable is the permanent output from the last phase boundary on.
 	Stable T
+	// flips are the phase boundaries, kept for FlipTimes.
+	flips []sim.Time
 }
 
 // NewUnstable builds an Unstable history, validating the phase order.
 func NewUnstable[T any](stable T, phases ...Phase[T]) *Unstable[T] {
+	u := &Unstable[T]{}
+	u.Reset(stable, phases...)
+	return u
+}
+
+// Reset makes u the history NewUnstable(stable, phases...) builds, copying
+// the phases into u's own storage: the explorer re-arms one history per
+// recycled world for every run.
+func (u *Unstable[T]) Reset(stable T, phases ...Phase[T]) {
 	var last sim.Time
 	for i, ph := range phases {
 		if ph.Until <= last {
@@ -50,7 +62,12 @@ func NewUnstable[T any](stable T, phases ...Phase[T]) *Unstable[T] {
 		}
 		last = ph.Until
 	}
-	return &Unstable[T]{Phases: phases, Stable: stable}
+	u.Phases = append(u.Phases[:0], phases...)
+	u.Stable = stable
+	u.flips = u.flips[:0]
+	for _, ph := range phases {
+		u.flips = append(u.flips, ph.Until)
+	}
 }
 
 // Value implements sim.Oracle.
@@ -64,16 +81,13 @@ func (u *Unstable[T]) Value(_ sim.PID, t sim.Time) any {
 }
 
 // FlipTimes implements sim.FlipOracle: the phase boundaries, in increasing
-// order.
+// order, nil when there are none. The slice is u's own, valid until the
+// next Reset; callers must not modify it.
 func (u *Unstable[T]) FlipTimes() []sim.Time {
-	if len(u.Phases) == 0 {
+	if len(u.flips) == 0 {
 		return nil
 	}
-	out := make([]sim.Time, len(u.Phases))
-	for i, ph := range u.Phases {
-		out[i] = ph.Until
-	}
-	return out
+	return u.flips
 }
 
 var _ sim.FlipOracle = (*Unstable[sim.Set])(nil)

@@ -226,3 +226,55 @@ func TestDirectAccessNilLogZeroAlloc(t *testing.T) {
 		t.Fatalf("disabled instrumentation allocated %.1f objects per op batch; want 0", allocs)
 	}
 }
+
+// digestedWrite returns one step of a digest-enabled log in which write
+// records, as the join probe sees it before the horizon.
+func digestedWrite(log *sim.AccessLog, write func()) func() {
+	return func() {
+		log.Reset()
+		log.BeginStep()
+		write()
+		log.EndStep(0)
+	}
+}
+
+// TestDigestedWriteAllocBound: a digested write fingerprints the written
+// value in place, so writing a two-word optional into a register or a
+// snapshot position allocates nothing, and the fingerprint is the one
+// sim.StateFP computes from the boxed value.
+func TestDigestedWriteAllocBound(t *testing.T) {
+	log := sim.NewAccessLog()
+	log.EnableDigest()
+	reg := NewRegister[Opt[sim.Value]](sim.KeyOf("D"))
+	flags := NewArray[Opt[any]](sim.KeyOf("Exited"), 2)
+	snap := NewAtomicSnapshot[Opt[sim.Value]](sim.KeyOf("A"), 2)
+	var op SnapOp[Opt[sim.Value]]
+	for _, c := range []struct {
+		name  string
+		write func()
+	}{
+		{"register of Opt[Value]", func() { reg.DirectWrite(log, Some[sim.Value](103)) }},
+		{"register of Opt[any]", func() { flags.DirectWrite(log, 1, Some[any](sim.PID(2))) }},
+		{"snapshot position of Opt[Value]", func() { snap.DirectUpdate(log, &op, 1, Some[sim.Value](101)) }},
+	} {
+		w := digestedWrite(log, c.write)
+		w()
+		if allocs := testing.AllocsPerRun(100, w); allocs != 0 {
+			t.Errorf("digested write of a %s allocated %.1f objects; want 0", c.name, allocs)
+		}
+	}
+	for _, v := range []any{Some[sim.Value](103), None[sim.Value](), Some[any](sim.PID(2)), Some[any](nil), Some(Some[sim.Value](7))} {
+		var got uint64
+		switch x := v.(type) {
+		case Opt[sim.Value]:
+			got = fingerprint(&x)
+		case Opt[any]:
+			got = fingerprint(&x)
+		case Opt[Opt[sim.Value]]:
+			got = fingerprint(&x)
+		}
+		if want := sim.StateFP(v); got != want {
+			t.Errorf("fingerprint of %#v = %#x, boxed %#x", v, got, want)
+		}
+	}
+}

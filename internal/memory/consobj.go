@@ -25,10 +25,10 @@ type ConsensusObject struct {
 	decided   Opt[sim.Value]
 	accessors sim.Set
 
-	// oid caches the object's interned identity in logRef; see
-	// DirectPropose in direct.go.
-	oid    sim.ObjID
-	logRef *sim.AccessLog
+	// oid caches the object's interned identity in the log whose Serial is
+	// logSerial; see DirectPropose in direct.go.
+	oid       sim.ObjID
+	logSerial uint64
 }
 
 // NewConsensusObject returns an m-process consensus object identified by

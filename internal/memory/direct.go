@@ -19,20 +19,23 @@ import "weakestfd/internal/sim"
 // TestDirectAccessNilLogZeroAlloc).
 
 // ID caches. Every object interns its key (sim.ObjKey) into a log on the
-// first access recorded there and caches the resulting ID next to the log
-// pointer, so later accesses in the same log pay one pointer comparison.
-// The cache is keyed by log pointer: an object recorded into a different log
-// re-interns, so sharing an object between logs is safe (if wasteful). A
+// first access recorded there and caches the resulting ID next to the log's
+// serial (sim.AccessLog.Serial), so later accesses in the same log pay one
+// comparison, and the cache keeps no finished run's log alive. An object
+// recorded into a different log re-interns, so sharing an object between
+// logs is safe (if wasteful). A
 // fresh object whose key the log already holds (the same register in the
 // next run of an exploration) gets the ID interned before, at the cost of
 // one map lookup; only a snapshot allocates, for its per-position table.
+// An object reset for the next run keeps its cache, and a snapshot reset
+// under another key drops it (Snapshot.Reset).
 
 // logID returns the register's identity in log l, interning its key on the
 // first access recorded into l.
 func (r *Register[T]) logID(l *sim.AccessLog) sim.ObjID {
-	if r.logRef != l {
+	if r.logSerial != l.Serial() {
 		r.oid = l.Intern(r.key)
-		r.logRef = l
+		r.logSerial = l.Serial()
 	}
 	return r.oid
 }
@@ -51,15 +54,36 @@ func (r *Register[T]) DirectRead(l *sim.AccessLog) T {
 // without ever re-walking the registers; otherwise it records the access
 // alone.
 func (r *Register[T]) DirectWrite(l *sim.AccessLog, v T) {
+	r.v = v
 	if l != nil {
 		if id := r.logID(l); l.DigestOn() {
-			l.RecordValued(id, sim.AccessWrite, sim.StateFP(v))
+			l.RecordValued(id, sim.AccessWrite, fingerprint(&r.v))
 		} else {
 			l.Record(id, sim.AccessWrite)
 		}
 	}
-	r.v = v
 }
+
+// fingerprint returns sim.StateFP(*v) without boxing *v when its type
+// supplies its own fingerprint: converting a pointer to an interface copies
+// nothing, and v points into an object that lives on the heap already, while
+// boxing a multi-word value (an Opt, a converge proposal, an extraction
+// report) would allocate on every digested write. Every value types' path
+// ends in the sim.StateFP case it would have taken, so the fingerprints are
+// the boxed ones bit for bit.
+func fingerprint[T any](v *T) uint64 {
+	switch x := any(v).(type) {
+	case optFingerprinter:
+		return x.fp()
+	case sim.Fingerprinter:
+		return x.StateFP()
+	}
+	return sim.StateFP(*v)
+}
+
+// optFingerprinter is *Opt[T] for any T: Opt.StateFP boxes its content,
+// Opt.fp does not.
+type optFingerprinter interface{ fp() uint64 }
 
 // DirectRead reads register i; one atomic step.
 func (a *Array[T]) DirectRead(l *sim.AccessLog, i sim.PID) T {
@@ -78,28 +102,28 @@ func (a *Array[T]) DirectWrite(l *sim.AccessLog, i sim.PID, v T) {
 // them — exactly the dependency structure the containment argument of [1]
 // induces. The first access recorded into l interns every position.
 func (s *atomicSnapshot[T]) cellID(l *sim.AccessLog, i int) sim.ObjID {
-	if s.logRef != l {
+	if s.logSerial != l.Serial() {
 		if s.cellIDs == nil {
 			s.cellIDs = make([]sim.ObjID, len(s.cells))
 		}
 		for j := range s.cellIDs {
 			s.cellIDs[j] = l.Intern(s.key.WithCell(j))
 		}
-		s.logRef = l
+		s.logSerial = l.Serial()
 	}
 	return s.cellIDs[i]
 }
 
 // DirectUpdate implements Snapshot in one step.
 func (s *atomicSnapshot[T]) DirectUpdate(l *sim.AccessLog, _ *SnapOp[T], i sim.PID, v T) bool {
+	s.cells[i] = Some(v)
 	if l != nil {
 		if id := s.cellID(l, int(i)); l.DigestOn() {
-			l.RecordValued(id, sim.AccessWrite, Some(v).StateFP())
+			l.RecordValued(id, sim.AccessWrite, s.cells[i].fp())
 		} else {
 			l.Record(id, sim.AccessWrite)
 		}
 	}
-	s.cells[i] = Some(v)
 	return true
 }
 
@@ -129,9 +153,9 @@ func (c *ConsensusObject) DirectPropose(l *sim.AccessLog, me sim.PID, v sim.Valu
 		c.decided = Some(v)
 	}
 	if l != nil {
-		if c.logRef != l {
+		if c.logSerial != l.Serial() {
 			c.oid = l.Intern(c.key)
-			c.logRef = l
+			c.logSerial = l.Serial()
 		}
 		// The recorded fingerprint is the object's post-propose state — the
 		// first proposal wins, so a losing propose re-installs the winner's

@@ -29,9 +29,21 @@ func None[T any]() Opt[T] { return Opt[T]{} }
 // value, and present values fingerprint by their content.
 func (o Opt[T]) StateFP() uint64 {
 	if !o.OK {
-		return 0x9d6e1c2b0b07a55a
+		return noneFP
 	}
 	return sim.StateFP(o.V)
+}
+
+// noneFP is the fingerprint of ⊥.
+const noneFP = 0x9d6e1c2b0b07a55a
+
+// fp is StateFP for an optional that lives in a shared object: it reads the
+// content in place instead of boxing it (see fingerprint).
+func (o *Opt[T]) fp() uint64 {
+	if !o.OK {
+		return noneFP
+	}
+	return fingerprint(&o.V)
 }
 
 // Register is an atomic multi-reader multi-writer register holding a value
@@ -41,18 +53,34 @@ type Register[T any] struct {
 	key sim.ObjKey
 	v   T
 
-	// oid caches the register's interned identity in logRef, so recorded
-	// runs pay the key-interning map lookup once per (object, log) pair
-	// instead of once per access. Valid only while logRef matches the log
-	// in use; see Register.logID.
-	oid    sim.ObjID
-	logRef *sim.AccessLog
+	// oid caches the register's interned identity in the log whose
+	// Serial is logSerial, so recorded runs pay the key-interning map
+	// lookup once per (object, log) pair instead of once per access. Valid
+	// only while logSerial matches the log in use; see Register.logID.
+	oid       sim.ObjID
+	logSerial uint64
 }
 
 // NewRegister returns a register identified by key, initialized to T's zero
 // value.
 func NewRegister[T any](key sim.ObjKey) *Register[T] {
 	return &Register[T]{key: key}
+}
+
+// Reset sets the register back to T's zero value, as NewRegister left it,
+// keeping its key and the ID it cached.
+func (r *Register[T]) Reset() {
+	var zero T
+	r.v = zero
+}
+
+// rekey resets the register and gives it key; a new key drops the cached
+// ID, since that ID names the old key in its log.
+func (r *Register[T]) rekey(key sim.ObjKey) {
+	r.Reset()
+	if r.key != key {
+		r.key, r.logSerial = key, 0
+	}
 }
 
 // Inspect returns the register's value without taking a step. It exists for
@@ -78,6 +106,21 @@ func NewArray[T any](key sim.ObjKey, n int) *Array[T] {
 
 // N returns the array length.
 func (a *Array[T]) N() int { return len(a.regs) }
+
+// Reset sets every register back to T's zero value, as NewArray left it,
+// keeping the keys and the IDs they cached.
+func (a *Array[T]) Reset() {
+	for i := range a.regs {
+		a.regs[i].Reset()
+	}
+}
+
+// rekey resets the array and identifies register i by key with cell i.
+func (a *Array[T]) rekey(key sim.ObjKey) {
+	for i := range a.regs {
+		a.regs[i].rekey(key.WithCell(i))
+	}
+}
 
 // At returns the i-th register.
 func (a *Array[T]) At(i sim.PID) *Register[T] { return &a.regs[i] }

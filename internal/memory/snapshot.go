@@ -34,6 +34,10 @@ type Snapshot[T any] interface {
 	// positions, never updated, are None) and returns the extended slice and
 	// true; pass scratch[:0] to reuse a scan buffer.
 	DirectScan(l *sim.AccessLog, op *SnapOp[T], dst []Opt[T]) (scan []Opt[T], done bool)
+	// Reset empties every position, as the constructor left them, and
+	// identifies the object by key from now on. The object keeps the IDs
+	// it cached when key is its key already and drops them otherwise.
+	Reset(key sim.ObjKey)
 }
 
 // SnapOp is one process's snapshot operation in flight. Its zero value is
@@ -82,13 +86,20 @@ type atomicSnapshot[T any] struct {
 	key   sim.ObjKey
 	cells []Opt[T]
 
-	// cellIDs caches the per-position interned identities in logRef; see
-	// atomicSnapshot.cellID in direct.go.
-	cellIDs []sim.ObjID
-	logRef  *sim.AccessLog
+	// cellIDs caches the per-position interned identities in the log whose
+	// Serial is logSerial; see atomicSnapshot.cellID in direct.go.
+	cellIDs   []sim.ObjID
+	logSerial uint64
 }
 
 func (s *atomicSnapshot[T]) N() int { return len(s.cells) }
+
+func (s *atomicSnapshot[T]) Reset(key sim.ObjKey) {
+	clear(s.cells)
+	if s.key != key {
+		s.key, s.logSerial = key, 0
+	}
+}
 
 // afekCell is the content of one single-writer register in the Afek et al.
 // construction: the value, an unbounded sequence number, and the embedded
@@ -125,6 +136,8 @@ type afekSnapshot[T any] struct {
 }
 
 func (s *afekSnapshot[T]) N() int { return s.regs.N() }
+
+func (s *afekSnapshot[T]) Reset(key sim.ObjKey) { s.regs.rekey(key) }
 
 func (s *afekSnapshot[T]) DirectUpdate(l *sim.AccessLog, op *SnapOp[T], i sim.PID, v T) bool {
 	st := op.state(s.regs.N())

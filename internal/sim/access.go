@@ -1,6 +1,9 @@
 package sim
 
-import "strings"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // Shared-object access observability: the seam the DPOR explorer
 // (internal/explore) is built on. The step-machine engine performs exactly
@@ -73,11 +76,14 @@ type stepSpan struct {
 // Reset clears the recorded steps but keeps the key→ID intern table, so a
 // log reused across the runs of one exploration assigns stable IDs.
 type AccessLog struct {
-	ids   map[ObjKey]ObjID
-	keys  []ObjKey // keys[id-1] is the interned key of id
-	buf   []Access
-	spans []stepSpan
-	start int32
+	// serial tells this log apart from every other of the process (see
+	// Serial).
+	serial uint64
+	ids    map[ObjKey]ObjID
+	keys   []ObjKey // keys[id-1] is the interned key of id
+	buf    []Access
+	spans  []stepSpan
+	start  int32
 	// envEnd marks the end of the current step's environment-access prefix
 	// (see SealEnv): accesses in [start, envEnd) were recorded by the
 	// environment — detector flip writes and boundary-guard reads the query
@@ -110,8 +116,17 @@ type AccessLog struct {
 
 // NewAccessLog returns an empty log.
 func NewAccessLog() *AccessLog {
-	return &AccessLog{ids: make(map[ObjKey]ObjID)}
+	return &AccessLog{serial: logSerials.Add(1), ids: make(map[ObjKey]ObjID)}
 }
+
+// logSerials numbers the logs of the process from 1.
+var logSerials atomic.Uint64
+
+// Serial is a number no other log of the process shares, never 0. An
+// object caching its interned ID remembers the serial of the log the ID
+// belongs to rather than the log itself, so the cache does not keep a
+// finished run's log alive.
+func (l *AccessLog) Serial() uint64 { return l.serial }
 
 // Intern returns the stable ID for an object key, assigning one on first
 // use. Callers must not invoke Intern on a nil log (the accessors check

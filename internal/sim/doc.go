@@ -34,8 +34,10 @@
 //     produces a Report (decisions, steps, crashes) — one run R of the
 //     paper, cut off at a step budget since impossibility arguments reason
 //     about infinite runs the simulator cannot finish (see machine.go).
-//     TaskMachines turns a process of parallel tasks into one StepMachine
-//     with a fair local scheduler, so the same loop runs it.
+//     A Runner runs the same loop into one Report it keeps from run to run,
+//     the way the explorer records thousands of short runs. TaskMachines
+//     turns a process of parallel tasks into one StepMachine with a fair
+//     local scheduler, so the same loop runs it.
 //
 // Set is the bitset of PIDs used for detector outputs (the range 2^Π of Υ)
 // and correct/faulty sets throughout.

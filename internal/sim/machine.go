@@ -79,6 +79,23 @@ type StepMachine interface {
 // the run ends are reported crashed. A panicking machine is a bug in the
 // algorithm, not a property of the run; the panic propagates.
 func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
+	return new(Runner).Run(cfg, machines)
+}
+
+// Runner runs step machines into one Report it keeps from run to run: the
+// explorer runs thousands of short runs of one configuration, and a run
+// that allocates its Report, two maps and a step-count slice would spend
+// more on them than on its steps. The zero Runner is ready.
+type Runner struct {
+	rep Report
+	err BudgetError
+}
+
+// Run is RunMachines into the runner's storage: it clears the Report's
+// maps and zeroes StepsBy in place, and a run that ends on its budget
+// returns the runner's own *BudgetError. The Report and the error are valid
+// until the next Run.
+func (r *Runner) Run(cfg Config, machines []StepMachine) (*Report, error) {
 	n := cfg.Pattern.N()
 	if len(machines) != n {
 		panic(fmt.Sprintf("sim: %d machines for %d processes", len(machines), n))
@@ -91,12 +108,19 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		budget = DefaultBudget
 	}
 
-	rep := &Report{
-		Decided:   make(map[PID]Value),
-		DecidedAt: make(map[PID]Time),
-		StepsBy:   make([]int64, n),
-		Accesses:  cfg.AccessLog,
+	rep := &r.rep
+	decidedBy, decidedAt, stepsBy := rep.Decided, rep.DecidedAt, rep.StepsBy
+	if decidedBy == nil {
+		decidedBy, decidedAt = make(map[PID]Value), make(map[PID]Time)
 	}
+	clear(decidedBy)
+	clear(decidedAt)
+	if cap(stepsBy) < n {
+		stepsBy = make([]int64, n)
+	}
+	stepsBy = stepsBy[:n]
+	clear(stepsBy)
+	*rep = Report{Decided: decidedBy, DecidedAt: decidedAt, StepsBy: stepsBy, Accesses: cfg.AccessLog}
 	for i := range machines {
 		machines[i].Init(MachineContext{ID: PID(i), N: n, Log: cfg.AccessLog, Queries: cfg.Queries})
 	}
@@ -160,7 +184,8 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 	rep.Crashed = rep.Crashed.Union(live)
 
 	if !correct.SubsetOf(decided.Union(rep.Halted)) {
-		return rep, &BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
+		r.err = BudgetError{Pattern: cfg.Pattern, Steps: rep.Steps}
+		return rep, &r.err
 	}
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -36,7 +37,9 @@ func (spinMachine) Step(Time) MachineStatus { return MachineRunning }
 
 // TestRunMachinesMatchesRunToyWorkloads pins RunMachines on toy workloads to
 // the Reports of the goroutine-per-process runner the simulator used to
-// carry, recorded while both engines existed and agreed on every case.
+// carry, recorded while both engines existed and agreed on every case. One
+// Runner then runs every case in turn, over process counts 2 and 3, and
+// each of its reused Reports must match the pin as well.
 func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 	type tc struct {
 		name     string
@@ -46,6 +49,7 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 		machines func() []StepMachine
 		want     map[string]string // per schedule: the reference Report, as JSON
 	}
+	var runner Runner
 	cases := []tc{
 		{
 			name: "all-decide",
@@ -149,7 +153,31 @@ func TestRunMachinesMatchesRunToyWorkloads(t *testing.T) {
 				}
 				rep, err := RunMachines(mkCfg(), c.machines())
 				requireReport(t, rep, err, c.want[sched])
+				rep, err = runner.Run(mkCfg(), c.machines())
+				requireReport(t, rep, err, c.want[sched])
 			})
+		}
+	}
+}
+
+// TestRunnerBudgetError: a run into a reused Report that ends before every
+// correct process decided returns the runner's own *BudgetError, with the
+// message, errors.Is and errors.As of the one RunMachines returns, and the
+// next run's error carries the next run's facts.
+func TestRunnerBudgetError(t *testing.T) {
+	var runner Runner
+	for _, budget := range []int64{25, 40} {
+		cfg := func() Config {
+			return Config{Pattern: FailFree(2), Schedule: RoundRobin(), Budget: budget}
+		}
+		_, want := RunMachines(cfg(), []StepMachine{spinMachine{}, spinMachine{}})
+		_, got := runner.Run(cfg(), []StepMachine{spinMachine{}, spinMachine{}})
+		if got == nil || got.Error() != want.Error() {
+			t.Fatalf("budget %d: runner error %v, RunMachines %v", budget, got, want)
+		}
+		var be *BudgetError
+		if !errors.Is(got, ErrBudgetExhausted) || !errors.As(got, &be) || be.Steps != budget {
+			t.Fatalf("budget %d: runner error %v does not unwrap to a BudgetError of %d steps", budget, got, budget)
 		}
 	}
 }

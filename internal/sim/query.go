@@ -65,10 +65,10 @@ type histSlot struct {
 
 // QuerySeam routes detector queries of one run and records them (and the
 // registered histories' flips) into the run's access log. Build one per
-// recorded run with NewQuerySeam, Register every history the machines query,
-// and hand it to the runner through Config.Queries; the runner forwards it
-// to machines via MachineContext.Queries and calls OnStep inside every step's
-// access span.
+// recorded run with NewQuerySeam, or Reset one for the next run, Register
+// every history the machines query, and hand it to the runner through
+// Config.Queries; the runner forwards it to machines via
+// MachineContext.Queries and calls OnStep inside every step's access span.
 type QuerySeam struct {
 	log   *AccessLog
 	hists []histSlot
@@ -78,6 +78,15 @@ type QuerySeam struct {
 // the seam a pure pass-through).
 func NewQuerySeam(log *AccessLog) *QuerySeam {
 	return &QuerySeam{log: log}
+}
+
+// Reset unregisters every history and makes the seam record into log, as
+// NewQuerySeam(log) would, keeping its storage for the next run's
+// registrations.
+func (q *QuerySeam) Reset(log *AccessLog) {
+	q.log = log
+	clear(q.hists)
+	q.hists = q.hists[:0]
 }
 
 // Register adds a history under the given virtual-object name (a plain
