@@ -159,24 +159,38 @@ func (o *OutputTrace[T]) StableFrom(procs sim.Set) (T, sim.Time, error) {
 // and changed[p], the time p's output last changed; it errors if procs is
 // empty or their final outputs disagree.
 func Settled[T comparable](final []T, changed []sim.Time, procs sim.Set) (T, sim.Time, error) {
+	if v, from, ok := Agreed(final, changed, procs); ok {
+		return v, from, nil
+	}
 	var zero T
 	if procs.IsEmpty() {
 		return zero, 0, fmt.Errorf("check: empty process set")
 	}
 	first := procs.Min()
-	ref := final[first]
-	var from sim.Time
+	s := procs
+	for final[s.Min()] == final[first] {
+		s &= s - 1
+	}
+	return zero, 0, fmt.Errorf("check: outputs disagree: %v has %v, %v has %v",
+		first, final[first], s.Min(), final[s.Min()])
+}
+
+// Agreed is Settled for a caller that acts only on agreement: ok is false
+// exactly where Settled errs, and no error is formatted.
+func Agreed[T comparable](final []T, changed []sim.Time, procs sim.Set) (v T, from sim.Time, ok bool) {
+	if procs.IsEmpty() {
+		return v, 0, false
+	}
+	v = final[procs.Min()]
 	for s := procs; s != 0; s &= s - 1 {
 		p := s.Min()
-		if final[p] != ref {
-			return zero, 0, fmt.Errorf("check: outputs disagree: %v has %v, %v has %v",
-				first, ref, p, final[p])
+		if final[p] != v {
+			var zero T
+			return zero, 0, false
 		}
-		if changed[p] > from {
-			from = changed[p]
-		}
+		from = max(from, changed[p])
 	}
-	return ref, from, nil
+	return v, from, true
 }
 
 // Horizon returns the time of the last sample.

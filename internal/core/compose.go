@@ -52,5 +52,14 @@ func NewComposed(n int, d sim.Oracle, phi Phi, impl converge.Impl) *Composed {
 // K returns the agreement bound, n−1.
 func (c *Composed) K() int { return c.protocol.K() }
 
+// Reset returns the shared memory of both halves and every machine built
+// from them to the state NewComposed and the task sets left them in,
+// keeping their storage, as Extraction.Reset and Fig1.Reset do. The
+// detector history is the caller's to re-arm.
+func (c *Composed) Reset() {
+	c.extraction.Reset()
+	c.protocol.Reset()
+}
+
 // Extraction exposes the reduction half (for output inspection).
 func (c *Composed) Extraction() *Extraction { return c.extraction }

@@ -135,18 +135,32 @@ func (e *Extraction) Outputs(dst []sim.Set) []sim.Set {
 // would, errors included: the trace's first sample, at time 1, stamps every
 // process, so the time is at least 1, and a run of no steps has no samples.
 func (e *Extraction) StableFrom(procs sim.Set, steps int64) (sim.Set, sim.Time, error) {
+	if stable, from, ok := e.Settled(procs, steps); ok {
+		return stable, from, nil
+	}
 	if steps == 0 {
 		return sim.EmptySet, 0, check.ErrNoSamples
+	}
+	_, _, err := check.Settled(e.Outputs(nil), e.changedAt, procs)
+	return sim.EmptySet, 0, err
+}
+
+// Settled is StableFrom for a caller that drops its error, as the explorer
+// does on every run whose outputs still disagree at its horizon: ok is
+// false exactly where StableFrom errs, and no error is formatted.
+func (e *Extraction) Settled(procs sim.Set, steps int64) (sim.Set, sim.Time, bool) {
+	if steps == 0 {
+		return sim.EmptySet, 0, false
 	}
 	var outs [sim.MaxProcs]sim.Set
 	for i := range e.n {
 		outs[i] = e.OutputAt(sim.PID(i))
 	}
-	stable, from, err := check.Settled(outs[:e.n], e.changedAt, procs)
-	if err != nil {
-		return stable, from, err
+	stable, from, ok := check.Agreed(outs[:e.n], e.changedAt, procs)
+	if !ok {
+		return sim.EmptySet, 0, false
 	}
-	return stable, max(from, 1), nil
+	return stable, max(from, 1), true
 }
 
 // extractRounds lazily allocates the per-round shared flags of Figure 3:

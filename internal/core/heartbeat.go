@@ -113,3 +113,12 @@ func NewTimedComposed(n int, initialThreshold int64, impl converge.Impl) *TimedC
 
 // K returns the agreement bound, n−1.
 func (c *TimedComposed) K() int { return c.protocol.K() }
+
+// Reset returns the heartbeat and output registers and the Figure 1 half to
+// the state NewTimedComposed and the task sets left them in, keeping their
+// storage; a heartbeat machine re-arms itself in Init.
+func (c *TimedComposed) Reset() {
+	c.impl.hb.Reset()
+	c.impl.out.Reset()
+	c.protocol.Reset()
+}

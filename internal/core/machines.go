@@ -731,17 +731,25 @@ func (h *HeartbeatUpsilon) Machine() sim.StepMachine {
 	return &heartbeatMachine{h: h}
 }
 
+// Init re-arms the whole machine, reusing the per-process buffers of an
+// earlier run.
 func (m *heartbeatMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.lastSeen = make([]int64, m.h.n)
-	m.staleFor = make([]int64, m.h.n)
-	m.threshold = make([]int64, m.h.n)
+	if m.lastSeen == nil {
+		m.lastSeen = make([]int64, m.h.n)
+		m.staleFor = make([]int64, m.h.n)
+		m.threshold = make([]int64, m.h.n)
+		m.beats = make([]int64, m.h.n)
+	}
+	clear(m.lastSeen)
+	clear(m.staleFor)
+	clear(m.beats)
 	for j := range m.threshold {
 		m.threshold[j] = m.h.initialThreshold
 	}
-	m.beats = make([]int64, m.h.n)
-	m.pc = hbInitWrite
+	*m = heartbeatMachine{
+		h: m.h, me: ctx.ID, log: ctx.Log, pc: hbInitWrite,
+		lastSeen: m.lastSeen, staleFor: m.staleFor, threshold: m.threshold, beats: m.beats,
+	}
 }
 
 func (m *heartbeatMachine) Decision() sim.Value { return 0 }

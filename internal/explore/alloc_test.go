@@ -2,11 +2,13 @@ package explore
 
 import (
 	"errors"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
 
 	"weakestfd/internal/check"
+	"weakestfd/internal/core"
 	"weakestfd/internal/memory"
 	"weakestfd/internal/sim"
 )
@@ -139,7 +141,7 @@ func TestExtractionRunAllocBound(t *testing.T) {
 			if rep.Steps != budget {
 				t.Fatalf("extraction run took %d steps; want its budget %d", rep.Steps, budget)
 			}
-			inst.Finish(&Run{Report: rep})
+			inst.Finish(&Run{Pattern: pattern, Report: rep})
 		})
 	}
 	short, long := run(600), run(6000)
@@ -184,8 +186,9 @@ func TestStoppedDigestWriteAllocBound(t *testing.T) {
 	allocBound(t, "register write after StopDigest", testing.AllocsPerRun(100, write(true)), 0)
 }
 
-// rearmCases are a flipping configuration of every world-backed system: one
-// crash at time 3 and the last history of the switch-budget-1 enumeration.
+// rearmCases are a flipping configuration of every system with a detector
+// history: one crash at time 3 and the last history of the switch-budget-1
+// enumeration.
 func rearmCases(t *testing.T) []struct {
 	sys     System
 	pattern sim.Pattern
@@ -204,7 +207,7 @@ func rearmCases(t *testing.T) []struct {
 	for _, c := range []struct {
 		sys    System
 		budget int64
-	}{{Fig1System(3), 2048}, {Fig2System(3, 1), 2048}, {ExtractOmegaSystem(3), 768}} {
+	}{{Fig1System(3), 2048}, {Fig2System(3, 1), 2048}, {ExtractOmegaSystem(3), 768}, {ComposedSystem(3), 4096}} {
 		oracles := c.sys.Oracles(pattern, plan)
 		o := oracles[len(oracles)-1]
 		if len(o.Flips) == 0 {
@@ -222,7 +225,8 @@ func rearmCases(t *testing.T) []struct {
 
 // TestRearmedInstantiateAllocBound: once a world has served a run and been
 // released, Instantiate re-arms it in place — shared objects, machines and
-// history — and allocates nothing, for fig1, fig2 and extract-omega alike;
+// history — and allocates nothing, for fig1, fig2, extract-omega and
+// composed alike (the composition's task sets stay wrapped as TaskMachines);
 // so does the recorded run on it, access log, query seam, flips and Finish
 // included, and re-arming it again.
 func TestRearmedInstantiateAllocBound(t *testing.T) {
@@ -440,4 +444,76 @@ func TestRecordedRunAllocBound(t *testing.T) {
 		t.Fatalf("%s explored %d runs, want 1270", label, runs)
 	}
 	allocBound(t, "one recorded fig1 n=3 run", allocs/float64(runs), 0.42)
+}
+
+// TestPooledSearchAllocBound: a configuration's search on the storage a
+// released search left in the pool — its access log renewed, its stack
+// slots, run record, run store and analysis tables kept — allocates a few
+// objects per search, however many runs it makes: the search of
+// TestRecordedRunAllocBound's configuration (1,270 runs) allocated 3
+// objects when the bound was set, where on fresh storage it allocates
+// about 450.
+func TestPooledSearchAllocBound(t *testing.T) {
+	const label = "failure-free(n=3)/U={p1,p3} pre[{p1}<14]"
+	cfg := Config{System: Fig1System(3), MaxDepth: 12, Budget: 2048, SwitchBudget: 1}.withDefaults()
+	job := configJob(t, cfg, label)
+	e := &explorer{cfg: cfg, seen: make(map[string]bool)}
+	var runs int64
+	search := func() {
+		s := e.sourceConfig(job.Pattern, job.Oracle)
+		runs = s.runs
+		s.release()
+	}
+	search()
+	allocBound(t, "a fig1 n=3 search on pooled storage", testing.AllocsPerRun(10, search), 4)
+	if runs != 1270 {
+		t.Fatalf("%s explored %d runs on pooled storage, want 1270", label, runs)
+	}
+}
+
+// countingSystem counts the Instantiate calls of the system it wraps.
+type countingSystem struct {
+	System
+	calls int
+}
+
+func (s *countingSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
+	s.calls++
+	return s.System.Instantiate(pattern, o)
+}
+
+// TestShrinkReplayAllocBound: the shrinker replays each candidate into one
+// run store on a recycled world, and builds candidate schedules in two
+// buffers, so a replay allocates almost nothing: what is left is each
+// shrink's own set-up, the oracle pass's enumeration and the messages of
+// the replays that violate. The run shrunk is the replayed
+// fig1-broken-adopt corpus witness, which takes every pass: prefixes,
+// chunk deletions and smaller stable sets, 62 replays in all. The bound is
+// 1.25× the 0.60 allocations per replay measured when it was set (44.05
+// when every replay built a world).
+func TestShrinkReplayAllocBound(t *testing.T) {
+	a, err := ReadArtifact(filepath.Join(corpusDir, "fig1-broken-adopt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, violation, err := a.Replay(nil)
+	if err != nil || violation == nil {
+		t.Fatalf("corpus witness did not replay to its violation: %v, %v", violation, err)
+	}
+	sys := &countingSystem{System: fig1System{sizing: sizing{a.N, a.F}, mut: core.MutWrongAdopt}}
+	if sys.Name() != a.System {
+		t.Fatalf("shrinking %s, want the artifact's %s", sys.Name(), a.System)
+	}
+	cfg := Config{System: sys, Budget: a.Budget}.withDefaults()
+	var prop Property = AtMostK{}
+	var w witness
+	shrink(cfg, run, prop)
+	sys.calls = 0
+	allocs := testing.AllocsPerRun(10, func() { w = shrink(cfg, run, prop) })
+	replays := sys.calls / 11 // AllocsPerRun runs the function once more to warm up
+	if replays < 20 || len(w.schedule) != len(a.Schedule) || w.message != a.Violation {
+		t.Fatalf("shrink made %d replays to a %d-step witness (%q); want at least 20, to the artifact's %d steps (%q)",
+			replays, len(w.schedule), w.message, len(a.Schedule), a.Violation)
+	}
+	allocBound(t, "a shrink replay", allocs/float64(replays), 0.75)
 }

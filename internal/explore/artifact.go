@@ -103,11 +103,20 @@ func newArtifact(cfg Config, run *Run, property string, w witness, fp FailurePat
 
 // WriteFile writes the artifact as indented JSON.
 func (a *Artifact) WriteFile(path string) error {
-	data, err := json.MarshalIndent(a, "", "  ")
+	data, err := a.encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
+}
+
+// encode renders the artifact as WriteFile writes it.
+func (a *Artifact) encode() ([]byte, error) {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // ReadArtifact loads an artifact file.

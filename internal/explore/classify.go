@@ -15,8 +15,8 @@ import "weakestfd/internal/sim"
 // The features are deliberately structural, not mutant-aware: the classifier
 // never looks at which mutation produced the run, only at what the run did.
 // That is what makes the mutant zoo a real calibration: each mutant's
-// documented kill pattern is a *prediction* that the mutant-gate CI job
-// checks, and a classifier regression (or a mutant whose failure mode drifts)
+// documented kill pattern is a *prediction* that TestMutantZoo checks, and
+// a classifier regression (or a mutant whose failure mode drifts)
 // breaks the pairing visibly.
 
 // FailurePattern is one named entry of the pattern library: a stable name

@@ -225,12 +225,14 @@
 // (mutants.go) pairs every registered broken variant of the four protocol
 // systems — fig1, fig2, extract-omega, composed, at least three mutants
 // each — with the cheapest exploration configuration known to kill it and
-// the failure pattern the kill must classify to; TestMutantZoo and the CI
-// mutant-gate job sweep all of them. The committed corpus under
+// the failure pattern the kill must classify to; TestMutantZoo sweeps all
+// of them. The committed corpus under
 // testdata/corpus/ holds one shrunk schema-3 artifact per zoo entry, and
-// TestCorpus replays each against the current code, asserting both the
-// violation and its classification reproduce — a regression net over the
-// simulator, the protocols, the shrinker and the classifier at once. Two
+// TestCorpus replays each against the current code, asserting that the
+// violation, its message and its classification reproduce — a regression
+// net over the simulator, the protocols, the shrinker and the classifier
+// at once; TestCorpusMatchesKills requires every kill on one lab worker
+// to reproduce its artifact byte for byte. Two
 // zoo lineages calibrate specific explorer dimensions: fig1-skip-on-change
 // (core.MutSkipOnChange) is provably correct under every stable-from-0
 // history — its broken branch is dead code there — yet agreement-violating

@@ -167,8 +167,8 @@ func TestDPORAgreesWithEnumOnToy(t *testing.T) {
 	}
 }
 
-// TestDPORTaskMachines: the explorer drives multi-task systems
-// (Instance.Tasks → sim.TaskMachines) through the same DPOR lens; a
+// TestDPORTaskMachines: the explorer drives multi-task systems (task sets
+// run as sim.TaskMachines) through the same DPOR lens; a
 // composed n=2 sweep over one configuration must be deterministic and
 // violation-free.
 func TestDPORTaskMachines(t *testing.T) {

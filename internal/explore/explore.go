@@ -422,15 +422,13 @@ func (e *explorer) stopped() bool {
 // shared counter.
 func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (violations, runs int64) {
 	s := e.sourceConfig(pattern, oracle)
+	defer s.release()
 	e.pruned.Add(s.pruned)
 	if s.truncated {
 		e.truncated.Store(true)
 	}
-	if s.joins != nil {
-		if s.joins.capped {
-			e.stateCapped.Store(true)
-		}
-		s.joins.release()
+	if s.joins != nil && s.joins.capped {
+		e.stateCapped.Store(true)
 	}
 	return s.violations, s.runs
 }
@@ -537,6 +535,9 @@ func (e *explorer) check(run *Run, props []Property, pattern sim.Pattern, oracle
 		wrun := execute(e.cfg.System, w.pattern, w.oracle,
 			sim.NewFixedSchedule(w.schedule), e.cfg.Budget, sim.NewAccessLog(), nil)
 		fp := Classify(wrun, prop.Name())
+		if wrun.release != nil {
+			wrun.release()
+		}
 		v := &Violation{
 			Property:       prop.Name(),
 			Message:        w.message,

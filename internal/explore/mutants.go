@@ -9,10 +9,10 @@ import (
 // The mutant zoo: every registered broken system, paired with the cheapest
 // exploration configuration known to kill it and the named failure pattern
 // the classifier must assign to the kill. The zoo is the calibration data of
-// the whole explorer: the mutant-gate CI job (and TestMutantZoo) sweeps each
-// entry and fails unless the mutant is (a) killed and (b) classified to its
-// documented pattern, and the committed counterexample corpus under
-// testdata/corpus/ is regenerated from these exact configurations.
+// the whole explorer: TestMutantZoo sweeps each entry and fails unless the
+// mutant is (a) killed and (b) classified to its documented pattern, and the
+// committed counterexample corpus under testdata/corpus/ is regenerated from
+// these exact configurations.
 
 // Mutant is one zoo entry: a registered mutant system plus its cheapest
 // killing sweep and the expected verdict.
@@ -38,8 +38,17 @@ type Mutant struct {
 }
 
 // Kill runs the mutant's sweep and returns the first violation of the
-// expected property (nil if the mutant survived) plus the full result.
+// expected property (nil if the mutant survived) plus the full result. The
+// sweep explores on GOMAXPROCS lab workers and stops at its first
+// violation, so with more than one worker which violation comes first, and
+// with it the witness, depends on timing; the committed corpus holds the
+// kills of one worker.
 func (m Mutant) Kill() (*Violation, *Result, error) {
+	return m.kill(0)
+}
+
+// kill is Kill on the given number of lab workers (<= 0: GOMAXPROCS).
+func (m Mutant) kill(workers int) (*Violation, *Result, error) {
 	sys, err := NewSystem(m.System, m.N, m.F)
 	if err != nil {
 		return nil, nil, err
@@ -53,6 +62,7 @@ func (m Mutant) Kill() (*Violation, *Result, error) {
 		MaxRuns:       m.MaxRuns,
 		Budget:        m.Budget,
 		Symmetry:      m.Symmetry,
+		Workers:       workers,
 		MaxViolations: 1,
 	})
 	for _, v := range res.Violations {

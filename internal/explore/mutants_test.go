@@ -8,8 +8,8 @@ import (
 // recorded cheapest sweep AND classified to its documented failure pattern.
 // This is the calibration contract of the explorer — a mutant surviving, or
 // a kill classifying to the wrong pattern, means either the search or the
-// classifier regressed. CI runs this job separately (mutant-gate); `go test
-// -short` skips the expensive sweeps.
+// classifier regressed. CI's test job runs it, and its race job ten times
+// under the race detector; `go test -short` skips the expensive sweeps.
 func TestMutantZoo(t *testing.T) {
 	zoo := MutantZoo()
 	perSystem := make(map[string]int)
@@ -25,7 +25,7 @@ func TestMutantZoo(t *testing.T) {
 		m := m
 		t.Run(m.System, func(t *testing.T) {
 			if testing.Short() && m.MaxDepth > 1 {
-				t.Skip("branching sweep skipped in -short mode (CI mutant-gate runs it)")
+				t.Skip("branching sweep skipped in -short mode (the full test run covers it)")
 			}
 			t.Parallel()
 			if _, ok := PatternByName(m.Pattern); !ok {

@@ -17,9 +17,9 @@ type witness struct {
 }
 
 // shrink minimizes a violating run along three axes, every candidate
-// re-replayed from fresh state through a sim.FixedSchedule and accepted only
-// if the same property still fails — the result is a verified
-// counterexample by construction:
+// re-replayed from the initial configuration through a sim.FixedSchedule
+// and accepted only if the same property still fails — the result is a
+// verified counterexample by construction:
 //
 //  1. Schedule: binary prefix truncation (the tail after the violation is
 //     replaced by the fair fallback), then ddmin-style chunk deletion at
@@ -41,6 +41,10 @@ type witness struct {
 // capped by cfg.shrinkBudget; the best witness so far is returned when it
 // runs out. A witness with an empty message means the original run did not
 // reproduce under replay (which deterministic systems never hit).
+//
+// Every replay runs into one run store on a recycled world, which it
+// releases as soon as the property's verdict and message are read, and the
+// schedule pass builds its candidates in two buffers it swaps.
 func shrink(cfg Config, run *Run, prop Property) witness {
 	w := witness{
 		pattern:  run.Pattern,
@@ -48,17 +52,23 @@ func shrink(cfg Config, run *Run, prop Property) witness {
 		schedule: append([]sim.PID(nil), run.Schedule...),
 	}
 	budget := cfg.shrinkBudget
+	st := runStore{name: cfg.System.Name()}
+	var sched sim.FixedSchedule
 
-	violates := func(pat sim.Pattern, o OracleChoice, sched []sim.PID) (string, bool) {
+	violates := func(pat sim.Pattern, o OracleChoice, prefix []sim.PID) (msg string, ok bool) {
 		if budget <= 0 {
 			return "", false
 		}
 		budget--
-		r := execute(cfg.System, pat, o, sim.NewFixedSchedule(sched), cfg.Budget, nil, nil)
+		sched = sim.FixedSchedule{Prefix: prefix}
+		r := st.execute(cfg.System, pat, o, &sched, cfg.Budget, nil, nil)
 		if err := prop.Check(r); err != nil {
-			return err.Error(), true
+			msg, ok = err.Error(), true
 		}
-		return "", false
+		if r.release != nil {
+			r.release()
+		}
+		return msg, ok
 	}
 
 	// The full sequence must reproduce (it is the run's own trace); record
@@ -69,20 +79,22 @@ func shrink(cfg Config, run *Run, prop Property) witness {
 		return w
 	}
 
-	shrinkSchedule(&w, violates)
+	var spare []sim.PID
+	shrinkSchedule(&w, &spare, violates)
 	changed := shrinkPattern(cfg, &w, violates)
 	changed = shrinkOracle(cfg, &w, violates) || changed
 	changed = shrinkFlips(&w, violates) || changed
 	if changed {
-		shrinkSchedule(&w, violates)
+		shrinkSchedule(&w, &spare, violates)
 	}
 	return w
 }
 
 // shrinkSchedule minimizes w.schedule under the current configuration:
 // binary-search the shortest violating prefix, then ddmin-lite chunk
-// deletion.
-func shrinkSchedule(w *witness, violates func(sim.Pattern, OracleChoice, []sim.PID) (string, bool)) {
+// deletion. Each candidate is built in *spare, which trades places with
+// w.schedule when the candidate is kept.
+func shrinkSchedule(w *witness, spare *[]sim.PID, violates func(sim.Pattern, OracleChoice, []sim.PID) (string, bool)) {
 	lo, hi := 0, len(w.schedule)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -93,15 +105,16 @@ func shrinkSchedule(w *witness, violates func(sim.Pattern, OracleChoice, []sim.P
 			lo = mid + 1
 		}
 	}
-	w.schedule = append([]sim.PID(nil), w.schedule[:hi]...)
+	w.schedule = w.schedule[:hi]
 
 	for size := len(w.schedule) / 2; size >= 1; size /= 2 {
 		for i := 0; i+size <= len(w.schedule); {
-			trial := append(append([]sim.PID(nil), w.schedule[:i]...), w.schedule[i+size:]...)
+			trial := append(append((*spare)[:0], w.schedule[:i]...), w.schedule[i+size:]...)
 			if msg, ok := violates(w.pattern, w.oracle, trial); ok {
-				w.schedule, w.message = trial, msg
+				*spare, w.schedule, w.message = w.schedule, trial, msg
 				continue // same offset now holds the next chunk
 			}
+			*spare = trial
 			i++
 		}
 	}

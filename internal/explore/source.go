@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sync"
 
 	"weakestfd/internal/sim"
 )
@@ -179,7 +180,11 @@ type srcNode struct {
 	slept   []sleeper // earlier fully-explored siblings at this node, with copies of their access sets
 }
 
-// srcSearch is the per-configuration source-DPOR state.
+// srcSearch is the per-configuration source-DPOR state. Its storage
+// outlives the search: newSearch takes a released search's from a pool, as
+// join caches are, so that a sweep's thousands of configurations do not
+// each grow their own access log, stack slots, run record, run store and
+// analysis tables.
 type srcSearch struct {
 	e       *explorer
 	pattern sim.Pattern
@@ -218,13 +223,17 @@ type srcSearch struct {
 	// probe depth (Config.MaxDepth), 0 when hashing is off.
 	joins   *joinCache
 	horizon int
-	// rec is the schedule and transcript of the current run. A joined run's
-	// log stops at the horizon: tailed is set, tail is the cached
-	// continuation analyze reads on demand, and rec.last already counts the
-	// tail's steps.
-	rec    runRecord
-	tail   joinEntry
-	tailed bool
+	// rec is the schedule and transcript of the current run, forced into
+	// prefix. A joined run's log stops at the horizon: tailed is set, tail
+	// is the cached continuation analyze reads on demand, and rec.last
+	// already counts the tail's steps. probed and probeKey are the run's
+	// join probe.
+	rec      runRecord
+	prefix   []sim.PID
+	tail     joinEntry
+	tailed   bool
+	probed   bool
+	probeKey joinKey
 
 	runs       int64
 	violations int64
@@ -239,17 +248,49 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 	return e.search(pattern, oracle, func(s *srcSearch) { s.analyze(len(s.stack)) })
 }
 
+// searches holds the storage of released searches.
+var searches = sync.Pool{New: func() any {
+	return &srcSearch{log: sim.NewAccessLog()}
+}}
+
+// newSearch returns a search of one configuration, on the storage of a
+// released one when the pool has it: the log is renewed, so its IDs and
+// digests come out as from a new log, the stack and the object table are
+// emptied, and every buffer keeps its capacity. The state of a run (the
+// run record, the joined tail, the seam) is re-armed by each run.
+func newSearch(e *explorer, pattern sim.Pattern, oracle OracleChoice) *srcSearch {
+	s := searches.Get().(*srcSearch)
+	s.e, s.pattern, s.oracle, s.n = e, pattern, oracle, e.cfg.System.N()
+	s.log.Renew()
+	s.stack, s.prefix = s.stack[:0], s.prefix[:0]
+	s.store.name, s.props = e.cfg.System.Name(), e.cfg.System.Properties()
+	s.objs, s.gen = s.objs[:0], 0
+	s.joins, s.horizon = nil, 0
+	s.runs, s.violations, s.pruned, s.joined, s.truncated = 0, 0, 0, 0, false
+	return s
+}
+
+// release hands the search's join cache back to its pool and its storage to
+// searches, dropping what it still held of the sweep and of its last run
+// (whose world is back in its free list); the caller must not use s
+// afterwards.
+func (s *srcSearch) release() {
+	if s.joins != nil {
+		s.joins.release()
+	}
+	s.e, s.joins, s.props, s.seam = nil, nil, nil, nil
+	s.store.run = Run{}
+	searches.Put(s)
+}
+
 // search is sourceConfig with the race analysis of each run passed in: the
 // seam through which a test checks analyze's cutoff against a walk of every
 // complete run.
 func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func(*srcSearch)) *srcSearch {
-	n := e.cfg.System.N()
-	if n > dporMaxProcs {
+	if n := e.cfg.System.N(); n > dporMaxProcs {
 		panic(fmt.Sprintf("explore: source-DPOR supports n <= %d, got %d", dporMaxProcs, n))
 	}
-	s := &srcSearch{e: e, pattern: pattern, oracle: oracle, n: n, log: sim.NewAccessLog()}
-	s.store.name = e.cfg.System.Name()
-	s.props = e.cfg.System.Properties()
+	s := newSearch(e, pattern, oracle)
 	if !e.cfg.NoHash && e.cfg.MaxDepth < int(e.cfg.Budget) {
 		s.horizon = e.cfg.MaxDepth
 		s.joins = newJoinCache(e.cfg.MaxStates)
@@ -259,32 +300,29 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 	// horizon: on a cache hit the run stops there and reuses the cached tail;
 	// on a miss the completed run's tail is inserted under the probed key.
 	// The probe is the digest's only reader, so the log stops maintaining
-	// the digest there until the next run's Reset. The closure (and the
-	// per-run probe state it captures) is built once for the whole
-	// configuration, and so are the run record and the run store — all sit
-	// on the per-run hot path.
-	var prefix []sim.PID
+	// the digest there until the next run's Reset. The closure is built
+	// once for the whole configuration, and the probe state, the run record
+	// and the run store live in the search's storage — all sit on the
+	// per-run hot path.
 	rec := &s.rec
-	var probed bool
-	var probeKey joinKey
 	var stop func(sim.Time) bool
 	if s.horizon > 0 {
 		stop = func(t sim.Time) bool {
-			if int(t) != s.horizon || probed {
+			if int(t) != s.horizon || s.probed {
 				return false
 			}
-			probed = true
-			probeKey = joinKey{digest: s.log.StateDigest(), rr: -1}
+			s.probed = true
+			s.probeKey = joinKey{digest: s.log.StateDigest(), rr: -1}
 			s.log.StopDigest()
-			if s.horizon > len(prefix) {
-				probeKey.rr = int16(rec.granted[s.horizon-1])
-			} else if len(prefix) > s.horizon {
+			if s.horizon > len(s.prefix) {
+				s.probeKey.rr = int16(rec.granted[s.horizon-1])
+			} else if len(s.prefix) > s.horizon {
 				// The forced prefix extends past the horizon: those steps
 				// have not executed yet, so two runs may join only when
 				// they agree on the pending suffix too.
-				probeKey.pending = pidSeqFP(prefix[s.horizon:])
+				s.probeKey.pending = pidSeqFP(s.prefix[s.horizon:])
 			}
-			s.tail, s.tailed = s.joins.get(probeKey)
+			s.tail, s.tailed = s.joins.get(s.probeKey)
 			return s.tailed
 		}
 	}
@@ -296,9 +334,9 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 			s.truncated = true
 			return s
 		}
-		rec.reset(prefix)
+		rec.reset(s.prefix)
 		s.log.Reset()
-		s.tailed, probed = false, false
+		s.tailed, s.probed = false, false
 
 		run := s.store.execute(e.cfg.System, pattern, oracle, rec, e.cfg.Budget, s.log, stop)
 		s.seam = run.seam
@@ -329,8 +367,8 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 			}
 			bumpMax(&e.maxSteps, run.Report.Steps)
 			s.violations += e.check(run, s.props, pattern, oracle)
-			if probed {
-				s.joins.put(probeKey, s.log, &rec.last, s.horizon, run.Report.Steps, run.OutputsSettled)
+			if s.probed {
+				s.joins.put(s.probeKey, s.log, &rec.last, s.horizon, run.Report.Steps, run.OutputsSettled)
 			}
 		}
 		if rec.sched.Diverged() {
@@ -350,9 +388,7 @@ func (e *explorer) search(pattern sim.Pattern, oracle OracleChoice, analyze func
 		if run.release != nil {
 			run.release()
 		}
-		var ok bool
-		prefix, ok = s.nextPrefix(prefix)
-		if !ok {
+		if !s.nextPrefix() {
 			return s
 		}
 	}
@@ -635,11 +671,12 @@ func (s *srcSearch) raceReversal(b, c int, p sim.PID, procB int, scB int32) {
 }
 
 // nextPrefix pops the search to the deepest node with a pending wakeup
-// sequence and returns the forced prefix of the next run: the stack's chosen
-// steps through that node (re-chosen to the sequence head) followed by the
-// rest of the sequence. Sequences whose head is meanwhile covered or asleep
-// are dropped as pruned schedules.
-func (s *srcSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
+// sequence and makes s.prefix the forced prefix of the next run: the
+// stack's chosen steps through that node (re-chosen to the sequence head)
+// followed by the rest of the sequence. Sequences whose head is meanwhile
+// covered or asleep are dropped as pruned schedules. It reports false when
+// no sequence is left: the search is complete.
+func (s *srcSearch) nextPrefix() bool {
 	for i := len(s.stack) - 1; i >= 0; i-- {
 		nd := &s.stack[i]
 		for len(nd.wut) > 0 {
@@ -663,13 +700,13 @@ func (s *srcSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
 			nd.chosen = q
 			nd.accesses = nd.accesses[:0]
 			s.stack = s.stack[:i+1]
-			out := prefix[:0]
+			s.prefix = s.prefix[:0]
 			for k := 0; k <= i; k++ {
-				out = append(out, s.stack[k].chosen)
+				s.prefix = append(s.prefix, s.stack[k].chosen)
 			}
-			out = append(out, seq[1:]...)
-			return out, true
+			s.prefix = append(s.prefix, seq[1:]...)
+			return true
 		}
 	}
-	return nil, false
+	return false
 }

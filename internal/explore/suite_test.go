@@ -105,13 +105,17 @@ func TestJoinCachesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestWorldsAcrossWorkers sweeps fig2 n=2 and extract-omega n=2 at switch
-// budget 1 with one lab worker and with four: the recycled worlds
-// (world.go) pass between the runs of every configuration's search, on as
-// many goroutines as there are workers, and the result must not depend on
-// it. The counts were pinned before worlds were recycled. CI's race job
-// runs it ten times under the race detector, beside
-// TestJoinCachesAcrossWorkers.
+// TestWorldsAcrossWorkers sweeps fig2 n=2, extract-omega n=2 and composed
+// n=2 (DefaultSweep's) at switch budget 1 with one lab worker and with
+// four: the recycled worlds (world.go) pass between the runs of every
+// configuration's search, and the pooled search storage between the
+// searches, on as many goroutines as there are workers, and the result
+// must not depend on it. The last case is a search without joins on the
+// storage that those hashed searches released: its log must come back
+// with the digest off and its search without a horizon or a join cache.
+// The counts were pinned before worlds were recycled and search storage
+// was pooled. CI's race job runs it ten times under the race detector,
+// beside TestJoinCachesAcrossWorkers.
 func TestWorldsAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -119,6 +123,8 @@ func TestWorldsAcrossWorkers(t *testing.T) {
 	}{
 		{Config{System: Fig2System(2, 1), MaxDepth: 20, Budget: 1024, SwitchBudget: 1}, [4]int64{50, 877, 289, 975}},
 		{Config{System: ExtractOmegaSystem(2), MaxDepth: 16, Budget: 512, SwitchBudget: 1}, [4]int64{18, 308, 118, 220}},
+		{Config{System: ComposedSystem(2), MaxDepth: 24, Budget: 4096, SwitchBudget: 1}, [4]int64{18, 518, 242, 594}},
+		{Config{System: Fig2System(2, 1), MaxDepth: 20, Budget: 1024, SwitchBudget: 1, NoHash: true}, [4]int64{50, 877, 0, 975}},
 	} {
 		for _, workers := range []int{1, 4} {
 			tc.cfg.Workers = workers

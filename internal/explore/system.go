@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"weakestfd/internal/converge"
 	"weakestfd/internal/core"
-	"weakestfd/internal/fd"
 	"weakestfd/internal/sim"
 )
 
@@ -43,18 +41,19 @@ type NamedHistory struct {
 // the per-process machines, the detector histories the explorer registers
 // with the query seam, and a Finish hook run once the simulation is over.
 // No hook runs between steps: the only per-step callback of an explored run
-// is the explorer's own join probe. The Figure 1, Figure 2 and extraction
-// systems re-arm a recycled world (world.go): their instance's storage
-// backs a later Instantiate once the source search releases it.
+// is the explorer's own join probe. Every registered system re-arms a
+// recycled world (world.go): its instance's storage backs a later
+// Instantiate once the run is released.
 type Instance struct {
-	// Machines are the per-process automata (one per PID). Single-task
-	// systems set Machines; multi-task systems set Tasks instead.
+	// Machines are the per-process automata (one per PID). The composed
+	// systems hand out each process's task set already wrapped as one
+	// sim.TaskMachines machine.
 	Machines []sim.StepMachine
-	// Tasks are the per-process task sets of multi-task systems
-	// (Composed/TimedComposed): the explorer runs them as sim.TaskMachines,
-	// putting the extraction∘protocol pipeline of Corollary 11 under the
-	// same exhaustive lens as the single-task protocols. Exactly one of
-	// Machines and Tasks is non-nil.
+	// Tasks are per-process task sets, which the explorer runs as
+	// sim.TaskMachines; set at most one of Machines and Tasks. No
+	// registered system sets Tasks any more. It stays for systems outside
+	// the registry, and because the benchmark's tracer (perfbench/spans.go)
+	// wraps the machines of an instance's task sets as it wraps Machines.
 	Tasks []sim.MachineTaskSet
 	// Proposals are the input values (nil for extraction systems).
 	Proposals []sim.Value
@@ -73,8 +72,9 @@ type Instance struct {
 	Histories []NamedHistory
 
 	// release hands the instance's world back for a later Instantiate (nil
-	// for systems that build fresh state every time). Only the source
-	// search calls it, once it is done with the run.
+	// for systems that build fresh state every time). The source search,
+	// the shrinker and the classifier's replay call it once they are done
+	// with the run.
 	release func()
 }
 
@@ -197,21 +197,6 @@ func canonicalProposals(n int) []sim.Value {
 		out[i] = sim.Value(100 + i)
 	}
 	return out
-}
-
-// omegaHistory builds the Ω source history for one choice: the choice's
-// pre-stabilization leaders (none when it is stable from time 0), then its
-// correct stable leader.
-func omegaHistory(o OracleChoice) sim.Oracle {
-	return fd.NewUnstable(o.Stable.Min(), omegaPhases(nil, o)...)
-}
-
-// omegaPhases appends the choice's pre-stabilization leader phases to dst.
-func omegaPhases(dst []fd.Phase[sim.PID], o OracleChoice) []fd.Phase[sim.PID] {
-	for _, f := range o.Flips {
-		dst = append(dst, fd.Phase[sim.PID]{Until: f.Until, Out: f.Out.Min()})
-	}
-	return dst
 }
 
 // omegaLeaderChoices enumerates every correct leader as an Ω source's stable
@@ -356,21 +341,6 @@ func (s composedSystem) Oracles(pattern sim.Pattern, plan SwitchPlan) []OracleCh
 	return flipVariants(omegaLeaderChoices(pattern), omegaRange(s.n), plan)
 }
 
-func (s composedSystem) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
-	oracle := omegaHistory(o)
-	c := core.NewComposed(s.n, oracle, core.PhiOmega(s.n), converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	return Instance{
-		Tasks:     c.MutantMachineTaskSets(proposals, s.mut),
-		Proposals: proposals,
-		K:         c.K(),
-		// Only the underlying Ω source is a seam history; the emulated Υ the
-		// protocol task queries reads the process's own output variable —
-		// process-local state, not an environment object.
-		Histories: []NamedHistory{{Name: "H(Ω)", H: oracle}},
-	}
-}
-
 func (s composedSystem) Properties() []Property {
 	return []Property{AtMostK{}, Validity{}}
 }
@@ -408,16 +378,6 @@ func (s timedComposedSystem) Oracles(sim.Pattern, SwitchPlan) []OracleChoice {
 
 func (s timedComposedSystem) LegalFlipOut(sim.Set) error {
 	return fmt.Errorf("system %s consumes no detector history: no flip schedule is legal", s.Name())
-}
-
-func (s timedComposedSystem) Instantiate(pattern sim.Pattern, _ OracleChoice) Instance {
-	c := core.NewTimedComposed(s.n, timedComposedThreshold, converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	return Instance{
-		Tasks:     c.MachineTaskSets(proposals),
-		Proposals: proposals,
-		K:         c.K(),
-	}
 }
 
 func (s timedComposedSystem) Properties() []Property {

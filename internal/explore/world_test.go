@@ -79,28 +79,36 @@ func traceWorldRun(t *testing.T, st *runStore, sys System, job Job, sched sim.Sc
 func drainWorlds(sys System) {
 	switch s := sys.(type) {
 	case fig1System:
-		for fig1Worlds.get(s) != nil {
-		}
+		drain(&fig1Worlds, s)
 	case fig2System:
-		for fig2Worlds.get(s) != nil {
-		}
+		drain(&fig2Worlds, s)
 	case extractSystem:
-		for extractWorlds.get(s) != nil {
-		}
+		drain(&extractWorlds, s)
+	case composedSystem:
+		drain(&composedWorlds, s)
+	case timedComposedSystem:
+		drain(&timedComposedWorlds, s)
+	default:
+		panic(fmt.Sprintf("drainWorlds: no world pool for %T", sys))
+	}
+}
+
+func drain[S comparable](pool *worldPool[S], sys S) {
+	for pool.get(sys) != nil {
 	}
 }
 
 // TestRearmedWorldMatchesFresh: a world re-armed after a run of another
-// configuration behaves as a freshly built one. For every world-backed
-// registry system, mutants included, at n = 2 and 3 with f = n−1, a sample
-// of the switch-budget-1 configurations (crash patterns at times 0 and 3,
-// histories flipping at 2 and 14) each runs a schedule twice — seeded
-// random, or round-robin, which drives the agreement protocols past their
-// first converge into the gladiator rounds — recorded with the access log's
-// digest on: once on a fresh world, and once on the world that a
-// round-robin run of another configuration (otherJob) has just released,
-// so the re-armed world's converge instances and snapshots are re-keyed to
-// other parameters. Each of the two runs is the
+// configuration behaves as a freshly built one. For every registry system,
+// the compositions' task-set wrappers included, and every mutant, at n = 2
+// and 3 with f = n−1, a sample of the switch-budget-1 configurations (crash
+// patterns at times 0 and 3, histories flipping at 2 and 14) each runs a
+// schedule twice — seeded random, or round-robin, which drives the
+// agreement protocols past their first converge into the gladiator rounds —
+// recorded with the access log's digest on: once on a fresh world, and once
+// on the world that a round-robin run of another configuration (otherJob)
+// has just released, so the re-armed world's converge instances and
+// snapshots are re-keyed to other parameters. Each of the two runs is the
 // second run recorded into its log, after that same other run on a fresh
 // world, so both logs intern the same keys in the same order. The Report
 // JSON, the run error, every step's process and access set, the state
@@ -118,11 +126,6 @@ func TestRearmedWorldMatchesFresh(t *testing.T) {
 			sys, err := NewSystem(name, n, n-1)
 			if err != nil {
 				t.Fatal(err)
-			}
-			switch sys.(type) {
-			case fig1System, fig2System, extractSystem:
-			default:
-				continue // composed systems build fresh state every time
 			}
 			budget := int64(2048)
 			if _, ok := sys.(extractSystem); ok {

@@ -119,6 +119,26 @@ func NewAccessLog() *AccessLog {
 	return &AccessLog{serial: logSerials.Add(1), ids: make(map[ObjKey]ObjID)}
 }
 
+// Renew returns l to the state NewAccessLog leaves a log in, keeping its
+// storage: a pooled log serves its next exploration as a new one would. It
+// takes a serial no log had before, empties the intern table, so IDs are
+// assigned from 1 again in first-access order, and switches the digest off.
+// Objects that cached IDs of l re-intern their keys, as they would with a
+// new log.
+func (l *AccessLog) Renew() {
+	clear(l.ids)
+	*l = AccessLog{
+		serial: logSerials.Add(1),
+		ids:    l.ids,
+		keys:   l.keys[:0],
+		buf:    l.buf[:0],
+		spans:  l.spans[:0],
+		objFP:  l.objFP[:0],
+		fps:    l.fps[:0],
+		procH:  l.procH[:0],
+	}
+}
+
 // logSerials numbers the logs of the process from 1.
 var logSerials atomic.Uint64
 

@@ -55,7 +55,7 @@ type MachineContext struct {
 // directly (memory.Register.DirectRead, memory.Snapshot.DirectScan, …): with
 // one machine stepping at a time, every access is trivially atomic.
 type StepMachine interface {
-	// Init is called exactly once, before the machine's first step.
+	// Init is called once per run, before the machine's first step.
 	Init(ctx MachineContext)
 	// Step performs the machine's next atomic step at time t.
 	Step(t Time) MachineStatus
@@ -208,13 +208,17 @@ type MachineTaskSet []StepMachine
 // running (reductions never return), so RunMachines ends the run once every
 // correct process has decided. A process halts when all its tasks returned
 // and none decided.
+//
+// A wrapper can be run again: Init re-arms its local scheduler, so a
+// process whose tasks are re-armed for another run (their protocol's Reset)
+// runs on the same wrapper as on a new one.
 func TaskMachines(sets []MachineTaskSet) []StepMachine {
 	out := make([]StepMachine, len(sets))
 	for i, tasks := range sets {
 		if len(tasks) == 0 {
 			panic(fmt.Sprintf("sim: process %d has no tasks", i))
 		}
-		out[i] = &taskMachine{tasks: tasks, done: make([]bool, len(tasks)), live: len(tasks)}
+		out[i] = &taskMachine{tasks: tasks, done: make([]bool, len(tasks))}
 	}
 	return out
 }
@@ -229,8 +233,11 @@ type taskMachine struct {
 	value   Value
 }
 
-// Init initializes every task, in order, with the process's context.
+// Init re-arms the local scheduler and initializes every task, in order,
+// with the process's context.
 func (m *taskMachine) Init(ctx MachineContext) {
+	clear(m.done)
+	m.live, m.last, m.decided, m.value = len(m.tasks), 0, false, 0
 	for _, task := range m.tasks {
 		task.Init(ctx)
 	}

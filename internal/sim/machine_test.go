@@ -7,7 +7,7 @@ import (
 )
 
 // countdownMachine takes steps-1 no-op steps, then decides (or halts) on its
-// last step.
+// last step. Init re-arms it, so it can be run again.
 type countdownMachine struct {
 	steps   int
 	val     Value
@@ -15,7 +15,7 @@ type countdownMachine struct {
 	taken   int
 }
 
-func (m *countdownMachine) Init(MachineContext) {}
+func (m *countdownMachine) Init(MachineContext) { m.taken = 0 }
 func (m *countdownMachine) Decision() Value     { return m.val }
 func (m *countdownMachine) Step(Time) MachineStatus {
 	m.taken++
@@ -229,6 +229,41 @@ func TestRunTaskMachinesRotation(t *testing.T) {
 			rep, err := RunMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, TaskMachines(mkMachines()))
 			requireReport(t, rep, err, want[sched])
 		})
+	}
+}
+
+// TestTaskMachinesRunAgain: a TaskMachines wrapper can be run again. The
+// first run of the rotation test's task sets leaves every wrapper with a
+// returned task, two of them decided and one crashed mid-rotation; a second
+// run on the same wrappers, whose tasks re-arm themselves in Init, must give
+// the Report of the first, under both schedules.
+func TestTaskMachinesRunAgain(t *testing.T) {
+	pattern := CrashPattern(3, map[PID]Time{2: 9})
+	for _, mk := range []func() Schedule{RoundRobin, func() Schedule { return NewRandom(7) }} {
+		sets := make([]MachineTaskSet, 3)
+		for i := range sets {
+			sets[i] = MachineTaskSet{
+				spinMachine{},
+				&countdownMachine{steps: 4 + i, val: Value(100 + i), decides: true},
+			}
+		}
+		machines := TaskMachines(sets)
+		var first []byte
+		for run := 1; run <= 2; run++ {
+			rep, err := RunMachines(Config{Pattern: pattern, Schedule: mk(), Budget: 50_000}, machines)
+			if err != nil || len(rep.Decided) != 2 {
+				t.Fatalf("run %d: %d decided, error %v; want p0 and p1 decided", run, len(rep.Decided), err)
+			}
+			got, jerr := json.Marshal(rep)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			if run == 1 {
+				first = got
+			} else if string(got) != string(first) {
+				t.Fatalf("second run on the same wrappers:\n got  %s\n want %s", got, first)
+			}
+		}
 	}
 }
 
